@@ -1,4 +1,4 @@
-.PHONY: test bench reliability observability recovery parallel fleet engine batch overload shard profile examples artifacts all
+.PHONY: test bench reliability observability recovery parallel fleet engine batch overload shard e2e-smoke examples artifacts all
 
 test:
 	pytest tests/
@@ -27,15 +27,11 @@ fleet:
 	PYTHONPATH=src python -m pytest tests/core/test_fleet.py tests/llm/test_capacity_singleflight.py tests/properties/test_fleet_properties.py tests/streams/test_dispatch_index.py -q
 
 engine:
-	PYTHONPATH=src python -m pytest tests/core/test_engine.py tests/properties/test_parallel_properties.py tests/properties/test_fleet_properties.py tests/properties/test_async_properties.py -q
+	PYTHONPATH=src python -m pytest tests/core/test_engine.py tests/properties/test_parallel_properties.py tests/properties/test_fleet_properties.py -q
 
 batch:
 	PYTHONPATH=src python -m pytest benchmarks/bench_fleet.py --benchmark-disable
-	PYTHONPATH=src python -m pytest tests/llm/test_batching.py tests/llm/test_cache.py tests/llm/test_capacity_singleflight.py tests/properties/test_async_properties.py -q
-
-profile:
-	PYTHONPATH=src python -m pytest benchmarks/bench_profile.py --benchmark-disable
-	PYTHONPATH=src python -m pytest tests/properties/test_hotpath_goldens.py tests/core/test_observability.py -q
+	PYTHONPATH=src python -m pytest tests/llm/test_batching.py tests/llm/test_cache.py tests/llm/test_capacity_singleflight.py -q
 
 overload:
 	PYTHONPATH=src python -m pytest benchmarks/bench_overload.py --benchmark-disable
@@ -44,6 +40,9 @@ overload:
 shard:
 	PYTHONPATH=src python -m pytest benchmarks/bench_shard.py --benchmark-disable
 	PYTHONPATH=src python -m pytest tests/storage/test_cluster.py tests/storage/test_sharded_relational.py tests/storage/test_failure_detector.py tests/streams/test_partitioned.py tests/core/test_shard_pruning.py tests/properties/test_shard_properties.py -q
+
+e2e-smoke:
+	PYTHONPATH=src python -m pytest benchmarks/e2e/test_e2e_smoke.py -q
 
 examples:
 	@for f in examples/*.py; do echo "== $$f =="; python $$f > /dev/null && echo OK; done

@@ -28,8 +28,8 @@ The **engine** section gates wall-clock for real: a larger workload
 (16 plans, 8 in flight) with ``wall_latency_scale`` set, so every
 simulated LLM call actually blocks its thread for a proportional real
 duration.  Under the serial backend those sleeps serialize; under the
-thread and async backends wave siblings and in-flight plans overlap
-them, so wall-clock plans/sec must beat serial (median of 5 runs —
+thread backend wave siblings and in-flight plans overlap them, so
+wall-clock plans/sec must beat serial (median of 5 runs —
 large sleeps dominate scheduler overhead, which keeps the gate stable
 on slow CI hardware; the sleeps release the GIL, so the gate holds
 even on one core).
@@ -151,23 +151,16 @@ def run_engine(backend: str) -> tuple[float, float]:
 
 
 def measure_engine() -> dict:
-    """Median-of-5 wall timings for serial vs thread vs async backends."""
+    """Median-of-5 wall timings for the serial vs thread backends."""
     serial_runs = [run_engine("serial") for _ in range(5)]
     thread_runs = [run_engine("threads") for _ in range(5)]
-    async_runs = [run_engine("async") for _ in range(5)]
     serial_makespan = serial_runs[0][0]
     thread_makespan = thread_runs[0][0]
-    async_makespan = async_runs[0][0]
     serial_wall = sorted(wall for _, wall in serial_runs)[2]
     thread_wall = sorted(wall for _, wall in thread_runs)[2]
-    async_wall = sorted(wall for _, wall in async_runs)[2]
     # Result identity: the backend moves wall-clock, never simulated time.
     assert abs(thread_makespan - serial_makespan) < 1e-9, (
         thread_makespan,
-        serial_makespan,
-    )
-    assert abs(async_makespan - serial_makespan) < 1e-9, (
-        async_makespan,
         serial_makespan,
     )
     return {
@@ -177,12 +170,9 @@ def measure_engine() -> dict:
         "simulated_makespan": round(serial_makespan, 6),
         "serial_wall_seconds": round(serial_wall, 4),
         "threads_wall_seconds": round(thread_wall, 4),
-        "async_wall_seconds": round(async_wall, 4),
         "serial_plans_per_sec": round(ENGINE_PLANS / serial_wall, 2),
         "threads_plans_per_sec": round(ENGINE_PLANS / thread_wall, 2),
-        "async_plans_per_sec": round(ENGINE_PLANS / async_wall, 2),
         "wall_speedup": round(serial_wall / thread_wall, 4),
-        "async_wall_speedup": round(serial_wall / async_wall, 4),
     }
 
 
@@ -346,16 +336,12 @@ def test_a12_fleet_throughput():
         f"fleet speedup {simulated['speedup']:.2f}x below the "
         f"{MIN_SPEEDUP}x acceptance floor"
     )
-    # The concurrency gates: with real per-call blocking, both concurrent
-    # backends must finish the identical workload in less wall time than
+    # The concurrency gate: with real per-call blocking, the thread
+    # backend must finish the identical workload in less wall time than
     # serial.
     assert engine["wall_speedup"] > MIN_WALL_SPEEDUP, (
         f"thread backend wall speedup {engine['wall_speedup']:.2f}x does "
         f"not beat serial (floor {MIN_WALL_SPEEDUP}x)"
-    )
-    assert engine["async_wall_speedup"] > MIN_WALL_SPEEDUP, (
-        f"async backend wall speedup {engine['async_wall_speedup']:.2f}x "
-        f"does not beat serial (floor {MIN_WALL_SPEEDUP}x)"
     )
     # The batching gate: micro-batch windows must buy real simulated
     # throughput on the homogeneous-model fleet.
@@ -389,11 +375,9 @@ def test_a12_fleet_throughput():
         + f"\ncapacity peaks: {results['capacity']['peak_inflight']}"
         + f"\ncoalescing hit rate: {results['coalescing']['hit_rate']:.0%}"
         + f"\nengine wall-clock ({ENGINE_PLANS} plans, scale {WALL_SCALE}): "
-        + f"threads {engine['threads_wall_seconds']:.3f}s / async "
-        + f"{engine['async_wall_seconds']:.3f}s vs serial "
+        + f"threads {engine['threads_wall_seconds']:.3f}s vs serial "
         + f"{engine['serial_wall_seconds']:.3f}s "
-        + f"({engine['wall_speedup']:.2f}x / "
-        + f"{engine['async_wall_speedup']:.2f}x, floor {MIN_WALL_SPEEDUP}x)"
+        + f"({engine['wall_speedup']:.2f}x, floor {MIN_WALL_SPEEDUP}x)"
         + f"\nbatching ({BATCH_PLANS} homogeneous plans, "
         + f"{BATCH_SLOTS} slot): {batching['batched_plans_per_sec']} vs "
         + f"{batching['unbatched_plans_per_sec']} plans/sec simulated "

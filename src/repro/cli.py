@@ -94,13 +94,11 @@ def build_parser() -> argparse.ArgumentParser:
                        action="store_false",
                        help="disable cross-plan coalescing of identical "
                             "in-flight LLM calls")
-    fleet.add_argument("--backend", choices=("serial", "threads", "async"),
+    fleet.add_argument("--backend", choices=("serial", "threads"),
                        default="serial",
                        help="execution backend: serial (deterministic, "
-                            "byte-identical traces), threads (wave nodes "
-                            "and fleet rounds on real worker threads), or "
-                            "async (the same concurrency as coroutines on "
-                            "an asyncio event loop)")
+                            "byte-identical traces) or threads (wave nodes "
+                            "and fleet rounds on real worker threads)")
     fleet.add_argument("--batch", action="store_true",
                        help="coalesce distinct-but-batchable LLM calls "
                             "(same model + params, different prompts) into "

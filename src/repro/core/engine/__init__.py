@@ -2,16 +2,18 @@
 
 from .backend import (
     SERIAL,
-    AsyncBackend,
     ExecutionBackend,
     SerialBackend,
     ThreadBackend,
     resolve_backend,
 )
 
+# Kept only because benchmarks/e2e/layers.py:19 (frozen for this PR)
+# imports the name; the next benchmark PR drops that import and this line.
+AsyncBackend = ThreadBackend
+
 __all__ = [
     "SERIAL",
-    "AsyncBackend",
     "ExecutionBackend",
     "SerialBackend",
     "ThreadBackend",

@@ -23,31 +23,19 @@ fleet scheduler decide *what* runs next; a backend decides *how*:
   Tracer.adopt`), and budget charges carry a per-node attribution scope
   so journaled effect records stay exact.
 
-* :class:`AsyncBackend` — the same concurrency expressed as an asyncio
-  event loop (SNIPPETS `DataflowEngine` idiom): wave siblings and fleet
-  rounds become coroutines gathered on a persistent loop, the natural
-  shape for natively async agent stacks.  Today's agent stack is sync,
-  so each coroutine bridges to a worker thread via
-  ``loop.run_in_executor`` — the scheduling plane is the loop, the
-  execution plane is the pool — and every node task runs inside the
-  *identical* scope stack as the thread backend (clock branch overlay,
-  owner-scoped ids, budget charge scope, adopted parent span), giving
-  it the same determinism contract.
-
 Determinism contract: serial mode is byte-identical to the pre-backend
-runtime; thread and async modes guarantee *result identity* — same node
+runtime; thread mode guarantees *result identity* — same node
 outputs, statuses, charge multisets, and journal entry sets as serial
 for the nodes both executed — while event order, global-arrival ids,
 and wall interleaving may differ.  A failed wave is the one defined
 divergence: serial stops at the first failing node and never starts its
-wave siblings, while a concurrent backend has already started them, so
-a failed run's executed set under concurrency is a superset of serial's
+wave siblings, while the thread backend has already started them, so
+a failed run's executed set under threads is a superset of serial's
 (the failing wave runs to completion; later waves still never start).
 """
 
 from __future__ import annotations
 
-import asyncio
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -153,69 +141,6 @@ def _default_workers() -> int:
     return min(16, max(4, (os.cpu_count() or 4)))
 
 
-def _run_node_scoped(
-    execution: "PlanExecution",
-    node: "TaskNode",
-    wave_index: int,
-    wave_len: int,
-    parent: Any,
-) -> str:
-    """Drive one node under the concurrent-execution scope stack.
-
-    Shared by the thread and async backends: a clock branch overlay
-    rooted at the node's ready time, owner-scoped ids, a budget charge
-    scope, and the wave's parent span adopted onto this worker — the
-    invariants that keep shared runtime state consistent when siblings
-    interleave for real.
-    """
-    context = execution.coordinator._require_context()
-    clock = context.clock
-    run = execution.run
-    owner = f"{run.plan_id}.{node.node_id}"
-    clock.branch_begin(execution.ready_time(node))
-    try:
-        with ExitStack() as stack:
-            stack.enter_context(id_scope(owner))
-            if execution.budget is not None:
-                stack.enter_context(execution.budget.scoped(owner))
-            tracer = execution._tracer
-            if tracer is not None:
-                stack.enter_context(tracer.adopt(parent))
-            return execution.drive(node, wave_index, wave_len)
-    finally:
-        end = clock.branch_end()
-        execution._ends[node.node_id] = end
-        if execution.timeline is not None:
-            execution.timeline.record(end, owner=run.plan_id)
-
-
-def _step_one_guarded(execution: "PlanExecution") -> BaseException | None:
-    """One plan step; crashes abandon the plan and surface post-barrier.
-
-    Serial crash semantics re-raise immediately; under concurrency the
-    whole round completes first (siblings are already running), then
-    the first crash — in admission order — propagates to the fleet.
-    """
-    try:
-        execution.step()
-    except BaseException as error:  # noqa: BLE001 - returned to caller
-        execution.abandon(f"{type(error).__name__}: {error}")
-        return error
-    return None
-
-
-def _wave_pending(
-    execution: "PlanExecution",
-    wave: "Sequence[TaskNode]",
-) -> "list[TaskNode]":
-    """The wave's not-yet-executed nodes, with parallel-node metrics."""
-    run = execution.run
-    pending = [node for node in wave if node.node_id not in run.executed]
-    if pending and len(wave) > 1:
-        execution.coordinator._parallel_node_tally += len(pending)
-    return pending
-
-
 class ThreadBackend:
     """Thread-pool execution: wave nodes and fleet rounds overlap for real.
 
@@ -231,11 +156,7 @@ class ThreadBackend:
     name = "threads"
     concurrent = True
 
-    def __init__(
-        self, max_workers: int | None = None, node_workers: int | None = None
-    ) -> None:
-        self._max_workers = max_workers or _default_workers()
-        self._node_workers = node_workers or _default_workers()
+    def __init__(self) -> None:
         self._plan_pool: ThreadPoolExecutor | None = None
         self._node_pool: ThreadPoolExecutor | None = None
         self._pool_lock = threading.Lock()
@@ -245,7 +166,7 @@ class ThreadBackend:
         with self._pool_lock:
             if self._plan_pool is None:
                 self._plan_pool = ThreadPoolExecutor(
-                    max_workers=self._max_workers,
+                    max_workers=_default_workers(),
                     thread_name_prefix="engine-plan",
                 )
             return self._plan_pool
@@ -254,7 +175,7 @@ class ThreadBackend:
         with self._pool_lock:
             if self._node_pool is None:
                 self._node_pool = ThreadPoolExecutor(
-                    max_workers=self._node_workers,
+                    max_workers=_default_workers(),
                     thread_name_prefix="engine-node",
                 )
             return self._node_pool
@@ -276,6 +197,41 @@ class ThreadBackend:
         return False
 
     # -- execution ------------------------------------------------------
+    @staticmethod
+    def _run_node(
+        execution: "PlanExecution",
+        node: "TaskNode",
+        wave_index: int,
+        wave_len: int,
+        parent: Any,
+    ) -> str:
+        """Drive one node under the concurrent-execution scope stack.
+
+        A clock branch overlay rooted at the node's ready time,
+        owner-scoped ids, a budget charge scope, and the wave's parent
+        span adopted onto this worker — the invariants that keep shared
+        runtime state consistent when siblings interleave for real.
+        """
+        context = execution.coordinator._require_context()
+        clock = context.clock
+        run = execution.run
+        owner = f"{run.plan_id}.{node.node_id}"
+        clock.branch_begin(execution.ready_time(node))
+        try:
+            with ExitStack() as stack:
+                stack.enter_context(id_scope(owner))
+                if execution.budget is not None:
+                    stack.enter_context(execution.budget.scoped(owner))
+                tracer = execution._tracer
+                if tracer is not None:
+                    stack.enter_context(tracer.adopt(parent))
+                return execution.drive(node, wave_index, wave_len)
+        finally:
+            end = clock.branch_end()
+            execution._ends[node.node_id] = end
+            if execution.timeline is not None:
+                execution.timeline.record(end, owner=run.plan_id)
+
     def run_wave(
         self,
         execution: "PlanExecution",
@@ -286,16 +242,19 @@ class ThreadBackend:
             # Non-parallel schedules have no branch accounting to
             # overlap; run them exactly as the serial backend would.
             return SERIAL.run_wave(execution, wave, wave_index)
-        pending = _wave_pending(execution, wave)
+        run = execution.run
+        pending = [node for node in wave if node.node_id not in run.executed]
         if not pending:
             return "ok"
+        if len(wave) > 1:
+            execution.coordinator._parallel_node_tally += len(pending)
         tracer = execution._tracer
         parent = tracer.current() if tracer is not None else None
         if len(pending) == 1:
             # A singleton wave still needs the branch overlay (other
             # plans' steps run concurrently), but not a pool hop.
             verdicts = [
-                _run_node_scoped(execution, pending[0], wave_index, len(wave), parent)
+                self._run_node(execution, pending[0], wave_index, len(wave), parent)
             ]
         else:
             # Flip the clock into locked mode from THIS thread before any
@@ -304,7 +263,7 @@ class ThreadBackend:
             pool = self._nodes()
             futures = [
                 pool.submit(
-                    _run_node_scoped, execution, node, wave_index, len(wave), parent
+                    self._run_node, execution, node, wave_index, len(wave), parent
                 )
                 for node in pending
             ]
@@ -327,6 +286,21 @@ class ThreadBackend:
                 return verdict
         return "ok"
 
+    @staticmethod
+    def _step_guarded(execution: "PlanExecution") -> BaseException | None:
+        """One plan step; crashes abandon the plan and surface post-barrier.
+
+        Serial crash semantics re-raise immediately; under concurrency the
+        whole round completes first (siblings are already running), then
+        the first crash — in admission order — propagates to the fleet.
+        """
+        try:
+            execution.step()
+        except BaseException as error:  # noqa: BLE001 - returned to caller
+            execution.abandon(f"{type(error).__name__}: {error}")
+            return error
+        return None
+
     def step_round(self, executions: "Sequence[PlanExecution]") -> None:
         if len(executions) == 1:
             SERIAL.step_round(executions)
@@ -334,168 +308,9 @@ class ThreadBackend:
         executions[0].coordinator._require_context().clock.mark_threaded()
         pool = self._plans()
         futures = [
-            pool.submit(_step_one_guarded, execution) for execution in executions
+            pool.submit(self._step_guarded, execution) for execution in executions
         ]
         errors = [future.result() for future in futures]
-        for error in errors:
-            if error is not None:
-                raise error
-
-
-class AsyncBackend:
-    """Asyncio event-loop execution: coroutines schedule, workers execute.
-
-    A persistent event loop on a dedicated thread is the scheduling
-    plane: :meth:`run_wave` gathers one coroutine per pending sibling
-    and :meth:`step_round` gathers one per in-flight plan, so fan-out,
-    completion, and error collection are loop-native — the shape a
-    natively async agent stack plugs straight into.  Because today's
-    agent stack is synchronous (blocking LLM calls, blocking storage),
-    each coroutine bridges to a worker thread via
-    ``loop.run_in_executor``; two executors keep plan-level and
-    node-level work from deadlocking on each other, exactly as the
-    thread backend's two pools do.  Node tasks run the same scope stack
-    (clock branch, id scope, budget scope, span adoption), so the
-    determinism contract is identical to :class:`ThreadBackend`'s.
-    """
-
-    name = "async"
-    concurrent = True
-
-    def __init__(
-        self, max_workers: int | None = None, node_workers: int | None = None
-    ) -> None:
-        self._max_workers = max_workers or _default_workers()
-        self._node_workers = node_workers or _default_workers()
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._loop_thread: threading.Thread | None = None
-        self._plan_pool: ThreadPoolExecutor | None = None
-        self._node_pool: ThreadPoolExecutor | None = None
-        self._lock = threading.Lock()
-
-    # -- loop + pools ---------------------------------------------------
-    def _ensure_loop(self) -> asyncio.AbstractEventLoop:
-        with self._lock:
-            if self._loop is None:
-                loop = asyncio.new_event_loop()
-                thread = threading.Thread(
-                    target=loop.run_forever,
-                    name="engine-async-loop",
-                    daemon=True,
-                )
-                thread.start()
-                self._loop = loop
-                self._loop_thread = thread
-                self._plan_pool = ThreadPoolExecutor(
-                    max_workers=self._max_workers,
-                    thread_name_prefix="engine-async-plan",
-                )
-                self._node_pool = ThreadPoolExecutor(
-                    max_workers=self._node_workers,
-                    thread_name_prefix="engine-async-node",
-                )
-            return self._loop
-
-    def _submit(self, coro: Any) -> Any:
-        """Run *coro* on the backend loop and block for its result.
-
-        Callable from any thread — including plan-pool workers whose
-        steps fan node coroutines back onto the loop: the loop itself
-        only schedules (executors do the blocking work), so re-entrant
-        submission cannot deadlock it.
-        """
-        loop = self._ensure_loop()
-        return asyncio.run_coroutine_threadsafe(coro, loop).result()
-
-    def close(self) -> None:
-        with self._lock:
-            loop, self._loop = self._loop, None
-            thread, self._loop_thread = self._loop_thread, None
-            plan_pool, self._plan_pool = self._plan_pool, None
-            node_pool, self._node_pool = self._node_pool, None
-        if loop is not None:
-            loop.call_soon_threadsafe(loop.stop)
-        if thread is not None:
-            thread.join()
-        if loop is not None:
-            loop.close()
-        if plan_pool is not None:
-            plan_pool.shutdown(wait=True)
-        if node_pool is not None:
-            node_pool.shutdown(wait=True)
-
-    def __enter__(self) -> "AsyncBackend":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> bool:
-        self.close()
-        return False
-
-    # -- execution ------------------------------------------------------
-    def run_wave(
-        self,
-        execution: "PlanExecution",
-        wave: "Sequence[TaskNode]",
-        wave_index: int,
-    ) -> str:
-        if execution.timeline is None:
-            return SERIAL.run_wave(execution, wave, wave_index)
-        pending = _wave_pending(execution, wave)
-        if not pending:
-            return "ok"
-        tracer = execution._tracer
-        parent = tracer.current() if tracer is not None else None
-        if len(pending) == 1:
-            verdicts: list[Any] = [
-                _run_node_scoped(execution, pending[0], wave_index, len(wave), parent)
-            ]
-        else:
-            execution.coordinator._require_context().clock.mark_threaded()
-            loop = self._ensure_loop()
-            node_pool = self._node_pool
-
-            async def _gather() -> list[Any]:
-                tasks = [
-                    loop.run_in_executor(
-                        node_pool,
-                        _run_node_scoped,
-                        execution,
-                        node,
-                        wave_index,
-                        len(wave),
-                        parent,
-                    )
-                    for node in pending
-                ]
-                # return_exceptions keeps the sibling barrier: every
-                # coroutine settles before the first error re-raises.
-                return await asyncio.gather(*tasks, return_exceptions=True)
-
-            verdicts = self._submit(_gather())
-            for verdict in verdicts:
-                if isinstance(verdict, BaseException):
-                    raise verdict
-        for verdict in verdicts:
-            if verdict != "ok":
-                return verdict
-        return "ok"
-
-    def step_round(self, executions: "Sequence[PlanExecution]") -> None:
-        if len(executions) == 1:
-            SERIAL.step_round(executions)
-            return
-        executions[0].coordinator._require_context().clock.mark_threaded()
-        loop = self._ensure_loop()
-        plan_pool = self._plan_pool
-
-        async def _gather() -> list[BaseException | None]:
-            tasks = [
-                loop.run_in_executor(plan_pool, _step_one_guarded, execution)
-                for execution in executions
-            ]
-            return await asyncio.gather(*tasks)
-
-        errors = self._submit(_gather())
         for error in errors:
             if error is not None:
                 raise error
@@ -508,9 +323,8 @@ def resolve_backend(
 
     ``None`` and ``"serial"`` return the shared stateless
     :data:`SERIAL` backend; ``"threads"`` builds a fresh
-    :class:`ThreadBackend` and ``"async"`` (alias ``"asyncio"``) a
-    fresh :class:`AsyncBackend` — both owned by the caller (who should
-    :meth:`close` them).
+    :class:`ThreadBackend` owned by the caller (who should
+    :meth:`close` it).
     """
     if backend is None:
         return SERIAL
@@ -519,7 +333,5 @@ def resolve_backend(
             return SERIAL
         if backend == "threads":
             return ThreadBackend()
-        if backend in ("async", "asyncio"):
-            return AsyncBackend()
         raise ValueError(f"unknown execution backend: {backend!r}")
     return backend

@@ -197,14 +197,12 @@ class Blueprint:
         attach agents and a QoS budget.
 
         *backend* selects the execution backend: ``"serial"`` (default;
-        single-threaded, byte-identical deterministic traces),
-        ``"threads"`` (wave nodes and fleet rounds run on real worker
+        single-threaded, byte-identical deterministic traces)
+        or ``"threads"`` (wave nodes and fleet rounds run on real worker
         threads — result-identical, wall-clock faster when agent work
-        blocks), or ``"async"`` (the same concurrency gathered as
-        coroutines on an asyncio event loop).  An
-        :class:`~repro.core.engine.ExecutionBackend` instance may be
-        passed directly (the caller then owns its lifecycle);
-        string-built concurrent backends are closed on return.
+        blocks).  An :class:`~repro.core.engine.ExecutionBackend`
+        instance may be passed directly (the caller then owns its
+        lifecycle); a string-built thread backend is closed on return.
         """
         self._wire_fleet_contention(single_flight, capacity, batching)
         engine = resolve_backend(backend)

@@ -33,6 +33,7 @@ import numpy as np
 
 from ..clock import SimClock
 from ..errors import ContextWindowExceededError, LLMError
+from ..observability.span import NOOP_SPAN
 from . import knowledge
 from .tokenizer import count_tokens
 
@@ -318,22 +319,15 @@ class SimulatedLLM:
         )
         obs = self.observability
         if obs is None:
-            if hit is not None:
-                return hit
-            joined = self._try_join(prompt, max_output_tokens, no_cache)
-            if joined is not None:
-                return joined
-            batched = self._try_batch(prompt, max_output_tokens, no_cache)
-            if batched is not None:
-                return batched
-            response = self._complete(prompt, max_output_tokens)
-            if cache is not None:
-                cache.put(self.spec.name, prompt, max_output_tokens, response)
-            return response
-        if obs is not self._bound_obs:
-            self._bind_instruments(obs)
-        tallies = self._t
-        with obs.span(self._span_name, kind="llm", model=self.spec.name) as span:
+            # No sink: the same walk, over the do-nothing span, no tallies.
+            tallies = None
+            span = NOOP_SPAN
+        else:
+            if obs is not self._bound_obs:
+                self._bind_instruments(obs)
+            tallies = self._t
+            span = obs.span(self._span_name, kind="llm", model=self.spec.name)
+        with span:
             if hit is not None:
                 span.set_attribute("cached", True)
                 if tallies is not None:

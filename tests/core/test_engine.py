@@ -16,7 +16,6 @@ Covers the concurrency contract directly:
 
 from __future__ import annotations
 
-import json
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -26,7 +25,6 @@ from repro.clock import SimClock
 from repro.core.budget import Budget
 from repro.core.engine import (
     SERIAL,
-    AsyncBackend,
     SerialBackend,
     ThreadBackend,
     resolve_backend,
@@ -321,29 +319,15 @@ class TestBackendResolution:
         finally:
             backend.close()
 
-    def test_async_builds_fresh_instances(self):
-        first = resolve_backend("async")
-        alias = resolve_backend("asyncio")
-        try:
-            assert isinstance(first, AsyncBackend)
-            assert isinstance(alias, AsyncBackend)
-            assert first is not alias
-            assert first.concurrent
-        finally:
-            first.close()
-            alias.close()
-
     def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_backend("gevent")
+        for name in ("gevent", "async", "asyncio"):
+            with pytest.raises(ValueError):
+                resolve_backend(name)
 
     def test_close_is_idempotent(self):
         backend = ThreadBackend()
         backend.close()
         backend.close()
-        async_backend = AsyncBackend()
-        async_backend.close()  # close before any work: no loop yet
-        async_backend.close()
 
 
 def _workload(blueprint: Blueprint, plans: int) -> list[FleetSubmission]:
@@ -414,148 +398,3 @@ class TestThreadBackendFleet:
             if t.name.startswith("engine-")
         } - before
         assert not lingering
-
-
-class TestAsyncBackendFleet:
-    def test_async_fleet_matches_serial_results(self):
-        def run(backend: str):
-            blueprint = Blueprint()
-            result = blueprint.run_fleet(
-                _workload(blueprint, 6),
-                max_inflight=3,
-                single_flight=False,
-                backend=backend,
-            )
-            return {
-                p.plan_id: (
-                    p.outcome,
-                    {k: v for k, v in sorted(p.run.node_outputs.items())}
-                    if p.run is not None
-                    else None,
-                )
-                for p in result.plans
-            }, result.makespan
-
-        serial, serial_makespan = run("serial")
-        async_results, async_makespan = run("async")
-        assert serial == async_results
-        assert async_makespan == pytest.approx(serial_makespan)
-
-    def test_node_spans_parent_under_plan_spans(self):
-        blueprint = Blueprint()
-        blueprint.run_fleet(
-            _workload(blueprint, 4),
-            max_inflight=4,
-            single_flight=False,
-            backend="async",
-        )
-        tracer = blueprint.observability.tracer
-        plan_ids = {s.span_id for s in tracer.find(kind="plan")}
-        node_spans = tracer.find(kind="node")
-        assert node_spans
-        assert all(s.parent_id in plan_ids for s in node_spans)
-
-    def test_async_backend_closes_after_string_run(self):
-        """run_fleet built the backend from a name, so neither its event
-        loop thread nor its executors may outlive the call."""
-        before = {t.name for t in threading.enumerate()}
-        blueprint = Blueprint()
-        blueprint.run_fleet(
-            _workload(blueprint, 3),
-            max_inflight=3,
-            single_flight=False,
-            backend="async",
-        )
-        lingering = {
-            t.name
-            for t in threading.enumerate()
-            if t.name.startswith("engine-")
-        } - before
-        assert not lingering
-
-
-class TestProfileHarness:
-    def test_profile_buckets_cover_hot_paths(self):
-        from repro.core.engine.profile import profile_fleet
-
-        report = profile_fleet(plans=2, backend="serial")
-        assert report["total"] > 0
-        assert set(report["buckets"]) == {
-            "spans", "metrics", "journal", "streams", "llm", "scheduling",
-        }
-        # The workload exercises every bucket.
-        assert all(v >= 0.0 for v in report["buckets"].values())
-        assert report["buckets"]["llm"] > 0
-        assert report["buckets"]["scheduling"] > 0
-        assert set(report["calls"]) == set(report["buckets"])
-        assert report["total_calls"] > 0
-
-    def test_classify_synthetic_pstats_table(self):
-        """Every row of a synthetic profile lands in exactly the right
-        bucket — including files that only differ past a shared prefix."""
-        from repro.core.engine.profile import classify
-
-        rows = {
-            "/x/src/repro/observability/span.py": "spans",
-            "/x/src/repro/observability/metrics.py": "metrics",
-            "/x/src/repro/core/recovery/journal.py": "journal",
-            "/x/src/repro/streams/store.py": "streams",
-            "/x/src/repro/streams/stream.py": "streams",
-            "/x/src/repro/streams/subscription.py": "streams",
-            "/x/src/repro/streams/message.py": "streams",
-            "/x/src/repro/llm/model.py": "llm",
-            "/x/src/repro/llm/knowledge.py": "llm",
-            "/x/src/repro/llm/tokenizer.py": "llm",
-            "/x/src/repro/core/coordinator.py": "scheduling",
-            "/x/src/repro/core/engine/backend.py": "scheduling",
-            "/x/src/repro/core/fleet/scheduler.py": "scheduling",
-            "/x/src/repro/core/scheduler/timeline.py": "scheduling",
-            # Windows-style separators normalize before matching.
-            "C:\\x\\src\\repro\\observability\\span.py": "spans",
-            # Near-miss neighbours must NOT be swallowed by a bucket.
-            "/x/src/repro/observability/export.py": None,
-            "/x/src/repro/streams/__init__.py": None,
-            "/x/src/repro/core/scheduler/waves.py": None,
-            "/x/src/repro/core/fleet/result.py": None,
-            "/usr/lib/python3/json/encoder.py": None,
-            "~": None,
-        }
-        for filename, expected in rows.items():
-            assert classify(filename) == expected, filename
-
-    def test_classify_rejects_overlapping_fragments(self):
-        """A filename matching two buckets is a config bug, not a silent
-        first-match — the old fragment table mis-attributed such frames
-        to whichever bucket iterated first."""
-        from repro.core.engine import profile as profile_mod
-
-        original = profile_mod.HOT_PATHS
-        profile_mod.HOT_PATHS = {
-            **original,
-            "shadow": ("observability/span.py",),
-        }
-        try:
-            with pytest.raises(ValueError, match="overlap"):
-                profile_mod.classify("/x/src/repro/observability/span.py")
-        finally:
-            profile_mod.HOT_PATHS = original
-
-    def test_to_artifact_shares(self):
-        from repro.core.engine.profile import profile_fleet, to_artifact
-
-        artifact = to_artifact(
-            profile_fleet(plans=2, backend="serial"), plans=2, backend="serial"
-        )
-        assert artifact["workload"] == {"plans": 2, "backend": "serial"}
-        shares = [b["share"] for b in artifact["buckets"].values()]
-        assert all(0.0 <= s <= 1.0 for s in shares)
-        assert artifact["observability_share"] == pytest.approx(
-            artifact["buckets"]["spans"]["share"]
-            + artifact["buckets"]["metrics"]["share"]
-        )
-        assert artifact["observability_calls"] == (
-            artifact["buckets"]["spans"]["calls"]
-            + artifact["buckets"]["metrics"]["calls"]
-        )
-        # The gate's artifact must be JSON-serializable as-is.
-        json.dumps(artifact)

@@ -1,6 +1,11 @@
 """Cross-plan LLM micro-batching: windows, joins, attribution, determinism."""
 
+import sys
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.clock import SimClock
 from repro.llm import (
@@ -11,6 +16,13 @@ from repro.llm import (
     ModelSpec,
     SimulatedLLM,
 )
+from repro.streams.persistence import export_json
+
+try:
+    from test_fleet_properties import run_fleet_blueprint
+except ImportError:  # collected before tests/properties: put it on the path
+    sys.path.insert(0, str(Path(__file__).parents[1] / "properties"))
+    from test_fleet_properties import run_fleet_blueprint
 
 
 def spec(**overrides):
@@ -272,3 +284,51 @@ class TestFlushOrderingDeterminism:
         leader_end = trace[0][2]
         assert trace[1][2] == leader_end
         assert trace[2][2] == leader_end
+
+
+class TestBatchingDeterminism:
+    """Whole-fleet properties: batching moves time and slots, not results."""
+
+    @given(seed=st.integers(min_value=0, max_value=100))
+    @settings(max_examples=8, deadline=None)
+    def test_batched_fleet_is_byte_identical_on_serial(self, seed):
+        """Micro-batch membership is a pure function of the submission
+        list under the serial backend: reruns reproduce the store export
+        byte for byte, and the batcher tallies agree."""
+        order = [seed % 5, (seed + 1) % 5, (seed + 2) % 5, (seed + 3) % 5]
+
+        def run():
+            kwargs = dict(
+                max_inflight=4,
+                capacity={"mega-s": 1, "mega-m": 1},
+                single_flight=True,
+                batching=LLMBatcher(max_batch_wait=1.0),
+            )
+            bp, result = run_fleet_blueprint(order, **kwargs)
+            return export_json(bp.store), result.makespan, bp.catalog.batcher.stats()
+
+        export_1, makespan_1, stats_1 = run()
+        export_2, makespan_2, stats_2 = run()
+        assert export_1 == export_2
+        assert makespan_1 == makespan_2
+        assert stats_1 == stats_2
+
+    @given(seed=st.integers(min_value=0, max_value=100))
+    @settings(max_examples=5, deadline=None)
+    def test_batching_never_changes_outcomes(self, seed):
+        """Batching amortizes latency and slots; it must not change any
+        plan's outcome or node outputs."""
+        order = [seed % 5, (seed + 1) % 5, (seed + 2) % 5]
+
+        def outcomes(batching):
+            kwargs = dict(max_inflight=3, single_flight=False, batching=batching)
+            _, result = run_fleet_blueprint(order, **kwargs)
+            return {
+                p.plan_id: (
+                    p.outcome,
+                    dict(p.run.node_outputs) if p.run else None,
+                )
+                for p in result.plans
+            }
+
+        assert outcomes(LLMBatcher(max_batch_wait=1.0)) == outcomes(False)

@@ -9,13 +9,13 @@ pre-refactor code, by pinning SHA-256 hashes of:
 
 * the A4 chaos scenario (seeded faults, retries, fallbacks) — stream
   export and trace export;
-* one standard fleet run per execution backend (serial / threads /
-  async) — pinned where the backend is bytewise deterministic.  The
-  thread backend guarantees *result* identity only (wall-clock races
-  reorder message/span creation run to run — measured, not assumed:
-  generation runs everything twice and drops artifacts whose bytes
-  disagree), so its exports are exercised but not pinned; serial and
-  async exports are pinned in full.
+* one standard fleet run per execution backend (serial / threads) —
+  pinned where the backend is bytewise deterministic.  The thread
+  backend guarantees *result* identity only (wall-clock races reorder
+  message/span creation run to run — measured, not assumed: generation
+  runs everything twice and drops artifacts whose bytes disagree), so
+  its exports are exercised but not pinned; serial exports are pinned
+  in full.
 
 The hashes in ``hotpath_goldens.json`` were generated from the last
 commit before the refactor (``git stash`` the work, run
@@ -38,9 +38,9 @@ GOLDENS_PATH = Path(__file__).with_name("hotpath_goldens.json")
 #: chaos where breakers trip.
 CHAOS_CASES = ((42, 0.0, 3), (7, 0.35, 4), (1234, 0.8, 5))
 
-#: Fleet workload shape — mirrors the profile harness / bench_fleet.
+#: Fleet workload shape — mirrors bench_fleet.
 FLEET_PLANS = 6
-FLEET_BACKENDS = ("serial", "threads", "async")
+FLEET_BACKENDS = ("serial", "threads")
 
 
 def _chaos_runner():
@@ -115,10 +115,9 @@ class TestHotPathGoldens:
 
     def test_goldens_cover_every_stable_artifact(self):
         """Assert the minimum pinned coverage: all chaos artifacts, and
-        both exports of the deterministic fleet backends (serial and
-        async).  Thread-backend artifacts are allowed to be absent
-        (bytewise racy by construction), so this checks a floor rather
-        than exact key equality.
+        both exports of the serial fleet.  Thread-backend artifacts are
+        allowed to be absent (bytewise racy by construction), so this
+        checks a floor rather than exact key equality.
         """
         goldens = _load_goldens()
         expected = {
@@ -126,11 +125,7 @@ class TestHotPathGoldens:
             for s, f, p in CHAOS_CASES
             for part in ("store", "trace")
         }
-        expected.update(
-            f"fleet[{backend}].{part}"
-            for backend in ("serial", "async")
-            for part in ("store", "trace")
-        )
+        expected.update(f"fleet[serial].{part}" for part in ("store", "trace"))
         missing = expected - set(goldens)
         assert not missing, f"golden file lost required pins: {sorted(missing)}"
 

@@ -161,3 +161,9 @@ class TestFleetCommand:
 
     def test_fleet_validates_plan_count(self, capsys):
         assert main(["fleet", "--plans", "0"]) == 2
+
+    def test_fleet_rejects_removed_async_backend(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fleet", "--backend", "async"])
+        assert exit_info.value.code == 2  # argparse usage error
+        assert "invalid choice: 'async'" in capsys.readouterr().err
