@@ -1,4 +1,4 @@
-.PHONY: test bench reliability observability recovery parallel fleet engine batch overload shard e2e-smoke examples artifacts all
+.PHONY: test bench reliability observability recovery parallel streams fleet engine batch overload shard e2e-smoke examples artifacts all
 
 test:
 	pytest tests/
@@ -22,9 +22,13 @@ parallel:
 	PYTHONPATH=src python -m pytest benchmarks/bench_parallel.py --benchmark-disable
 	PYTHONPATH=src python -m pytest tests/core/test_scheduler.py tests/llm/test_cache.py tests/properties/test_parallel_properties.py -q
 
+streams:
+	PYTHONPATH=src python -m pytest benchmarks/bench_streams.py --benchmark-disable
+	PYTHONPATH=src python -m pytest tests/streams -q
+
 fleet:
 	PYTHONPATH=src python -m pytest benchmarks/bench_fleet.py --benchmark-disable
-	PYTHONPATH=src python -m pytest tests/core/test_fleet.py tests/llm/test_capacity_singleflight.py tests/properties/test_fleet_properties.py tests/streams/test_dispatch_index.py -q
+	PYTHONPATH=src python -m pytest tests/core/test_fleet.py tests/llm/test_capacity_singleflight.py tests/properties/test_fleet_properties.py -q
 
 engine:
 	PYTHONPATH=src python -m pytest tests/core/test_engine.py tests/properties/test_parallel_properties.py tests/properties/test_fleet_properties.py -q

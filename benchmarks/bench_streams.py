@@ -56,12 +56,12 @@ def test_a2_selective_dispatch(benchmark):
 
 
 def test_a2_indexed_dispatch_1k(benchmark):
-    """Artifact: indexed dispatch at 1k subscribers.
+    """Artifact: routed dispatch at 1k mixed subscribers.
 
-    With the subscription index, a publish only consults the candidate
-    buckets for its stream and tags — not all 1 000 subscriptions.  The
-    artifact compares the indexed candidate count against the full
-    subscription count a linear scan would test.
+    A publish reaches its subscribers through the route table, so it
+    pays for the ones that match — not for all 1 000.  The artifact sets
+    the deliveries a publish makes against the subscription count a
+    linear scan would test.
     """
     import time
 
@@ -70,19 +70,20 @@ def test_a2_indexed_dispatch_1k(benchmark):
     sink = []
     for i in range(1000):
         if i % 4 == 0:
-            # Exact subscriptions on cold streams: never candidates.
+            # Literal subscriptions on cold streams: never routed to.
             store.ensure_stream(f"cold-{i}")
             store.subscribe(f"sub-{i}", sink.append, stream_pattern=f"cold-{i}")
         elif i % 4 in (1, 2):
-            # Tagged wildcards: candidates only for their tag.
+            # Tagged match-alls: delivered only for their tag.
             store.subscribe(f"sub-{i}", sink.append, include_tags=[f"T{i % 100}"])
         else:
-            # Exact subscriptions on the hot stream.
+            # Literal subscriptions on the hot stream.
             store.subscribe(f"sub-{i}", sink.append, stream_pattern="hot")
 
     message = store.publish_data("hot", 0, tags=["T1"])
-    candidates = len(store._candidates(message))
-    assert candidates < 300  # vs 1000 for the linear scan
+    deliveries = len(sink)
+    assert deliveries == sum(s.wants(message) for s in store.subscriptions())
+    assert deliveries < 300  # vs 1000 tested by a linear scan
 
     start = time.perf_counter()
     for i in range(2000):
@@ -90,15 +91,62 @@ def test_a2_indexed_dispatch_1k(benchmark):
     elapsed = time.perf_counter() - start
     record(
         "a2_indexed_dispatch",
-        "A2 — indexed dispatch with 1k mixed subscribers\n"
+        "A2 — routed dispatch with 1k mixed subscribers\n"
         + table(
-            ["subscriptions", "candidates/publish", "msgs/sec"],
-            [[1000, candidates, f"{2000 / elapsed:,.0f}"]],
+            ["subscriptions", "deliveries/publish", "msgs/sec"],
+            [[1000, deliveries, f"{2000 / elapsed:,.0f}"]],
         ),
     )
 
     counter = iter(range(10**9))
     benchmark(lambda: store.publish_data("hot", next(counter), tags=["T1"]))
+
+
+def fleet_publish_us(n_sessions: int) -> float:
+    """Per-publish wall (us) on one session's streams while *n_sessions*
+    other sessions each hold a ``"<session>:*"`` subscription — the shape
+    ``Agent.attach`` gives the fleet.  Every stream is new to the route
+    memo on its first publish and hits it on the next four."""
+    import time
+
+    store = StreamStore(SimClock())
+    sink = []
+    for i in range(n_sessions):
+        store.subscribe(f"agent-{i}", sink.append, stream_pattern=f"session-{i}:*")
+    store.subscribe("agent-hot", sink.append, stream_pattern="hot:*")
+    for i in range(400):
+        store.create_stream(f"hot:plan-{i}")
+    best = float("inf")
+    for _ in range(5):
+        del sink[:]
+        start = time.perf_counter()
+        for i in range(400):
+            for j in range(5):
+                store.publish_data(f"hot:plan-{i}", j)
+        best = min(best, time.perf_counter() - start)
+        assert len(sink) == 2000  # only the hot session's subscriber hears them
+        # A subscribe clears the memo, so every repeat re-pays its misses.
+        store.unsubscribe(store.subscribe("churn", sink.append).subscription_id)
+    return best / 2000 * 1e6
+
+
+def test_a2_flat_in_subscribers():
+    """Gate (ROADMAP item 2): a publish costs O(matching subscriptions).
+
+    10 000 non-matching session subscriptions must not make a publish
+    more than 2x dearer than 100 do (the three-bucket index it replaced
+    re-tested every one of them: ~100x).
+    """
+    rows = {n: fleet_publish_us(n) for n in (100, 1_000, 10_000)}
+    record(
+        "a2_flat_in_subscribers",
+        "A2 — per-publish wall vs non-matching \"<session>:*\" subscriptions\n"
+        + table(
+            ["other sessions", "us/publish", "vs 100"],
+            [[n, f"{us:.2f}", f"{us / rows[100]:.2f}x"] for n, us in rows.items()],
+        ),
+    )
+    assert rows[10_000] <= 2 * rows[100]
 
 
 def test_a2_trace_query(benchmark):

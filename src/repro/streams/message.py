@@ -16,8 +16,9 @@ Messages are immutable once created; tags enable selective consumption
 from __future__ import annotations
 
 import enum
+from collections.abc import Mapping  # typing.Mapping's isinstance is ~10x dearer
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any
 
 
 class MessageKind(enum.Enum):

@@ -76,7 +76,7 @@ def replay_store(snapshot: Mapping[str, Any]) -> StreamStore:
             metadata=dict(record.get("metadata", {})),
         )
         store.ensure_stream(message.stream_id).append(message)
-        store._trace.append(message)  # archive path: bypass live dispatch
+        store._record(message)  # archive path: bypass live dispatch
     return store
 
 

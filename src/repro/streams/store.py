@@ -22,7 +22,7 @@ from ..errors import StreamError
 from ..ids import IdGenerator
 from .message import Message, MessageKind, control_payload
 from .stream import Stream
-from .subscription import Subscription, SubscriberCallback, TagRule
+from .subscription import SCANNED, Subscription, SubscriberCallback, TagRule
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..observability import Observability
@@ -31,35 +31,34 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class StreamStore:
     """In-process streams database with pub/sub and full observability."""
 
-    #: Characters that make a stream pattern a glob rather than a literal.
-    _GLOB_CHARS = frozenset("*?[")
-
     def __init__(self, clock: SimClock | None = None) -> None:
         self.clock = clock or SimClock()
         self._ids = IdGenerator()
         self._streams: dict[str, Stream] = {}
         self._subscriptions: dict[str, Subscription] = {}
-        # Dispatch index: rather than testing every subscription against
-        # every message (O(subscriptions) per publish), candidates come
-        # from an exact-stream table (literal patterns), a tag table
-        # (glob patterns with include tags — they can only match messages
-        # carrying one of those tags), and a catch-all side list (glob
-        # patterns with no include tags).  ``wants()`` still runs on each
-        # candidate, so the index only has to be complete, not precise.
-        self._exact_subs: dict[str, dict[str, Subscription]] = {}
-        self._tagged_wildcards: dict[str, dict[str, Subscription]] = {}
-        self._catchall_wildcards: dict[str, Subscription] = {}
-        # Global insertion sequence, so merged candidates are delivered
-        # in the same order a linear scan of ``_subscriptions`` would.
+        # Route table (DESIGN §15 "Stream dispatch"): a publish finds its
+        # subscribers through the compiled ``(probe, key)`` of their stream
+        # pattern (``compile_pattern``), never by testing them all.
+        # Literals and ``literal*`` prefixes are keyed ``[probe][key]`` —
+        # one ``stream_id[:probe]`` lookup per distinct probe present — and
+        # only match-all / regex patterns sit in the scanned bucket.  Every
+        # bucket maps subscribe sequence -> subscription, so merged buckets
+        # sort back into global subscribe order.
+        self._keyed_routes: dict[int | None, dict[str, dict[int, Subscription]]] = {}
+        self._scanned_routes: dict[int, Subscription] = {}
         self._sub_order: dict[str, int] = {}
         self._sub_counter = 0
+        # (stream_id, tags, kind) -> ordered targets; cleared by every
+        # subscribe / unsubscribe, so a hit is as good as a fresh lookup.
+        self._route_memo: dict[tuple, tuple[Subscription, ...]] = {}
         self._trace: list[Message] = []
         # Incremental trace indexes, appended at publish time so
         # ``trace_by_tag`` / ``trace_by_producer`` never re-scan the log.
         self._trace_by_tag: dict[str, list[Message]] = {}
         self._trace_by_producer: dict[str, list[Message]] = {}
         self._lock = threading.RLock()
-        self._depth = 0
+        # Nesting depth of the calling thread's dispatch (``.depth``).
+        self._dispatching = threading.local()
         self.max_dispatch_depth = 500
         # Plain tallies, pulled into a metrics snapshot by the collector
         # below: publishing is the hottest path in the runtime, so it
@@ -167,15 +166,20 @@ class StreamStore:
         )
         self._persist(message)
         stream.append(message)
+        self._record(message)
+        self._dispatch(message)
+        return message
+
+    def _record(self, message: Message) -> None:
+        """Log *message* in the trace, its indexes and the per-kind tallies
+        (shared with ``persistence.replay_store``, which never dispatches)."""
         with self._lock:
             self._trace.append(message)
             for tag in message.tags:
                 self._trace_by_tag.setdefault(tag, []).append(message)
             self._trace_by_producer.setdefault(message.producer, []).append(message)
             counts = self._message_counts
-            counts[kind.value] = counts.get(kind.value, 0) + 1
-        self._dispatch(message)
-        return message
+            counts[message.kind.value] = counts.get(message.kind.value, 0) + 1
 
     def _persist(self, message: Message) -> None:
         """Durability hook, called before the message touches any in-memory
@@ -228,14 +232,23 @@ class StreamStore:
         )
         with self._lock:
             self._subscriptions[subscription.subscription_id] = subscription
-            self._index_subscription(subscription)
+            self._sub_counter = seq = self._sub_counter + 1
+            self._sub_order[subscription.subscription_id] = seq
+            probe, key = subscription.route
+            if probe == SCANNED:
+                bucket = self._scanned_routes
+            else:
+                bucket = self._keyed_routes.setdefault(probe, {}).setdefault(key, {})
+            bucket[seq] = subscription
+            self._route_memo.clear()
         return subscription
 
     def unsubscribe(self, subscription_id: str) -> None:
         with self._lock:
             subscription = self._subscriptions.pop(subscription_id, None)
             if subscription is not None:
-                self._unindex_subscription(subscription)
+                self._unroute(subscription, self._sub_order.pop(subscription_id))
+                self._route_memo.clear()
         if subscription is not None:
             subscription.active = False
 
@@ -243,79 +256,36 @@ class StreamStore:
         with self._lock:
             return list(self._subscriptions.values())
 
-    def _index_subscription(self, subscription: Subscription) -> None:
-        """File *subscription* under the index bucket(s) it can match from.
+    def _unroute(self, subscription: Subscription, seq: int) -> None:
+        """Drop *subscription* and any keyed bucket it empties.  Caller holds the lock."""
+        probe, key = subscription.route
+        if probe == SCANNED:
+            del self._scanned_routes[seq]
+            return
+        by_key = self._keyed_routes[probe]
+        del by_key[key][seq]
+        if not by_key[key]:
+            del by_key[key]
+            if not by_key:
+                del self._keyed_routes[probe]
 
-        Caller holds the lock.
-        """
-        sub_id = subscription.subscription_id
-        self._sub_counter += 1
-        self._sub_order[sub_id] = self._sub_counter
-        pattern = subscription.stream_pattern
-        if not self._GLOB_CHARS.intersection(pattern):
-            self._exact_subs.setdefault(pattern, {})[sub_id] = subscription
-        elif subscription.tag_rule.include:
-            for tag in subscription.tag_rule.include:
-                self._tagged_wildcards.setdefault(tag, {})[sub_id] = subscription
-        else:
-            self._catchall_wildcards[sub_id] = subscription
-
-    def _unindex_subscription(self, subscription: Subscription) -> None:
-        """Remove *subscription* from every index bucket.  Caller holds the lock."""
-        sub_id = subscription.subscription_id
-        self._sub_order.pop(sub_id, None)
-        pattern = subscription.stream_pattern
-        if not self._GLOB_CHARS.intersection(pattern):
-            bucket = self._exact_subs.get(pattern)
-            if bucket is not None:
-                bucket.pop(sub_id, None)
-                if not bucket:
-                    del self._exact_subs[pattern]
-        elif subscription.tag_rule.include:
-            for tag in subscription.tag_rule.include:
-                bucket = self._tagged_wildcards.get(tag)
-                if bucket is not None:
-                    bucket.pop(sub_id, None)
-                    if not bucket:
-                        del self._tagged_wildcards[tag]
-        else:
-            self._catchall_wildcards.pop(sub_id, None)
-
-    def _candidates(self, message: Message) -> list[Subscription]:
-        """Every subscription that *could* want the message, in insertion order.
-
-        Caller holds the lock.  Complete by construction: a literal
-        pattern only matches its own stream; a glob with include tags
-        only matches messages carrying one of them; everything else is
-        in the catch-all list.  May over-approximate (``wants()`` is the
-        final word), never under-approximate.
-        """
-        exact = self._exact_subs.get(message.stream_id)
-        tagged_buckets = []
-        if message.tags:
-            for tag in message.tags:
-                tagged = self._tagged_wildcards.get(tag)
-                if tagged:
-                    tagged_buckets.append(tagged)
-        catchall = self._catchall_wildcards
-        # Single-bucket fast paths: each bucket dict is insertion-ordered
-        # (ids are never re-indexed), so its values are already in
-        # ``_sub_order`` order — no merge, no sort.
-        if not tagged_buckets:
-            if exact and not catchall:
-                return list(exact.values())
-            if not exact:
-                return list(catchall.values())
-        merged: dict[str, Subscription] = {}
-        if exact:
-            merged.update(exact)
-        for tagged in tagged_buckets:
-            merged.update(tagged)
-        merged.update(catchall)
-        if len(merged) > 1:
-            order = self._sub_order
-            return sorted(merged.values(), key=lambda s: order[s.subscription_id])
-        return list(merged.values())
+    def _route(
+        self, stream_id: str, tags: frozenset[str], kind: MessageKind
+    ) -> tuple[Subscription, ...]:
+        """Exactly the subscriptions a linear ``wants()`` scan would pick
+        (liveness aside), in subscribe order.  Caller holds the lock."""
+        matched: dict[int, Subscription] = {}
+        for probe, by_key in self._keyed_routes.items():
+            matched.update(by_key.get(stream_id[:probe], ()))
+        for seq, subscription in self._scanned_routes.items():
+            match = subscription.route[1]
+            if match is None or match(stream_id):
+                matched[seq] = subscription
+        return tuple(
+            subscription
+            for _, subscription in sorted(matched.items())
+            if subscription.accepts(kind, tags)
+        )
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -328,17 +298,15 @@ class StreamStore:
         EXECUTE_AGENT instruction observes the agent's outputs as soon as
         the publish returns.  A depth guard catches runaway agent loops.
 
-        Callbacks may mutate the subscription table: the candidate set is
-        snapshotted under the lock before any callback runs, so a
-        subscription added mid-dispatch only sees *later* messages, and
-        ``active`` is re-checked per delivery so one unsubscribed (by
-        itself or a peer) mid-dispatch is skipped, not called on a dead
-        subscription.
+        Callbacks may mutate the subscription table: the target tuple is
+        taken under the lock before any callback runs (and is immutable,
+        so clearing the memo cannot alter it), so a subscription added
+        mid-dispatch only sees *later* messages, and ``active`` is
+        re-checked per delivery so one unsubscribed (by itself or a peer)
+        mid-dispatch is skipped, not called on a dead subscription.
         """
-        with self._lock:
-            self._depth += 1
-            depth = self._depth
-            targets = [s for s in self._candidates(message) if s.wants(message)]
+        dispatching = self._dispatching
+        depth = dispatching.depth = getattr(dispatching, "depth", 0) + 1
         delivered = 0
         try:
             if depth > self.max_dispatch_depth:
@@ -346,17 +314,22 @@ class StreamStore:
                     f"dispatch depth exceeded {self.max_dispatch_depth} "
                     f"(agent loop?) on stream {message.stream_id!r}"
                 )
+            key = (message.stream_id, message.tags, message.kind)
+            with self._lock:
+                targets = self._route_memo.get(key)
+                if targets is None:
+                    targets = self._route_memo[key] = self._route(*key)
             for subscription in targets:
                 if not subscription.active:
                     continue
                 delivered += 1
                 subscription.callback(message)
         finally:
+            dispatching.depth = depth - 1
             # One locked add per dispatch instead of one per delivery; a
             # raising callback still counts its own delivery, as before.
             with self._lock:
                 self._delivery_count += delivered
-                self._depth -= 1
 
     # ------------------------------------------------------------------
     # Observability
@@ -379,15 +352,9 @@ class StreamStore:
     def stats(self) -> dict[str, Any]:
         """Counts for dashboards and benches."""
         with self._lock:
-            messages = list(self._trace)
-            n_streams = len(self._streams)
-            n_subs = len(self._subscriptions)
-        kinds: dict[str, int] = {}
-        for message in messages:
-            kinds[message.kind.value] = kinds.get(message.kind.value, 0) + 1
-        return {
-            "streams": n_streams,
-            "subscriptions": n_subs,
-            "messages": len(messages),
-            "by_kind": kinds,
-        }
+            return {
+                "streams": len(self._streams),
+                "subscriptions": len(self._subscriptions),
+                "messages": len(self._trace),
+                "by_kind": dict(self._message_counts),
+            }

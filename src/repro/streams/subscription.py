@@ -9,8 +9,9 @@ binds a rule plus a stream filter to a subscriber callback.
 from __future__ import annotations
 
 import fnmatch
+import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Any, Callable, Iterable
 
 from .message import Message, MessageKind
 
@@ -55,6 +56,34 @@ class TagRule:
 
 SubscriberCallback = Callable[[Message], None]
 
+#: ``probe`` of a route the store must test rather than look up.
+SCANNED = -1
+_GLOB_CHARS = frozenset("*?[")
+
+
+def compile_pattern(pattern: str) -> tuple[int | None, Any]:
+    """Compile a stream glob to the ``(probe, key)`` the store routes it by.
+
+    A keyed route matches a stream id iff ``stream_id[:probe] == key``; a
+    scanned one iff ``key is None or key(stream_id)``.
+
+    ==========  ============  ==========================================
+    pattern     probe         key
+    ==========  ============  ==========================================
+    ``*``       ``SCANNED``   ``None`` (match-all)
+    literal     ``None``      the pattern (``id[:None]`` is the whole id)
+    literal*    len(literal)  the literal prefix
+    other glob  ``SCANNED``   ``fnmatch.translate`` compiled, ``.match``
+    ==========  ============  ==========================================
+    """
+    if pattern == "*":
+        return SCANNED, None
+    if _GLOB_CHARS.isdisjoint(pattern):
+        return None, pattern
+    if pattern[-1] == "*" and _GLOB_CHARS.isdisjoint(pattern[:-1]):
+        return len(pattern) - 1, pattern[:-1]
+    return SCANNED, re.compile(fnmatch.translate(pattern)).match
+
 
 @dataclass
 class Subscription:
@@ -67,6 +96,7 @@ class Subscription:
         stream_pattern: glob over stream ids (``session-1/*``); ``*`` = all.
         tag_rule: inclusion/exclusion rule over message tags.
         control_only / data_only: restrict by message kind.
+        route: ``compile_pattern(stream_pattern)``, set at construction.
     """
 
     subscription_id: str
@@ -79,26 +109,27 @@ class Subscription:
     active: bool = True
 
     def __post_init__(self) -> None:
-        # ``wants`` runs once per candidate per publish, so precompute the
-        # filter shape: the common subscription (match-all pattern, trivial
-        # tag rule) then pays attribute checks instead of fnmatch + set
-        # algebra.  ``stream_pattern`` and ``tag_rule`` are fixed after
-        # registration (the store never mutates them).
-        self._match_all_streams = self.stream_pattern == "*"
-        self._trivial_tags = not (self.tag_rule.include or self.tag_rule.exclude)
+        # ``stream_pattern`` is fixed after registration (the store never
+        # mutates it), so it is compiled once.
+        self.route = compile_pattern(self.stream_pattern)
 
-    def wants(self, message: Message) -> bool:
-        """Whether this subscription should receive *message*."""
-        if not self.active:
-            return False
-        kind = message.kind
+    def accepts(self, kind: MessageKind, tags: frozenset[str]) -> bool:
+        """The kind and tag filters: what the store checks after routing."""
         if self.control_only and kind is not MessageKind.CONTROL:
             return False
         if self.data_only and kind is not MessageKind.DATA:
             return False
-        if not (
-            self._match_all_streams
-            or fnmatch.fnmatchcase(message.stream_id, self.stream_pattern)
-        ):
-            return False
-        return self._trivial_tags or self.tag_rule.matches(message.tags)
+        return self.tag_rule.matches(tags)
+
+    def wants(self, message: Message) -> bool:
+        """Whether this subscription should receive *message*.
+
+        The linear-scan reference: it matches the raw glob with ``fnmatch``
+        and never consults ``route``, so tests can hold the store's route
+        table to ``[s for s in store.subscriptions() if s.wants(m)]``.
+        """
+        return (
+            self.active
+            and self.accepts(message.kind, message.tags)
+            and fnmatch.fnmatchcase(message.stream_id, self.stream_pattern)
+        )

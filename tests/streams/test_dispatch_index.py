@@ -1,18 +1,21 @@
-"""Regression tests for indexed dispatch and incremental trace indexes.
+"""Regression tests for routed dispatch and incremental trace indexes.
 
-The store replaced its O(all-subscriptions) dispatch scan with an
-exact-stream / tagged-wildcard / catch-all index, and its trace query
-re-scans with per-tag and per-producer indexes built at publish time.
-These tests prove both yield *identical* results to the reference
-linear scans they replaced — same targets, same delivery order.
+The store finds a publish's subscribers through a route table (compiled
+stream patterns, keyed by literal / prefix, memoized per ``(stream, tags,
+kind)``) and answers trace queries from per-tag and per-producer indexes
+built at publish time.  These tests prove both yield *identical* results
+to the reference linear scans they replaced — same targets, same
+delivery order — however subscribes, unsubscribes and publishes interleave.
 """
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.clock import SimClock
-from repro.streams import StreamStore
+from repro.streams import Message, MessageKind, StreamStore
 
 
 @pytest.fixture
@@ -85,21 +88,53 @@ class TestDispatchIndexEquivalence:
 
     def test_unsubscribe_cleans_every_bucket(self, store):
         store.create_stream("s")
-        subs = [
-            store.subscribe("e", lambda m: None, stream_pattern="s"),
-            store.subscribe("t", lambda m: None, include_tags=["T"]),
-            store.subscribe("w", lambda m: None),
+        hits = []
+        shapes = [
+            {"stream_pattern": "s"},
+            {"stream_pattern": "s*"},
+            {"stream_pattern": "?"},
+            {"include_tags": ["T"]},
+            {},
         ]
+        subs = [store.subscribe("x", hits.append, **shape) for shape in shapes]
+        store.publish_data("s", 1, tags=["T"])  # fills the memo
+        assert len(hits) == len(shapes)
         for sub in subs:
             store.unsubscribe(sub.subscription_id)
-        assert store._exact_subs == {}
-        assert store._tagged_wildcards == {}
-        assert store._catchall_wildcards == {}
+        assert store._keyed_routes == {}
+        assert store._scanned_routes == {}
         assert store._sub_order == {}
+        assert store._route_memo == {}
+        del hits[:]
+        store.publish_data("s", 2, tags=["T"])
+        assert hits == []
+        # Cleared-then-reused patterns route again, in the new subscribe order.
+        order = []
+        store.subscribe("prefix", lambda m: order.append("prefix"), stream_pattern="s*")
+        store.subscribe("literal", lambda m: order.append("literal"), stream_pattern="s")
+        store.publish_data("s", 3, tags=["T"])
+        assert order == ["prefix", "literal"]
+
+    def test_overlapping_prefixes_of_different_lengths(self, store):
         hits = []
-        store.subscribe("later", hits.append)
-        store.publish_data("s", 1, tags=["T"])
-        assert len(hits) == 1
+        for pattern in ("s-1:*", "s-10:*", "s-1*", "s-1:out"):
+            store.subscribe(
+                pattern, (lambda p: lambda m: hits.append((p, m.stream_id)))(pattern),
+                stream_pattern=pattern,
+            )
+        expected = {
+            "s-1:out": ["s-1:*", "s-1*", "s-1:out"],
+            "s-10:out": ["s-10:*", "s-1*"],
+            "s-1": ["s-1*"],
+            "s-100:out": ["s-1*"],
+            "s-2:out": [],
+            "s-": [],
+        }
+        for stream_id in expected:
+            store.create_stream(stream_id)
+            store.publish_data(stream_id, 0)
+        for stream_id, patterns in expected.items():
+            assert [p for p, sid in hits if sid == stream_id] == patterns, stream_id
 
     def test_randomized_equivalence(self, store):
         rng = random.Random(7)
@@ -126,6 +161,106 @@ class TestDispatchIndexEquivalence:
             expected = [s.subscriber for s in scan_targets(store, message)]
             delivered = [n for n, mid in log if mid == message.message_id]
             assert delivered == expected
+
+
+PATTERNS = ["ab", "abc", "b", "a*", "ab*", "*", "a?c", "[ab]*", "a*c", "x*y"]
+STREAMS = ["ab", "abc", "acc", "b", "x-y"]
+tag_sets = st.frozensets(st.sampled_from(["T", "U"]))
+index = st.integers(min_value=0, max_value=63)
+subscribe_op = st.tuples(
+    st.just("subscribe"),
+    st.sampled_from(PATTERNS),
+    tag_sets,
+    tag_sets,
+    st.sampled_from([(False, False), (True, False), (False, True)]),
+)
+route_ops = st.lists(
+    st.one_of(
+        subscribe_op,
+        st.tuples(st.just("unsubscribe"), index),
+        # Arm one live subscription to mutate the table from inside its
+        # next callback: clone itself, or unsubscribe some live peer/itself.
+        st.tuples(st.just("arm"), index, st.sampled_from(["clone", "unsubscribe"]), index),
+        # A burst published with the table untouched in between, so memo
+        # entries of one stream under different tags / kinds sit side by side.
+        st.tuples(
+            st.just("publish"),
+            st.lists(
+                st.tuples(
+                    st.sampled_from(STREAMS),
+                    tag_sets,
+                    # EOS closes its stream for the rest of the example: keep it rare.
+                    st.sampled_from([MessageKind.DATA] * 3 + [MessageKind.CONTROL] * 3 + [MessageKind.EOS]),
+                ),
+                min_size=1,
+                max_size=4,
+            ),
+        ),
+    ),
+    max_size=40,
+)
+
+
+class TestRouteTableProperty:
+    """Any interleaving of subscribe / unsubscribe / publish — including
+    table changes made *inside* a callback — delivers exactly what the
+    linear ``wants()`` scan of the table would, in subscribe order."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(subscribe_op, min_size=6, max_size=12), route_ops)
+    def test_any_interleaving_matches_linear_scan(self, initial, ops):
+        store = StreamStore(SimClock())
+        for stream_id in STREAMS:
+            store.create_stream(stream_id)
+        log, armed = [], {}
+
+        def subscribe(**shape):
+            def callback(message):
+                log.append(sub.subscription_id)
+                action, target = armed.pop(sub.subscription_id, (None, None))
+                if action == "clone":
+                    subscribe(**shape)
+                elif action == "unsubscribe":
+                    store.unsubscribe(target)
+
+            sub = store.subscribe("prop", callback, **shape)
+
+        def publish_and_check(stream_id, tags, kind):
+            if store.get_stream(stream_id).closed:
+                return
+            # Reference: walk the table as it stands *now* in subscribe
+            # order; a peer unsubscribed by an earlier callback is skipped,
+            # a clone subscribed mid-dispatch is not in this walk at all.
+            probe = Message("probe", stream_id, kind, None, tags)
+            expected, removed = [], set()
+            for sub in store.subscriptions():
+                if sub.subscription_id in removed or not sub.wants(probe):
+                    continue
+                expected.append(sub.subscription_id)
+                action, target = armed.get(sub.subscription_id, (None, None))
+                if action == "unsubscribe":
+                    removed.add(target)
+            del log[:]
+            store.publish(stream_id, None, kind=kind, tags=tags)
+            assert log == expected
+
+        for op in initial + ops:
+            live = [s.subscription_id for s in store.subscriptions()]
+            if op[0] == "subscribe":
+                _, pattern, include, exclude, (control_only, data_only) = op
+                subscribe(
+                    stream_pattern=pattern, include_tags=include, exclude_tags=exclude,
+                    control_only=control_only, data_only=data_only,
+                )
+            elif op[0] == "unsubscribe" and live:
+                store.unsubscribe(live[op[1] % len(live)])
+            elif op[0] == "arm" and live:
+                armed[live[op[1] % len(live)]] = (op[2], live[op[3] % len(live)])
+            elif op[0] == "publish":
+                # Twice: the second pass must see whatever the first one's
+                # callbacks did to the table (the memo was cleared).
+                for publish in op[1] * 2:
+                    publish_and_check(*publish)
 
 
 class TestTraceIndexEquivalence:

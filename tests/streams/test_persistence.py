@@ -48,6 +48,14 @@ class TestReplay:
         assert [m.kind for m in restored] == [m.kind for m in original]
         assert restored[0].metadata["turn"] == 1
         assert restored[0].timestamp == 1.5
+        # The archive answers the same queries as the live store.
+        assert replayed.stats() == {**store.stats(), "subscriptions": 0}
+        for message in store.trace():
+            for tag in message.tags:
+                assert len(replayed.trace_by_tag(tag)) == len(store.trace_by_tag(tag))
+            assert len(replayed.trace_by_producer(message.producer)) == len(
+                store.trace_by_producer(message.producer)
+            )
 
     def test_replay_preserves_stream_tags(self, store):
         replayed = replay_store(export_store(store))

@@ -181,3 +181,19 @@ class TestObservability:
         assert stats["streams"] == 1
         assert stats["messages"] == 2
         assert stats["by_kind"] == {"data": 1, "control": 1}
+
+    def test_stats_by_kind_equals_trace_recount(self, store):
+        store.create_stream("s")
+        for i in range(7):
+            store.publish_data("s", i)
+            if i % 3 == 0:
+                store.publish_control("s", "X")
+        store.close_stream("s")
+        recount = {}
+        for message in store.trace():
+            recount[message.kind.value] = recount.get(message.kind.value, 0) + 1
+        stats = store.stats()
+        assert stats["by_kind"] == recount
+        assert stats["messages"] == len(store.trace())
+        stats["by_kind"]["data"] = 0  # a copy: callers cannot corrupt the tallies
+        assert store.stats()["by_kind"] == recount
