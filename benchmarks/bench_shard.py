@@ -20,6 +20,11 @@ Two gated claims for the sharded, replicated data substrate:
 The checked-in ``benchmarks/BENCH_shard.json`` baseline stores only
 seed-deterministic quantities (acked counts, scanned documents, export
 digest), so it never flaps across machines.
+
+A third gate, ``test_a14_gather_overhead``, bounds what the SQL router
+adds on top of the shard it routes to: a gather pruned to one shard reads
+that shard's tables in place, so it must cost about what the same
+statement costs on the shard's own ``Database``.
 """
 
 import hashlib
@@ -34,6 +39,7 @@ from repro.core.resilience import ChaosController, ChaosSpec
 from repro.errors import ClusterUnavailableError
 from repro.hr.data import build_sharded_enterprise
 from repro.storage.cluster import StoreCluster
+from repro.storage.relational.sql import execute_sql
 
 SEED = 7
 CHAOS_SEED = 11
@@ -48,6 +54,11 @@ SCALES = [(25_000, 2), (50_000, 4), (100_000, 8)]
 SCANNED_RATIO_GATE = 2.0
 #: Pruned wall-clock growth over a 4x corpus (loose: CI hardware varies).
 WALL_RATIO_GATE = 2.5
+
+#: A one-shard gather through the router vs the statement on that shard.
+#: The copy loop this replaced (re-insert, re-validate and re-index the
+#: slice per statement) read ~3x.
+GATHER_OVERHEAD_GATE = 1.5
 
 BASELINE_PATH = Path(__file__).parent / "BENCH_shard.json"
 
@@ -262,6 +273,48 @@ def test_a14_shard_substrate():
             assert point["sql_pruned"]["count"] == (
                 base_point["sql_pruned"]["count"]
             )
+
+
+def test_a14_gather_overhead():
+    """Gate: a pruned aggregate costs what it costs on the owning shard."""
+    database = build_sharded_enterprise(
+        seed=SEED, n_seekers=20_000, n_shards=4, n_replicas=3
+    ).database
+    sql = "SELECT COUNT(*) AS n FROM seekers WHERE city = :city AND title LIKE :title"
+    parameters = {"city": "Austin", "title": "%scientist%"}
+    shard = database.table("seekers").shard_for_value("Austin")
+    primary = database.cluster.primary_state(shard)
+
+    def best_ms(run):
+        best = float("inf")
+        for _ in range(7):
+            t0 = time.perf_counter()
+            result = run()
+            best = min(best, time.perf_counter() - t0)
+        return best * 1000, result.scalar()
+
+    direct_ms, direct_count = best_ms(lambda: execute_sql(primary, sql, parameters))
+    routed_ms, routed_count = best_ms(lambda: database.execute(sql, parameters))
+    stats = database.last_execute_stats
+    assert routed_count == direct_count > 0
+    assert stats["path"] == "gather" and stats["shards_scanned"] == 1, stats
+    ratio = routed_ms / direct_ms
+    record(
+        "a14_gather_overhead",
+        "A14 — one-shard gather through ShardedDatabase.execute vs execute_sql "
+        "on that shard's primary\n"
+        f"{sql}\n"
+        + table(
+            ["rows in slice", "matches", "on the shard", "through the router", "ratio"],
+            [[stats["rows_scanned"], routed_count, f"{direct_ms:.2f}ms",
+              f"{routed_ms:.2f}ms", f"{ratio:.2f}x"]],
+        )
+        + f"\n\ngate {GATHER_OVERHEAD_GATE}x",
+    )
+    assert ratio <= GATHER_OVERHEAD_GATE, (
+        f"one-shard gather costs {ratio:.2f}x the statement on the shard "
+        f"(gate {GATHER_OVERHEAD_GATE}x): the router is copying again"
+    )
 
 
 def write_baseline() -> None:

@@ -13,9 +13,14 @@ SQL execution at the router takes one of two paths:
   and LIMIT pushed down: per-shard top-k is a superset of the global
   top-k), then the router merges, re-sorts, and re-limits.
 * **Gather** — anything else (joins, aggregates, GROUP BY, subqueries)
-  copies the pruned slices of every referenced table into an ephemeral
-  single-node scratch database and runs the original statement there
-  once.  Slower, but gives full SQL semantics with one implementation.
+  runs the original statement once on an ephemeral single-node scratch
+  database whose tables are read-only views: each is the concatenation,
+  in shard order, of the pruned shard primaries' own tables and indexes
+  (:class:`~repro.storage.relational.view.ConcatTable`).  No row is
+  copied, re-validated, or re-indexed, and the one ``Executor`` gives
+  full SQL semantics.  A primary key present on two gathered slices
+  (possible when the partition column is not the primary key) is a
+  ``StorageError``.
 
 Writes never take a shortcut: INSERT rows are evaluated at the router,
 routed by partition value, and quorum-appended; UPDATE/DELETE replay the
@@ -32,8 +37,9 @@ from ...errors import StorageError
 from ..document.store import _sortable
 from ..relational.database import Database, SQLResult
 from ..relational.sql import ast
-from ..relational.sql.executor import _column_literal, _conjuncts, execute_sql
+from ..relational.sql.executor import Executor, _column_literal, _conjuncts
 from ..relational.sql.parser import parse
+from ..relational.view import ConcatTable
 from ..schema import Column, ColumnType, TableSchema
 from .cluster import StoreCluster
 
@@ -297,7 +303,7 @@ class ShardedDatabase(Database):
         self, statement: ast.Statement, sql: str, parameters: dict[str, Any]
     ) -> SQLResult:
         if isinstance(statement, ast.Select):
-            return self._execute_select(statement, sql, parameters)
+            return self._execute_select(statement, parameters)
         if isinstance(statement, ast.Insert):
             return self._execute_insert(statement, parameters)
         if isinstance(statement, (ast.Update, ast.Delete)):
@@ -360,7 +366,7 @@ class ShardedDatabase(Database):
 
     # -- SELECT --------------------------------------------------------
     def _execute_select(
-        self, select: ast.Select, sql: str, parameters: dict[str, Any]
+        self, select: ast.Select, parameters: dict[str, Any]
     ) -> SQLResult:
         front = self.table(select.table.name)
         shards = self._prune(
@@ -368,10 +374,10 @@ class ShardedDatabase(Database):
         )
         pruned = len(shards) < self.cluster.n_shards
         if self._can_push_down(select):
-            result = self._pushdown_select(select, sql, parameters, shards)
+            result = self._pushdown_select(select, parameters, shards)
             path = "pushdown"
         else:
-            result = self._gather_select(select, sql, parameters, shards)
+            result = self._gather_select(select, parameters, shards)
             path = "gather"
         self.last_execute_stats = {
             "shards_scanned": len(shards),
@@ -399,11 +405,7 @@ class ShardedDatabase(Database):
         return True
 
     def _pushdown_select(
-        self,
-        select: ast.Select,
-        sql: str,
-        parameters: dict[str, Any],
-        shards: list[int],
+        self, select: ast.Select, parameters: dict[str, Any], shards: list[int]
     ) -> SQLResult:
         rows: list[dict[str, Any]] = []
         columns: list[str] = []
@@ -411,7 +413,7 @@ class ShardedDatabase(Database):
         for state in self.cluster.primary_states(shards):
             if not state.has_table(select.table.name):
                 continue
-            shard_result = execute_sql(state, sql, parameters)
+            shard_result = Executor(state, parameters).execute(select)
             rows.extend(shard_result.rows)
             columns = shard_result.columns or columns
             stats = getattr(shard_result, "stats", None)
@@ -438,37 +440,27 @@ class ShardedDatabase(Database):
         return ref.name
 
     def _gather_select(
-        self,
-        select: ast.Select,
-        sql: str,
-        parameters: dict[str, Any],
-        shards: list[int],
+        self, select: ast.Select, parameters: dict[str, Any], shards: list[int]
     ) -> SQLResult:
-        """Copy pruned slices into a scratch database; run the SQL once."""
+        """Run the SQL once over in-place views of the pruned slices."""
         scratch = Database(f"{self.name}:scratch")
-        copied = 0
-        refs = [(select.table.name, select.table.binding(), shards)]
+        gathered = 0
+        refs = [(select.table.name, shards)]
         for join in select.joins:
             join_front = self.table(join.table.name)
             join_shards = self._prune(
                 select.where, join_front, join.table.binding(), parameters
             )
-            refs.append((join.table.name, join.table.binding(), join_shards))
-        for table_name, _binding, table_shards in refs:
+            refs.append((join.table.name, join_shards))
+        for table_name, table_shards in refs:
             if scratch.has_table(table_name):
                 continue
             front = self.table(table_name)
-            target = scratch.create_table(front.schema)
-            for state in self.cluster.primary_states(table_shards):
-                if state.has_table(table_name):
-                    slice_rows = state.table(table_name).rows()
-                    target.insert_many(slice_rows)
-                    copied += len(slice_rows)
-            for column, kind in front.indexed_columns().items():
-                if column not in target.indexed_columns():
-                    target.create_index(column, kind=kind)
-        result = execute_sql(scratch, sql, parameters)
-        self.last_execute_stats = {"rows_scanned": copied}
+            view = ConcatTable(front.schema, list(front._shard_tables(table_shards)))
+            scratch.attach(view)
+            gathered += len(view)
+        result = Executor(scratch, parameters).execute(select)
+        self.last_execute_stats = {"rows_scanned": gathered}
         return result
 
     # -- pruning -------------------------------------------------------

@@ -11,6 +11,7 @@ from .table import Table
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...observability import Observability
+    from .view import ConcatTable
 
 
 class Database:
@@ -35,13 +36,17 @@ class Database:
     # Catalog
     # ------------------------------------------------------------------
     def create_table(self, schema: TableSchema) -> Table:
+        table = Table(schema)
+        self.attach(table)
+        return table
+
+    def attach(self, table: "Table | ConcatTable") -> None:
+        """Register an existing table, or a read-only view of some, by its name."""
         with self._lock:
-            key = schema.name.lower()
+            key = table.name.lower()
             if key in self._tables:
-                raise StorageError(f"table already exists: {schema.name!r}")
-            table = Table(schema)
+                raise StorageError(f"table already exists: {table.name!r}")
             self._tables[key] = table
-            return table
 
     def drop_table(self, name: str) -> None:
         with self._lock:

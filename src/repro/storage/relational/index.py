@@ -12,7 +12,7 @@ table), so they survive in-place updates of other columns.
 from __future__ import annotations
 
 import bisect
-from typing import Any, Iterable
+from typing import Any, Iterable, KeysView
 
 
 class HashIndex:
@@ -42,6 +42,10 @@ class HashIndex:
         for value in values:
             result |= self.lookup(value)
         return result
+
+    def keys(self) -> KeysView[Any]:
+        """The distinct indexed values (a live view, not a copy)."""
+        return self._buckets.keys()
 
     def __len__(self) -> int:
         return sum(len(bucket) for bucket in self._buckets.values())

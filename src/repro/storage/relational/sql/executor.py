@@ -16,12 +16,12 @@ references both resolve naturally.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import Any, Iterable
 
 from ....errors import SQLError, StorageError
 from ...schema import Column, ColumnType, TableSchema
 from ..database import Database, SQLResult
-from ..index import HashIndex, SortedIndex
 from ..table import Table
 from . import ast
 from .functions import SCALAR_FUNCTIONS, make_aggregate
@@ -142,7 +142,7 @@ class Executor:
             if expr.op == "=":
                 self.stats.used_index = f"{table.name}.{column_ref.name}"
                 return table.get_by_row_ids(index.lookup(value))
-            if isinstance(index, SortedIndex):
+            if index.kind == "sorted":
                 # Only handle column-on-left ranges; flipped forms fall back.
                 if not isinstance(expr.left, ast.ColumnRef):
                     return None
@@ -159,7 +159,7 @@ class Executor:
             if expr.operand.table not in (None, binding):
                 return None
             index = table.index_on(expr.operand.name)
-            if not isinstance(index, HashIndex):
+            if index is None or index.kind != "hash":
                 return None
             values = [self._eval_constant(item) for item in expr.items]
             if any(value is _NOT_CONSTANT for value in values):
@@ -719,9 +719,14 @@ def _output_name(expr: ast.Expr) -> str:
     return "expr"
 
 
-def _like(text: str, pattern: str) -> bool:
+@lru_cache(maxsize=256)
+def _like_regex(pattern: str) -> re.Pattern[str]:
     regex = re.escape(pattern).replace(r"%", ".*").replace(r"_", ".")
-    return re.fullmatch(regex, text, flags=re.IGNORECASE) is not None
+    return re.compile(regex, re.IGNORECASE | re.DOTALL)
+
+
+def _like(text: str, pattern: str) -> bool:
+    return _like_regex(pattern).fullmatch(text) is not None
 
 
 def _null_row(table: Table) -> dict[str, Any]:

@@ -1,0 +1,223 @@
+"""Differential property test for the sharded gather path.
+
+``ShardedDatabase`` answers joins and aggregates by running the statement
+once over read-only views of the pruned shard slices
+(:class:`~repro.storage.relational.view.ConcatTable`).  The oracle is the
+implementation those views replaced: copy each pruned primary slice, in
+shard order, into a fresh single-node ``Database``, rebuild its indexes,
+and run the same SQL there.  The two must agree on rows, on columns and on
+row *order*, for every statement of a small random grammar, interleaved
+with writes and one failover.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.clock import SimClock
+from repro.storage.cluster import ShardedDatabase
+from repro.storage.relational import Database, Table
+from repro.storage.relational.sql import execute_sql, parse
+from repro.storage.schema import Column, ColumnType, TableSchema
+
+CITIES = ["Oakland", "Austin", "Denver", "Boston", "Seattle"]
+DEPTS = ["eng", "ops", "hr"]
+
+EMP = TableSchema(
+    "emp",
+    [
+        Column("id", ColumnType.INT, primary_key=True),
+        Column("dept", ColumnType.TEXT),
+        Column("city", ColumnType.TEXT),
+        Column("age", ColumnType.INT),
+    ],
+)
+OFFICE = TableSchema(
+    "office",
+    [
+        Column("id", ColumnType.INT, primary_key=True),
+        Column("city", ColumnType.TEXT),
+        Column("dept", ColumnType.TEXT),
+        Column("floor", ColumnType.INT),
+    ],
+)
+
+
+def reference_gather(db, sql, parameters):
+    """The copy loop ``_gather_select`` ran before the views."""
+    select = parse(sql)
+    scratch = Database("reference")
+    for ref in [select.table, *(join.table for join in select.joins)]:
+        if scratch.has_table(ref.name):
+            continue
+        front = db.table(ref.name)
+        shards = db._prune(select.where, front, ref.binding(), parameters)
+        target = scratch.create_table(front.schema)
+        for state in db.cluster.primary_states(shards):
+            target.insert_many(state.table(ref.name).rows())
+        for column, kind in front.indexed_columns().items():
+            if column not in target.indexed_columns():
+                target.create_index(column, kind=kind)
+    copied = sum(len(table) for table in scratch.tables())
+    return execute_sql(scratch, sql, parameters), copied
+
+
+def build(emp_rows, office_rows):
+    """Both tables partitioned by ``city`` (not the primary key), with a
+    hash index on ``dept`` and a sorted index on ``age`` / ``floor``."""
+    db = ShardedDatabase("prop", n_shards=3, n_replicas=3, clock=SimClock(), seed=1)
+    emp = db.create_table(EMP, partition_column="city")
+    office = db.create_table(OFFICE, partition_column="city")
+    for table, ranged in ((emp, "age"), (office, "floor")):
+        table.create_index("city")
+        table.create_index("dept")
+        table.create_index(ranged, kind="sorted")
+    emp.insert_many(
+        {"id": i, "dept": dept, "city": city, "age": age}
+        for i, (dept, city, age) in enumerate(emp_rows)
+    )
+    office.insert_many(
+        {"id": i, "city": city, "dept": dept, "floor": floor}
+        for i, (city, dept, floor) in enumerate(office_rows)
+    )
+    return db
+
+
+# ----------------------------------------------------------------------
+# The grammar
+# ----------------------------------------------------------------------
+def atoms(prefix, ranged):
+    """WHERE conjuncts over one table binding; ``:city``/``:low`` are bound."""
+    return (
+        # partition column: prunes the fan-out, answered by the hash index
+        [f"{prefix}city = '{city}'" for city in CITIES]
+        + [f"{prefix}city = :city", f"{prefix}city IN ('Austin', :city)"]
+        # hash-indexed, not the partition column: every shard is gathered
+        + [f"{prefix}dept = '{dept}'" for dept in DEPTS]
+        + [f"{prefix}dept IN ('eng', 'hr')", f"{prefix}id = 3"]
+        # sorted index: equality and each range operator
+        + [f"{prefix}{ranged} {op} :low" for op in ("=", "<", "<=", ">", ">=")]
+        # no index
+        + [
+            f"{prefix}{ranged} IS NULL",
+            f"{prefix}dept <> 'eng'",
+            f"{prefix}dept LIKE 'e%'",
+            f"({prefix}dept = 'ops' OR {prefix}{ranged} > 3)",
+        ]
+    )
+
+
+SINGLE_TABLE = [
+    "SELECT COUNT(*) AS n, SUM(age) AS s, MIN(age) AS lo, MAX(age) AS hi, "
+    "AVG(age) AS mean FROM emp{where}",
+    "SELECT COUNT(DISTINCT dept) AS depts, COUNT(age) AS aged FROM emp{where}",
+    "SELECT dept, COUNT(*) AS n, SUM(age) AS s FROM emp{where} GROUP BY dept "
+    "HAVING COUNT(*) >= {k} ORDER BY n DESC, dept{limit}",
+    "SELECT city, dept, MAX(age) AS hi FROM emp{where} GROUP BY city, dept{limit}",
+    "SELECT DISTINCT dept, city FROM emp{where}{limit}",
+    "SELECT DISTINCT dept FROM emp{where} ORDER BY dept DESC",
+    "SELECT id, age FROM emp{where} ORDER BY age DESC, id LIMIT {k} OFFSET {j}",
+    "SELECT * FROM emp{where} LIMIT {k} OFFSET {j}",
+]
+JOINS = [
+    "SELECT e.id, e.dept, o.id AS oid, o.floor FROM emp e "
+    "JOIN office o ON e.dept = o.dept{where}{limit}",
+    "SELECT e.id, o.id AS oid FROM emp e LEFT JOIN office o ON e.city = o.city{where}",
+    "SELECT e.dept, COUNT(*) AS n, MIN(o.floor) AS lo FROM emp e "
+    "LEFT JOIN office o ON e.city = o.city{where} GROUP BY e.dept ORDER BY n, e.dept",
+    "SELECT e.id, o.id AS oid FROM emp e JOIN office o ON e.age < o.floor * 10{where}",
+    # self-join: the first binding's pruning decides the slices both sides read
+    "SELECT e.id, o.id AS oid FROM emp e JOIN emp o ON e.age = o.age{where}{limit}",
+]
+
+
+@st.composite
+def selects(draw):
+    if draw(st.booleans()):
+        template, pool = draw(st.sampled_from(SINGLE_TABLE)), atoms("", "age")
+    else:
+        template = draw(st.sampled_from(JOINS))
+        right = "age" if "JOIN emp o" in template else "floor"
+        pool = atoms("e.", "age") + atoms("o.", right)
+    conjuncts = draw(st.lists(st.sampled_from(pool), max_size=2, unique=True))
+    k, j = draw(st.integers(0, 6)), draw(st.integers(1, 3))  # OFFSET 0 pushes down
+    sql = template.format(
+        where=" WHERE " + " AND ".join(conjuncts) if conjuncts else "",
+        limit=draw(st.sampled_from(["", f" LIMIT {k}", f" LIMIT {k} OFFSET {j}"])),
+        k=k,
+        j=j,
+    )
+    parameters = {
+        "city": draw(st.sampled_from(CITIES)),
+        "low": draw(st.integers(0, 60)),
+    }
+    return "select", sql, parameters
+
+
+WRITES = [
+    "UPDATE emp SET age = age + 1 WHERE dept = 'eng'",
+    "UPDATE emp SET dept = 'ops' WHERE city = 'Austin'",
+    "UPDATE emp SET age = NULL WHERE id = 2",
+    "UPDATE emp SET age = 30 WHERE age IS NULL",
+    "UPDATE office SET floor = 4 WHERE dept = 'hr'",
+    "DELETE FROM emp WHERE age < 25",
+    "DELETE FROM office WHERE city = 'Denver'",
+]
+
+nullable_int = st.one_of(st.none(), st.integers(0, 60))
+emp_rows = st.lists(
+    st.tuples(st.sampled_from(DEPTS), st.sampled_from(CITIES), nullable_int),
+    max_size=30,
+)
+office_rows = st.lists(
+    st.tuples(st.sampled_from(CITIES), st.sampled_from(DEPTS), st.one_of(st.none(), st.integers(0, 6))),
+    max_size=10,
+)
+steps = st.lists(
+    st.one_of(selects(), st.tuples(st.just("write"), st.sampled_from(WRITES), st.just({}))),
+    min_size=2,
+    max_size=10,
+)
+
+
+class TestGatherMatchesCopyLoop:
+    @settings(max_examples=120, deadline=None)
+    @given(emp_rows, office_rows, steps, st.integers(0, 10))
+    def test_rows_columns_and_order(self, emp, office, script, kill_at):
+        db = build(emp, office)
+        for position, (kind, sql, parameters) in enumerate(script):
+            if position == kill_at:
+                db.cluster.kill_replica("s1.r0")
+                db.tick()
+            if kind == "write":
+                db.execute(sql)
+                continue
+            actual = db.execute(sql, parameters)
+            stats = db.last_execute_stats
+            expected, copied = reference_gather(db, sql, parameters)
+            assert stats["path"] == "gather", sql
+            assert actual.rows == expected.rows, sql
+            assert actual.columns == expected.columns, sql
+            assert stats["rows_scanned"] == copied, sql
+
+
+def test_gather_select_builds_no_table(monkeypatch):
+    db = build(
+        [(DEPTS[i % 3], CITIES[i % 5], 20 + i) for i in range(30)],
+        [(CITIES[i % 5], DEPTS[i % 3], i) for i in range(10)],
+    )
+    calls = []
+    for owner, method in (
+        (Table, "insert"),
+        (Table, "create_index"),
+        (TableSchema, "validate_row"),
+    ):
+        monkeypatch.setattr(
+            owner, method, lambda *args, _name=method, **kwargs: calls.append(_name)
+        )
+    result = db.execute(
+        "SELECT e.dept, COUNT(*) AS n FROM emp e JOIN office o ON e.city = o.city "
+        "WHERE e.age >= 25 GROUP BY e.dept ORDER BY e.dept"
+    )
+    assert db.last_execute_stats["path"] == "gather"
+    assert [row["dept"] for row in result.rows] == sorted(DEPTS)
+    assert calls == []

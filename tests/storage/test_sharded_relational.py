@@ -183,3 +183,39 @@ class TestFailover:
         for shard in cluster.shards:
             digests = {replica.log_digest() for replica in shard.replicas}
             assert len(digests) == 1
+
+
+class TestCrossShardDuplicateKey:
+    """``partition_column`` != primary key: the router accepts one ``id``
+    on two shards (DESIGN §13, known limitation); a gather that sees both
+    slices refuses to treat them as one table."""
+
+    @pytest.fixture
+    def split(self, db):
+        table = db.table("people")
+        here, there = next(
+            (a, b) for a in CITIES for b in CITIES
+            if table.shard_for_value(a) != table.shard_for_value(b)
+        )
+        table.insert({"id": 500, "name": "twin", "city": here, "age": 1})
+        table.insert({"id": 500, "name": "twin", "city": there, "age": 2})
+        return here, there
+
+    def test_fanout_gather_rejects_duplicate_primary_key(self, db, split):
+        with pytest.raises(StorageError, match="duplicate primary key 500"):
+            db.execute("SELECT COUNT(*) AS n FROM people")
+
+    def test_gather_pruned_to_one_shard_does_not(self, db, split):
+        here, _ = split
+        result = db.execute(
+            "SELECT COUNT(*) AS n FROM people WHERE city = :city AND id = 500",
+            {"city": here},
+        )
+        assert result.scalar() == 1
+        assert db.last_execute_stats["path"] == "gather"
+        assert db.last_execute_stats["shards_scanned"] == 1
+
+    def test_pushdown_returns_both_rows(self, db, split):
+        result = db.execute("SELECT city, age FROM people WHERE id = 500")
+        assert db.last_execute_stats["path"] == "pushdown"
+        assert sorted(r["city"] for r in result.rows) == sorted(split)

@@ -74,6 +74,16 @@ class TestBasicSelect:
         rows = db.query("SELECT id FROM jobs WHERE title LIKE '%scientist%'")
         assert sorted(r["id"] for r in rows) == [1, 3, 5]
 
+    def test_like_wildcards_match_across_newlines(self, db):
+        db.execute(
+            "INSERT INTO jobs (id, title, city) VALUES (6, :title, 'Oakland')",
+            {"title": "Staff\nEngineer"},
+        )
+        assert [r["id"] for r in db.query(
+            "SELECT id FROM jobs WHERE title LIKE 'staff%engineer'")] == [6]
+        assert [r["id"] for r in db.query(
+            "SELECT id FROM jobs WHERE title LIKE 'staff_engineer'")] == [6]
+
     def test_between(self, db):
         rows = db.query("SELECT id FROM jobs WHERE salary BETWEEN 140000 AND 155000")
         assert sorted(r["id"] for r in rows) == [1, 3]
