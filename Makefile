@@ -33,8 +33,8 @@ fleet:
 engine:
 	PYTHONPATH=src python -m pytest tests/core/test_engine.py tests/properties/test_parallel_properties.py tests/properties/test_fleet_properties.py -q
 
+# The batching gate is a section of benchmarks/bench_fleet.py, which `make fleet` runs.
 batch:
-	PYTHONPATH=src python -m pytest benchmarks/bench_fleet.py --benchmark-disable
 	PYTHONPATH=src python -m pytest tests/llm/test_batching.py tests/llm/test_cache.py tests/llm/test_capacity_singleflight.py -q
 
 overload:

@@ -7,20 +7,23 @@ makespan is the **sum** of N critical paths.  The fleet scheduler
 interleaves the wave steppers of up to ``max_inflight`` admitted plans
 over one shared :class:`~repro.core.scheduler.VirtualTimeline`:
 
-* **Round-robin stepping.**  Each round steps every unfinished in-flight
-  plan one dependency wave, in admission order.  Execution stays
-  single-threaded; concurrency is simulated-time concurrency (each node
-  runs on its own timeline branch), so runs are deterministic — the same
-  submission order produces byte-identical streams, journals, and
-  charges every time.
+* **Round-robin stepping, one loop.**  Each round steps every unfinished
+  in-flight plan one dependency wave, in admission order.  Execution
+  stays single-threaded; concurrency is simulated-time concurrency (each
+  node runs on its own timeline branch), so runs are deterministic — the
+  same submission order produces byte-identical streams, journals, and
+  charges every time.  A closed batch (:meth:`FleetScheduler.run`) is an
+  open-loop run (:meth:`FleetScheduler.run_offers`) whose offers all
+  arrive at the fleet origin behind a FIFO gate.
 
 * **Admission control.**  At most ``max_inflight`` plans run at once;
-  excess submissions wait in a FIFO backlog (at most ``max_backlog``
-  deep, unbounded when None) and are admitted at the simulated instant
-  the plan whose completion freed their slot ended.  Overflow beyond the
-  backlog is rejected outright.  Counters: ``fleet.admitted`` /
-  ``fleet.queued`` / ``fleet.rejected``; per-plan admission waits feed
-  the ``fleet.queue_wait`` histogram.
+  arrivals pass one gate — an :class:`~repro.core.overload.
+  AdmissionController`, or a FIFO backlog ``max_backlog`` deep
+  (unbounded when None) — that queues or refuses them, and a queued plan
+  is admitted at the simulated instant the plan whose completion freed
+  its slot ended.  Counters: ``fleet.admitted`` / ``fleet.queued`` /
+  ``fleet.rejected``; per-plan admission waits feed the
+  ``fleet.queue_wait`` histogram.
 
 * **Shared contention.**  Because every plan's LLM calls reserve slots
   against the catalog's shared :class:`~repro.llm.ModelCapacity` and
@@ -39,7 +42,7 @@ ordinary :class:`~repro.core.recovery.RecoveryManager` machinery.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence, TYPE_CHECKING
 
 from ...clock import SimClock
@@ -47,6 +50,7 @@ from ...observability.span import NOOP_SPAN
 from ..budget import Budget
 from ..coordinator import PlanExecution, PlanRun, TaskCoordinator
 from ..engine import SERIAL, ExecutionBackend
+from ..overload.admission import FifoAdmission
 from ..plan.task_plan import TaskPlan
 from ..qos import QoSSpec
 from ..scheduler import VirtualTimeline
@@ -54,7 +58,7 @@ from ..scheduler import VirtualTimeline
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...observability import Observability
     from ..agent import Agent
-    from ..overload import AdmissionController, BrownoutController, FifoAdmission
+    from ..overload import AdmissionController, BrownoutController
 
 
 @dataclass
@@ -153,28 +157,22 @@ class FleetResult:
         return {tier: tiers[tier] for tier in sorted(tiers)}
 
 
+@dataclass(slots=True)
 class _Active:
     """One in-flight plan: its entry, stepper, and admission bookkeeping."""
 
-    __slots__ = ("index", "entry", "execution", "admitted_at", "arrived_at")
-
-    def __init__(
-        self,
-        index: int,
-        entry: FleetEntry,
-        execution: PlanExecution,
-        admitted_at: float,
-        arrived_at: float | None = None,
-    ) -> None:
-        self.index = index
-        self.entry = entry
-        self.execution = execution
-        self.admitted_at = admitted_at
-        self.arrived_at = arrived_at
+    index: int
+    entry: FleetEntry
+    execution: PlanExecution
+    admitted_at: float
+    arrived_at: float
 
 
 class FleetScheduler:
-    """Round-robins plan-wave steppers over a shared timeline."""
+    """Round-robins plan-wave steppers over a shared timeline.
+
+    *admission* carries its own bounds: also passing *max_backlog* raises.
+    """
 
     def __init__(
         self,
@@ -191,6 +189,10 @@ class FleetScheduler:
             raise ValueError(f"max_inflight must be >= 1: {max_inflight}")
         if max_backlog is not None and max_backlog < 0:
             raise ValueError(f"max_backlog must be >= 0: {max_backlog}")
+        if admission is not None and max_backlog is not None:
+            raise ValueError(
+                "max_backlog bounds only the built-in FIFO gate: pass it or admission"
+            )
         self._timeline = timeline
         self._clock = clock
         #: How in-flight plans' steps execute: the serial backend steps
@@ -232,120 +234,19 @@ class FleetScheduler:
             sink.inc("fleet.admitted", float(self._admitted_tally))
 
     def run(self, entries: Sequence[FleetEntry]) -> FleetResult:
-        """Drive every entry to an outcome; returns the aggregate result."""
-        obs = self._observability
-        metrics = (
-            obs.metrics if obs is not None and obs.metrics.enabled else None
-        )
-        origin = self._timeline.origin
-        results: dict[int, FleetPlanResult] = {}
-        counts = {"admitted": 0, "queued": 0, "rejected": 0}
-        span = (
-            obs.span(
-                "fleet",
-                kind="fleet",
-                plans=len(entries),
-                max_inflight=self._max_inflight,
-            )
-            if obs is not None
-            else NOOP_SPAN
-        )
-        with span:
-            inflight: list[_Active] = []
-            backlog: deque[tuple[int, FleetEntry]] = deque()
-            # Intake in submission order: fill the in-flight window, then
-            # the backlog, then reject (deterministic FIFO).
-            for index, entry in enumerate(entries):
-                if len(inflight) < self._max_inflight:
-                    inflight.append(
-                        self._admit(index, entry, origin, metrics, counts)
-                    )
-                elif (
-                    self._max_backlog is None or len(backlog) < self._max_backlog
-                ):
-                    backlog.append((index, entry))
-                    counts["queued"] += 1
-                    if metrics is not None:
-                        self._queued_tally += 1
-                else:
-                    counts["rejected"] += 1
-                    if metrics is not None:
-                        metrics.inc(
-                            "fleet.rejected",
-                            reason="backlog_full",
-                            tenant=entry.tenant,
-                        )
-                    results[index] = FleetPlanResult(
-                        plan_id=entry.plan.plan_id,
-                        outcome="rejected",
-                        run=None,
-                        admitted_at=None,
-                        finished_at=None,
-                        rejection_reason="backlog_full",
-                        tenant=entry.tenant,
-                        tier=entry.tier,
-                        arrived_at=origin,
-                    )
-            try:
-                while inflight:
-                    # One round: every unfinished in-flight plan advances
-                    # one wave.  The serial backend steps them in
-                    # admission order (a crash — the dying plan's span
-                    # closing with the error, as the plain path's ``with``
-                    # would — re-raises immediately); the thread backend
-                    # overlaps them and re-raises after the round barrier.
-                    self._backend.step_round(
-                        [a.execution for a in inflight if not a.execution.finished]
-                    )
-                    # Single-pass partition instead of a finished-scan
-                    # plus per-item remove() — the round loop runs once
-                    # per wave across the whole fleet.
-                    done: list[_Active] = []
-                    still: list[_Active] = []
-                    for a in inflight:
-                        (done if a.execution.finished else still).append(a)
-                    if done:
-                        inflight[:] = still
-                    # Free slots in simulated completion order (ties by
-                    # admission index) so backlog admission times are
-                    # deterministic and physically sensible.
-                    done.sort(key=lambda a: (a.execution.plan_end, a.index))
-                    for active in done:
-                        results[active.index] = self._result_of(active, origin)
-                        if backlog:
-                            index, entry = backlog.popleft()
-                            inflight.append(
-                                self._admit(
-                                    index,
-                                    entry,
-                                    active.execution.plan_end,
-                                    metrics,
-                                    counts,
-                                )
-                            )
-            finally:
-                # Land the shared clock on the fleet's critical path —
-                # idempotent and kill-safe, exactly like the plain
-                # path's per-plan commit.
-                self._timeline.commit()
-            makespan = self._timeline.horizon - origin
-            span.set_attribute("makespan", makespan)
-            span.set_attribute("admitted", counts["admitted"])
-            span.set_attribute("queued", counts["queued"])
-            span.set_attribute("rejected", counts["rejected"])
-            return FleetResult(
-                origin=origin,
-                makespan=makespan,
-                plans=[results[i] for i in sorted(results)],
-                admitted=counts["admitted"],
-                queued=counts["queued"],
-                rejected=counts["rejected"],
-                rejected_by=(
-                    {"backlog_full": counts["rejected"]}
-                    if counts["rejected"]
-                    else {}
-                ),
-            )
+        """Drive a closed batch to its outcomes; returns the aggregate result.
+
+        A batch is an open-loop run whose offers all arrive at the origin
+        behind a plain FIFO gate (no ``admission``, no ``brownout``).  The
+        loop offers tied arrivals to the gate *before* it fills free slots,
+        so the gate's bound is ``room = max_inflight + max_backlog`` — the
+        slots free at the origin count as room — and exactly the first
+        *room* submissions run; the rest are rejected ``backlog_full``.
+        """
+        origin, backlog = self._timeline.origin, self._max_backlog
+        room = None if backlog is None else self._max_inflight + backlog
+        offers = [FleetOffer(entry, arrival=origin) for entry in entries]
+        return self._drive(offers, FifoAdmission(room), None, {})
 
     def run_offers(self, offers: Sequence[FleetOffer]) -> FleetResult:
         """Drive an open-loop arrival stream through tiered admission.
@@ -374,19 +275,27 @@ class FleetScheduler:
         PR-5 FIFO backlog, which is exactly the naive ablation the
         overload benchmark measures against.
         """
-        from ..overload import FifoAdmission
+        gate = self._admission
+        if gate is None:
+            gate = FifoAdmission(self._max_backlog)
+        return self._drive(offers, gate, self._brownout, {"mode": "open-loop"})
 
+    # ------------------------------------------------------------------
+    # Internals
+    # ------------------------------------------------------------------
+    def _drive(
+        self,
+        offers: Sequence[FleetOffer],
+        gate: "AdmissionController | FifoAdmission",
+        brownout: "BrownoutController | None",
+        span_attrs: dict[str, str],
+    ) -> FleetResult:
+        """The one scheduling loop: intake → expire → fill → step → collect."""
         obs = self._observability
         metrics = (
             obs.metrics if obs is not None and obs.metrics.enabled else None
         )
         origin = self._timeline.origin
-        gate = (
-            self._admission
-            if self._admission is not None
-            else FifoAdmission(self._max_backlog)
-        )
-        brownout = self._brownout
         results: dict[int, FleetPlanResult] = {}
         counts = {"admitted": 0, "queued": 0, "rejected": 0}
         rejected_by: dict[str, int] = {}
@@ -399,7 +308,7 @@ class FleetScheduler:
                 kind="fleet",
                 plans=len(offers),
                 max_inflight=self._max_inflight,
-                mode="open-loop",
+                **span_attrs,
             )
             if obs is not None
             else NOOP_SPAN
@@ -407,7 +316,7 @@ class FleetScheduler:
         with span:
             inflight: list[_Active] = []
 
-            def reject(index: int, offer: FleetOffer, reason: str, at: float) -> None:
+            def reject(index: int, offer: FleetOffer, reason: str) -> None:
                 counts["rejected"] += 1
                 rejected_by[reason] = rejected_by.get(reason, 0) + 1
                 if metrics is not None:
@@ -436,13 +345,13 @@ class FleetScheduler:
                         brownout.record_shed(
                             entry.plan.plan_id, entry.tenant, entry.tier, offer.arrival
                         )
-                        reject(index, offer, "shed", offer.arrival)
+                        reject(index, offer, "shed")
                         continue
                     verdict = gate.offer(
                         (index, offer), entry.tenant, entry.tier, offer.arrival
                     )
                     if verdict != gate.QUEUED:
-                        reject(index, offer, verdict, offer.arrival)
+                        reject(index, offer, verdict)
 
             def expire(at: float) -> None:
                 for item, tenant, _tier, arrival in gate.expire(at):
@@ -468,10 +377,10 @@ class FleetScheduler:
                     )
                     if metrics is not None:
                         metrics.inc("overload.expired", tenant=tenant)
-                    reject(index, offer, "deadline_expired", at)
+                    reject(index, offer, "deadline_expired")
 
-            def fill(at: float) -> None:
-                while len(inflight) < self._max_inflight:
+            def fill(at: float, held: int) -> None:
+                while len(inflight) + held < self._max_inflight:
                     popped = gate.pop(at)
                     if popped is None:
                         return
@@ -484,20 +393,12 @@ class FleetScheduler:
                         else (entry.plan, {})
                     )
                     if plan is not entry.plan:
-                        entry = FleetEntry(
-                            plan=plan,
-                            coordinator=entry.coordinator,
-                            budget=entry.budget,
-                            tenant=entry.tenant,
-                            tier=entry.tier,
-                        )
+                        entry = replace(entry, plan=plan)
                     if start > arrival:
                         counts["queued"] += 1
                         if metrics is not None:
                             self._queued_tally += 1
-                    active = self._admit(
-                        index, entry, start, metrics, counts, arrived_at=arrival
-                    )
+                    active = self._admit(index, entry, start, arrival, metrics, counts)
                     if actions:
                         plan_span = active.execution.span
                         plan_span.set_attribute("brownout_level", actions["level"])
@@ -515,12 +416,14 @@ class FleetScheduler:
                             )
                     inflight.append(active)
 
-            def on_event(at: float) -> None:
+            def on_event(at: float, held: int = 0) -> None:
+                # *held*: slots of this round's finishers whose own
+                # completion instant has not been reached yet.
                 intake(at)
                 expire(at)
                 if brownout is not None:
                     brownout.observe(gate.depth(), at)
-                fill(at)
+                fill(at, held)
 
             on_event(origin)
             try:
@@ -542,16 +445,35 @@ class FleetScheduler:
                         and len(inflight) < self._max_inflight
                     ):
                         on_event(pending[0][1].arrival)
+                    # One round: every unfinished in-flight plan advances
+                    # one wave.  The serial backend steps them in
+                    # admission order (a crash — the dying plan's span
+                    # closing with the error, as the plain path's ``with``
+                    # would — re-raises immediately); the thread backend
+                    # overlaps them and re-raises after the round barrier.
                     self._backend.step_round(
                         [a.execution for a in inflight if not a.execution.finished]
                     )
-                    done = [a for a in inflight if a.execution.finished]
+                    # Single-pass partition, not a finished-scan plus
+                    # per-item remove(): this runs once per wave, fleet-wide.
+                    done: list[_Active] = []
+                    still: list[_Active] = []
+                    for a in inflight:
+                        (done if a.execution.finished else still).append(a)
+                    if done:
+                        inflight[:] = still
+                    # Free slots in simulated completion order (ties by
+                    # admission index), each at its finisher's own end, so
+                    # backlog admission times are deterministic and
+                    # physically sensible.
                     done.sort(key=lambda a: (a.execution.plan_end, a.index))
-                    for active in done:
-                        inflight.remove(active)
-                        results[active.index] = self._result_of(active, origin)
-                        on_event(active.execution.plan_end)
+                    for released, active in enumerate(done, start=1):
+                        results[active.index] = self._result_of(active)
+                        on_event(active.execution.plan_end, len(done) - released)
             finally:
+                # Land the shared clock on the fleet's critical path —
+                # idempotent and kill-safe, exactly like the plain
+                # path's per-plan commit.
                 self._timeline.commit()
             makespan = self._timeline.horizon - origin
             span.set_attribute("makespan", makespan)
@@ -575,17 +497,14 @@ class FleetScheduler:
                 rejected_by=rejected_by,
             )
 
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
     def _admit(
         self,
         index: int,
         entry: FleetEntry,
         at: float,
+        arrived_at: float,
         metrics,
         counts: dict[str, int],
-        arrived_at: float | None = None,
     ) -> _Active:
         # Rebase to the admission instant so the journal's plan_started
         # stamp (and everything else admission touches) reads it — a
@@ -602,25 +521,19 @@ class FleetScheduler:
         counts["admitted"] += 1
         if metrics is not None:
             self._admitted_tally += 1
-            # Batch runs measure waits from the fleet origin; open-loop
-            # runs from each plan's own arrival instant.
-            wait_base = (
-                arrived_at if arrived_at is not None else self._timeline.origin
-            )
-            self._h_queue_wait.observe(at - wait_base)
-        return _Active(index, entry, execution, at, arrived_at=arrived_at)
+            self._h_queue_wait.observe(at - arrived_at)
+        return _Active(index, entry, execution, at, arrived_at)
 
-    def _result_of(self, active: _Active, origin: float) -> FleetPlanResult:
+    def _result_of(self, active: _Active) -> FleetPlanResult:
         run = active.execution.result
-        arrived = active.arrived_at if active.arrived_at is not None else origin
         return FleetPlanResult(
             plan_id=active.entry.plan.plan_id,
             outcome=run.status if run is not None else "failed",
             run=run,
             admitted_at=active.admitted_at,
             finished_at=active.execution.plan_end,
-            queue_wait=active.admitted_at - arrived,
+            queue_wait=active.admitted_at - active.arrived_at,
             tenant=active.entry.tenant,
             tier=active.entry.tier,
-            arrived_at=arrived,
+            arrived_at=active.arrived_at,
         )

@@ -16,7 +16,7 @@ Example:
 from __future__ import annotations
 
 import json
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from ..clock import SimClock
 from ..llm import (
@@ -205,23 +205,13 @@ class Blueprint:
         lifecycle); a string-built thread backend is closed on return.
         """
         self._wire_fleet_contention(single_flight, capacity, batching)
-        engine = resolve_backend(backend)
-        owns_backend = isinstance(backend, str) and engine is not SERIAL
         entries = [self._prepare_entry(item, journal) for item in submissions]
-        timeline = VirtualTimeline(self.clock)
-        scheduler = FleetScheduler(
-            timeline,
-            self.clock,
+        return self._schedule(
+            lambda scheduler: scheduler.run(entries),
+            backend,
             max_inflight=max_inflight,
             max_backlog=max_backlog,
-            observability=self.observability,
-            backend=engine,
         )
-        try:
-            return scheduler.run(entries)
-        finally:
-            if owns_backend:
-                engine.close()
 
     def run_traffic(
         self,
@@ -250,7 +240,9 @@ class Blueprint:
         *admission* is an
         :class:`~repro.core.overload.AdmissionController` (None = the
         PR-5 FIFO backlog bounded by *max_backlog* — the naive
-        ablation); *brownout* an optional
+        ablation).  A controller carries its own bounds, so passing
+        *max_backlog* with one raises ``ValueError`` instead of silently
+        dropping the bound.  *brownout* is an optional
         :class:`~repro.core.overload.BrownoutController`.  Everything
         else matches :meth:`run_fleet`.
         """
@@ -274,21 +266,34 @@ class Blueprint:
                     arrival=origin + arrival.time,
                 )
             )
-        engine = resolve_backend(backend)
-        owns_backend = isinstance(backend, str) and engine is not SERIAL
-        timeline = VirtualTimeline(self.clock)
-        scheduler = FleetScheduler(
-            timeline,
-            self.clock,
+        return self._schedule(
+            lambda scheduler: scheduler.run_offers(offers),
+            backend,
             max_inflight=max_inflight,
             max_backlog=max_backlog,
-            observability=self.observability,
             admission=admission,
             brownout=brownout,
-            backend=engine,
         )
+
+    def _schedule(
+        self,
+        drive: Callable[[FleetScheduler], FleetResult],
+        backend: "str | ExecutionBackend",
+        **options: Any,
+    ) -> FleetResult:
+        """Shared tail of :meth:`run_fleet` / :meth:`run_traffic`: build a
+        scheduler on a fresh timeline, *drive* it, close an owned backend."""
+        engine = resolve_backend(backend)
+        owns_backend = isinstance(backend, str) and engine is not SERIAL
         try:
-            return scheduler.run_offers(offers)
+            scheduler = FleetScheduler(
+                VirtualTimeline(self.clock),
+                self.clock,
+                observability=self.observability,
+                backend=engine,
+                **options,
+            )
+            return drive(scheduler)
         finally:
             if owns_backend:
                 engine.close()

@@ -8,6 +8,7 @@ from repro.core.budget import Budget
 from repro.core.context import AgentContext
 from repro.core.coordinator import TaskCoordinator
 from repro.core.fleet import FleetEntry, FleetScheduler, FleetSubmission
+from repro.core.overload import AdmissionController
 from repro.core.params import Parameter
 from repro.core.plan import Binding, TaskPlan
 from repro.core.runtime import Blueprint
@@ -68,6 +69,23 @@ class TestFleetScheduling:
             FleetScheduler(VirtualTimeline(clock), clock, max_inflight=0)
         with pytest.raises(ValueError):
             FleetScheduler(VirtualTimeline(clock), clock, max_backlog=-1)
+
+    def test_admission_and_max_backlog_are_exclusive(self, harness):
+        """A controller carries its own bounds, so a ``max_backlog`` beside
+        one would bound nothing: refused at construction, not dropped."""
+        clock, _ = harness
+        gate = AdmissionController()
+        with pytest.raises(ValueError, match="max_backlog"):
+            FleetScheduler(
+                VirtualTimeline(clock), clock, admission=gate, max_backlog=12
+            )
+        with pytest.raises(ValueError, match="max_backlog"):
+            Blueprint().run_traffic(
+                [], lambda arrival: None, admission=gate, max_backlog=12
+            )
+        # Either alone is fine.
+        FleetScheduler(VirtualTimeline(clock), clock, admission=gate)
+        FleetScheduler(VirtualTimeline(clock), clock, max_backlog=12)
 
     def test_concurrent_makespan_is_max_not_sum(self, harness):
         clock, store = harness

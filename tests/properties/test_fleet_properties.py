@@ -26,6 +26,12 @@ Acceptance criteria for fleet execution:
   interleaving) may differ.  A failed wave is the one defined
   divergence: serial stops at the first failing node, thread mode has
   already started its siblings, so serial's executed set is a subset.
+
+* **The batch admission law.**  A closed batch admits exactly the first
+  ``max_inflight + max_backlog`` submissions by index — the window at
+  the origin, the rest each at the end of the next finisher in
+  ``(plan_end, index)`` order — and rejects the remainder
+  ``backlog_full``; never more than ``max_inflight`` run at once.
 """
 
 from hypothesis import given, settings
@@ -51,6 +57,7 @@ from repro.core.runtime import Blueprint
 from repro.core.scheduler import VirtualTimeline
 from repro.core.session import SessionManager
 from repro.errors import CoordinatorKilledError
+from repro.observability import Observability
 from repro.streams import StreamStore
 from repro.streams.persistence import export_json
 
@@ -389,3 +396,158 @@ class TestFleetDeterminism:
 
         assert by_plan(permuted) == by_plan(base)
         assert permuted.makespan == base.makespan
+
+
+def run_chain_batch(depths, paces, max_inflight, max_backlog, backend=None):
+    """A closed batch of chain plans: plan ``i`` (``p{i:02d}``) is
+    ``depths[i]`` stages of ``paces[i]`` simulated seconds each.
+
+    Returns ``(result, fleet.queued metric)``.
+    """
+    clock = SimClock()
+    store = StreamStore(clock)
+    observability = Observability(clock)
+    entries = []
+    for index, (depth, pace) in enumerate(zip(depths, paces)):
+        session = SessionManager(store).create(f"batch-{index:02d}")
+        budget = Budget(clock=clock)
+        context = AgentContext(
+            store=store, session=session, clock=clock, budget=budget
+        )
+
+        def stage(name, budget=budget, pace=pace):
+            def fn(inputs):
+                budget.charge(f"agent:{name}", cost=0.01, latency=pace)
+                return {"OUT": f"{name}({inputs['IN']})"}
+
+            return FunctionAgent(
+                name, fn,
+                inputs=(Parameter("IN", "text"),),
+                outputs=(Parameter("OUT", "text"),),
+            )
+
+        plan = TaskPlan(f"p{index:02d}", goal="chain")
+        for i in range(depth):
+            stage(f"STAGE{i}").attach(context)
+            source = (
+                Binding.const("go") if i == 0 else Binding.from_node(f"n{i - 1}", "OUT")
+            )
+            plan.add_step(f"n{i}", f"STAGE{i}", {"IN": source})
+        coordinator = TaskCoordinator(parallel=True)
+        coordinator.attach(context)
+        entries.append(FleetEntry(plan=plan, coordinator=coordinator))
+    scheduler = FleetScheduler(
+        VirtualTimeline(clock),
+        clock,
+        max_inflight=max_inflight,
+        max_backlog=max_backlog,
+        observability=observability,
+        backend=backend,
+    )
+    result = scheduler.run(entries)
+    return result, observability.metrics.snapshot().get("fleet.queued", 0.0)
+
+
+def plan_facts(result):
+    return [
+        (
+            p.plan_id, p.outcome, p.admitted_at, p.finished_at, p.queue_wait,
+            p.rejection_reason, p.arrived_at,
+            dict(p.run.node_outputs) if p.run else None,
+        )
+        for p in result.plans
+    ]
+
+
+class TestBatchAdmissionLaw:
+    """The closed batch's admission contract: ``max_inflight`` slots plus
+    ``max_backlog`` FIFO places, in submission order, nothing else."""
+
+    @given(
+        depths=st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=10),
+        # None = every stage takes one second, so a round is a second and
+        # completions are globally ordered; otherwise per-plan stage paces
+        # (binary-exact) make one round's finishers end at different times.
+        paces=st.one_of(
+            st.none(),
+            st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=10, max_size=10),
+        ),
+        max_inflight=st.integers(min_value=1, max_value=4),
+        max_backlog=st.sampled_from([None, 0, 1, 3]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_first_room_submissions_run_rest_rejected(
+        self, depths, paces, max_inflight, max_backlog
+    ):
+        uniform = paces is None
+        paces = [1.0] * len(depths) if uniform else paces[: len(depths)]
+        result, queued_metric = run_chain_batch(
+            depths, paces, max_inflight, max_backlog
+        )
+        origin = result.origin
+        room = len(depths) if max_backlog is None else max_inflight + max_backlog
+        admitted = result.plans[:room]
+        rejected = result.plans[room:]
+
+        # Exactly the first *room* submissions, by index, are admitted.
+        assert [p.plan_id for p in result.plans] == [
+            f"p{i:02d}" for i in range(len(depths))
+        ]
+        assert [p.outcome for p in admitted] == ["completed"] * len(admitted)
+        assert result.admitted == len(admitted)
+        for p in rejected:
+            assert (p.outcome, p.rejection_reason) == ("rejected", "backlog_full")
+            assert (p.run, p.admitted_at, p.finished_at) == (None, None, None)
+            assert p.arrived_at == origin
+        assert result.rejected == len(rejected)
+        assert result.rejected_by == (
+            {"backlog_full": len(rejected)} if rejected else {}
+        )
+
+        # Whoever did not fit the window at the origin waited in the backlog.
+        window = min(len(admitted), max_inflight)
+        assert result.queued == len(admitted) - window == queued_metric
+        assert [p.admitted_at for p in admitted[:window]] == [origin] * window
+
+        # Never more than max_inflight [admitted_at, finished_at) overlap.
+        edges = sorted(
+            edge
+            for p in admitted
+            for edge in ((p.finished_at, -1), (p.admitted_at, +1))
+        )
+        running = peak = 0
+        for _, delta in edges:
+            running += delta
+            peak = max(peak, running)
+        assert peak <= max_inflight
+
+        # Each backlog plan takes the slot one finisher freed, at that
+        # finisher's own end, and no finisher's slot is taken twice ...
+        finishers = sorted((p.finished_at, i) for i, p in enumerate(admitted))
+        free = [freed_at for freed_at, _ in finishers]
+        for p in admitted[window:]:
+            free.remove(p.admitted_at)
+            assert p.queue_wait == p.admitted_at - origin
+            assert p.arrived_at == origin
+        # ... and at a uniform pace, backlog order is (plan_end, index) order.
+        if uniform:
+            assert [p.admitted_at for p in admitted[window:]] == [
+                freed_at for freed_at, _ in finishers[: len(admitted) - window]
+            ]
+
+        # The thread backend reaches the same FleetResult.
+        engine = ThreadBackend()
+        try:
+            threaded, threaded_metric = run_chain_batch(
+                depths, paces, max_inflight, max_backlog, backend=engine
+            )
+        finally:
+            engine.close()
+        assert plan_facts(threaded) == plan_facts(result)
+        assert (
+            threaded.makespan, threaded.admitted, threaded.queued,
+            threaded.rejected, threaded.rejected_by, threaded_metric,
+        ) == (
+            result.makespan, result.admitted, result.queued,
+            result.rejected, result.rejected_by, queued_metric,
+        )

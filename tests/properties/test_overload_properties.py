@@ -18,6 +18,8 @@ Acceptance criteria:
   shipping the control plane changes nothing for closed-loop users.
 """
 
+import json
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -156,3 +158,55 @@ class TestOverloadDisabledMatchesBatchFleet:
         assert batch.makespan == open_loop.makespan
         assert batch.admitted == open_loop.admitted
         assert open_loop.rejected == 0
+        # One loop serves both: every remaining result field, the stream
+        # export, and the span tree agree — the fleet span's ``mode``
+        # attribute is the only byte that says which door was used.
+        assert [
+            (p.queue_wait, p.arrived_at, p.tenant, p.tier, p.rejection_reason)
+            for p in batch.plans
+        ] == [
+            (p.queue_wait, p.arrived_at, p.tenant, p.tier, p.rejection_reason)
+            for p in open_loop.plans
+        ]
+        assert (batch.queued, batch.rejected_by) == (
+            open_loop.queued, open_loop.rejected_by,
+        )
+        assert export_json(batch_bp.store) == export_json(open_bp.store)
+        open_trace = json.loads(open_bp.trace_export())
+        (fleet_span,) = [s for s in open_trace["spans"] if s["kind"] == "fleet"]
+        assert fleet_span["attributes"].pop("mode") == "open-loop"
+        assert batch_bp.trace_export() == json.dumps(open_trace, sort_keys=True)
+
+    def test_tied_arrivals_meet_the_bound_before_the_fill(self):
+        """The open loop's tie rule — the one place it differs from a
+        batch: arrivals tied at an instant are all offered to the gate
+        before any free slot is filled, so a bounded FIFO refuses the
+        second of two tied arrivals even on an idle two-slot fleet.  A
+        batch of the same two plans runs both, which is why
+        ``FleetScheduler.run`` counts the free slots as room."""
+        def tied(bp):
+            arrivals = demo_traffic(seed=3, horizon=8.0).generate()[:2]
+            return [
+                type(a)(
+                    time=0.0, tenant=a.tenant, tier=a.tier,
+                    index=a.index, multiplier=a.multiplier,
+                )
+                for a in arrivals
+            ]
+
+        open_bp = Blueprint()
+        open_loop = open_bp.run_traffic(
+            tied(open_bp), demo_submission,
+            max_inflight=2, max_backlog=1, single_flight=False,
+        )
+        assert [p.outcome for p in open_loop.plans] == ["completed", "rejected"]
+        assert open_loop.plans[1].rejection_reason == "backlog_full"
+        assert open_loop.queued == 0
+
+        batch_bp = Blueprint()
+        batch = batch_bp.run_fleet(
+            [demo_submission(a) for a in tied(batch_bp)],
+            max_inflight=2, max_backlog=1, single_flight=False,
+        )
+        assert [p.outcome for p in batch.plans] == ["completed", "completed"]
+        assert batch.queued == 0
