@@ -30,7 +30,7 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
-from typing import Any, TYPE_CHECKING
+from typing import Any, Sequence, TYPE_CHECKING
 
 from ...clock import SimClock
 from ...errors import StorageError
@@ -154,6 +154,21 @@ class StoreCluster:
     def broadcast(self, op: dict[str, Any]) -> list[Any]:
         """Append *op* to every shard (DDL: create collection/table/index)."""
         return [self.append_to(index, op) for index in range(self.n_shards)]
+
+    def append_each(self, shard_indices: Sequence[int], op: dict[str, Any]) -> int:
+        """Append *op* to each listed shard; the summed counts (update/delete)."""
+        return sum(self.append_to(index, op) for index in shard_indices)
+
+    def scan_stats(
+        self, shard_indices: Sequence[int], pruned: bool, **labels: Any
+    ) -> dict[str, Any]:
+        """Count one read fan-out as ``cluster.shards_scanned``; its summary."""
+        self._metric("cluster.shards_scanned", float(len(shard_indices)), **labels)
+        return {
+            "shards_scanned": len(shard_indices),
+            "shards_total": self.n_shards,
+            "pruned": pruned,
+        }
 
     def quorum_state(self, key: str) -> Any:
         """Majority-read state for the shard owning *key* (point reads)."""

@@ -194,31 +194,21 @@ class ClusteredCollection(Collection):
         if "_id" in changes:
             raise StorageError("cannot change _id")
         shards, _ = self.shards_for_filter(filter_spec)
-        return sum(
-            self._cluster.append_to(
-                shard,
-                {
-                    "op": "update",
-                    "collection": self.name,
-                    "filter": dict(filter_spec),
-                    "changes": dict(changes),
-                },
-            )
-            for shard in shards
+        return self._cluster.append_each(
+            shards,
+            {
+                "op": "update",
+                "collection": self.name,
+                "filter": dict(filter_spec),
+                "changes": dict(changes),
+            },
         )
 
     def delete(self, filter_spec: Mapping[str, Any]) -> int:
         shards, _ = self.shards_for_filter(filter_spec)
-        return sum(
-            self._cluster.append_to(
-                shard,
-                {
-                    "op": "delete",
-                    "collection": self.name,
-                    "filter": dict(filter_spec),
-                },
-            )
-            for shard in shards
+        return self._cluster.append_each(
+            shards,
+            {"op": "delete", "collection": self.name, "filter": dict(filter_spec)},
         )
 
     # ------------------------------------------------------------------
@@ -266,17 +256,12 @@ class ClusteredCollection(Collection):
 
             results = [project(document, fields) for document in results]
         self.last_find_stats = {
-            "shards_scanned": len(indices),
-            "shards_total": self._cluster.n_shards,
-            "pruned": pruned,
+            **self._cluster.scan_stats(indices, pruned, collection=self.name),
             "docs_scanned": docs_scanned,
             "rows": len(results),
         }
         self._cluster._metric(
             "cluster.docs_scanned", float(docs_scanned), collection=self.name
-        )
-        self._cluster._metric(
-            "cluster.shards_scanned", float(len(indices)), collection=self.name
         )
         return results
 

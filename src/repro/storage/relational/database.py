@@ -6,11 +6,13 @@ import threading
 from typing import Any, Iterable, TYPE_CHECKING
 
 from ...errors import StorageError
+from ...observability.span import NOOP_SPAN
 from ..schema import Column, ColumnType, TableSchema
 from .table import Table
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...observability import Observability
+    from ...observability.span import Span
     from .view import ConcatTable
 
 
@@ -84,18 +86,27 @@ class Database:
     # ------------------------------------------------------------------
     def execute(self, sql: str, parameters: dict[str, Any] | None = None) -> "SQLResult":
         """Parse and execute a SQL statement against this database."""
-        from .sql import execute_sql
-
+        parameters = parameters or {}
         obs = self.observability
         if obs is None:
-            return execute_sql(self, sql, parameters)
+            return self._run(sql, parameters, NOOP_SPAN)
         with obs.span(f"sql:{self.name}", kind="storage", database=self.name) as span:
-            result = execute_sql(self, sql, parameters)
+            result = self._run(sql, parameters, span)
             span.set_attribute("statement_kind", result.statement_kind)
             span.set_attribute("rows", len(result.rows))
             obs.metrics.inc("storage.queries", database=self.name)
             obs.metrics.inc("storage.rows", len(result.rows), database=self.name)
             return result
+
+    def _run(self, sql: str, parameters: dict[str, Any], span: "Span") -> "SQLResult":
+        """How one statement is answered, inside :meth:`execute`'s span.
+
+        A database that is not one catalog of local tables overrides this
+        and may put what it knows about the statement on *span*.
+        """
+        from .sql import execute_sql
+
+        return execute_sql(self, sql, parameters)
 
     def query(self, sql: str, parameters: dict[str, Any] | None = None) -> list[dict[str, Any]]:
         """Execute a SELECT and return its rows."""

@@ -4,7 +4,9 @@ import pytest
 
 from repro.clock import SimClock
 from repro.errors import StorageError
+from repro.observability import Observability
 from repro.storage.cluster import ShardedDatabase
+from repro.storage.relational import Database
 from repro.storage.schema import Column, ColumnType, TableSchema
 
 
@@ -122,12 +124,10 @@ class TestDistributedQueries:
             everything.rows, key=lambda r: (-r["age"], r["id"])
         )[:7]
         assert result.rows == expected
-        assert db.last_execute_stats["path"] == "pushdown"
 
     def test_aggregate_gathers(self, db):
         result = db.execute("SELECT COUNT(*) AS n FROM people")
         assert result.scalar() == 100
-        assert db.last_execute_stats["path"] == "gather"
 
     def test_group_by_gathers_globally(self, db):
         result = db.execute(
@@ -157,6 +157,25 @@ class TestDistributedQueries:
         result = db.execute("SELECT * FROM people WHERE city = 'Austin'")
         assert len(result.rows) == 21
         assert db.last_execute_stats["shards_scanned"] == 1
+
+    def test_insert_values_are_evaluated_at_the_router(self, db):
+        db.execute(
+            "INSERT INTO people (id, name, city, age) "
+            "VALUES (1001, UPPER('new'), 'Aus' || 'tin', :base + 1)",
+            {"base": 30},
+        )
+        result = db.execute(
+            "SELECT name, age FROM people WHERE city = 'Austin' AND id = 1001"
+        )
+        assert result.rows == [{"name": "NEW", "age": 31}]
+        assert db.last_execute_stats["shards_scanned"] == 1
+
+    def test_insert_value_count_mismatch_rejected(self, db):
+        with pytest.raises(StorageError, match="count mismatch"):
+            db.execute(
+                "INSERT INTO people (id, name, city, age) VALUES (1002, 'x', 'Austin')"
+            )
+        assert len(db.table("people")) == 100
 
 
 class TestFailover:
@@ -212,10 +231,126 @@ class TestCrossShardDuplicateKey:
             {"city": here},
         )
         assert result.scalar() == 1
-        assert db.last_execute_stats["path"] == "gather"
         assert db.last_execute_stats["shards_scanned"] == 1
 
-    def test_pushdown_returns_both_rows(self, db, split):
-        result = db.execute("SELECT city, age FROM people WHERE id = 500")
-        assert db.last_execute_stats["path"] == "pushdown"
-        assert sorted(r["city"] for r in result.rows) == sorted(split)
+    def test_select_of_both_slices_raises(self, db, split):
+        for sql in (
+            "SELECT city, age FROM people WHERE id = 500",
+            "SELECT * FROM people",
+            "SELECT name FROM people ORDER BY age LIMIT 3",
+        ):
+            with pytest.raises(StorageError, match="duplicate primary key 500"):
+                db.execute(sql)
+
+    def test_select_pruned_to_one_shard_answers(self, db, split):
+        here, _ = split
+        result = db.execute(
+            "SELECT city, age FROM people WHERE id = 500 AND city = :city",
+            {"city": here},
+        )
+        assert result.rows == [{"city": here, "age": 1}]
+
+
+def people_rows(nulls):
+    """Distinct ages (37 is a unit mod 101), so no ORDER BY age ties —
+    except among the NULLs, when asked for."""
+    return [
+        {"id": i, "name": f"n{i}", "city": CITIES[i % 5],
+         "age": None if nulls and i % 7 == 0 else (i * 37) % 101}
+        for i in range(60)
+    ]
+
+
+def sharded_and_single(rows):
+    sharded = ShardedDatabase("hr", n_shards=4, n_replicas=3,
+                              clock=SimClock(), seed=5)
+    table = sharded.create_table(people_schema(), partition_column="city")
+    table.insert_many(rows)
+    assert len({table.shard_for_value(city) for city in CITIES}) >= 2
+    single = Database("hr")
+    single.create_table(people_schema()).insert_many(rows)
+    return sharded, single
+
+
+class TestMatchesSingleNode:
+    """A sharded SELECT returns, row for row, what a single-node
+    ``Database`` holding the same rows returns."""
+
+    @pytest.mark.parametrize("sql", [
+        # the sort column is not projected
+        "SELECT name FROM people ORDER BY age DESC LIMIT 5",
+        # ... and is reached through a table alias
+        "SELECT p.name AS who FROM people p ORDER BY p.age LIMIT 5",
+        "SELECT p.name AS who, p.age AS years FROM people p ORDER BY p.age DESC LIMIT 5",
+    ])
+    def test_order_by_limit(self, sql):
+        sharded, single = sharded_and_single(people_rows(nulls=False))
+        assert sharded.execute(sql).rows == single.execute(sql).rows
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT name FROM people ORDER BY age, id LIMIT 12",
+        "SELECT name FROM people ORDER BY age DESC, id",
+        "SELECT id, age FROM people ORDER BY age, id LIMIT 12",
+        "SELECT id, age FROM people ORDER BY age DESC, id",
+    ])
+    def test_null_bearing_sort_column(self, sql):
+        sharded, single = sharded_and_single(people_rows(nulls=True))
+        assert sharded.execute(sql).rows == single.execute(sql).rows
+
+
+class TestShardedDDL:
+    def shard_tables(self, db, name):
+        return [state.table(name) for state in db.cluster.primary_states()]
+
+    def test_create_table_broadcasts_and_partitions_by_primary_key(self, db):
+        result = db.execute(
+            "CREATE TABLE notes (id INT PRIMARY KEY, body TEXT NOT NULL)"
+        )
+        assert result.statement_kind == "create_table"
+        assert db.table("notes").partition_column == "id"
+        assert len(self.shard_tables(db, "notes")) == 4
+        db.execute("INSERT INTO notes (id, body) VALUES (1, 'a'), (2, 'b'), (3, 'c')")
+        assert db.execute("SELECT COUNT(*) AS n FROM notes").scalar() == 3
+        with pytest.raises(StorageError, match="table already exists"):
+            db.execute("CREATE TABLE notes (id INT PRIMARY KEY)")
+
+    def test_create_index_broadcasts(self, db):
+        result = db.execute("CREATE INDEX by_age ON people (age) USING sorted")
+        assert result.statement_kind == "create_index"
+        for table in self.shard_tables(db, "people"):
+            assert table.indexed_columns()["age"] == "sorted"
+
+    def test_unknown_index_kind_rejected_before_any_append(self, db):
+        with pytest.raises(StorageError, match="unknown index kind"):
+            db.execute("CREATE INDEX by_age ON people (age) USING btree")
+        # no replica logged the statement: a primary that had would lose
+        # the next write to its shard
+        for shard in db.cluster.shards:
+            assert len({replica.log_digest() for replica in shard.replicas}) == 1
+        db.table("people").insert_many(
+            {"id": 100 + i, "name": "late", "city": city, "age": 1}
+            for i, city in enumerate(CITIES)
+        )
+        assert db.execute("SELECT COUNT(*) AS n FROM people").scalar() == 105
+
+
+class TestSqlSpan:
+    def test_span_attributes_and_tallies(self, db):
+        obs = Observability(SimClock())
+        db.observability = obs
+        db.execute("SELECT name FROM people WHERE city = 'Austin'")
+        db.execute("UPDATE people SET age = 1 WHERE age >= 50")
+        db.execute("CREATE INDEX by_age ON people (age)")
+        spans = [span.to_dict() for span in obs.tracer.spans()]
+        assert [span["name"] for span in spans] == ["sql:hr"] * 3
+        assert {span["kind"] for span in spans} == {"storage"}
+        assert [span["attributes"] for span in spans[:2]] == [
+            {"database": "hr", "statement_kind": "select", "rows": 20,
+             "shards_scanned": 1, "shards_total": 4, "pruned": True},
+            {"database": "hr", "statement_kind": "update", "rows": 0,
+             "shards_scanned": 4, "shards_total": 4, "pruned": False},
+        ]
+        assert spans[2]["attributes"]["statement_kind"] == "create_index"
+        snapshot = obs.metrics.snapshot()
+        assert snapshot["storage.queries{database=hr}"] == 3
+        assert snapshot["storage.rows{database=hr}"] == 20
