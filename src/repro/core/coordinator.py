@@ -30,7 +30,7 @@ are for decentralized tag-triggered fan-out, where no one waits on them.)
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Any, TYPE_CHECKING
+from typing import Any, Callable, TYPE_CHECKING
 
 from ..errors import CoordinationError
 from ..streams import Instruction
@@ -105,25 +105,20 @@ class PlanRun:
 class PlanExecution:
     """One plan's wave-stepped execution state machine.
 
-    Wraps the coordinator's wave loop as an explicit stepper: each
-    :meth:`step` drives one dependency wave to completion.  The plain
-    ``execute_plan`` path steps it in a tight loop — messages, journal
-    writes, and charges are identical to the pre-stepper loop — while the
-    fleet runtime round-robins ``step()`` across many admitted plans over
-    one *shared* :class:`VirtualTimeline`, which turns N plans' total
-    simulated makespan from the sum of their critical paths into their
-    max plus contention.
+    Every plan the coordinator runs is one of these, begun by
+    ``TaskCoordinator._begin``: each :meth:`step` drives one dependency
+    wave (*parallel*: ``plan.waves()``, each node on a timeline branch
+    from its predecessors' latest end; else ``plan.order()`` singly).
+    ``execute_plan`` steps it in a tight loop; the fleet round-robins
+    ``step()`` across many admitted plans over one *shared*
+    :class:`VirtualTimeline`, turning their simulated makespan from the
+    sum of their critical paths into the max plus contention.
 
-    Ownership is split so both paths stay correct:
-
-    * ``owns_timeline`` — the plain path creates a fresh timeline per
-      plan and commits it when done; fleet executions borrow the shared
-      one and must NOT commit it (the fleet does, once, at the end).
-    * ``owns_span`` — the plain path's span is managed by
-      ``execute_plan``'s ``with`` block; fleet executions carry their
-      own admission-opened span, suspended between steps and finalized
-      (status attributes, end stamp at the plan's own critical path)
-      when the plan concludes.
+    The execution holds its ``plan:<id>`` span and ends it itself, once
+    (``_conclude``, or :meth:`abandon` on a crash).  What depends on the
+    holder follows from the timeline: with none lent the execution owns
+    its time and commits it when it ends; a lent one is shared with other
+    plans, committed by its lender, and the span is parked between steps.
     """
 
     def __init__(
@@ -135,31 +130,33 @@ class PlanExecution:
         attempt: int,
         *,
         parallel: bool,
-        timeline: VirtualTimeline | None,
-        owns_timeline: bool = True,
-        span: Any = None,
-        owns_span: bool = False,
+        span: Any,
+        timeline: VirtualTimeline | None = None,
         start_at: float | None = None,
         backend: ExecutionBackend | None = None,
     ) -> None:
+        context = coordinator._require_context()
         self.coordinator = coordinator
         self.plan = plan
         self.run = run
         self.budget = budget
         self.attempt = attempt
+        self.owns_timeline = timeline is None
+        if timeline is None and parallel:
+            timeline = VirtualTimeline(context.clock)
         self.timeline = timeline
-        self.owns_timeline = owns_timeline
         self.backend: ExecutionBackend = backend if backend is not None else SERIAL
         self.span = span
-        self._owns_span = owns_span
         self._parallel = parallel
         if parallel:
             self._schedule: list[list[TaskNode]] = plan.waves()
         else:
             self._schedule = [[node] for node in plan.order()]
-        context = coordinator._require_context()
         obs = context.observability
-        self._tracer = obs.tracer if obs is not None else None
+        self._tracer = obs.tracer if obs is not None and obs.tracer.enabled else None
+        if self._tracer is not None and not self.owns_timeline:
+            # Interleaved with other plans: each stage re-enters the span.
+            self._tracer.suspend(span)
         if start_at is not None:
             self.start_at = float(start_at)
         elif timeline is not None:
@@ -174,79 +171,55 @@ class PlanExecution:
     @property
     def plan_end(self) -> float:
         """This plan's own critical path end (its branch ends' max)."""
-        if not self._ends:
-            return self.start_at
-        return max(self._ends.values())
+        return max(self._ends.values(), default=self.start_at)
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def admit(self) -> bool:
-        """Validate participants and journal the admission record.
-
-        Returns False when the plan cannot run (an absent agent); the
-        run is then already marked failed and, for span-owning (fleet)
-        executions, concluded.
-        """
-        coordinator = self.coordinator
-        context = coordinator._require_context()
-        journal = coordinator._journal
-        run = self.run
-        # A control message addressed to an absent agent would dissolve
-        # silently; require every planned agent to be in the session.
-        participants = set(context.session.participants())
-        absent = sorted({n.agent for n in self.plan.nodes()} - participants)
-        if absent:
-            run.status = "failed"
-            run.abort_reason = f"agents not present in session: {absent}"
-            if journal is not None and run.resumed:
-                journal.plan_finished(run.plan_id, "failed", reason=run.abort_reason)
-            self._conclude(run)
-            return False
-        if journal is not None and not run.resumed:
-            journal.plan_started(
-                self.plan,
-                qos=self.budget.qos if self.budget is not None else None,
-                attempt=self.attempt,
-            )
-        return True
+    def admit(self) -> None:
+        """Validate participants and journal the admission record; a plan
+        that cannot run (an absent agent) is concluded here as failed."""
+        self._guarded(self._admit)
 
     def step(self) -> bool:
-        """Execute the next wave; returns True while more work remains.
-
-        A span-owning execution re-enters its suspended plan span for the
-        duration of the step, so node/agent/llm spans opened inside
-        parent correctly even when steps of many plans interleave.
-        """
+        """Execute the next wave; returns True while more work remains."""
         if self.finished:
             return False
-        if self._owns_span and self.span is not None and self._tracer is not None:
-            with self._tracer.use(self.span):
-                self._step_wave()
-        else:
-            self._step_wave()
+        self._guarded(self._step_wave)
         return not self.finished
 
-    def close(self) -> None:
-        """Commit an owned timeline (idempotent; safe after a crash)."""
-        if self.owns_timeline and self.timeline is not None:
-            self.timeline.commit()
+    def _guarded(self, stage: Callable[[], None]) -> None:
+        """Run one lifecycle *stage* under the plan span.
+
+        A parked span is re-entered, so node/agent/llm spans opened inside
+        parent correctly even when steps of many plans interleave.  This
+        is the one place a crash lands: whatever unwinds out of the stage
+        (a chaos kill) abandons the execution and propagates.
+        """
+        try:
+            if self._tracer is not None and not self.owns_timeline:
+                with self._tracer.use(self.span):
+                    stage()
+            else:
+                stage()
+        except BaseException as error:
+            self.abandon(f"{type(error).__name__}: {error}")
+            raise
 
     def abandon(self, error: str) -> None:
         """Record a crash that cut this execution short (chaos kill).
 
-        Closes a span-owning execution's span with the error at the
-        current clock — the same stamp the plain path's ``with`` block
-        leaves when the exception unwinds through it.  No status tally:
-        a crashed run never concluded.
+        Commits an owned timeline (the clock cannot stay rebased into the
+        past), closes the plan span with the error; no status tally.
         """
         if self.finished:
             return
         self.finished = True
         self.result = self.run
-        if self._owns_span and self.span is not None:
-            self.span.set_error(error)
-            self.span.__exit__(None, None, None)
+        if self.owns_timeline and self.timeline is not None:
+            self.timeline.commit()
+        self.span.set_error(error)
+        self.span.__exit__(None, None, None)
 
     # ------------------------------------------------------------------
     # Internals
@@ -270,9 +243,30 @@ class PlanExecution:
             concurrency=wave_len,
         )
 
-    def _step_wave(self) -> None:
+    def _admit(self) -> None:
         coordinator = self.coordinator
         context = coordinator._require_context()
+        journal = coordinator._journal
+        run = self.run
+        # A control message addressed to an absent agent would dissolve
+        # silently; require every planned agent to be in the session.
+        participants = set(context.session.participants())
+        absent = sorted({n.agent for n in self.plan.nodes()} - participants)
+        if absent:
+            # A fresh plan refused here never journaled its admission
+            # record, so it gets no terminal record either.
+            reason = f"agents not present in session: {absent}"
+            coordinator._fail(run, reason, journaled=run.resumed)
+            self._conclude(run)
+        elif journal is not None and not run.resumed:
+            journal.plan_started(
+                self.plan,
+                qos=self.budget.qos if self.budget is not None else None,
+                attempt=self.attempt,
+            )
+
+    def _step_wave(self) -> None:
+        coordinator = self.coordinator
         timeline = self.timeline
         if self._wave_index >= len(self._schedule):
             self._complete()
@@ -297,12 +291,9 @@ class PlanExecution:
             verdict = self.backend.run_wave(self, wave, wave_index)
             if verdict == "replan":
                 if timeline is not None and self.owns_timeline:
-                    # Land the clock on this run's critical path
-                    # before the escalated re-execution starts its
-                    # own timeline.  (A fleet execution's shared
-                    # timeline is committed by the fleet instead;
-                    # the escalated run executes inline within this
-                    # step, non-interleaved.)
+                    # Land the clock on this run's critical path before
+                    # the escalated re-execution (inline within this
+                    # step, non-interleaved) starts its own timeline.
                     timeline.commit()
                 self._conclude(
                     coordinator._replan(self.plan, self.budget, self.attempt)
@@ -325,25 +316,29 @@ class PlanExecution:
         self._conclude(run)
 
     def _conclude(self, result: PlanRun) -> None:
+        """The single ending: settle time, stamp and close the span, tally."""
         self.finished = True
-        self.result = result
-        if self._owns_span and self.span is not None:
-            self._finalize_span()
-
-    def _finalize_span(self) -> None:
+        self.result = result  # on a replan, the escalated run; the rest is about ours
         run = self.run
         coordinator = self.coordinator
-        context = coordinator._require_context()
-        # Stamp the span end at this plan's own critical path — the same
-        # instant the plain path's timeline.commit lands the clock on.
-        # On a concurrent backend this runs on a worker thread, so the
-        # stamp goes through a clock branch instead of rebasing the
-        # shared clock out from under sibling plans.
-        branched = self.backend.concurrent and not context.clock.branch_active()
-        if branched:
-            context.clock.branch_begin(self.plan_end)
+        clock = coordinator._require_context().clock
+        branched = False
+        if self.owns_timeline:
+            # The span ends at the committed clock: an escalated
+            # re-execution ran nested in it after this plan's critical
+            # path, and a child span must not outlive its parent.
+            if self.timeline is not None:
+                self.timeline.commit()
         else:
-            context.clock.rebase(self.plan_end)
+            # The lender commits; stamp the span end at this plan's own
+            # critical path.  On a concurrent backend this runs on a
+            # worker thread, so the stamp goes through a clock branch
+            # instead of rebasing the shared clock under sibling plans.
+            branched = self.backend.concurrent and not clock.branch_active()
+            if branched:
+                clock.branch_begin(self.plan_end)
+            else:
+                clock.rebase(self.plan_end)
         try:
             span = self.span
             span.set_attribute("status", run.status)
@@ -353,7 +348,7 @@ class PlanExecution:
             span.__exit__(None, None, None)
         finally:
             if branched:
-                context.clock.branch_end()
+                clock.branch_end()
         tally = coordinator._plan_status_tally
         tally[run.status] = tally.get(run.status, 0) + 1
 
@@ -398,10 +393,9 @@ class TaskCoordinator(Agent):
         self._replan_on_violation = replan_on_violation
         self._replan_budget_factor = replan_budget_factor
         self._max_replans = max_replans
-        self._max_node_retries = max_node_retries
         #: Explicit policy wins; otherwise ``max_node_retries`` keeps its
         #: legacy immediate-retry-anything semantics.
-        self._retry_policy = retry_policy
+        self._retry_policy = retry_policy or RetryPolicy.immediate(max_node_retries)
         self._breakers = breakers
         self._dead_letters_enabled = dead_letters
         self._dead_letter_queue: DeadLetterQueue | None = None
@@ -469,9 +463,7 @@ class TaskCoordinator(Agent):
     @property
     def retry_policy(self) -> RetryPolicy:
         """The effective per-node retry policy."""
-        if self._retry_policy is not None:
-            return self._retry_policy
-        return RetryPolicy.immediate(self._max_node_retries)
+        return self._retry_policy
 
     @property
     def breakers(self) -> BreakerBoard | None:
@@ -549,38 +541,19 @@ class TaskCoordinator(Agent):
 
         With *parallel* (default: the coordinator's ``parallel`` setting),
         the plan executes in dependency waves and simulated latency is
-        accounted as the critical path instead of the serial sum.
+        accounted as the critical path instead of the serial sum.  Either
+        way this drains, in one go, the same :class:`PlanExecution` the
+        fleet steps interleaved (:meth:`begin_plan`).
         """
-        context = self._require_context()
-        budget = budget or context.budget
         if parallel is None:
             parallel = self._parallel
-        plan.validate()
-        run = PlanRun(plan_id=plan.plan_id, goal=plan.goal)
-        if resume is not None:
-            run.resumed = True
-            run.node_outputs.update(resume.node_outputs)
-            run.executed.extend(resume.executed)
-            _attempt = resume.attempt
-        self.runs.append(run)
-        with context.span(
-            f"plan:{plan.plan_id}", kind="plan", goal=plan.goal, attempt=_attempt
-        ) as span:
-            if run.resumed:
-                span.set_attribute("resumed", True)
-                span.set_attribute("restored_nodes", len(resume.executed))
-            if parallel:
-                span.set_attribute("scheduler", "parallel")
-            # On a replan the returned run is the escalated re-execution's;
-            # the span and metric describe *this* invocation's run.
-            result = self._execute_plan_traced(plan, budget, run, _attempt, parallel)
-            span.set_attribute("status", run.status)
-            span.set_attribute("nodes_executed", len(run.executed))
-            if run.status != "completed":
-                span.set_error(run.abort_reason or run.status)
-        tally = self._plan_status_tally
-        tally[run.status] = tally.get(run.status, 0) + 1
-        return result
+        attributes = {"scheduler": "parallel"} if parallel else {}
+        execution = self._begin(
+            plan, budget, _attempt, parallel=parallel, resume=resume, **attributes
+        )
+        while execution.step():
+            pass
+        return execution.result
 
     def resume_plan(
         self, snapshot: "RecoveredPlan", budget: Budget | None = None
@@ -599,60 +572,6 @@ class TaskCoordinator(Agent):
             )
         return self.execute_plan(snapshot.plan, budget=budget, resume=snapshot)
 
-    def _execute_plan_traced(
-        self,
-        plan: TaskPlan,
-        budget: Budget | None,
-        run: PlanRun,
-        _attempt: int,
-        parallel: bool = False,
-        backend: ExecutionBackend | None = None,
-    ) -> PlanRun:
-        """The plan-driving loop proper (wrapped in the plan span).
-
-        With a journal attached, every node crosses two checkpoint
-        barriers — ``boundary:`` before it is scheduled and ``midnode:``
-        between its effect record and its completion record — the two
-        points where the chaos harness may kill the coordinator.  All
-        journal writes happen *before* the state they describe is acted
-        on (write-ahead), so a crash at either barrier is recoverable
-        with zero duplicate effects.
-
-        Serial mode drives ``plan.order()`` one node at a time.  Parallel
-        mode drives ``plan.waves()``: nodes in a wave are logically
-        concurrent, each executing on a :class:`VirtualTimeline` branch
-        that starts at the max of its predecessors' end times; the shared
-        clock lands on the plan's critical path at commit.  Execution
-        itself stays single-threaded (within a wave, nodes run in node-id
-        order), so results, budget charges, and the journal *set* are
-        identical to serial mode — only latency accounting differs.
-
-        The loop itself lives in :class:`PlanExecution`; here it is
-        stepped to completion in one go.  The fleet runtime steps the
-        same machine interleaved with other plans (:meth:`begin_plan`).
-        """
-        context = self._require_context()
-        timeline = VirtualTimeline(context.clock) if parallel else None
-        execution = PlanExecution(
-            self,
-            plan,
-            run,
-            budget,
-            _attempt,
-            parallel=parallel,
-            timeline=timeline,
-            owns_timeline=True,
-            backend=backend,
-        )
-        if not execution.admit():
-            return run
-        try:
-            while execution.step():
-                pass
-        finally:
-            execution.close()
-        return execution.result if execution.result is not None else run
-
     def begin_plan(
         self,
         plan: TaskPlan,
@@ -664,55 +583,89 @@ class TaskCoordinator(Agent):
     ) -> PlanExecution:
         """Admit *plan* for stepped execution on a shared *timeline*.
 
-        The fleet entrypoint: validates the plan, opens its plan span
-        (suspended between steps), writes the journal admission record,
-        and returns a :class:`PlanExecution` the fleet scheduler
-        interleaves with other plans' via ``step()``.  The caller owns
-        the shared timeline's commit; the execution owns its span.
-        *start_at* is the plan's simulated admission time — branch ready
-        times default to it, so a plan admitted from the backlog starts
-        after the plan whose completion freed its slot.
+        The fleet entrypoint: returns a :class:`PlanExecution` the fleet
+        scheduler interleaves with other plans' via ``step()``, its plan
+        span suspended between steps; the caller commits the shared
+        timeline.  *start_at* is the plan's simulated admission time —
+        branch ready times default to it, so a backlog plan starts after
+        the plan whose completion freed its slot.  A plan refused at
+        admission comes back concluded; the fleet collects it as finished.
         """
         if timeline is None:
             raise CoordinationError(
                 "begin_plan requires a shared timeline; use execute_plan "
                 "for standalone runs"
             )
+        return self._begin(
+            plan,
+            budget,
+            attempt,
+            parallel=True,
+            timeline=timeline,
+            start_at=start_at,
+            backend=backend,
+            scheduler="fleet",
+        )
+
+    def _begin(
+        self,
+        plan: TaskPlan,
+        budget: Budget | None,
+        attempt: int,
+        *,
+        parallel: bool,
+        resume: "RecoveredPlan | None" = None,
+        timeline: VirtualTimeline | None = None,
+        start_at: float | None = None,
+        backend: ExecutionBackend | None = None,
+        **span_attributes: Any,
+    ) -> PlanExecution:
+        """The one way a plan begins; returns its admitted execution.
+
+        Validates the plan, builds its :class:`PlanRun` (restoring a
+        *resume* snapshot), opens the ``plan:<id>`` span with the door's
+        *span_attributes* and admits the :class:`PlanExecution` (which
+        parks the span if it is interleaved, and journals the admission).
+        """
         context = self._require_context()
-        budget = budget or context.budget
         plan.validate()
         run = PlanRun(plan_id=plan.plan_id, goal=plan.goal)
+        if resume is not None:
+            run.resumed = True
+            run.node_outputs.update(resume.node_outputs)
+            run.executed.extend(resume.executed)
+            attempt = resume.attempt
+            restored = {"resumed": True, "restored_nodes": len(resume.executed)}
+            span_attributes = {**restored, **span_attributes}
         self.runs.append(run)
         span = context.span(
             f"plan:{plan.plan_id}",
             kind="plan",
             goal=plan.goal,
             attempt=attempt,
-            scheduler="fleet",
+            **span_attributes,
         )
-        span.__enter__()
-        obs = context.observability
-        tracer = obs.tracer if obs is not None else None
-        if tracer is not None:
-            tracer.suspend(span)
         execution = PlanExecution(
             self,
             plan,
             run,
-            budget,
+            budget or context.budget,
             attempt,
-            parallel=True,
-            timeline=timeline,
-            owns_timeline=False,
+            parallel=parallel,
             span=span,
-            owns_span=True,
+            timeline=timeline,
             start_at=start_at,
             backend=backend,
         )
-        # On admission failure the execution is already concluded (run
-        # failed, span finalized); the fleet collects it as finished.
         execution.admit()
         return execution
+
+    def _fail(self, run: PlanRun, reason: str, *, journaled: bool = True) -> None:
+        """Fail *run* terminally; *journaled* says its admission record exists."""
+        run.status = "failed"
+        run.abort_reason = reason
+        if journaled and self._journal is not None:
+            self._journal.plan_finished(run.plan_id, "failed", reason=reason)
 
     def _drive_node(
         self,
@@ -729,8 +682,14 @@ class TaskCoordinator(Agent):
         Returns ``"ok"`` (node done, keep going), ``"stop"`` (run has
         terminally failed or aborted), or ``"replan"`` (budget violated
         and the policy allows an escalated re-execution).
+
+        With a journal the node crosses two checkpoint barriers, where
+        the chaos harness may kill the coordinator: ``boundary:`` before
+        it is scheduled and ``midnode:`` between its effect record and
+        its completion record.  Every journal write precedes the state
+        it describes (write-ahead), so a crash at either is recoverable
+        with zero duplicate effects.
         """
-        context = self._require_context()
         journal = self._journal
         key = None
         if journal is not None:
@@ -743,9 +702,7 @@ class TaskCoordinator(Agent):
                 # The in-doubt node: its effect landed but the crash ate
                 # its completion record.  Replay the journaled result
                 # instead of re-executing (exactly-once effects).
-                if not self._replay_effect(node, run, effect, journal):
-                    return "stop"
-                return "ok"
+                return self._replay_effect(node, run, effect)
         violation = budget.violation() if budget is not None else None
         if violation is not None:
             self._abort(run, plan, f"budget violated on {violation}")
@@ -767,10 +724,7 @@ class TaskCoordinator(Agent):
         try:
             resolved = self._resolve_bindings(node, run)
         except CoordinationError as error:
-            run.status = "failed"
-            run.abort_reason = str(error)
-            if journal is not None:
-                journal.plan_finished(run.plan_id, "failed", reason=run.abort_reason)
+            self._fail(run, str(error))
             return "stop"
         if journal is not None:
             journal.node_started(run.plan_id, node.node_id, node.agent)
@@ -804,58 +758,44 @@ class TaskCoordinator(Agent):
                 ),
             )
             journal.barrier(f"midnode:{run.plan_id}/{node.node_id}")
+        return self._settle_node(node, run, outputs)
+
+    def _settle_node(
+        self, node: TaskNode, run: PlanRun, outputs: dict[str, Any] | None
+    ) -> str:
+        """Record a driven or replayed node's result (None: every route
+        failed, so the run fails); returns its verdict."""
         if outputs is None:
-            run.status = "failed"
             failure = run.node_errors.get(node.node_id)
             detail = f": {failure.describe()}" if failure else ""
-            run.abort_reason = (
-                f"agent {node.agent} failed on node {node.node_id}{detail}"
-            )
-            if journal is not None:
-                journal.plan_finished(run.plan_id, "failed", reason=run.abort_reason)
+            self._fail(run, f"agent {node.agent} failed on node {node.node_id}{detail}")
             return "stop"
         run.node_outputs[node.node_id] = outputs
         run.executed.append(node.node_id)
-        if journal is not None:
-            journal.node_completed(run.plan_id, node.node_id, outputs)
+        if self._journal is not None:
+            self._journal.node_completed(run.plan_id, node.node_id, outputs)
         return "ok"
 
     def _replay_effect(
-        self,
-        node: TaskNode,
-        run: PlanRun,
-        effect: dict[str, Any],
-        journal: WriteAheadJournal,
-    ) -> bool:
-        """Restore one node from its journaled effect record.
+        self, node: TaskNode, run: PlanRun, effect: dict[str, Any]
+    ) -> str:
+        """Settle one node from its journaled effect record.
 
-        Returns True when the plan should continue past the node, False
-        when the journaled attempt had (finally) failed — the replay then
-        fails the run the same way re-executing would have, without
-        re-driving the agent.  Either way the journal is brought to the
-        exact state an uninterrupted run would have produced.
+        Restores what executing the node left in the run — its (final)
+        failure, or its outputs and fallback route — and settles it as
+        :meth:`_drive_node` would have, without re-driving the agent, so
+        the journal reaches the exact state of an uninterrupted run.
         """
         self._replayed_effects_tally += 1
         run.replayed_effects.append(node.node_id)
-        failure_payload = effect.get("failure")
-        if failure_payload is not None:
-            failure = NodeFailure(**failure_payload)
-            run.node_errors[node.node_id] = failure
-            run.status = "failed"
-            run.abort_reason = (
-                f"agent {node.agent} failed on node {node.node_id}: "
-                f"{failure.describe()}"
-            )
-            journal.plan_finished(run.plan_id, "failed", reason=run.abort_reason)
-            return False
-        outputs = dict(effect.get("outputs") or {})
+        failure = effect.get("failure")
+        if failure is not None:
+            run.node_errors[node.node_id] = NodeFailure(**failure)
+            return self._settle_node(node, run, None)
         fallback = effect.get("fallback")
         if fallback:
             run.fallbacks[node.node_id] = fallback
-        run.node_outputs[node.node_id] = outputs
-        run.executed.append(node.node_id)
-        journal.node_completed(run.plan_id, node.node_id, outputs)
-        return True
+        return self._settle_node(node, run, dict(effect.get("outputs") or {}))
 
     def _execute_node(
         self,
@@ -890,7 +830,7 @@ class TaskCoordinator(Agent):
         else:
             node_span = context.span(f"node:{node.node_id}", kind="node", agent=node.agent)
         with node_span as span:
-            policy = self.retry_policy
+            policy = self._retry_policy
             breaker = self._breakers.for_agent(node.agent) if self._breakers else None
             failure: NodeFailure | None = None
             attempts = 0

@@ -72,7 +72,11 @@ class ExecutionBackend(Protocol):
         ...
 
     def step_round(self, executions: "Sequence[PlanExecution]") -> None:
-        """Advance every execution one step (one fleet round)."""
+        """Advance every execution one step (one fleet round).
+
+        A crash raised by a step propagates; ``PlanExecution.step`` has
+        already abandoned the dying plan, so backends only relay it.
+        """
         ...
 
     def close(self) -> None:
@@ -119,15 +123,10 @@ class SerialBackend:
         return "ok"
 
     def step_round(self, executions: "Sequence[PlanExecution]") -> None:
+        # A crash re-raises immediately: later plans in the round are not
+        # stepped — the process "crashed" mid-fleet.
         for execution in executions:
-            try:
-                execution.step()
-            except BaseException as error:
-                # The dying plan's span closes with the error (as the
-                # plain path's ``with`` would); later plans in the round
-                # are not stepped — the process "crashed" mid-fleet.
-                execution.abandon(f"{type(error).__name__}: {error}")
-                raise
+            execution.step()
 
     def close(self) -> None:
         pass
@@ -288,7 +287,7 @@ class ThreadBackend:
 
     @staticmethod
     def _step_guarded(execution: "PlanExecution") -> BaseException | None:
-        """One plan step; crashes abandon the plan and surface post-barrier.
+        """One plan step; a crash is returned, to surface post-barrier.
 
         Serial crash semantics re-raise immediately; under concurrency the
         whole round completes first (siblings are already running), then
@@ -296,8 +295,7 @@ class ThreadBackend:
         """
         try:
             execution.step()
-        except BaseException as error:  # noqa: BLE001 - returned to caller
-            execution.abandon(f"{type(error).__name__}: {error}")
+        except BaseException as error:  # noqa: BLE001 - re-raised by step_round
             return error
         return None
 

@@ -32,7 +32,7 @@ over one shared :class:`~repro.core.scheduler.VirtualTimeline`:
   delay — the quantity ``benchmarks/bench_fleet.py`` measures against
   serial execution.
 
-Crash semantics match the plain path: an exception unwinding out of a
+Crash semantics are the standalone run's: an exception unwinding out of a
 step (a chaos kill) closes the dying plan's span with the error, leaves
 other in-flight spans open (the process "crashed"), and the shared
 timeline still commits — per-plan journals remain resumable through the
@@ -447,10 +447,10 @@ class FleetScheduler:
                         on_event(pending[0][1].arrival)
                     # One round: every unfinished in-flight plan advances
                     # one wave.  The serial backend steps them in
-                    # admission order (a crash — the dying plan's span
-                    # closing with the error, as the plain path's ``with``
-                    # would — re-raises immediately); the thread backend
-                    # overlaps them and re-raises after the round barrier.
+                    # admission order (a crash — ``step()`` has closed the
+                    # dying plan's span with the error — re-raises
+                    # immediately); the thread backend overlaps them and
+                    # re-raises after the round barrier.
                     self._backend.step_round(
                         [a.execution for a in inflight if not a.execution.finished]
                     )

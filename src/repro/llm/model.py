@@ -154,10 +154,10 @@ class UsageTracker:
 class _BoundTallies:
     """One observability binding's worth of LLM counter tallies.
 
-    The pre-bound-counter idea taken one step further: instead of nine
-    ``model=name`` bound counters (one locked dict add each), the client
-    keeps plain slotted floats and the registry pulls them at snapshot
-    time through :meth:`collect`.  Grouped events (a physical call bumps
+    Instead of pushing nine ``model=name`` counters per event (a label
+    key and a locked dict add each), the client keeps plain slotted
+    floats and the registry pulls them at snapshot time through
+    :meth:`collect`.  Grouped events (a physical call bumps
     calls/tokens/cost together) take ONE lock acquisition.  Rebinding a
     client to a new observability sink freezes the old object — the
     client only bumps its current binding — so a swapped-in registry

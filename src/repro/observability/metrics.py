@@ -81,30 +81,6 @@ class Counter:
             items = sorted(self._values.items())
         return {f"{self.name}{_render_labels(key)}": value for key, value in items}
 
-    def bind(self, **labels: Any) -> "BoundCounter":
-        """A pre-resolved handle for hot paths: the label key is computed
-        once at bind time, so each increment is just a locked dict add."""
-        return BoundCounter(self, _label_key(labels))
-
-
-class BoundCounter:
-    """A counter pinned to one label set (see :meth:`Counter.bind`).
-
-    Skips the validity checks of the registry entry points — callers
-    increment by event counts they control, not by measured values.
-    """
-
-    __slots__ = ("_counter", "_key")
-
-    def __init__(self, counter: Counter, key: tuple[tuple[str, str], ...]) -> None:
-        self._counter = counter
-        self._key = key
-
-    def inc(self, value: float = 1.0) -> None:
-        counter = self._counter
-        with counter._lock:
-            counter._values[self._key] = counter._values.get(self._key, 0.0) + value
-
 
 class Gauge:
     """A point-in-time value (last write wins), optionally labeled."""
@@ -284,28 +260,6 @@ class MetricsRegistry:
             if instrument is None:
                 instrument = self._histograms[name] = Histogram(name)
             return instrument
-
-    def bound_counter(self, name: str, **labels: Any) -> "BoundCounter | None":
-        """A pre-bound counter handle, or None when the registry is
-        disabled — instrumented layers bind once at attach time and pay
-        one dict add per event."""
-        if not self.enabled:
-            return None
-        return self.counter(name).bind(**labels)
-
-    def bound_histogram(self, name: str) -> "Histogram | None":
-        """The histogram itself, or None when the registry is disabled.
-
-        The histogram counterpart of :meth:`bound_counter`: hot paths
-        resolve the instrument once at wiring time and then call
-        ``observe`` directly — no per-observation registry dict lookup,
-        no ``enabled`` re-check.  Callers own the finiteness of what
-        they observe (event counts and simulated durations, not measured
-        values), which is why this skips the :meth:`observe` guards.
-        """
-        if not self.enabled:
-            return None
-        return self.histogram(name)
 
     # ------------------------------------------------------------------
     # Recording conveniences (the instrumented layers call these)

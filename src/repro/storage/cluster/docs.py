@@ -265,10 +265,6 @@ class ClusteredCollection(Collection):
         )
         return results
 
-    def find_one(self, filter_spec: Mapping[str, Any] | None = None) -> dict[str, Any] | None:
-        found = self.find(filter_spec, limit=1)
-        return found[0] if found else None
-
     def get(self, doc_id: str) -> dict[str, Any]:
         with self._router_lock:
             shard = self._doc_shard.get(doc_id)
@@ -286,22 +282,6 @@ class ClusteredCollection(Collection):
             except QueryError:
                 continue
         raise QueryError(f"no document with id {doc_id!r} in {self.name!r}")
-
-    def count(self, filter_spec: Mapping[str, Any] | None = None) -> int:
-        return len(self.find(filter_spec))
-
-    def distinct(self, field: str) -> list[Any]:
-        values: list[Any] = []
-        seen: set[Any] = set()
-        for document in self.find():
-            value = get_path(document, field)
-            if value is None:
-                continue
-            key = repr(value) if isinstance(value, (list, dict)) else value
-            if key not in seen:
-                seen.add(key)
-                values.append(value)
-        return values
 
     def __len__(self) -> int:
         total = 0

@@ -82,6 +82,7 @@ def run_scenario(
     kill_at: int | None,
     fleet: bool,
     backend=None,
+    observability=None,
 ):
     """One seeded diamond run under agent chaos, optionally kill+resumed.
 
@@ -89,9 +90,10 @@ def run_scenario(
     on a shared timeline (stepping waves via *backend* when given);
     otherwise ``execute_plan`` drives it directly.  Everything else —
     store, session, journal, chaos, retries — is identical, so the
-    outputs must be too.
+    outputs must be too.  *observability* traces the run (contexts and
+    the fleet scheduler) on its own clock, for the caller to inspect.
     """
-    clock = SimClock()
+    clock = SimClock() if observability is None else observability.tracer.clock
     store = StreamStore(clock)
     session = SessionManager(store).create("fleet-prop")
     budget = Budget(clock=clock)
@@ -102,7 +104,10 @@ def run_scenario(
     journal = WriteAheadJournal(store, session=session, barrier_hook=switch)
 
     def context():
-        return AgentContext(store=store, session=session, clock=clock, budget=budget)
+        return AgentContext(
+            store=store, session=session, clock=clock, budget=budget,
+            observability=observability,
+        )
 
     def stage(name, latency):
         def fn(inputs):
@@ -138,7 +143,8 @@ def run_scenario(
     try:
         if fleet:
             scheduler = FleetScheduler(
-                VirtualTimeline(clock), clock, max_inflight=1, backend=backend
+                VirtualTimeline(clock), clock, max_inflight=1, backend=backend,
+                observability=observability,
             )
             result = scheduler.run(
                 [
@@ -193,6 +199,31 @@ def normalized_trace(store) -> list[tuple]:
     )
 
 
+def plan_span_tree(tracer) -> list[tuple]:
+    """Every span but the enclosing ``fleet`` one, as door-independent facts.
+
+    The plan span's ``scheduler`` attribute names the door it came
+    through and its parent is the fleet span on that door only; nothing
+    else about the subtree may tell the two apart.
+    """
+    spans = tracer.spans()
+    by_id = {span.span_id: span for span in spans}
+
+    def parent_name(span):
+        parent = by_id.get(span.parent_id)
+        return None if parent is None or parent.kind == "fleet" else parent.name
+
+    return [
+        (
+            span.name, span.kind, parent_name(span), span.start, span.end,
+            span.status, span.error,
+            {k: v for k, v in span.attributes.items() if k != "scheduler"},
+        )
+        for span in spans
+        if span.kind != "fleet"
+    ]
+
+
 def run_thread_scenario(seed: int, fault_rate: float, kill_at: int | None):
     """`run_scenario` through the fleet path on a fresh thread backend."""
     engine = ThreadBackend()
@@ -235,6 +266,24 @@ class TestFleetOfOneEquivalence:
         # Store export first: messages, ids, *and timestamps* must match.
         assert fleet[4] == plain[4]
         assert fleet == plain
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31),
+        fault_rate=st.floats(min_value=0.0, max_value=0.5),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_fleet_of_one_traces_the_same_plan_subtree(self, seed, fault_rate):
+        """Traced, un-killed: the plan -> node -> agent span subtree of the
+        two doors agrees on names, parents, stamps, errors and attributes."""
+        plain_obs, fleet_obs = Observability(), Observability()
+        plain = run_scenario(seed, fault_rate, None, fleet=False, observability=plain_obs)
+        fleet = run_scenario(seed, fault_rate, None, fleet=True, observability=fleet_obs)
+        assert fleet == plain
+        assert [s.kind for s in fleet_obs.tracer.roots()] == ["fleet"]
+        tree = plan_span_tree(plain_obs.tracer)
+        assert plan_span_tree(fleet_obs.tracer) == tree
+        assert tree[0][:3] == ("plan:fp", "plan", None)
+        assert all(end is not None for _, _, _, _, end, *_ in tree)
 
 
 class TestThreadBackendEquivalence:

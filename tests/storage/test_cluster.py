@@ -17,6 +17,7 @@ from repro.storage.cluster import (
     StoreCluster,
 )
 from repro.storage.cluster.ring import stable_hash
+from repro.storage.document.store import DocumentStore
 
 
 def apply_list(state, op):
@@ -400,3 +401,65 @@ class TestClusteredDocumentStore:
         assert people.get(doc_id)["name"] == "after"
         rows = people.find({"city": "Austin"})
         assert len(rows) == 21
+
+    #: Every shape of a field the read helpers meet: present, absent,
+    #: ``None``, list-valued, repeated.
+    ODD_DOCS = [
+        {"city": "Oakland", "team": "a", "tags": ["x", "y"]},
+        {"city": "Austin"},
+        {"city": "Denver", "team": None, "tags": ["x", "y"]},
+        {"city": "Boston", "team": "b", "tags": []},
+        {"city": "Austin", "team": "a", "tags": ["z"]},
+    ]
+
+    @pytest.fixture
+    def odd_pair(self):
+        """The same documents in a single-node and a 2-shard collection."""
+        single = DocumentStore("one").create_collection("people")
+        store = ClusteredDocumentStore("two", n_shards=2, n_replicas=3,
+                                       clock=SimClock(), seed=5)
+        clustered = store.create_collection("people", partition_field="city")
+        for i, document in enumerate(self.ODD_DOCS):
+            single.insert(document, doc_id=f"d{i}")
+            clustered.insert(document, doc_id=f"d{i}")
+        homes = {
+            tuple(clustered.shards_for_filter({"city": d["city"]})[0])
+            for d in self.ODD_DOCS
+        }
+        assert homes == {(0,), (1,)}  # the documents really span both shards
+        return single, clustered
+
+    @pytest.mark.parametrize("field", ["team", "tags", "city", "nope"])
+    def test_distinct_matches_single_node(self, odd_pair, field):
+        """Regression: the clustered override dropped ``None`` values and
+        leaked the private missing-field sentinel for absent ones."""
+        single, clustered = odd_pair
+        # Shard order differs from insertion order: compare as multisets.
+        assert sorted(map(repr, clustered.distinct(field))) == sorted(
+            map(repr, single.distinct(field))
+        )
+
+    @pytest.mark.parametrize("filter_spec", [
+        None,
+        {"city": "Austin"},
+        {"team": "a"},
+        {"team": None},
+        {"tags": ["x", "y"]},
+        {"city": "Nowhere"},
+    ])
+    def test_count_matches_single_node(self, odd_pair, filter_spec):
+        single, clustered = odd_pair
+        assert clustered.count(filter_spec) == single.count(filter_spec)
+
+    @pytest.mark.parametrize("filter_spec", [
+        {"city": "Boston"},
+        {"team": "b"},
+        {"tags": ["z"]},
+        {"city": "Nowhere"},
+        {"team": "c"},
+    ])
+    def test_find_one_matches_single_node(self, odd_pair, filter_spec):
+        """Filters matching exactly one document, or none."""
+        single, clustered = odd_pair
+        assert single.count(filter_spec) <= 1
+        assert clustered.find_one(filter_spec) == single.find_one(filter_spec)
