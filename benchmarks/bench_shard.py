@@ -24,7 +24,11 @@ digest), so it never flaps across machines.
 A third gate, ``test_a14_gather_overhead``, bounds what the SQL router
 adds on top of the shard it routes to: a gather pruned to one shard reads
 that shard's tables in place, so it must cost about what the same
-statement costs on the shard's own ``Database``.
+statement costs on the shard's own ``Database``.  Its twin,
+``test_a14_find_overhead``, bounds the document router the same way: a
+``find`` pruned to one shard hands that shard's slice to the one find path
+(``document.store.find_in``), so it must cost about what the same ``find``
+costs on the shard's own ``Collection``.
 """
 
 import hashlib
@@ -59,6 +63,8 @@ WALL_RATIO_GATE = 2.5
 #: The copy loop this replaced (re-insert, re-validate and re-index the
 #: slice per statement) read ~3x.
 GATHER_OVERHEAD_GATE = 1.5
+#: A one-shard find through the router vs the find on that shard's slice.
+FIND_OVERHEAD_GATE = 1.5
 
 BASELINE_PATH = Path(__file__).parent / "BENCH_shard.json"
 
@@ -275,6 +281,16 @@ def test_a14_shard_substrate():
             )
 
 
+def best_ms(run):
+    """Best of 7 wall-clock runs in ms, and the last result."""
+    best = float("inf")
+    for _ in range(7):
+        t0 = time.perf_counter()
+        result = run()
+        best = min(best, time.perf_counter() - t0)
+    return best * 1000, result
+
+
 def test_a14_gather_overhead():
     """Gate: a pruned aggregate costs what it costs on the owning shard."""
     database = build_sharded_enterprise(
@@ -284,18 +300,10 @@ def test_a14_gather_overhead():
     parameters = {"city": "Austin", "title": "%scientist%"}
     shard = database.table("seekers").shard_for_value("Austin")
     primary = database.cluster.primary_state(shard)
-
-    def best_ms(run):
-        best = float("inf")
-        for _ in range(7):
-            t0 = time.perf_counter()
-            result = run()
-            best = min(best, time.perf_counter() - t0)
-        return best * 1000, result.scalar()
-
-    direct_ms, direct_count = best_ms(lambda: execute_sql(primary, sql, parameters))
-    routed_ms, routed_count = best_ms(lambda: database.execute(sql, parameters))
+    direct_ms, direct = best_ms(lambda: execute_sql(primary, sql, parameters))
+    routed_ms, routed = best_ms(lambda: database.execute(sql, parameters))
     stats = database.last_execute_stats
+    direct_count, routed_count = direct.scalar(), routed.scalar()
     assert routed_count == direct_count > 0
     assert stats["shards_scanned"] == 1, stats
     ratio = routed_ms / direct_ms
@@ -314,6 +322,42 @@ def test_a14_gather_overhead():
     assert ratio <= GATHER_OVERHEAD_GATE, (
         f"one-shard gather costs {ratio:.2f}x the statement on the shard "
         f"(gate {GATHER_OVERHEAD_GATE}x): the router is copying again"
+    )
+
+
+def test_a14_find_overhead():
+    """Gate: a pruned find costs what it costs on the owning shard's slice."""
+    profiles = build_sharded_enterprise(
+        seed=SEED, n_seekers=20_000, n_shards=4, n_replicas=3
+    ).profiles
+    query = dict(
+        filter_spec={"city": "Austin", "years_experience": {"$gte": 10}},
+        sort="years_experience", descending=True, limit=50,
+    )
+    (shard,), pruned = profiles.shards_for_filter(query["filter_spec"])
+    primary = profiles._cluster.primary_state(shard).collection(profiles.name)
+    direct_ms, direct = best_ms(lambda: primary.find(**query))
+    routed_ms, routed = best_ms(lambda: profiles.find(**query))
+    stats = profiles.last_find_stats
+    assert pruned and stats["shards_scanned"] == 1, stats
+    assert routed == direct and len(routed) == 50
+    ratio = routed_ms / direct_ms
+    # Printed, not recorded: a timing table is not an artifact to commit.
+    print(
+        "\n--- a14_find_overhead ---\n"
+        "A14 — one-shard find through ClusteredCollection.find vs Collection.find "
+        "on that shard's primary\n"
+        f"{query}\n"
+        + table(
+            ["docs in slice", "matches", "on the shard", "through the router", "ratio"],
+            [[stats["docs_scanned"], len(primary.find(query["filter_spec"])),
+              f"{direct_ms:.2f}ms", f"{routed_ms:.2f}ms", f"{ratio:.2f}x"]],
+        )
+        + f"\n\ngate {FIND_OVERHEAD_GATE}x"
+    )
+    assert ratio <= FIND_OVERHEAD_GATE, (
+        f"one-shard find costs {ratio:.2f}x the find on the shard "
+        f"(gate {FIND_OVERHEAD_GATE}x): the router has grown its own merge again"
     )
 
 

@@ -13,25 +13,28 @@ every operation is overridden to route through the cluster:
 
 * point ops (``insert``, ``get``) go to the owning shard — quorum append
   / quorum read;
-* ``find`` prunes shards when it can, pushes sort+limit down to each
-  shard's primary, then re-merges (sort, limit, project) at the router;
+* ``find`` prunes shards when it can and hands their primaries' slices to
+  the one find path (``document.store.find_in``), which reads them as one
+  collection in shard order — so it returns what a single-node
+  ``Collection`` holding the same documents returns;
 * ``update``/``delete`` fan out as quorum appends to the pruned shards.
 
-A document's placement is fixed at insert time: updating the partition
-field does *not* migrate it (matching common sharded stores, where the
-shard key is immutable).
+A document's placement is fixed at insert time, so the shard key is
+immutable (as in common sharded stores): an ``update`` naming the
+partition field is refused, as is an ``insert`` of an id the router has
+placed.  A ``None`` or absent partition value routes by document id, so a
+filter pinning the field to ``None`` prunes nothing and fans out.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Iterable, Mapping, Sequence
 
 from ...clock import SimClock
 from ...errors import QueryError, StorageError
-from ...ids import IdGenerator
-from ..document.query import get_path
-from ..document.store import Collection, DocumentStore, _sortable
+from ..document.query import sargable
+from ..document.store import Collection, DocumentStore, find_in
+from ..relational.index import partition_values
 from .cluster import StoreCluster
 
 
@@ -73,12 +76,10 @@ class ClusteredCollection(Collection):
         partition_field: str | None = None,
     ) -> None:
         super().__init__(name, description)
-        self._store = store
         self._cluster = store.cluster
         self.partition_field = partition_field
-        self._router_ids = IdGenerator()
+        #: The shard each acked id was placed on (under the inherited lock).
         self._doc_shard: dict[str, int] = {}
-        self._router_lock = threading.RLock()
         #: Stats of the most recent :meth:`find` — surfaced as span
         #: attributes by the data executor and asserted on by the bench.
         self.last_find_stats: dict[str, Any] = {}
@@ -100,41 +101,41 @@ class ClusteredCollection(Collection):
         self, filter_spec: Mapping[str, Any] | None
     ) -> tuple[list[int], bool]:
         """Shards a filter can touch, plus whether pruning applied."""
+        filter_spec = filter_spec or {}
+        doc_id = filter_spec.get("_id")
+        if isinstance(doc_id, str):
+            with self._lock:
+                shard = self._doc_shard.get(doc_id)
+            if shard is not None:
+                return [shard], True
         ring = self._cluster.ring
-        if filter_spec:
-            doc_id = filter_spec.get("_id")
-            if isinstance(doc_id, str):
-                with self._router_lock:
-                    shard = self._doc_shard.get(doc_id)
-                if shard is not None:
-                    return [shard], True
-            if self.partition_field is not None:
-                condition = filter_spec.get(self.partition_field)
-                values: list[Any] | None = None
-                if isinstance(condition, Mapping):
-                    if "$eq" in condition:
-                        values = [condition["$eq"]]
-                    elif "$in" in condition:
-                        values = list(condition["$in"])
-                elif condition is not None:
-                    values = [condition]
-                if values is not None:
-                    return (
-                        ring.shards_for(self._route(v) for v in values),
-                        True,
-                    )
+        values = partition_values(sargable(filter_spec), self.partition_field)
+        # A None partition value was routed by document id, not by value.
+        if values is not None and all(v is not None for v in values):
+            return ring.shards_for(self._route(v) for v in values), True
         return ring.all_shards(), False
 
     def _shard_collection(self, state: DocumentStore) -> Collection | None:
         return state.collection(self.name) if state.has_collection(self.name) else None
 
+    def _slices(self, indices: list[int] | None = None) -> list[Collection]:
+        """The listed shards' primaries' slices (every shard's when None)."""
+        states = self._cluster.primary_states(indices)
+        return [c for c in map(self._shard_collection, states) if c is not None]
+
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
+    def _holds(self, doc_id: str) -> bool:
+        """Whether an id the router placed is still some document's."""
+        return doc_id in self._doc_shard and bool(self.count({"_id": doc_id}))
+
     def insert(self, document: Mapping[str, Any], doc_id: str | None = None) -> str:
-        with self._router_lock:
+        with self._lock:
             if doc_id is None:
-                doc_id = self._router_ids.next("doc")
+                doc_id = self._ids.next("doc")
+            if self._holds(doc_id):
+                raise StorageError(f"duplicate document id: {doc_id!r}")
             shard = self._cluster.shard_for(
                 self._route(self._route_value(document, doc_id))
             )
@@ -147,7 +148,7 @@ class ClusteredCollection(Collection):
                 "doc_id": doc_id,
             },
         )
-        with self._router_lock:
+        with self._lock:
             self._doc_shard[doc_id] = shard
         return doc_id
 
@@ -160,13 +161,17 @@ class ClusteredCollection(Collection):
         explicit = iter(doc_ids) if doc_ids is not None else None
         batches: dict[int, tuple[list[dict[str, Any]], list[str]]] = {}
         assigned: list[str] = []
-        with self._router_lock:
+        seen: set[str] = set()
+        with self._lock:
             for document in documents:
                 doc_id = (
                     next(explicit)
                     if explicit is not None
-                    else self._router_ids.next("doc")
+                    else self._ids.next("doc")
                 )
+                if doc_id in seen or self._holds(doc_id):
+                    raise StorageError(f"duplicate document id: {doc_id!r}")
+                seen.add(doc_id)
                 shard = self._cluster.shard_for(
                     self._route(self._route_value(document, doc_id))
                 )
@@ -185,7 +190,7 @@ class ClusteredCollection(Collection):
                     "doc_ids": ids,
                 },
             )
-            with self._router_lock:
+            with self._lock:
                 for doc_id in ids:
                     self._doc_shard[doc_id] = shard
         return assigned
@@ -193,6 +198,8 @@ class ClusteredCollection(Collection):
     def update(self, filter_spec: Mapping[str, Any], changes: Mapping[str, Any]) -> int:
         if "_id" in changes:
             raise StorageError("cannot change _id")
+        if self.partition_field in changes:  # placement is fixed at insert
+            raise StorageError(f"cannot change partition field {self.partition_field!r}")
         shards, _ = self.shards_for_filter(filter_spec)
         return self._cluster.append_each(
             shards,
@@ -223,7 +230,7 @@ class ClusteredCollection(Collection):
         limit: int | None = None,
         shards: Sequence[int] | None = None,
     ) -> list[dict[str, Any]]:
-        """Fan out to shard primaries, merge, and re-sort at the router.
+        """One ``find`` over the pruned shard primaries' slices, in shard order.
 
         *shards* lets the planner pass a pre-computed pruning decision
         (``params["shards"]``); otherwise the filter is pruned here.
@@ -232,29 +239,9 @@ class ClusteredCollection(Collection):
             indices, pruned = sorted(set(shards)), True
         else:
             indices, pruned = self.shards_for_filter(filter_spec)
-        results: list[dict[str, Any]] = []
-        docs_scanned = 0
-        for state in self._cluster.primary_states(list(indices)):
-            collection = self._shard_collection(state)
-            if collection is None:
-                continue
-            docs_scanned += len(collection)
-            # Push sort+limit down: top-k per shard is a superset of the
-            # global top-k.  Projection waits for the router (the merge
-            # sort needs the sort field).
-            results.extend(
-                collection.find(
-                    filter_spec, sort=sort, descending=descending, limit=limit
-                )
-            )
-        if sort is not None and len(indices) > 1:
-            results.sort(key=lambda d: _sortable(get_path(d, sort)), reverse=descending)
-        if limit is not None:
-            results = results[:limit]
-        if fields is not None:
-            from ..document.query import project
-
-            results = [project(document, fields) for document in results]
+        slices = self._slices(indices)
+        results = find_in(slices, filter_spec, fields, sort, descending, limit)
+        docs_scanned = sum(map(len, slices))
         self.last_find_stats = {
             **self._cluster.scan_stats(indices, pruned, collection=self.name),
             "docs_scanned": docs_scanned,
@@ -266,17 +253,14 @@ class ClusteredCollection(Collection):
         return results
 
     def get(self, doc_id: str) -> dict[str, Any]:
-        with self._router_lock:
+        with self._lock:
             shard = self._doc_shard.get(doc_id)
         if shard is not None:
             state = self._cluster.quorum_state_of(shard)
             collection = self._shard_collection(state)
             if collection is not None:
                 return collection.get(doc_id)
-        for state in self._cluster.primary_states():
-            collection = self._shard_collection(state)
-            if collection is None:
-                continue
+        for collection in self._slices():
             try:
                 return collection.get(doc_id)
             except QueryError:
@@ -284,12 +268,7 @@ class ClusteredCollection(Collection):
         raise QueryError(f"no document with id {doc_id!r} in {self.name!r}")
 
     def __len__(self) -> int:
-        total = 0
-        for state in self._cluster.primary_states():
-            collection = self._shard_collection(state)
-            if collection is not None:
-                total += len(collection)
-        return total
+        return sum(map(len, self._slices()))
 
     # ------------------------------------------------------------------
     # Field indices
@@ -300,9 +279,11 @@ class ClusteredCollection(Collection):
         )
 
     def indexed_fields(self) -> list[str]:
-        state = self._cluster.primary_state(0)
-        collection = self._shard_collection(state)
-        return collection.indexed_fields() if collection is not None else []
+        slices = self._slices([0])
+        return slices[0].indexed_fields() if slices else []
+
+    def describe(self) -> dict[str, Any]:
+        return {**super().describe(), "partition_field": self.partition_field}
 
 
 class ClusteredDocumentStore(DocumentStore):
@@ -330,7 +311,6 @@ class ClusteredDocumentStore(DocumentStore):
             seed=seed,
             **cluster_options,
         )
-        self._fronts: dict[str, ClusteredCollection] = {}
 
     def create_collection(
         self,
@@ -339,48 +319,19 @@ class ClusteredDocumentStore(DocumentStore):
         partition_field: str | None = None,
     ) -> ClusteredCollection:
         with self._lock:
-            if name in self._fronts:
+            if name in self._collections:
                 raise StorageError(f"collection already exists: {name!r}")
             self.cluster.broadcast(
                 {"op": "create_collection", "name": name, "description": description}
             )
-            front = ClusteredCollection(
+            # the inherited catalog holds the router fronts
+            front = self._collections[name] = ClusteredCollection(
                 self, name, description, partition_field=partition_field
             )
-            self._fronts[name] = front
             return front
 
-    def collection(self, name: str) -> ClusteredCollection:
-        with self._lock:
-            front = self._fronts.get(name)
-        if front is None:
-            raise StorageError(f"unknown collection: {name!r} in store {self.name!r}")
-        return front
-
-    def has_collection(self, name: str) -> bool:
-        with self._lock:
-            return name in self._fronts
-
-    def collection_names(self) -> list[str]:
-        with self._lock:
-            return sorted(self._fronts)
-
     def describe(self) -> dict[str, Any]:
-        return {
-            "store": self.name,
-            "description": self.description,
-            "collections": [
-                {
-                    "name": front.name,
-                    "description": front.description,
-                    "documents": len(front),
-                    "indexed_fields": front.indexed_fields(),
-                    "partition_field": front.partition_field,
-                }
-                for front in (self.collection(n) for n in self.collection_names())
-            ],
-            "cluster": self.cluster.describe(),
-        }
+        return {**super().describe(), "cluster": self.cluster.describe()}
 
     def tick(self, advance: float | None = None) -> None:
         self.cluster.tick(advance=advance)

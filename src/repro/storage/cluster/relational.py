@@ -2,9 +2,9 @@
 
 Each replica's state is a full single-node :class:`Database` holding the
 shard's horizontal slice of every table.  A table routes rows by its
-``partition_column`` (defaulting to the primary key), so WHERE clauses
-with an equality or ``IN`` conjunct on that column prune the SELECT
-fan-out to the owning shards.
+``partition_column`` (defaulting to the primary key), so a WHERE clause
+whose ``sargable`` form pins that column (``=`` / ``IN`` constants, read
+by ``index.partition_values``) prunes the fan-out to the owning shards.
 
 A SELECT has one path: the router prunes, then runs the statement once
 on an ephemeral single-node scratch database whose tables are read-only
@@ -30,8 +30,9 @@ from typing import Any, Iterable, Mapping, TYPE_CHECKING
 from ...clock import SimClock
 from ...errors import StorageError
 from ..relational.database import Database, SQLResult
+from ..relational.index import partition_values
 from ..relational.sql import ast
-from ..relational.sql.executor import Executor, _column_literal, _conjuncts
+from ..relational.sql.executor import Executor, sargable
 from ..relational.sql.parser import parse
 from ..relational.view import ConcatTable
 from ..schema import Column, ColumnType, TableSchema
@@ -39,8 +40,6 @@ from .cluster import StoreCluster
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...observability.span import Span
-
-_NOT_CONSTANT = object()
 
 
 # ----------------------------------------------------------------------
@@ -115,7 +114,6 @@ class ShardedTable:
         schema: TableSchema,
         partition_column: str,
     ) -> None:
-        self._database = database
         self._cluster = database.cluster
         self.schema = schema
         self.partition_column = partition_column
@@ -219,7 +217,6 @@ class ShardedDatabase(Database):
             seed=seed,
             **cluster_options,
         )
-        self._fronts: dict[str, ShardedTable] = {}
         #: Stats of the most recent SELECT — span attributes + bench gate.
         self.last_execute_stats: dict[str, Any] = {}
 
@@ -230,8 +227,7 @@ class ShardedDatabase(Database):
         self, schema: TableSchema, partition_column: str | None = None
     ) -> ShardedTable:
         with self._lock:
-            key = schema.name.lower()
-            if key in self._fronts:
+            if self.has_table(schema.name):
                 raise StorageError(f"table already exists: {schema.name!r}")
             if partition_column is None:
                 pk = schema.primary_key()
@@ -244,37 +240,14 @@ class ShardedDatabase(Database):
                 {"op": "create_table", "schema": _schema_to_json(schema)}
             )
             front = ShardedTable(self, schema, partition_column)
-            self._fronts[key] = front
+            self.attach(front)  # the inherited catalog holds the router fronts
             return front
 
     def drop_table(self, name: str) -> None:
         raise StorageError("sharded databases do not support DROP TABLE")
 
-    def table(self, name: str) -> ShardedTable:
-        with self._lock:
-            front = self._fronts.get(name.lower())
-        if front is None:
-            raise StorageError(f"unknown table: {name!r} in database {self.name!r}")
-        return front
-
-    def has_table(self, name: str) -> bool:
-        with self._lock:
-            return name.lower() in self._fronts
-
-    def tables(self) -> list[ShardedTable]:
-        with self._lock:
-            return [self._fronts[k] for k in sorted(self._fronts)]
-
-    def table_names(self) -> list[str]:
-        return sorted(front.name for front in self.tables())
-
     def describe(self) -> dict[str, Any]:
-        return {
-            "database": self.name,
-            "description": self.description,
-            "tables": [front.schema.describe() for front in self.tables()],
-            "cluster": self.cluster.describe(),
-        }
+        return {**super().describe(), "cluster": self.cluster.describe()}
 
     # ------------------------------------------------------------------
     # SQL
@@ -350,40 +323,12 @@ class ShardedDatabase(Database):
         binding: str,
         parameters: dict[str, Any],
     ) -> list[int]:
-        if where is None:
+        values = partition_values(
+            sargable(where, binding, parameters), front.partition_column
+        )
+        if values is None:
             return self.cluster.ring.all_shards()
-        column = front.partition_column
-        for conjunct in _conjuncts(where):
-            if isinstance(conjunct, ast.Binary) and conjunct.op == "=":
-                ref, literal = _column_literal(conjunct.left, conjunct.right)
-                if (
-                    ref is not None
-                    and ref.name.lower() == column.lower()
-                    and ref.table in (None, binding)
-                ):
-                    value = self._const(literal, parameters)
-                    if value is not _NOT_CONSTANT:
-                        return [front.shard_for_value(value)]
-            if (
-                isinstance(conjunct, ast.InList)
-                and not conjunct.negated
-                and isinstance(conjunct.operand, ast.ColumnRef)
-                and conjunct.operand.name.lower() == column.lower()
-                and conjunct.operand.table in (None, binding)
-            ):
-                values = [self._const(item, parameters) for item in conjunct.items]
-                if all(v is not _NOT_CONSTANT for v in values):
-                    return front.shards_for_values(values)
-        return self.cluster.ring.all_shards()
-
-    def _const(self, expr: ast.Expr | None, parameters: dict[str, Any]) -> Any:
-        if isinstance(expr, ast.Literal):
-            return expr.value
-        if isinstance(expr, ast.Parameter):
-            if expr.name in parameters:
-                return parameters[expr.name]
-            raise StorageError(f"missing SQL parameter: {expr.name!r}")
-        return _NOT_CONSTANT
+        return front.shards_for_values(values)
 
     # ------------------------------------------------------------------
     # Cluster plumbing

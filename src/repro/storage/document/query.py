@@ -62,6 +62,35 @@ def matches(document: Mapping[str, Any], filter_spec: Mapping[str, Any]) -> bool
     return True
 
 
+def hashable(value: Any) -> bool:
+    """Whether an index or the shard router may key on *value*: a list or
+    sub-document matches by ``==``, which no derived key reproduces (equal
+    dicts ``repr`` differently, ``[1] == [1.0]``)."""
+    return not isinstance(value, (list, dict, set))
+
+
+def sargable(filter_spec: Mapping[str, Any]) -> list[tuple[str, str, Any]]:
+    """The top-level entries pinning a field to hashable constants, in the
+    form :mod:`repro.storage.relational.index` reads: ``(field, "=", value)``
+    for equality / ``$eq``, ``(field, "in", [values])`` for ``$in``.
+    Everything else stays a scan."""
+    found = []
+    for field, condition in filter_spec.items():
+        if field.startswith("$"):
+            continue
+        if not isinstance(condition, Mapping):
+            op, pinned = "=", [condition]
+        elif "$eq" in condition:
+            op, pinned = "=", [condition["$eq"]]
+        elif isinstance(condition.get("$in"), (list, tuple)):
+            op, pinned = "in", list(condition["$in"])
+        else:
+            continue
+        if all(map(hashable, pinned)):
+            found.append((field, op, pinned if op == "in" else pinned[0]))
+    return found
+
+
 def _is_clause_list(condition: Any) -> bool:
     return isinstance(condition, Sequence) and not isinstance(condition, (str, bytes)) and all(
         isinstance(clause, Mapping) for clause in condition

@@ -1,13 +1,20 @@
-"""Document store: named collections of schemaless JSON-like documents."""
+"""Document store: named collections of schemaless JSON-like documents.
+
+``find`` has one path, :func:`find_in`, over collections read as one: a
+single-node ``find`` passes itself, the clustered router its pruned shard
+slices.  Field indexes are the relational layer's ``HashIndex``, chosen by
+its ``choose_index`` from the filter's ``sargable`` form.
+"""
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from ...errors import QueryError, StorageError
 from ...ids import IdGenerator
-from .query import get_path, matches, project, _MISSING
+from ..relational.index import Conjunct, HashIndex, choose_index
+from .query import get_path, hashable, matches, project, sargable, _MISSING
 
 
 class Collection:
@@ -19,7 +26,7 @@ class Collection:
         self._documents: dict[str, dict[str, Any]] = {}
         self._ids = IdGenerator()
         self._lock = threading.RLock()
-        self._field_indices: dict[str, dict[Any, set[str]]] = {}
+        self._field_indices: dict[str, HashIndex] = {}
 
     def __len__(self) -> int:
         with self._lock:
@@ -38,8 +45,8 @@ class Collection:
             stored = dict(document)
             stored["_id"] = doc_id
             self._documents[doc_id] = stored
-            for field, index in self._field_indices.items():
-                self._index_insert(index, stored, field, doc_id)
+            for index, value in _index_entries(self._field_indices, stored):
+                index.insert(value, doc_id)
             return doc_id
 
     def insert_many(self, documents: Iterable[Mapping[str, Any]]) -> list[str]:
@@ -54,11 +61,11 @@ class Collection:
             for doc_id, document in self._documents.items():
                 if not matches(document, filter_spec):
                     continue
-                for field, index in self._field_indices.items():
-                    self._index_remove(index, document, field, doc_id)
+                for index, value in _index_entries(self._field_indices, document):
+                    index.remove(value, doc_id)
                 document.update(dict(changes))
-                for field, index in self._field_indices.items():
-                    self._index_insert(index, document, field, doc_id)
+                for index, value in _index_entries(self._field_indices, document):
+                    index.insert(value, doc_id)
                 count += 1
         return count
 
@@ -71,8 +78,8 @@ class Collection:
             ]
             for doc_id in doomed:
                 document = self._documents.pop(doc_id)
-                for field, index in self._field_indices.items():
-                    self._index_remove(index, document, field, doc_id)
+                for index, value in _index_entries(self._field_indices, document):
+                    index.remove(value, doc_id)
         return len(doomed)
 
     # ------------------------------------------------------------------
@@ -87,20 +94,7 @@ class Collection:
         limit: int | None = None,
     ) -> list[dict[str, Any]]:
         """Documents matching *filter_spec* (all when None)."""
-        filter_spec = filter_spec or {}
-        candidates = self._candidates(filter_spec)
-        results = [
-            dict(document) for document in candidates if matches(document, filter_spec)
-        ]
-        if sort is not None:
-            results.sort(
-                key=lambda d: _sortable(get_path(d, sort)), reverse=descending
-            )
-        if limit is not None:
-            results = results[:limit]
-        if fields is not None:
-            results = [project(document, fields) for document in results]
-        return results
+        return find_in([self], filter_spec, fields, sort, descending, limit)
 
     def find_one(self, filter_spec: Mapping[str, Any] | None = None) -> dict[str, Any] | None:
         found = self.find(filter_spec, limit=1)
@@ -137,61 +131,67 @@ class Collection:
         with self._lock:
             if field in self._field_indices:
                 return
-            index: dict[Any, set[str]] = {}
+            index = HashIndex(field)
             for doc_id, document in self._documents.items():
-                self._index_insert(index, document, field, doc_id)
+                for _, value in _index_entries({field: index}, document):
+                    index.insert(value, doc_id)
             self._field_indices[field] = index
 
     def indexed_fields(self) -> list[str]:
         with self._lock:
             return sorted(self._field_indices)
 
-    def _candidates(self, filter_spec: Mapping[str, Any]) -> list[dict[str, Any]]:
+    def describe(self) -> dict[str, Any]:
+        """Catalog metadata (its store's ``describe`` lists these)."""
+        return {
+            "name": self.name,
+            "description": self.description,
+            "documents": len(self),
+            "indexed_fields": self.indexed_fields(),
+        }
+
+    def _candidates(self, conjuncts: Sequence[Conjunct]) -> list[dict[str, Any]]:
+        """What can match: an index's answer in id order, else all as inserted."""
         with self._lock:
-            for field, condition in filter_spec.items():
-                if field.startswith("$") or field not in self._field_indices:
-                    continue
-                if isinstance(condition, Mapping):
-                    if "$eq" in condition:
-                        condition = condition["$eq"]
-                    elif "$in" in condition:
-                        index = self._field_indices[field]
-                        ids: set[str] = set()
-                        for value in condition["$in"]:
-                            ids |= index.get(_index_key(value), set())
-                        return [self._documents[i] for i in sorted(ids)]
-                    else:
-                        continue
-                index = self._field_indices[field]
-                ids = index.get(_index_key(condition), set())
-                return [self._documents[i] for i in sorted(ids)]
-            return list(self._documents.values())
+            chosen = choose_index(self._field_indices.get, conjuncts)
+            if chosen is None:
+                return list(self._documents.values())
+            return [self._documents[doc_id] for doc_id in sorted(chosen[1])]
 
-    @staticmethod
-    def _index_insert(
-        index: dict[Any, set[str]], document: Mapping[str, Any], field: str, doc_id: str
-    ) -> None:
+
+def _index_entries(
+    indices: Mapping[str, HashIndex], document: Mapping[str, Any]
+) -> Iterator[tuple[HashIndex, Any]]:
+    """``(index, key)`` per index holding *document* (field present, value hashable)."""
+    for field, index in indices.items():
         value = get_path(document, field)
-        if value is _MISSING:
-            return
-        index.setdefault(_index_key(value), set()).add(doc_id)
-
-    @staticmethod
-    def _index_remove(
-        index: dict[Any, set[str]], document: Mapping[str, Any], field: str, doc_id: str
-    ) -> None:
-        value = get_path(document, field)
-        if value is _MISSING:
-            return
-        bucket = index.get(_index_key(value))
-        if bucket is not None:
-            bucket.discard(doc_id)
+        if value is not _MISSING and hashable(value):
+            yield index, value
 
 
-def _index_key(value: Any) -> Any:
-    if isinstance(value, (list, dict, set)):
-        return repr(value)
-    return value
+def find_in(
+    slices: Sequence[Collection],
+    filter_spec: Mapping[str, Any] | None,
+    fields: Sequence[str] | None,
+    sort: str | None,
+    descending: bool,
+    limit: int | None,
+) -> list[dict[str, Any]]:
+    """``find`` over *slices* read as one collection in slice order: one
+    stable sort, one limit, and only what is returned is copied."""
+    filter_spec = filter_spec or {}
+    conjuncts = sargable(filter_spec)
+    results = [
+        document
+        for collection in slices
+        for document in collection._candidates(conjuncts)
+        if matches(document, filter_spec)
+    ]
+    if sort is not None:
+        results.sort(key=lambda d: _sortable(get_path(d, sort)), reverse=descending)
+    if limit is not None:
+        results = results[:limit]
+    return [project(document, fields) for document in results]
 
 
 def _sortable(value: Any) -> Any:
@@ -241,12 +241,6 @@ class DocumentStore:
             "store": self.name,
             "description": self.description,
             "collections": [
-                {
-                    "name": collection.name,
-                    "description": collection.description,
-                    "documents": len(collection),
-                    "indexed_fields": collection.indexed_fields(),
-                }
-                for collection in (self.collection(n) for n in self.collection_names())
+                self.collection(name).describe() for name in self.collection_names()
             ],
         }

@@ -43,7 +43,7 @@ class Database:
         return table
 
     def attach(self, table: "Table | ConcatTable") -> None:
-        """Register an existing table, or a read-only view of some, by its name."""
+        """Register a table — or a view or router front standing for one — by its name."""
         with self._lock:
             key = table.name.lower()
             if key in self._tables:

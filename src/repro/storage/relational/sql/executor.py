@@ -2,8 +2,8 @@
 
 The executor performs a light logical-planning pass for SELECTs:
 
-* **access path** — equality/range/IN predicates on indexed columns of the
-  base table turn full scans into index lookups,
+* **access path** — :func:`sargable` conjuncts on indexed columns of the
+  base table turn full scans into index lookups (``index.choose_index``),
 * **join strategy** — equi-join conditions become hash joins; anything else
   falls back to a nested-loop join,
 * then filtering, grouping, projection, distinct, ordering, and limiting.
@@ -22,6 +22,7 @@ from typing import Any, Iterable
 from ....errors import SQLError, StorageError
 from ...schema import Column, ColumnType, TableSchema
 from ..database import Database, SQLResult
+from ..index import Conjunct, choose_index
 from ..table import Table
 from . import ast
 from .functions import SCALAR_FUNCTIONS, make_aggregate
@@ -32,9 +33,12 @@ Env = dict[str, dict[str, Any]]
 #: Sentinel: an expression that cannot be folded to a constant at plan time.
 _NOT_CONSTANT = object()
 
+#: A comparison read right to left: ``5 < age`` is ``age > 5``.
+_FLIPPED = {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
 
 class ExecutionStats:
-    """Counters filled in during execution (consumed by the cost model)."""
+    """Counters filled in during execution (tests and benches read them)."""
 
     def __init__(self) -> None:
         self.rows_scanned = 0
@@ -105,77 +109,18 @@ class Executor:
     def _base_rows(self, select: ast.Select) -> list[Env]:
         table = self._db.table(select.table.name)
         binding = select.table.binding()
-        candidates = self._access_path(table, binding, select.where)
-        if candidates is None:
+        chosen = choose_index(
+            table.index_on, sargable(select.where, binding, self._params)
+        )
+        if chosen is None:
             rows = table.rows()
             self.stats.rows_scanned += len(rows)
         else:
-            rows = candidates
+            column, row_ids = chosen
+            rows = table.get_by_row_ids(row_ids)
+            self.stats.used_index = f"{table.name}.{column}"
             self.stats.index_lookups += 1
         return [{binding: row} for row in rows]
-
-    def _access_path(
-        self, table: Table, binding: str, where: ast.Expr | None
-    ) -> list[dict[str, Any]] | None:
-        """Return candidate rows via an index, or None for a full scan."""
-        if where is None:
-            return None
-        for conjunct in _conjuncts(where):
-            rows = self._try_index(table, binding, conjunct)
-            if rows is not None:
-                return rows
-        return None
-
-    def _try_index(
-        self, table: Table, binding: str, expr: ast.Expr
-    ) -> list[dict[str, Any]] | None:
-        if isinstance(expr, ast.Binary) and expr.op in {"=", "<", "<=", ">", ">="}:
-            column_ref, literal = _column_literal(expr.left, expr.right)
-            if column_ref is None:
-                return None
-            if column_ref.table not in (None, binding):
-                return None
-            index = table.index_on(column_ref.name)
-            if index is None:
-                return None
-            value = self._eval_constant(literal)
-            if expr.op == "=":
-                self.stats.used_index = f"{table.name}.{column_ref.name}"
-                return table.get_by_row_ids(index.lookup(value))
-            if index.kind == "sorted":
-                # Only handle column-on-left ranges; flipped forms fall back.
-                if not isinstance(expr.left, ast.ColumnRef):
-                    return None
-                self.stats.used_index = f"{table.name}.{column_ref.name}"
-                if expr.op in {">", ">="}:
-                    ids = index.range(low=value, low_inclusive=expr.op == ">=")
-                else:
-                    ids = index.range(high=value, high_inclusive=expr.op == "<=")
-                return table.get_by_row_ids(ids)
-            return None
-        if isinstance(expr, ast.InList) and not expr.negated:
-            if not isinstance(expr.operand, ast.ColumnRef):
-                return None
-            if expr.operand.table not in (None, binding):
-                return None
-            index = table.index_on(expr.operand.name)
-            if index is None or index.kind != "hash":
-                return None
-            values = [self._eval_constant(item) for item in expr.items]
-            if any(value is _NOT_CONSTANT for value in values):
-                return None
-            self.stats.used_index = f"{table.name}.{expr.operand.name}"
-            return table.get_by_row_ids(index.lookup_many(values))
-        return None
-
-    def _eval_constant(self, expr: ast.Expr) -> Any:
-        if isinstance(expr, ast.Literal):
-            return expr.value
-        if isinstance(expr, ast.Parameter):
-            if expr.name not in self._params:
-                raise SQLError(f"missing parameter: {expr.name!r}")
-            return self._params[expr.name]
-        return _NOT_CONSTANT
 
     def _apply_join(self, envs: list[Env], join: ast.Join) -> list[Env]:
         table = self._db.table(join.table.name)
@@ -632,14 +577,45 @@ def _conjuncts(expr: ast.Expr) -> list[ast.Expr]:
     return [expr]
 
 
-def _column_literal(
-    left: ast.Expr, right: ast.Expr
-) -> tuple[ast.ColumnRef | None, ast.Expr | None]:
-    if isinstance(left, ast.ColumnRef) and isinstance(right, (ast.Literal, ast.Parameter)):
-        return left, right
-    if isinstance(right, ast.ColumnRef) and isinstance(left, (ast.Literal, ast.Parameter)):
-        return right, left
-    return None, None
+def _constant(expr: ast.Expr, parameters: dict[str, Any]) -> Any:
+    if isinstance(expr, ast.Literal):
+        return expr.value
+    if isinstance(expr, ast.Parameter):
+        if expr.name not in parameters:
+            raise SQLError(f"missing parameter: {expr.name!r}")
+        return parameters[expr.name]
+    return _NOT_CONSTANT
+
+
+def sargable(
+    where: ast.Expr | None, binding: str, parameters: dict[str, Any]
+) -> list[Conjunct]:
+    """The AND-ed conjuncts comparing a column of *binding* to a constant, in
+    the form :mod:`repro.storage.relational.index` reads.  Literals and
+    parameters are folded, a column on the right flips the operator, ``in``
+    is a non-negated IN list of constants; everything else is skipped."""
+    found: list[Conjunct] = []
+    for conjunct in _conjuncts(where) if where is not None else ():
+        if isinstance(conjunct, ast.Binary) and conjunct.op in _FLIPPED:
+            ref, op = conjunct.left, conjunct.op
+            value = _constant(conjunct.right, parameters)
+            if value is _NOT_CONSTANT:
+                ref, op = conjunct.right, _FLIPPED[op]
+                value = _constant(conjunct.left, parameters)
+        elif isinstance(conjunct, ast.InList) and not conjunct.negated:
+            ref, op = conjunct.operand, "in"
+            value = [_constant(item, parameters) for item in conjunct.items]
+            if any(item is _NOT_CONSTANT for item in value):
+                continue
+        else:
+            continue
+        if (
+            value is not _NOT_CONSTANT
+            and isinstance(ref, ast.ColumnRef)
+            and ref.table in (None, binding)
+        ):
+            found.append((ref.name, op, value))
+    return found
 
 
 def _equi_join_key(

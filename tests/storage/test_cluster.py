@@ -463,3 +463,94 @@ class TestClusteredDocumentStore:
         single, clustered = odd_pair
         assert single.count(filter_spec) <= 1
         assert clustered.find_one(filter_spec) == single.find_one(filter_spec)
+
+    # -- the router never prunes on what it never routed by ---------------
+    @pytest.fixture
+    def none_pair(self):
+        """The issue's probe: 8 docs with ``city: None``, 3 in SF, 1 without."""
+        documents = (
+            [{"city": None, "n": i} for i in range(8)]
+            + [{"city": "SF", "n": i} for i in range(8, 11)]
+            + [{"n": 11}]
+        )
+        single = DocumentStore("one").create_collection("people")
+        store = ClusteredDocumentStore("four", n_shards=4, n_replicas=3,
+                                       clock=SimClock(), seed=5)
+        clustered = store.create_collection("people", partition_field="city")
+        for i, document in enumerate(documents):
+            single.insert(document, doc_id=f"d{i}")
+            clustered.insert(document, doc_id=f"d{i}")
+        return single, clustered
+
+    @pytest.mark.parametrize("filter_spec, expected", [
+        ({"city": {"$eq": None}}, 8),
+        ({"city": {"$in": [None, "SF"]}}, 11),
+        ({"city": None}, 8),
+    ])
+    def test_none_partition_value_fans_out(self, none_pair, filter_spec, expected):
+        """A ``None`` partition value routed by document id, so no value
+        prunes to it (clustered returned 1 and 4 for the first two)."""
+        single, clustered = none_pair
+        found = clustered.find(filter_spec)
+        assert clustered.last_find_stats["pruned"] is False
+        assert len(found) == expected
+        assert sorted(d["_id"] for d in found) == sorted(
+            d["_id"] for d in single.find(filter_spec)
+        )
+
+    def test_partition_field_is_immutable(self, none_pair):
+        """An acked shard-key update hid the document from every pruned
+        find (0 found where a single node finds 1)."""
+        _, clustered = none_pair
+        digests = [r.log_digest() for r in clustered._cluster.all_replicas()]
+        with pytest.raises(StorageError, match="partition field 'city'"):
+            clustered.update({"_id": "d8"}, {"city": "Oakland"})
+        assert [r.log_digest() for r in clustered._cluster.all_replicas()] == digests
+        assert clustered.find({"city": "Oakland"}) == []
+        assert clustered.get("d8")["city"] == "SF"
+        # Other fields still update, and an unpartitioned collection has no shard key.
+        assert clustered.update({"_id": "d8"}, {"n": -8}) == 1
+        loose = ClusteredDocumentStore(
+            "loose", n_shards=2, n_replicas=3, clock=SimClock()
+        ).create_collection("people")
+        doc_id = loose.insert({"city": "SF"})
+        assert loose.update({"_id": doc_id}, {"city": "Oakland"}) == 1
+
+    def test_one_id_one_document(self):
+        """Two inserts of one id under different partition values were both
+        acked, on two shards (``len == 2``, ``find`` by id returned one)."""
+        store = ClusteredDocumentStore("dup", n_shards=4, n_replicas=3,
+                                       clock=SimClock(), seed=5)
+        people = store.create_collection("people", partition_field="city")
+        people.insert({"city": "SF"}, doc_id="dup")
+        logs = [len(r.log) for r in store.cluster.all_replicas()]
+        for retry in ({"city": "Oakland"}, {"city": "SF"}):
+            with pytest.raises(StorageError, match="duplicate document id: 'dup'"):
+                people.insert(retry, doc_id="dup")
+        with pytest.raises(StorageError, match="duplicate document id: 'dup'"):
+            people.insert_many([{"city": "Austin"}, {"city": "Oakland"}],
+                               doc_ids=["fresh", "dup"])
+        with pytest.raises(StorageError, match="duplicate document id: 'twice'"):
+            people.insert_many([{"city": "Austin"}, {"city": "Oakland"}],
+                               doc_ids=["twice", "twice"])
+        assert len(people) == 1
+        assert [len(r.log) for r in store.cluster.all_replicas()] == logs
+        assert people.find({"_id": "dup"}) == [{"city": "SF", "_id": "dup"}]
+        store.tick()  # a duplicate that reached a shard's log would crash replay
+
+    def test_id_is_free_again_after_delete_or_failed_append(self):
+        store = ClusteredDocumentStore("dup", n_shards=2, n_replicas=3,
+                                       clock=SimClock(), seed=5)
+        people = store.create_collection("people", partition_field="city")
+        people.insert({"city": "SF"}, doc_id="a")
+        assert people.delete({"_id": "a"}) == 1
+        people.insert({"city": "Oakland"}, doc_id="a")
+        assert people.get("a")["city"] == "Oakland"
+        shard = store.cluster.shards[people.shards_for_filter({"city": "Austin"})[0][0]]
+        for replica in shard.replicas[:2]:
+            store.cluster.kill_replica(replica.replica_id)
+        with pytest.raises(ClusterUnavailableError):
+            people.insert({"city": "Austin"}, doc_id="b")
+        store.cluster.settle()
+        people.insert({"city": "Austin"}, doc_id="b")
+        assert len(people) == 2

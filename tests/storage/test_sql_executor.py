@@ -2,8 +2,18 @@
 
 import pytest
 
+from repro.clock import SimClock
 from repro.errors import SQLError, StorageError
-from repro.storage import ColumnType, Database, quick_table
+from repro.storage import ColumnType, Database, ShardedDatabase, quick_table
+from repro.storage.document.query import sargable as doc_sargable
+from repro.storage.relational.index import (
+    HashIndex,
+    SortedIndex,
+    choose_index,
+    partition_values,
+)
+from repro.storage.relational.sql.executor import sargable
+from repro.storage.relational.sql.parser import parse
 from repro.storage.schema import Column
 
 
@@ -290,6 +300,94 @@ class TestIndexAccessPath:
         indexed = db.query("SELECT id FROM jobs WHERE city = 'Oakland' ORDER BY id")
         expected = [{"id": 2}, {"id": 4}]
         assert indexed == expected
+
+    @pytest.mark.parametrize("op, flipped, ids", [
+        (">", "<", [2]), (">=", "<=", [1, 2]), ("<", ">", [3, 4]), ("<=", ">=", [1, 3, 4]),
+    ])
+    def test_constant_on_the_left_uses_the_sorted_index_too(self, db, op, flipped, ids):
+        """``:v < salary`` is ``salary > :v``; it used to fall back to a scan."""
+        db.execute("CREATE INDEX i ON jobs (salary) USING sorted")
+        plain = db.execute(f"SELECT id FROM jobs WHERE salary {op} :v", {"v": 150000})
+        mirrored = db.execute(f"SELECT id FROM jobs WHERE :v {flipped} salary", {"v": 150000})
+        assert sorted(r["id"] for r in plain.rows) == ids
+        assert mirrored.rows == plain.rows
+        assert plain.stats.used_index == mirrored.stats.used_index == "jobs.salary"
+        assert plain.stats.index_lookups == mirrored.stats.index_lookups == 1
+        assert plain.stats.rows_scanned == mirrored.stats.rows_scanned == 0
+
+    def test_missing_parameter_is_one_error_on_both_databases(self, db):
+        """The sharded router raised its own ``StorageError("missing SQL
+        parameter")`` from pruning before the executor saw the statement."""
+        sharded = ShardedDatabase("s", n_shards=2, n_replicas=3, clock=SimClock())
+        sharded.execute("CREATE TABLE jobs (id INT PRIMARY KEY, city TEXT)")
+        sharded.execute("INSERT INTO jobs (id, city) VALUES (1, 'Oakland')")
+        errors = []
+        for database in (db, sharded):
+            for sql in ("SELECT id FROM jobs WHERE id = :k",
+                        "SELECT id FROM jobs WHERE city = :k",
+                        "SELECT id FROM jobs WHERE id IN (1, :k)"):
+                with pytest.raises(SQLError, match="missing parameter: 'k'") as caught:
+                    database.execute(sql, {})
+                errors.append((type(caught.value), str(caught.value)))
+        assert len(set(errors)) == 1
+
+
+class TestSargableForm:
+    """``sargable`` → ``choose_index`` / ``partition_values``."""
+
+    @staticmethod
+    def conjuncts(where, parameters=None, binding="j"):
+        select = parse(f"SELECT * FROM jobs j WHERE {where}")
+        return sargable(select.where, binding, parameters or {})
+
+    def test_sql_conjuncts(self):
+        assert self.conjuncts(
+            "j.id = 3 AND :low <= salary AND city IN ('a', :c) AND title <> 'x' "
+            "AND other.id = 1 AND id = salary AND city NOT IN ('b') AND (id = 1 OR id = 2) "
+            "AND salary + 1 > 2",
+            {"low": 10, "c": "b"},
+        ) == [("id", "=", 3), ("salary", ">=", 10), ("city", "in", ["a", "b"])]
+        assert self.conjuncts("id IN (1, salary)") == []
+        assert sargable(None, "j", {}) == []
+
+    def test_document_conjuncts(self):
+        assert doc_sargable({
+            "city": "SF", "n": {"$eq": 3}, "tag": {"$in": ("a", "b")}, "x": None,
+            "years": {"$gte": 2}, "$or": [{"city": "LA"}], "sub": {"a": 1},
+            "eq_sub": {"$eq": {"a": 1}}, "lst": [1, 2], "in_lst": {"$in": [[1], 2]},
+            "in_text": {"$in": "abc"},
+        }) == [("city", "=", "SF"), ("n", "=", 3), ("tag", "in", ["a", "b"]), ("x", "=", None)]
+
+    def test_choose_index_takes_the_first_usable_conjunct(self):
+        hashed, ranged = HashIndex("h"), SortedIndex("r")
+        for row_id, value in enumerate([10, 20, 20, 30]):
+            hashed.insert(value, row_id)
+            ranged.insert(value, row_id)
+        index_on = {"h": hashed, "r": ranged}.get
+        assert choose_index(index_on, []) is None
+        assert choose_index(index_on, [("none", "=", 20)]) is None
+        # first-usable order: the unindexed and the unusable are passed over
+        assert choose_index(
+            index_on, [("none", "=", 1), ("h", ">", 10), ("r", "in", [10]), ("r", "<", 20), ("h", "=", 30)]
+        ) == ("r", {0})
+        assert choose_index(index_on, [("h", "=", 20), ("r", "<", 20)]) == ("h", {1, 2})
+        # equality takes either kind, ``in`` a hash index, a range a sorted one
+        assert choose_index(index_on, [("r", "=", 20)]) == ("r", {1, 2})
+        assert choose_index(index_on, [("h", "in", [10, 30, 40])]) == ("h", {0, 3})
+        assert choose_index(index_on, [("r", "in", [10, 30])]) is None
+        assert choose_index(index_on, [("h", ">=", 20)]) is None
+        assert choose_index(index_on, [("r", ">", 20)]) == ("r", {3})
+        assert choose_index(index_on, [("r", ">=", 20)]) == ("r", {1, 2, 3})
+        assert choose_index(index_on, [("r", "<=", 20)]) == ("r", {0, 1, 2})
+
+    def test_partition_values(self):
+        conjuncts = [("age", ">", 3), ("city", "in", ("a", "b")), ("city", "=", "c")]
+        assert partition_values(conjuncts, "city") == ["a", "b"]
+        assert partition_values(conjuncts[::-1], "city") == ["c"]
+        assert partition_values(conjuncts, "age") is None  # a range pins nothing
+        assert partition_values(conjuncts, "City") is None
+        assert partition_values(conjuncts, None) is None
+        assert partition_values([], "city") is None
 
 
 class TestDML:
