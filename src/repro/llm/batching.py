@@ -32,23 +32,25 @@ invoking the model: no capacity reservation, no failure roll, latency =
 ``exec_end - now``.  Windows may be deterministically jittered from a
 seed (``jitter``) so co-located fleets do not flush in lockstep.
 
-Like the cache and single-flight, batching is strictly opt-in
-(``Blueprint.run_fleet(batching=...)`` / ``--batch``), and plans that
-need call-for-call determinism bypass it via ``no_cache`` exactly as
-they bypass the other two rungs.  Under the serial backend batch
-membership is a pure function of the submission list; concurrent
-backends may interleave joins differently run to run (the same caveat
-single-flight carries), while each join's accounting stays individually
-consistent.
+Batching is opt-in like the cache (``Blueprint.run_fleet(batching=...)``
+/ ``--batch``; single-flight is the one rung ``run_fleet`` turns on by
+default), and plans that need call-for-call determinism bypass it via
+``no_cache`` exactly as they bypass the other two rungs.  Windows sit in
+a :class:`~repro.llm.windows.LiveLRU`, live until their ``exec_end``:
+the bound never evicts a batch that may still admit members.  Under the
+serial backend batch membership is a pure function of the submission
+list; concurrent backends may interleave joins differently run to run
+(the same caveat single-flight carries), while each join's accounting
+stays individually consistent.
 """
 
 from __future__ import annotations
 
 import hashlib
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Mapping
+
+from .windows import LiveLRU
 
 
 @dataclass(frozen=True)
@@ -117,7 +119,7 @@ class _Batch:
         self.size = 1  # the leader
 
 
-class LLMBatcher:
+class LLMBatcher(LiveLRU):
     """Coalesces batchable LLM calls into shared micro-batch windows.
 
     Example — a distinct prompt landing inside the window pays only the
@@ -141,8 +143,7 @@ class LLMBatcher:
     ) -> None:
         if not 0.0 <= jitter <= 1.0:
             raise ValueError(f"jitter must be in [0, 1]: {jitter}")
-        if max_entries <= 0:
-            raise ValueError(f"max_entries must be > 0: {max_entries}")
+        super().__init__(max_entries)
         self._default = BatchPolicy(max_batch_size, max_batch_wait)
         self._per_model = dict(per_model or {})
         #: Fractional window-length jitter: each opened window's wait is
@@ -152,9 +153,6 @@ class LLMBatcher:
         #: de-synchronize their flush instants.
         self._jitter = jitter
         self._seed = seed
-        self._max_entries = max_entries
-        self._entries: OrderedDict[tuple[str, int], _Batch] = OrderedDict()
-        self._lock = threading.Lock()
         self._batches = 0
         self._joins = 0
         self._saved_latency = 0.0
@@ -191,12 +189,14 @@ class LLMBatcher:
                 u = int.from_bytes(digest[:8], "little") / 2**64
                 wait *= 1.0 + self._jitter * (u - 0.5)
             window_end = min(start + wait, exec_end)
-            key = (model, max_output_tokens)
-            self._entries[key] = _Batch(start, window_end, exec_end)
-            self._entries.move_to_end(key)
+            self._store(
+                (model, max_output_tokens),
+                _Batch(start, window_end, exec_end),
+                live_until=exec_end,
+                now=start,
+            )
             if self._peak_batch < 1:
                 self._peak_batch = 1
-            self._evict(now=start)
 
     def join(self, model: str, max_output_tokens: int, now: float) -> float | None:
         """Ride the open window covering *now*; returns the batch's
@@ -210,7 +210,7 @@ class LLMBatcher:
         key = (model, max_output_tokens)
         policy = self.policy_for(model)
         with self._lock:
-            batch = self._entries.get(key)
+            batch: _Batch | None = self._peek(key)
             if batch is None:
                 return None
             if not batch.start <= now < batch.window_end:
@@ -230,23 +230,6 @@ class LLMBatcher:
             self._saved_latency += max(0.0, saved_latency)
             self._attributed_cost += cost
 
-    def _evict(self, now: float) -> None:
-        """Drop least-recently-used windows, in-flight ones exempt.
-
-        Mirrors the single-flight eviction fix: a window whose
-        execution has not completed by *now* may still cover later
-        joiners' starts, so only windows with ``exec_end <= now`` are
-        evictable and the map may transiently exceed ``max_entries``
-        while many batches are live.
-        """
-        if len(self._entries) <= self._max_entries:
-            return
-        for key in list(self._entries):
-            if len(self._entries) <= self._max_entries:
-                break
-            if self._entries[key].exec_end <= now:
-                del self._entries[key]
-
     # ------------------------------------------------------------------
     # Inspection
     # ------------------------------------------------------------------
@@ -260,12 +243,3 @@ class LLMBatcher:
                 attributed_cost=self._attributed_cost,
                 peak_batch=self._peak_batch,
             )
-
-    def clear(self) -> None:
-        """Drop all windows (tallies survive: they describe history)."""
-        with self._lock:
-            self._entries.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)

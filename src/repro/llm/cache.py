@@ -20,11 +20,11 @@ Caching is strictly opt-in:
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
+import math
 from dataclasses import dataclass, replace
 
 from .model import LLMResponse, LLMUsage
+from .windows import LiveLRU
 
 #: Usage stamped onto cache hits: the call consumed nothing.
 _ZERO_USAGE = LLMUsage(input_tokens=0, output_tokens=0, cost=0.0, latency=0.0)
@@ -55,7 +55,7 @@ class CacheStats:
         return self.hits / total if total else 0.0
 
 
-class LLMCache:
+class LLMCache(LiveLRU):
     """An LRU memo of completed LLM calls, shared across a catalog.
 
     Example:
@@ -69,11 +69,7 @@ class LLMCache:
     """
 
     def __init__(self, max_entries: int = 1024) -> None:
-        if max_entries <= 0:
-            raise ValueError(f"max_entries must be > 0: {max_entries}")
-        self._max_entries = max_entries
-        self._entries: OrderedDict[tuple[str, str, int], LLMResponse] = OrderedDict()
-        self._lock = threading.Lock()
+        super().__init__(max_entries)
         self._hits = 0
         self._misses = 0
         self._saved_cost = 0.0
@@ -91,7 +87,7 @@ class LLMCache:
         """
         key = (model, prompt, max_output_tokens)
         with self._lock:
-            stored = self._entries.get(key)
+            stored: LLMResponse | None = self._peek(key)
             if stored is None:
                 self._misses += 1
                 return None
@@ -107,12 +103,9 @@ class LLMCache:
         self, model: str, prompt: str, max_output_tokens: int, response: LLMResponse
     ) -> None:
         """Remember *response* (with its real usage, for savings tallies)."""
-        key = (model, prompt, max_output_tokens)
         with self._lock:
-            self._entries[key] = response
-            self._entries.move_to_end(key)
-            while len(self._entries) > self._max_entries:
-                self._entries.popitem(last=False)
+            # A completed call is never live: the plain LRU rule.
+            self._store((model, prompt, max_output_tokens), response, -math.inf, 0.0)
 
     def stats(self) -> CacheStats:
         with self._lock:
@@ -125,12 +118,3 @@ class LLMCache:
                 saved_input_tokens=self._saved_input_tokens,
                 saved_output_tokens=self._saved_output_tokens,
             )
-
-    def clear(self) -> None:
-        """Drop all entries (tallies survive: they describe history)."""
-        with self._lock:
-            self._entries.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)

@@ -103,7 +103,7 @@ class ModelCatalog:
         #: (opt-in; the fleet runtime wires one — see :class:`ModelCapacity`).
         self.capacity = capacity
         #: Optional cross-plan single-flight coalescing shared by every
-        #: client (opt-in; see :class:`SingleFlight`).
+        #: client (``run_fleet`` wires one by default; see :class:`SingleFlight`).
         self.single_flight = single_flight
         #: Optional cross-plan micro-batch coalescing shared by every
         #: client (opt-in; see :class:`LLMBatcher`).
@@ -149,35 +149,23 @@ class ModelCatalog:
         if failure_rate is None:
             failure_rate = self.default_failure_rate
         with self._lock:
-            cached = self._clients.get(name)
-            if cached is not None and cached.failure_rate == failure_rate:
-                # Rewire shared plumbing on EVERY fetch, not just at
-                # construction: the catalog's tracker, clock, result cache,
-                # or observability sink may have been swapped since this
-                # client was built, and a stale reference would silently
-                # record usage into the abandoned sink.
-                cached.clock = self.clock
-                cached.tracker = self.tracker
-                cached.cache = self.cache
-                cached.capacity = self.capacity
-                cached.single_flight = self.single_flight
-                cached.batcher = self.batcher
-                cached.observability = self.observability
-                cached.wall_latency_scale = self.wall_latency_scale
-                return cached
-            client = SimulatedLLM(
-                spec,
-                clock=self.clock,
-                tracker=self.tracker,
-                failure_rate=failure_rate,
-                observability=self.observability,
-                cache=self.cache,
-                capacity=self.capacity,
-                single_flight=self.single_flight,
-                batcher=self.batcher,
-            )
+            client = self._clients.get(name)
+            if client is None or client.failure_rate != failure_rate:
+                client = SimulatedLLM(spec, failure_rate=failure_rate)
+                self._clients[name] = client
+            # Wire shared plumbing on EVERY fetch, not just at construction:
+            # the catalog's tracker, clock, result cache, or observability
+            # sink may have been swapped since this client was built, and a
+            # stale reference would silently record usage into the
+            # abandoned sink.
+            client.clock = self.clock
+            client.tracker = self.tracker
+            client.cache = self.cache
+            client.capacity = self.capacity
+            client.single_flight = self.single_flight
+            client.batcher = self.batcher
+            client.observability = self.observability
             client.wall_latency_scale = self.wall_latency_scale
-            self._clients[name] = client
             return client
 
     def cheapest(self, domain: str = "general", min_quality: float = 0.0) -> ModelSpec:

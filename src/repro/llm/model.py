@@ -1,40 +1,35 @@
-"""The simulated LLM.
+"""The simulated LLM: one call path under the reuse ladder.
 
 A :class:`SimulatedLLM` stands in for a hosted model API.  It exercises the
 identical code paths an API-backed deployment would — prompts in, text out,
 token-metered cost, modeled latency, context-window limits, failures — while
-staying deterministic and offline.
+staying deterministic and offline.  *What* it says is the pure function
+:func:`repro.llm.answer.answer`; this module decides what a call is charged
+and when it lands, in one straight-line walk (:meth:`SimulatedLLM.complete`):
 
-Prompts follow a simple *task directive* convention (see
-:mod:`repro.llm.prompts`): a ``TASK:`` line selects a capability, further
-``KEY: value`` lines parameterize it, and the remainder is free text.  This
-mirrors how production systems prompt models into structured behaviors, and
-gives the knowledge-backed tasks (list cities, related titles, extraction,
-NL→SQL) answers that the planners and benchmarks can score.
+    open the span -> ``cache.get`` -> ``single_flight.join`` (wait out the
+    residual) -> ``_invoke`` -> ``cache.put`` -> ``_account``
 
-Model *quality* in [0, 1] controls answer fidelity: list-valued answers keep
-each item with probability ``quality`` and may gain a plausible-but-wrong
-item (a hallucination) with probability ``1 - quality``.  Degradation is
-seeded from (model name, prompt), so a given model answers a given prompt
-identically every time.
+Each rung and each side effect appears once.  ``_invoke`` is where an answer
+is metered, waited for and recorded, whether or not the call rides an open
+micro-batch window; ``_wait`` is the only way to spend latency (the clock
+and, scaled, the wall); ``_account`` is the only place span attributes and
+counter tallies are derived — from the response's own ``cached`` /
+``coalesced`` / ``batched`` flags.  Only physical (non-riding) responses are
+remembered by the cache, single-flight and the batcher.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import re
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Sequence, TYPE_CHECKING
-
-import numpy as np
+from typing import Any, TYPE_CHECKING
 
 from ..clock import SimClock
 from ..errors import ContextWindowExceededError, LLMError
 from ..observability.span import NOOP_SPAN
-from . import knowledge
+from .answer import answer, seeded_rng
 from .tokenizer import count_tokens
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -207,11 +202,6 @@ class _BoundTallies:
             sink.inc("llm.batch.windows", self.batch_windows, model=model)
 
 
-_DIRECTIVE_RE = re.compile(r"^([A-Z_]+):\s*(.*)$")
-
-#: Tasks whose fidelity depends on HR domain knowledge (a fine-tuned HR
-#: model answers these at its domain quality).
-_HR_TASKS = {"RELATED_TITLES", "LIST_SKILLS", "EXTRACT", "NL2SQL", "MATCH_EXPLAIN"}
 
 
 class SimulatedLLM:
@@ -261,8 +251,6 @@ class SimulatedLLM:
         #: small scale so calls genuinely block — an I/O-bound stand-in
         #: the pool can overlap (``time.sleep`` releases the GIL).
         self.wall_latency_scale = 0.0
-        # Per-thread: concurrent callers must not read each other's waits.
-        self._queue_wait_tls = threading.local()
         # Instrument handles, bound lazily per observability instance so
         # each call pays dict increments instead of registry lookups
         # (``observability`` is often assigned after construction).
@@ -270,14 +258,6 @@ class SimulatedLLM:
         self._bound_obs: "Observability | None" = None
         self._t: _BoundTallies | None = None
         self._h_latency = self._h_queue_wait = None
-
-    @property
-    def _last_queue_wait(self) -> float:
-        return getattr(self._queue_wait_tls, "value", 0.0)
-
-    @_last_queue_wait.setter
-    def _last_queue_wait(self, value: float) -> None:
-        self._queue_wait_tls.value = value
 
     def _bind_instruments(self, obs: "Observability") -> None:
         metrics = obs.metrics
@@ -295,476 +275,202 @@ class SimulatedLLM:
             self._h_latency = self._h_queue_wait = None
         self._bound_obs = obs
 
-    # ------------------------------------------------------------------
-    # Public API
-    # ------------------------------------------------------------------
     def complete(
         self, prompt: str, max_output_tokens: int = 512, no_cache: bool = False
     ) -> LLMResponse:
         """Run one completion; raises on simulated transient failures.
 
-        With a :attr:`cache` attached (and *no_cache* unset), a repeated
-        ``(model, prompt, max_output_tokens)`` call returns the memoized
-        response at zero cost and latency.  A hit is a pure short-circuit:
-        it skips the failure roll and does not consume a call index, so
-        enabling the cache changes which physical calls happen — runs that
-        must be call-for-call deterministic pass ``no_cache`` (plans do
-        this via ``plan.no_cache``).
+        The reuse ladder, cheapest rung first — each rung runs only while
+        no earlier one produced the response:
+
+        * :attr:`cache` — a repeated ``(model, prompt, max_output_tokens)``
+          call returns the memoized response at zero cost and latency;
+        * :attr:`single_flight` — an identical call still in flight on the
+          simulated timeline is shared: zero cost, the residual wait;
+        * :meth:`_invoke` — the call happens, riding an open
+          :attr:`batcher` window when one covers its start.
+
+        Reuse is a pure short-circuit: it skips the failure roll and does
+        not consume a call index, so enabling a rung changes which physical
+        calls happen — runs that must be call-for-call deterministic pass
+        *no_cache*, which bypasses all three (plans do this via
+        ``plan.no_cache``).  Coalescing and batching are timeline concepts
+        and additionally need a :attr:`clock`.
         """
-        cache = self.cache if not no_cache else None
-        hit = (
-            cache.get(self.spec.name, prompt, max_output_tokens)
-            if cache is not None
-            else None
-        )
+        model, clock = self.spec.name, self.clock
+        cache = None if no_cache else self.cache
+        timed = not no_cache and clock is not None
+        flight = self.single_flight if timed else None
+        batcher = self.batcher if timed else None
         obs = self.observability
         if obs is None:
             # No sink: the same walk, over the do-nothing span, no tallies.
-            tallies = None
-            span = NOOP_SPAN
+            tallies, span = None, NOOP_SPAN
         else:
             if obs is not self._bound_obs:
                 self._bind_instruments(obs)
             tallies = self._t
-            span = obs.span(self._span_name, kind="llm", model=self.spec.name)
+            span = obs.span(self._span_name, kind="llm", model=model)
         with span:
-            if hit is not None:
-                span.set_attribute("cached", True)
-                if tallies is not None:
-                    with tallies.lock:
-                        tallies.cache_hits += 1
-                return hit
-            if cache is not None and tallies is not None:
-                with tallies.lock:
-                    tallies.cache_misses += 1
-            joined = self._try_join(prompt, max_output_tokens, no_cache)
-            if joined is not None:
-                span.set_attribute("coalesced", True)
-                span.set_attribute("residual_wait", joined.usage.latency)
-                if tallies is not None:
-                    with tallies.lock:
-                        tallies.coalesced += 1
-                return joined
-            batched = self._try_batch(prompt, max_output_tokens, no_cache)
-            if batched is not None:
-                usage = batched.usage
-                span.set_attribute("batched", True)
-                span.set_attribute("batch_residual", usage.latency)
-                span.set_attribute("input_tokens", usage.input_tokens)
-                span.set_attribute("output_tokens", usage.output_tokens)
-                span.set_attribute("cost", usage.cost)
-                if tallies is not None:
-                    # A join is not a physical call (``llm.calls`` counts
-                    # model invocations), but its tokens and cost ARE
-                    # charged to the caller — per-call attribution.
-                    with tallies.lock:
-                        tallies.batch_joins += 1
-                        tallies.tokens += usage.input_tokens + usage.output_tokens
-                        tallies.cost += usage.cost
-                return batched
-            try:
-                response = self._complete(prompt, max_output_tokens)
-            except LLMError:
-                if tallies is not None:
-                    with tallies.lock:
-                        tallies.failures += 1
-                raise
+            response, queue_wait = None, 0.0
             if cache is not None:
-                cache.put(self.spec.name, prompt, max_output_tokens, response)
-            usage = response.usage
-            span.set_attribute("input_tokens", usage.input_tokens)
-            span.set_attribute("output_tokens", usage.output_tokens)
-            span.set_attribute("cost", usage.cost)
-            if self._last_queue_wait > 0:
-                span.set_attribute("queue_wait", self._last_queue_wait)
-            if tallies is not None:
-                with tallies.lock:
-                    tallies.calls += 1
-                    tallies.tokens += usage.input_tokens + usage.output_tokens
-                    tallies.cost += usage.cost
-                self._h_latency.observe(usage.latency)
-                if self._last_queue_wait > 0:
-                    self._h_queue_wait.observe(self._last_queue_wait)
+                response = cache.get(model, prompt, max_output_tokens)
+                if response is None and tallies is not None:
+                    with tallies.lock:
+                        tallies.cache_misses += 1
+            if response is None and flight is not None:
+                joined = flight.join(model, prompt, max_output_tokens, clock.now())
+                if joined is not None:
+                    response, residual = joined
+                    self._wait(residual)
+            if response is None:
+                try:
+                    response, queue_wait = self._invoke(prompt, max_output_tokens, batcher)
+                except LLMError:
+                    if tallies is not None:
+                        with tallies.lock:
+                            tallies.failures += 1
+                    raise
+                if cache is not None and not response.batched:
+                    cache.put(model, prompt, max_output_tokens, response)
+            self._account(span, tallies, response, queue_wait)
             return response
 
-    def _try_join(
-        self, prompt: str, max_output_tokens: int, no_cache: bool
-    ) -> LLMResponse | None:
-        """Attach to an in-flight identical call, paying only the residual.
+    def _invoke(
+        self, prompt: str, max_output_tokens: int, batcher: "LLMBatcher | None"
+    ) -> tuple[LLMResponse, float]:
+        """Answer, meter, wait and record one call: ``(response, queue wait)``.
 
-        Coalescing is a timeline concept: it needs a clock to know *when*
-        this call starts, and ``no_cache`` bypasses it just like the cache
-        (determinism suites need every physical call to happen).
+        With a *batcher* the call first tries to ride the open micro-batch
+        window covering its start.  The prompt is distinct from the window
+        leader's, so a rider still has its own answer and is charged its
+        own tokens and cost; what it skips is what the leader's physical
+        invocation already paid for — call index, failure roll, capacity
+        slot — and it lands with the batch (``exec_end``), which may be
+        sooner *or later* than its solo latency would have been.
+
+        The answer is synthesized before anything is consumed, so a prompt
+        the model cannot answer (or that overflows the context window)
+        raises without taking a batch member slot or a call index.
         """
-        if no_cache or self.single_flight is None or self.clock is None:
-            return None
-        joined = self.single_flight.join(
-            self.spec.name, prompt, max_output_tokens, self.clock.now()
-        )
-        if joined is None:
-            return None
-        response, residual = joined
-        if residual > 0:
-            self.clock.advance(residual)
-        return response
-
-    def _try_batch(
-        self, prompt: str, max_output_tokens: int, no_cache: bool
-    ) -> LLMResponse | None:
-        """Ride an open micro-batch window, paying only the residual wait.
-
-        Unlike a single-flight join the prompt here is *different* from
-        the window leader's, so the joiner computes its own answer and is
-        charged its own token cost — only latency and the capacity slot
-        are amortized (the batch already holds one).  No failure roll, no
-        call index, no capacity reservation: the physical invocation is
-        the leader's.  ``no_cache`` bypasses batching like the other
-        coalescing rungs.
-        """
-        if no_cache or self.batcher is None or self.clock is None:
-            return None
+        spec, clock = self.spec, self.clock
+        model = spec.name
         input_tokens = count_tokens(prompt)
-        if input_tokens > self.spec.context_window:
-            # Fall through to the physical path so the proper
-            # ContextWindowExceededError is raised without having
-            # consumed one of the batch's member slots.
-            return None
-        now = self.clock.now()
-        exec_end = self.batcher.join(self.spec.name, max_output_tokens, now)
-        if exec_end is None:
-            return None
-        text, structured, domain = self._answer(prompt)
-        output_tokens = min(count_tokens(text), max_output_tokens)
-        solo_latency = self.spec.latency_of(input_tokens, output_tokens)
-        residual = max(0.0, exec_end - now)
-        usage = LLMUsage(
-            input_tokens=input_tokens,
-            output_tokens=output_tokens,
-            cost=self.spec.cost_of(input_tokens, output_tokens),
-            latency=residual,
-        )
-        self._last_queue_wait = 0.0
-        if residual > 0:
-            self.clock.advance(residual)
-        if self.wall_latency_scale > 0:
-            time.sleep(residual * self.wall_latency_scale)
-        if self.tracker is not None:
-            self.tracker.record(self.spec.name, usage)
-        self.batcher.credit(solo_latency - residual, usage.cost)
-        return LLMResponse(
-            text=text,
-            usage=usage,
-            model=self.spec.name,
-            structured=structured,
-            domain=domain,
-            batched=True,
-        )
-
-    def _complete(self, prompt: str, max_output_tokens: int = 512) -> LLMResponse:
-        input_tokens = count_tokens(prompt)
-        if input_tokens > self.spec.context_window:
+        if input_tokens > spec.context_window:
             raise ContextWindowExceededError(
                 f"prompt of {input_tokens} tokens exceeds context window "
-                f"{self.spec.context_window} of {self.spec.name}"
+                f"{spec.context_window} of {model}"
             )
-        with self._call_lock:
-            self._call_index += 1
-            call_index = self._call_index
-        if self.failure_rate > 0:
-            failure_roll = self._rng(prompt, salt=f"fail-{call_index}").random()
-            if failure_roll < self.failure_rate:
-                raise LLMError(
-                    f"simulated transient failure from {self.spec.name} "
-                    f"(call {call_index})"
-                )
-        text, structured, domain = self._answer(prompt)
-        output_tokens = min(count_tokens(text), max_output_tokens)
-        usage = LLMUsage(
-            input_tokens=input_tokens,
-            output_tokens=output_tokens,
-            cost=self.spec.cost_of(input_tokens, output_tokens),
-            latency=self.spec.latency_of(input_tokens, output_tokens),
+        text, structured, domain = answer(spec, self._seed, prompt)
+        start = clock.now() if clock is not None else 0.0
+        exec_end = (
+            batcher.join(model, max_output_tokens, start) if batcher is not None else None
         )
-        self._last_queue_wait = 0.0
-        start = self.clock.now() if self.clock is not None else 0.0
-        if self.capacity is not None and self.clock is not None:
-            actual = self.capacity.reserve(self.spec.name, start, usage.latency)
-            self._last_queue_wait = actual - start
-            if self._last_queue_wait > 0:
-                self.clock.advance(self._last_queue_wait)
-            start = actual
+        riding = exec_end is not None
+        if not riding:
+            with self._call_lock:
+                self._call_index += 1
+                call_index = self._call_index
+            if self.failure_rate > 0:
+                roll = seeded_rng(model, self._seed, prompt, f"fail-{call_index}").random()
+                if roll < self.failure_rate:
+                    raise LLMError(
+                        f"simulated transient failure from {model} (call {call_index})"
+                    )
+        output_tokens = min(count_tokens(text), max_output_tokens)
+        cost = spec.cost_of(input_tokens, output_tokens)
+        solo_latency = spec.latency_of(input_tokens, output_tokens)
+        queue_wait = 0.0
+        if riding:
+            latency = max(0.0, exec_end - start)
+        else:
+            latency = solo_latency
+            if self.capacity is not None and clock is not None:
+                # Queueing is simulated time only: it moves the clock, not
+                # ``usage.latency`` (model time) and not the wall.
+                queued_start = self.capacity.reserve(model, start, latency)
+                queue_wait = queued_start - start
+                clock.advance(queue_wait)
+                start = queued_start
+        self._wait(latency)
+        usage = LLMUsage(input_tokens, output_tokens, cost=cost, latency=latency)
+        if self.tracker is not None:
+            self.tracker.record(model, usage)
+        response = LLMResponse(
+            text, usage, model, structured=structured, domain=domain, batched=riding
+        )
+        if riding:
+            batcher.credit(solo_latency - latency, cost)
+        elif clock is not None:
+            # Only a physical call is remembered: it leads a flight that
+            # identical calls may join and anchors the window that later
+            # batchable calls ride instead of reserving their own slot.
+            end = start + latency
+            if self.single_flight is not None:
+                self.single_flight.record(
+                    model, prompt, max_output_tokens, start, end, response,
+                    now=clock.now(),
+                )
+            if self.batcher is not None:
+                self.batcher.open(model, max_output_tokens, start, end)
+        return response, queue_wait
+
+    def _wait(self, latency: float) -> None:
+        """Spend *latency* simulated seconds — the only way a call does."""
         if self.clock is not None:
-            self.clock.advance(usage.latency)
+            self.clock.advance(latency)
         if self.wall_latency_scale > 0:
             # Block for real: the simulated latency becomes actual wall
             # time, which is what makes the thread backend's overlap
             # measurable (and the serial backend's lack of it).
-            time.sleep(usage.latency * self.wall_latency_scale)
-        if self.tracker is not None:
-            self.tracker.record(self.spec.name, usage)
-        response = LLMResponse(
-            text=text,
-            usage=usage,
-            model=self.spec.name,
-            structured=structured,
-            domain=domain,
-        )
-        if self.single_flight is not None and self.clock is not None:
-            self.single_flight.record(
-                self.spec.name,
-                prompt,
-                max_output_tokens,
-                start,
-                start + usage.latency,
-                response,
-                now=self.clock.now(),
-            )
-        if self.batcher is not None and self.clock is not None:
-            # This physical call anchors a micro-batch window: later
-            # batchable calls whose simulated starts fall inside it ride
-            # along instead of reserving their own capacity slot.
-            self.batcher.open(
-                self.spec.name, max_output_tokens, start, start + usage.latency
-            )
-            tallies = self._t
-            if tallies is not None:
-                with tallies.lock:
-                    tallies.batch_windows += 1
-        return response
+            time.sleep(latency * self.wall_latency_scale)
 
-    # ------------------------------------------------------------------
-    # Task routing
-    # ------------------------------------------------------------------
-    def _answer(self, prompt: str) -> tuple[str, Any, str]:
-        directives, body = _parse_directives(prompt)
-        task = directives.get("TASK", "").upper()
-        domain = self.spec.domain if task in _HR_TASKS else "general"
-        if task == "LIST_CITIES":
-            return self._list_cities(directives, prompt)
-        if task == "RELATED_TITLES":
-            return self._related_titles(directives, prompt)
-        if task == "LIST_SKILLS":
-            return self._list_skills(directives, prompt)
-        if task == "EXTRACT":
-            return self._extract(directives, body, prompt)
-        if task == "SUMMARIZE":
-            return self._summarize(directives, body)
-        if task == "CLASSIFY":
-            return self._classify(directives, body, prompt)
-        if task == "Q2NL":
-            return self._q2nl(directives, body)
-        if task == "MATCH_EXPLAIN":
-            return self._match_explain(directives)
-        if task == "GENERATE":
-            return self._generate(body or prompt)
-        return self._generate(prompt)
+    def _account(
+        self, span: Any, tallies: _BoundTallies | None, response: LLMResponse,
+        queue_wait: float,
+    ) -> None:
+        """Stamp the span and bump the tallies of one answered call.
 
-    # -- knowledge-backed list tasks -----------------------------------
-    def _list_cities(self, directives: dict[str, str], prompt: str) -> tuple[str, Any, str]:
-        region = directives.get("REGION", "")
-        cities = knowledge.lookup_region(region)
-        quality = self.spec.quality_for("general")
-        if cities is None:
-            return f"I do not know the cities of {region!r}.", [], "general"
-        answer = self._degrade_list(list(cities), knowledge.NOISE_CITIES, quality, prompt)
-        return ", ".join(answer), answer, "general"
-
-    def _related_titles(self, directives: dict[str, str], prompt: str) -> tuple[str, Any, str]:
-        title = directives.get("TITLE", "")
-        titles = knowledge.lookup_related_titles(title)
-        quality = self.spec.quality_for("hr")
-        if titles is None:
-            fallback = [title.title()] if title else []
-            return ", ".join(fallback), fallback, "hr"
-        answer = self._degrade_list(list(titles), knowledge.NOISE_TITLES, quality, prompt)
-        return ", ".join(answer), answer, "hr"
-
-    def _list_skills(self, directives: dict[str, str], prompt: str) -> tuple[str, Any, str]:
-        title = directives.get("TITLE", "")
-        skills = knowledge.lookup_skills(title)
-        quality = self.spec.quality_for("hr")
-        if skills is None:
-            return f"I do not know the core skills for {title!r}.", [], "hr"
-        answer = self._degrade_list(list(skills), knowledge.NOISE_SKILLS, quality, prompt)
-        return ", ".join(answer), answer, "hr"
-
-    # -- text tasks -----------------------------------------------------
-    def _extract(
-        self, directives: dict[str, str], body: str, prompt: str
-    ) -> tuple[str, Any, str]:
-        fields = [f.strip().lower() for f in directives.get("FIELDS", "").split(",") if f.strip()]
-        text = directives.get("TEXT", body)
-        quality = self.spec.quality_for("hr")
-        extracted: dict[str, Any] = {}
-        lowered = text.lower()
-        if "title" in fields or not fields:
-            extracted["title"] = _find_title(lowered)
-        if "location" in fields or not fields:
-            extracted["location"] = _find_location(lowered)
-        if "skills" in fields:
-            extracted["skills"] = _find_skills(lowered)
-        # Low-quality models miss secondary fields deterministically.
-        rng = self._rng(prompt, salt="extract")
-        for key in list(extracted):
-            if extracted[key] and rng.random() > quality and key != "title":
-                extracted[key] = None
-        return json.dumps(extracted), extracted, "hr"
-
-    def _summarize(self, directives: dict[str, str], body: str) -> tuple[str, Any, str]:
-        # Multiline TEXT spans the directive line plus the remaining body.
-        text = "\n".join(part for part in (directives.get("TEXT", ""), body) if part)
-        quality = self.spec.quality_for("general")
-        lines = [line.strip() for line in text.splitlines() if line.strip()]
-        if len(lines) > 1:
-            # Extractive over items: keep the head of each line so every
-            # summarized row/document contributes content.
-            per_line = max(4, int(4 + 8 * quality))
-            kept_lines = lines[: max(2, int(len(lines) * max(quality, 0.3)))]
-            snippets = []
-            for line in kept_lines:
-                words = line.split()
-                snippet = " ".join(words[:per_line])
-                if len(words) > per_line:
-                    snippet += " ..."
-                snippets.append(snippet)
-            summary = " | ".join(snippets)
-        else:
-            words = text.split()
-            keep = max(5, int(len(words) * min(0.3, 0.1 + 0.2 * quality)))
-            summary = " ".join(words[:keep])
-            if len(words) > keep:
-                summary += " ..."
-        return f"Summary: {summary}", summary, "general"
-
-    def _classify(
-        self, directives: dict[str, str], body: str, prompt: str
-    ) -> tuple[str, Any, str]:
-        labels = [l.strip() for l in directives.get("LABELS", "").split(",") if l.strip()]
-        text = directives.get("TEXT", body).lower()
-        if not labels:
-            raise LLMError("CLASSIFY task requires a LABELS directive")
-        chosen = _heuristic_label(text, labels)
-        quality = self.spec.quality_for("general")
-        rng = self._rng(prompt, salt="classify")
-        if rng.random() > quality and len(labels) > 1:
-            wrong = [label for label in labels if label != chosen]
-            chosen = wrong[int(rng.integers(len(wrong)))]
-        return chosen, chosen, "general"
-
-    def _q2nl(self, directives: dict[str, str], body: str) -> tuple[str, Any, str]:
-        fragment = directives.get("FRAGMENT", body)
-        text = f"List the {fragment.strip()}."
-        return text, text, "general"
-
-    def _match_explain(self, directives: dict[str, str]) -> tuple[str, Any, str]:
-        """Explain why a job matches a seeker (the explanation module)."""
-        seeker_title = directives.get("SEEKER_TITLE", "the seeker's background")
-        job_title = directives.get("JOB_TITLE", "this role")
-        shared = [s.strip() for s in directives.get("SHARED_SKILLS", "").split(",") if s.strip()]
-        location = directives.get("LOCATION_FIT", "")
-        parts = [f"{job_title} fits a {seeker_title} profile"]
-        if shared:
-            quality = self.spec.quality_for("hr")
-            keep = max(1, int(round(len(shared) * quality)))
-            parts.append(f"shares the key skills {', '.join(shared[:keep])}")
-        if location:
-            parts.append(location)
-        text = "; ".join(parts) + "."
-        return text, text, "hr"
-
-    def _generate(self, prompt: str) -> tuple[str, Any, str]:
-        words = prompt.split()
-        opener = " ".join(words[:12])
-        text = (
-            f"Considering your request ({opener} ...), here is a concise, "
-            f"helpful response produced by {self.spec.name}."
-        )
-        return text, None, "general"
-
-    # ------------------------------------------------------------------
-    # Degradation machinery
-    # ------------------------------------------------------------------
-    def _rng(self, prompt: str, salt: str = "") -> np.random.Generator:
-        digest = hashlib.md5(
-            f"{self.spec.name}|{self._seed}|{salt}|{prompt}".encode("utf-8")
-        ).digest()
-        return np.random.default_rng(int.from_bytes(digest[:8], "little"))
-
-    def _degrade_list(
-        self,
-        truth: list[str],
-        noise_pool: Sequence[str],
-        quality: float,
-        prompt: str,
-    ) -> list[str]:
-        """Drop items with probability 1-quality; maybe add one noise item."""
-        rng = self._rng(prompt, salt="list")
-        kept = [item for item in truth if rng.random() <= quality]
-        if not kept and truth:
-            kept = [truth[0]]  # even weak models recall the most salient fact
-        if noise_pool and rng.random() > quality:
-            kept.append(noise_pool[int(rng.integers(len(noise_pool)))])
-        return kept
-
-
-# ----------------------------------------------------------------------
-# Prompt/extraction helpers
-# ----------------------------------------------------------------------
-def _parse_directives(prompt: str) -> tuple[dict[str, str], str]:
-    """Split ``KEY: value`` directive lines from the free-text body."""
-    directives: dict[str, str] = {}
-    body_lines: list[str] = []
-    for line in prompt.splitlines():
-        match = _DIRECTIVE_RE.match(line.strip())
-        if match and match.group(1).isupper():
-            directives[match.group(1)] = match.group(2).strip()
-        else:
-            body_lines.append(line)
-    return directives, "\n".join(body_lines).strip()
-
-
-def _find_title(text: str) -> str | None:
-    for canonical in knowledge.RELATED_TITLES:
-        if canonical in text:
-            return canonical.title()
-    for canonical, variants in knowledge.RELATED_TITLES.items():
-        for variant in variants:
-            if variant.lower() in text:
-                return canonical.title()
-    return None
-
-
-def _find_location(text: str) -> str | None:
-    for region, cities in knowledge.REGION_CITIES.items():
-        if region in text:
-            return region
-        for city in cities:
-            if city.lower() in text:
-                return city
-    return None
-
-
-def _find_skills(text: str) -> list[str]:
-    found = []
-    for skills in knowledge.TITLE_SKILLS.values():
-        for skill in skills:
-            if skill in text and skill not in found:
-                found.append(skill)
-    return found
-
-
-def _heuristic_label(text: str, labels: list[str]) -> str:
-    """Keyword routing used by the intent classifier."""
-    rules = {
-        "summarize": ("summarize", "summary", "overview", "tl;dr"),
-        "list_edit": ("add ", "remove ", "create a list", "shortlist"),
-        "rank": ("rank", "top candidates", "best candidates", "order by fit"),
-        "cluster": ("cluster", "group the candidates", "segment the"),
-        "open_query": ("how many", "which", "what", "who", "show", "find", "average", "count"),
-        "greeting": ("hello", "hi ", "hey"),
-    }
-    for label in labels:
-        for keyword in rules.get(label, ()):
-            if keyword in text:
-                return label
-    return labels[0]
+        Both derive from the response's own flags.  Attribute keys and
+        their insertion order are part of the byte-stable trace export.
+        """
+        usage = response.usage
+        # Tokens and cost are this caller's for a physical call and for a
+        # batch join alike (per-call attribution); ``llm.calls`` counts
+        # model invocations, so only the former is one.
+        charged = not (response.cached or response.coalesced)
+        physical = charged and not response.batched
+        if response.cached:
+            span.set_attribute("cached", True)
+        elif response.coalesced:
+            span.set_attribute("coalesced", True)
+            span.set_attribute("residual_wait", usage.latency)
+        elif response.batched:
+            span.set_attribute("batched", True)
+            span.set_attribute("batch_residual", usage.latency)
+        if charged:
+            span.set_attribute("input_tokens", usage.input_tokens)
+            span.set_attribute("output_tokens", usage.output_tokens)
+            span.set_attribute("cost", usage.cost)
+            if queue_wait > 0:
+                span.set_attribute("queue_wait", queue_wait)
+        if tallies is None:
+            return
+        with tallies.lock:
+            if response.cached:
+                tallies.cache_hits += 1
+            elif response.coalesced:
+                tallies.coalesced += 1
+            elif response.batched:
+                tallies.batch_joins += 1
+            else:
+                tallies.calls += 1
+                if self.batcher is not None and self.clock is not None:
+                    tallies.batch_windows += 1  # the one ``_invoke`` opened
+            if charged:
+                tallies.tokens += usage.input_tokens + usage.output_tokens
+                tallies.cost += usage.cost
+        if physical:
+            self._h_latency.observe(usage.latency)
+            if queue_wait > 0:
+                self._h_queue_wait.observe(queue_wait)

@@ -18,22 +18,19 @@ Joins skip the failure roll and the leader's call index, exactly like
 cache hits, so determinism suites that need every physical call use
 ``no_cache`` (which bypasses single-flight too).
 
-Eviction respects in-flight intervals: the LRU bound only drops flights
-whose ``end`` has already passed the recording clock (``end <= now``).
-A leader whose interval still covers future joiner starts is exempt —
-evicting it would silently turn would-be joins into fresh leaders and
-change traces under fleet load — so the map may transiently exceed
-``max_entries`` while many flights are live.
+Eviction respects in-flight intervals (:class:`~repro.llm.windows.LiveLRU`):
+a flight is live until its ``end``, so the bound only drops flights that
+have already passed the recording clock (``end <= now``) and the map may
+transiently exceed ``max_entries`` while many flights are live.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .model import LLMResponse, LLMUsage
+from .windows import LiveLRU
 
 
 class _Flight(NamedTuple):
@@ -63,7 +60,7 @@ class FlightStats:
         return self.joins / total if total else 0.0
 
 
-class SingleFlight:
+class SingleFlight(LiveLRU):
     """Coalesces timeline-overlapping identical LLM calls.
 
     Example — a joiner starting mid-flight pays only the residual:
@@ -78,11 +75,7 @@ class SingleFlight:
     """
 
     def __init__(self, max_entries: int = 1024) -> None:
-        if max_entries <= 0:
-            raise ValueError(f"max_entries must be > 0: {max_entries}")
-        self._max_entries = max_entries
-        self._entries: OrderedDict[tuple[str, str, int], _Flight] = OrderedDict()
-        self._lock = threading.Lock()
+        super().__init__(max_entries)
         self._leaders = 0
         self._joins = 0
         self._saved_cost = 0.0
@@ -95,11 +88,11 @@ class SingleFlight:
 
         Returns the shared response (usage re-stamped: zero tokens/cost,
         latency = the residual wait) plus the residual itself, which the
-        caller advances on the clock.
+        caller waits out.
         """
         key = (model, prompt, max_output_tokens)
         with self._lock:
-            flight = self._entries.get(key)
+            flight: _Flight | None = self._peek(key)
             if flight is None or not flight.start <= now < flight.end:
                 return None
             # ``now < end`` guarantees a positive difference, but float
@@ -136,21 +129,14 @@ class SingleFlight:
         LRU bound.  When omitted it defaults to this flight's own ``end``
         — the latest instant the recorder can have observed.
         """
-        key = (model, prompt, max_output_tokens)
-        horizon = end if now is None else now
         with self._lock:
             self._leaders += 1
-            self._entries[key] = _Flight(start=start, end=end, response=response)
-            self._entries.move_to_end(key)
-            if len(self._entries) > self._max_entries:
-                # Evict stale flights only, least-recently-used first:
-                # an interval covering instants beyond ``horizon`` may
-                # still receive joiners, so it survives even over budget.
-                for stale_key in list(self._entries):
-                    if len(self._entries) <= self._max_entries:
-                        break
-                    if self._entries[stale_key].end <= horizon:
-                        del self._entries[stale_key]
+            self._store(
+                (model, prompt, max_output_tokens),
+                _Flight(start=start, end=end, response=response),
+                live_until=end,
+                now=end if now is None else now,
+            )
 
     def stats(self) -> FlightStats:
         with self._lock:
@@ -161,12 +147,3 @@ class SingleFlight:
                 saved_cost=self._saved_cost,
                 saved_latency=self._saved_latency,
             )
-
-    def clear(self) -> None:
-        """Drop all flights (tallies survive: they describe history)."""
-        with self._lock:
-            self._entries.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)

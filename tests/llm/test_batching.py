@@ -243,6 +243,32 @@ class TestSimulatedLLMBatching:
         )
         assert tracker.input_tokens > joiner.usage.input_tokens
 
+    def test_unanswerable_prompt_takes_no_batch_slot(self):
+        """Regression: the member slot was taken before the answer was
+        synthesized, so a prompt that raises (CLASSIFY without LABELS)
+        used up the window — the next legitimate joiner ran physically —
+        and, unlike on the physical path, was not counted as a failure."""
+        from repro.errors import LLMError
+        from repro.observability import Observability
+
+        clock = SimClock()
+        observability = Observability(clock)
+        batcher = LLMBatcher(max_batch_size=2, max_batch_wait=0.5)
+        llm = SimulatedLLM(
+            spec(), clock=clock, batcher=batcher, observability=observability
+        )
+        llm.complete("TASK: GENERATE\nleader")
+        clock.rebase(0.1)
+        with pytest.raises(LLMError):
+            llm.complete("TASK: CLASSIFY\nTEXT: no labels given")
+        assert batcher.stats().joins == 0
+        assert batcher.stats().peak_batch == 1
+        clock.rebase(0.2)
+        assert llm.complete("TASK: GENERATE\nthe one free slot").batched
+        snapshot = observability.metrics.snapshot()
+        assert snapshot["llm.failures{model=batch-model}"] == 1.0
+        assert snapshot["llm.batch.joins{model=batch-model}"] == 1.0
+
     def test_catalog_rewires_batcher(self):
         catalog = ModelCatalog(clock=SimClock())
         client = catalog.client("mega-s")

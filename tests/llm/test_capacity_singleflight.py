@@ -254,6 +254,35 @@ class TestSimulatedLLMIntegration:
         assert not again.coalesced
         assert flight.stats().joins == 0
 
+    def test_coalesced_joiner_waits_in_wall_time_too(self, monkeypatch):
+        """Regression: with ``wall_latency_scale`` set, a single-flight
+        joiner advanced the clock by its residual but never slept it —
+        every way of spending simulated latency blocks for ``x scale``."""
+        import repro.llm.model as model
+        from repro.llm import LLMCache
+
+        slept = []
+        monkeypatch.setattr(model.time, "sleep", slept.append)
+        clock = SimClock()
+        llm = SimulatedLLM(spec(), clock=clock, single_flight=SingleFlight())
+        llm.wall_latency_scale = 0.05
+        leader = llm.complete("TASK: ECHO hello")
+        clock.rebase(0.25)
+        joiner = llm.complete("TASK: ECHO hello")
+        assert joiner.coalesced
+        assert joiner.usage.latency == pytest.approx(0.75)
+        assert slept == [
+            pytest.approx(leader.usage.latency * 0.05),
+            pytest.approx(joiner.usage.latency * 0.05),
+        ]
+        # A cache hit spends no latency, so it sleeps nothing.
+        llm.cache = LLMCache()
+        clock.rebase(5.0)
+        llm.complete("TASK: ECHO hello")
+        del slept[:]
+        assert llm.complete("TASK: ECHO hello").cached
+        assert slept == []
+
 
 class TestMaxQueueWait:
     """Regression: bounded queue wait rejects instead of queueing forever."""
