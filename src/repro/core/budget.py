@@ -6,13 +6,20 @@ budget with actual costs incurred as the execution progresses"
 (Section V-H).  :class:`Budget` is that record: a ledger of charges per
 source, projections from the optimizer, and violation checks the
 coordinator consults after every step.
+
+The ledger is an append-only log with one windowed read:
+:meth:`Budget.window` yields the charges the opening thread makes while
+the window is open (the journal's per-node effect record).
+:meth:`Budget.charges` copies the whole ledger and is for whole-ledger
+consumers (reports, tests) only.
 """
 
 from __future__ import annotations
 
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import Iterator, TYPE_CHECKING
 
 from ..clock import SimClock
 from ..errors import BudgetExceededError
@@ -21,29 +28,6 @@ from .qos import QoSSpec
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..observability import MetricsRegistry
     from ..observability.metrics import CollectorSink
-
-#: The calling thread's active charge-attribution key (see
-#: :meth:`Budget.scoped`).  Module-level thread-local, like the id scope:
-#: one scope covers every budget the task charges.
-_CHARGE_SCOPE = threading.local()
-
-
-class _ChargeScope:
-    """Context manager attributing this thread's charges to one owner."""
-
-    __slots__ = ("_key", "_saved")
-
-    def __init__(self, key: str) -> None:
-        self._key = key
-
-    def __enter__(self) -> "_ChargeScope":
-        self._saved = getattr(_CHARGE_SCOPE, "key", None)
-        _CHARGE_SCOPE.key = self._key
-        return self
-
-    def __exit__(self, *exc_info: object) -> bool:
-        _CHARGE_SCOPE.key = self._saved
-        return False
 
 
 @dataclass(frozen=True)
@@ -82,8 +66,11 @@ class Budget:
         self.projection = projection or Projection()
         self.metrics = metrics
         self._charges: list[Charge] = []
-        self._scoped_charges: dict[str, list[Charge]] = {}
+        # Open charge windows per thread id (see :meth:`window`); a
+        # thread's entry is dropped when its last window closes.
+        self._windows: dict[int, list[list[Charge]]] = {}
         self._spent_cost = 0.0
+        self._quality = 1.0
         self._cost_by_source: dict[str, float] = {}
         self._latency_by_source: dict[str, float] = {}
         self._start = self._clock.now()
@@ -130,38 +117,49 @@ class Budget:
                 timestamp=self._clock.now(),
                 note=note,
             )
-            self._charges.append(entry)
-            scope = getattr(_CHARGE_SCOPE, "key", None)
-            if scope is not None:
-                self._scoped_charges.setdefault(scope, []).append(entry)
-            self._spent_cost += cost
-            self._cost_by_source[source] = (
-                self._cost_by_source.get(source, 0.0) + cost
-            )
-            self._latency_by_source[source] = (
-                self._latency_by_source.get(source, 0.0) + latency
-            )
+            if self._windows:
+                for window in self._windows.get(threading.get_ident(), ()):
+                    window.append(entry)
+            self._post(entry)
         return entry
 
-    def scoped(self, key: str) -> _ChargeScope:
-        """Attribute this thread's charges to *key* for one scope.
+    def _post(self, entry: Charge) -> None:
+        """Append *entry* to the ledger and its running totals.  Caller
+        holds the lock."""
+        self._charges.append(entry)
+        self._spent_cost += entry.cost
+        if entry.quality is not None:
+            self._quality *= entry.quality
+        self._cost_by_source[entry.source] = (
+            self._cost_by_source.get(entry.source, 0.0) + entry.cost
+        )
+        self._latency_by_source[entry.source] = (
+            self._latency_by_source.get(entry.source, 0.0) + entry.latency
+        )
 
-        The concurrent backend wraps each node task in a scope so the
-        journal's effect record can slice out exactly that node's charges
-        (:meth:`charges_of`) — the serial ledger-position marker is
-        meaningless once other nodes append to the ledger concurrently.
+    @contextmanager
+    def window(self) -> Iterator[list[Charge]]:
+        """The charges the opening thread makes to this budget while the
+        window is open, in charge order.
+
+        A charge lands in every window its thread has open on the budget,
+        so an outer window contains an inner one's charges.  Charges made
+        by other threads — concurrent sibling nodes, other plans sharing
+        the ledger — are not in it, which is what keeps a node's journaled
+        effect record exact under the thread backend.
         """
-        return _ChargeScope(key)
-
-    def charges_of(self, key: str) -> list[Charge]:
-        """Ledger entries recorded under ``scoped(key)``, in charge order."""
+        charges: list[Charge] = []
+        thread = threading.get_ident()
         with self._lock:
-            return list(self._scoped_charges.get(key, ()))
-
-    @staticmethod
-    def current_scope() -> str | None:
-        """The calling thread's active charge-attribution key, if any."""
-        return getattr(_CHARGE_SCOPE, "key", None)
+            self._windows.setdefault(thread, []).append(charges)
+        try:
+            yield charges
+        finally:
+            with self._lock:
+                stack = self._windows[thread]
+                stack.pop()
+                if not stack:
+                    del self._windows[thread]
 
     def restore(
         self,
@@ -190,14 +188,7 @@ class Budget:
                     timestamp=float(raw.get("timestamp", 0.0) or 0.0),
                     note=str(raw.get("note", "")),
                 )
-                self._charges.append(entry)
-                self._spent_cost += entry.cost
-                self._cost_by_source[entry.source] = (
-                    self._cost_by_source.get(entry.source, 0.0) + entry.cost
-                )
-                self._latency_by_source[entry.source] = (
-                    self._latency_by_source.get(entry.source, 0.0) + entry.latency
-                )
+                self._post(entry)
             if started_at is not None:
                 self._start = started_at
 
@@ -239,12 +230,8 @@ class Budget:
         the product of its steps' fidelities, which is the pessimistic
         estimate the coordinator uses for violation checks.
         """
-        with self._lock:
-            product = 1.0
-            for entry in self._charges:
-                if entry.quality is not None:
-                    product *= entry.quality
-            return product
+        # Maintained incrementally in ledger order, like ``_spent_cost``.
+        return self._quality
 
     def remaining_cost(self) -> float:
         return self.qos.max_cost - self.spent_cost()
@@ -302,5 +289,5 @@ class Budget:
             "cost": self.spent_cost(),
             "latency": self.elapsed_latency(),
             "quality": self.quality_estimate(),
-            "charges": float(len(self.charges())),
+            "charges": float(len(self._charges)),
         }

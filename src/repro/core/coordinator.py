@@ -29,6 +29,7 @@ are for decentralized tag-triggered fan-out, where no one waits on them.)
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, TYPE_CHECKING
 
@@ -713,24 +714,21 @@ class TaskCoordinator(Agent):
             return "stop"
         if journal is not None:
             journal.node_scheduled(run.plan_id, node.node_id, node.agent)
-        # The ledger marker sits before binding resolution so the
-        # effect record's charge slice covers the data planner too.
-        # Under the thread backend, concurrent nodes append to the ledger
-        # interleaved and a positional slice would capture other nodes'
-        # charges; the backend wraps each node in a charge scope and the
-        # effect record reads that scope's entries instead.
-        scope = Budget.current_scope() if budget is not None else None
-        marker = len(budget.charges()) if budget is not None else 0
-        try:
-            resolved = self._resolve_bindings(node, run)
-        except CoordinationError as error:
-            self._fail(run, str(error))
-            return "stop"
-        if journal is not None:
-            journal.node_started(run.plan_id, node.node_id, node.agent)
-        outputs = self._execute_node(
-            node, resolved, run, budget, wave=wave, concurrency=concurrency
-        )
+        # The charge window opens before binding resolution so the effect
+        # record covers the data planner too; it holds this thread's
+        # charges only, so concurrent sibling nodes never bleed into it.
+        metered = journal is not None and budget is not None
+        with budget.window() if metered else nullcontext(()) as charges:
+            try:
+                resolved = self._resolve_bindings(node, run)
+            except CoordinationError as error:
+                self._fail(run, str(error))
+                return "stop"
+            if journal is not None:
+                journal.node_started(run.plan_id, node.node_id, node.agent)
+            outputs = self._execute_node(
+                node, resolved, run, budget, wave=wave, concurrency=concurrency
+            )
         if journal is not None:
             failure = run.node_errors.get(node.node_id)
             journal.effects.record(
@@ -744,18 +742,7 @@ class TaskCoordinator(Agent):
                     else None
                 ),
                 fallback=run.fallbacks.get(node.node_id),
-                charges=(
-                    [
-                        asdict(c)
-                        for c in (
-                            budget.charges_of(scope)
-                            if scope is not None
-                            else budget.charges()[marker:]
-                        )
-                    ]
-                    if budget is not None
-                    else []
-                ),
+                charges=[asdict(c) for c in charges],
             )
             journal.barrier(f"midnode:{run.plan_id}/{node.node_id}")
         return self._settle_node(node, run, outputs)
@@ -915,7 +902,7 @@ class TaskCoordinator(Agent):
     ) -> tuple[dict[str, Any] | None, NodeFailure | None]:
         """One EXECUTE_AGENT emission plus output/error collection."""
         context = self._require_context()
-        marker = len(context.store.trace())
+        marker = context.store.mark()
         started = context.clock.now()
         extra: dict[str, Any] = {}
         if model is not None:
@@ -979,7 +966,7 @@ class TaskCoordinator(Agent):
         session_prefix = f"{context.session.session_id}:"
         outputs: dict[str, Any] = {}
         failure: NodeFailure | None = None
-        for message in context.store.trace()[marker:]:
+        for message in context.store.trace_since(marker):
             if not message.stream_id.startswith(session_prefix):
                 continue
             if message.is_data and message.metadata.get("node") == node_id:

@@ -18,10 +18,11 @@ fleet scheduler decide *what* runs next; a backend decides *how*:
   inside a :meth:`~repro.clock.SimClock.branch_begin` overlay — the
   thread-safe replacement for the timeline's shared-rebase branches — and
   merges its branch end via :meth:`~repro.core.scheduler.VirtualTimeline.
-  record`.  Ids are owner-scoped (:func:`repro.ids.id_scope`), spans are
+  record`.  Ids are owner-scoped (:func:`repro.ids.id_scope`) and spans are
   explicitly adopted cross-thread (:meth:`~repro.observability.span.
-  Tracer.adopt`), and budget charges carry a per-node attribution scope
-  so journaled effect records stay exact.
+  Tracer.adopt`).  Charge attribution needs no scope here: the
+  coordinator's per-node :meth:`~repro.core.budget.Budget.window` holds
+  the opening thread's charges only, on either backend.
 
 Determinism contract: serial mode is byte-identical to the pre-backend
 runtime; thread mode guarantees *result identity* — same node
@@ -146,10 +147,9 @@ class ThreadBackend:
     Two pools keep plan-level and node-level work from deadlocking on
     each other: :meth:`step_round` fans plan steps onto the *plan* pool,
     and each step's :meth:`run_wave` fans its nodes onto the *node* pool.
-    Every node task runs inside a clock branch overlay, an id scope, a
-    budget charge scope, and an adopted parent span, so the shared
-    runtime state the serial path mutates in place stays consistent under
-    real interleaving.
+    Every node task runs inside a clock branch overlay, an id scope, and
+    an adopted parent span, so the shared runtime state the serial path
+    mutates in place stays consistent under real interleaving.
     """
 
     name = "threads"
@@ -207,9 +207,9 @@ class ThreadBackend:
         """Drive one node under the concurrent-execution scope stack.
 
         A clock branch overlay rooted at the node's ready time,
-        owner-scoped ids, a budget charge scope, and the wave's parent
-        span adopted onto this worker — the invariants that keep shared
-        runtime state consistent when siblings interleave for real.
+        owner-scoped ids, and the wave's parent span adopted onto this
+        worker — the invariants that keep shared runtime state consistent
+        when siblings interleave for real.
         """
         context = execution.coordinator._require_context()
         clock = context.clock
@@ -219,8 +219,6 @@ class ThreadBackend:
         try:
             with ExitStack() as stack:
                 stack.enter_context(id_scope(owner))
-                if execution.budget is not None:
-                    stack.enter_context(execution.budget.scoped(owner))
                 tracer = execution._tracer
                 if tracer is not None:
                     stack.enter_context(tracer.adopt(parent))

@@ -19,7 +19,6 @@ from ...core.coordinator import TaskCoordinator
 from ...core.qos import QoSSpec
 from ...core.rendering import RendererRegistry
 from ...core.runtime import Blueprint
-from ...streams import Message
 from ..agents import (
     AgenticEmployerAgent,
     ClustererAgent,
@@ -83,7 +82,7 @@ class AgenticEmployerApp:
     # ------------------------------------------------------------------
     def click_job(self, job_id: int) -> str:
         """Figure 9: a UI click selecting a job id."""
-        marker = len(self.blueprint.store.trace())
+        marker = self.blueprint.store.mark()
         self._transcript.append(Turn("ui", f"[select job {job_id}]"))
         self.blueprint.store.publish_data(
             self.ui_stream.stream_id,
@@ -95,7 +94,7 @@ class AgenticEmployerApp:
 
     def say(self, text: str) -> str:
         """Figure 10: a conversation turn."""
-        marker = len(self.blueprint.store.trace())
+        marker = self.blueprint.store.mark()
         self._transcript.append(Turn("user", text))
         self.blueprint.store.publish_data(
             self.conversation_stream.stream_id, text, tags=("USER",), producer="user"
@@ -105,7 +104,7 @@ class AgenticEmployerApp:
     def _collect_display(self, marker: int) -> str:
         displays = [
             self.renderers.render(message.payload)
-            for message in self.blueprint.store.trace()[marker:]
+            for message in self.blueprint.store.trace_since(marker)
             if message.is_data and message.has_tag("DISPLAY")
         ]
         reply = "\n".join(displays) if displays else "(no response)"
@@ -125,9 +124,6 @@ class AgenticEmployerApp:
             prefix = {"user": "Employer", "ui": "UI", "system": "System"}[turn.role]
             lines.append(f"{prefix}: {turn.content}")
         return "\n".join(lines)
-
-    def messages_since(self, marker: int) -> list[Message]:
-        return self.blueprint.store.trace()[marker:]
 
     @property
     def observability(self):

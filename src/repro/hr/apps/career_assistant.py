@@ -119,7 +119,7 @@ class CareerAssistant:
     # ------------------------------------------------------------------
     def ask(self, text: str) -> AssistantReply:
         """Publish *text* on the user stream; the planner/coordinator react."""
-        marker = len(self.blueprint.store.trace())
+        marker = self.blueprint.store.mark()
         self.blueprint.store.publish_data(
             self.user_stream.stream_id, text, tags=("USER",), producer="user"
         )
@@ -135,7 +135,7 @@ class CareerAssistant:
         (their contexts are temporarily pointed at it), so the coordinator
         polices the full spend, not just its own transformations.
         """
-        marker = len(self.blueprint.store.trace())
+        marker = self.blueprint.store.mark()
         self.blueprint.store.publish_data(
             self.user_stream.stream_id, text, tags=(), producer="user"
         )
@@ -158,7 +158,7 @@ class CareerAssistant:
         display_text = ""
         matches: list[dict[str, Any]] = []
         plan_rendering = ""
-        for message in self.blueprint.store.trace()[marker:]:
+        for message in self.blueprint.store.trace_since(marker):
             if not message.is_data:
                 continue
             if message.has_tag("DISPLAY"):
@@ -209,7 +209,7 @@ class CareerAssistant:
         criteria = f"{refined.get('title') or 'software engineer'} position"
         if refined.get("location"):
             criteria += f" in {refined['location']}"
-        marker = len(self.blueprint.store.trace())
+        marker = self.blueprint.store.mark()
         plan = TaskPlan(f"followup-{marker}", goal=text)
         plan.add_step(
             "match", "JOB_MATCHER",
@@ -244,7 +244,7 @@ class CareerAssistant:
         if form is None:
             raise SessionError("no profile form to confirm — ask() first")
         events = self.session.ensure_stream("ui_events", creator="user")
-        marker = len(self.blueprint.store.trace())
+        marker = self.blueprint.store.mark()
         submission = submit_form(self.blueprint.store, events.stream_id, form, values)
         submitted = submission.payload["values"]
         profile = {
@@ -277,7 +277,7 @@ class CareerAssistant:
         if not matches:
             return "Nothing to explain yet — search for jobs first."
         profile = self.remembered_profile() or {}
-        plan = TaskPlan(f"explain-{len(self.blueprint.store.trace())}", goal="explain matches")
+        plan = TaskPlan(f"explain-{self.blueprint.store.mark()}", goal="explain matches")
         plan.add_step(
             "explain", "EXPLAINER",
             {"MATCHES": Binding.const(matches), "PROFILE": Binding.const(profile)},

@@ -35,15 +35,15 @@ class FlowTrace:
 
     def __init__(self, store: StreamStore) -> None:
         self._store = store
-        self._start_index = len(store.trace())
+        self._mark = store.mark()
 
     def mark(self) -> None:
         """Restart the window: only messages published after this are traced."""
-        self._start_index = len(self._store.trace())
+        self._mark = self._store.mark()
 
     def window(self) -> list[Message]:
         """Messages published since construction (or the last mark)."""
-        return self._store.trace()[self._start_index :]
+        return self._store.trace_since(self._mark)
 
     def steps(
         self,

@@ -1,7 +1,7 @@
 """Partitioned, replicated streams: durable publish over a store cluster.
 
 :class:`PartitionedStreamStore` keeps the whole :class:`StreamStore`
-contract — synchronous depth-first dispatch, trace indexes, metrics —
+contract — synchronous depth-first dispatch, the trace, metrics —
 and adds a durability layer underneath it: every message record is
 quorum-appended to the stream's partition (``ring.shard_for(stream_id)``
 on a :class:`~repro.storage.cluster.StoreCluster`) *before* it touches

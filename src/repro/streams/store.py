@@ -5,6 +5,13 @@ and control messages among components" (Section IV).  :class:`StreamStore`
 is that database: it owns every stream, assigns message ids and timestamps,
 persists the global trace, and delivers messages to subscribers.
 
+The trace is an append-only log with one windowed read: a component that
+wants "what was published since" takes a cursor (:meth:`StreamStore.mark`)
+before it acts and reads the tail (:meth:`StreamStore.trace_since`) after —
+one slice under the lock, O(new messages).  :meth:`StreamStore.trace`
+copies the whole log and is for whole-log consumers (exports, flow
+graphs, recovery reports, tests) only.
+
 Delivery is synchronous and depth-first: when a subscriber's callback
 publishes further messages (the normal case — agents react to messages by
 emitting more), those are delivered immediately before the publish returns.
@@ -52,10 +59,6 @@ class StreamStore:
         # subscribe / unsubscribe, so a hit is as good as a fresh lookup.
         self._route_memo: dict[tuple, tuple[Subscription, ...]] = {}
         self._trace: list[Message] = []
-        # Incremental trace indexes, appended at publish time so
-        # ``trace_by_tag`` / ``trace_by_producer`` never re-scan the log.
-        self._trace_by_tag: dict[str, list[Message]] = {}
-        self._trace_by_producer: dict[str, list[Message]] = {}
         self._lock = threading.RLock()
         # Nesting depth of the calling thread's dispatch (``.depth``).
         self._dispatching = threading.local()
@@ -164,6 +167,9 @@ class StreamStore:
             timestamp=self.clock.now(),
             metadata=dict(metadata or {}),
         )
+        # Refused before the durability hook: a publish the stream will
+        # reject must not reach a replica log the trace never sees.
+        stream.ensure_open()
         self._persist(message)
         stream.append(message)
         self._record(message)
@@ -171,13 +177,10 @@ class StreamStore:
         return message
 
     def _record(self, message: Message) -> None:
-        """Log *message* in the trace, its indexes and the per-kind tallies
-        (shared with ``persistence.replay_store``, which never dispatches)."""
+        """Log *message* in the trace and the per-kind tallies (shared
+        with ``persistence.replay_store``, which never dispatches)."""
         with self._lock:
             self._trace.append(message)
-            for tag in message.tags:
-                self._trace_by_tag.setdefault(tag, []).append(message)
-            self._trace_by_producer.setdefault(message.producer, []).append(message)
             counts = self._message_counts
             counts[message.kind.value] = counts.get(message.kind.value, 0) + 1
 
@@ -339,15 +342,27 @@ class StreamStore:
         with self._lock:
             return list(self._trace)
 
-    def trace_by_tag(self, tag: str) -> list[Message]:
-        """Messages carrying *tag*, in publish order (indexed, no scan)."""
+    def mark(self) -> int:
+        """A cursor at the log's current end, for :meth:`trace_since`."""
         with self._lock:
-            return list(self._trace_by_tag.get(tag, ()))
+            return len(self._trace)
+
+    def trace_since(self, mark: int) -> list[Message]:
+        """Messages published since *mark* was taken, in publish order."""
+        if mark < 0:
+            raise ValueError(f"mark must be non-negative: {mark}")
+        with self._lock:
+            return self._trace[mark:]
+
+    def trace_by_tag(self, tag: str) -> list[Message]:
+        """Messages carrying *tag*, in publish order (one scan of the log)."""
+        with self._lock:
+            return [message for message in self._trace if tag in message.tags]
 
     def trace_by_producer(self, producer: str) -> list[Message]:
-        """Messages from *producer*, in publish order (indexed, no scan)."""
+        """Messages from *producer*, in publish order (one scan of the log)."""
         with self._lock:
-            return list(self._trace_by_producer.get(producer, ()))
+            return [message for message in self._trace if message.producer == producer]
 
     def stats(self) -> dict[str, Any]:
         """Counts for dashboards and benches."""

@@ -47,13 +47,17 @@ class Stream:
         with self._lock:
             return len(self._messages)
 
+    def ensure_open(self) -> None:
+        """Raise :class:`StreamClosedError` once the stream has seen its EOS."""
+        if self._closed:
+            raise StreamClosedError(
+                f"cannot append to closed stream {self.stream_id!r}"
+            )
+
     def append(self, message: Message) -> int:
         """Append *message*; returns its offset. Raises if the stream closed."""
         with self._lock:
-            if self._closed:
-                raise StreamClosedError(
-                    f"cannot append to closed stream {self.stream_id!r}"
-                )
+            self.ensure_open()
             self._messages.append(message)
             if message.kind is MessageKind.EOS:
                 self._closed = True
@@ -61,6 +65,8 @@ class Stream:
 
     def read(self, offset: int = 0, limit: int | None = None) -> list[Message]:
         """Messages starting at *offset* (persisted history stays readable)."""
+        if offset < 0:
+            raise ValueError(f"offset must be non-negative: {offset}")
         with self._lock:
             if limit is None:
                 return list(self._messages[offset:])

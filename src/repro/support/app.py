@@ -69,7 +69,7 @@ class SupportAssistant:
 
     def handle(self, ticket_text: str) -> TicketOutcome:
         """Publish a ticket; the planner/coordinator drive the triage flow."""
-        marker = len(self.blueprint.store.trace())
+        marker = self.blueprint.store.mark()
         self.blueprint.store.publish_data(
             self.ticket_stream.stream_id, ticket_text, tags=("USER",), producer="customer"
         )
@@ -77,7 +77,7 @@ class SupportAssistant:
         triage: dict[str, Any] = {}
         articles: list[dict[str, Any]] = []
         plan_rendering = ""
-        for message in self.blueprint.store.trace()[marker:]:
+        for message in self.blueprint.store.trace_since(marker):
             if not message.is_data:
                 continue
             if message.has_tag("DISPLAY"):

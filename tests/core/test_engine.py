@@ -9,13 +9,14 @@ Covers the concurrency contract directly:
 * id_scope — owner-qualified id sequences immune to interleaving.
 * Tracer.adopt — explicit cross-thread span-context transfer (a node
   span opened on a pool thread parents under its plan span).
-* Budget.scoped — per-node charge attribution across threads.
+* Budget.window — per-node charge attribution across threads.
 * Backend resolution and the thread backend end to end (fleet smoke,
   result equality with serial).
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -260,35 +261,82 @@ class TestTracerAdopt:
 
 
 # ----------------------------------------------------------------------
-# budget charge scopes
+# budget charge windows
 # ----------------------------------------------------------------------
 class TestBudgetScopes:
     def test_scoped_charges_attributed(self):
         budget = Budget(clock=SimClock())
         budget.charge("setup", cost=1.0)
-        with budget.scoped("pp.m1"):
-            assert Budget.current_scope() == "pp.m1"
+        with budget.window() as charges:
             budget.charge("llm", cost=2.0)
             budget.charge("llm", cost=3.0)
-        assert Budget.current_scope() is None
-        assert [c.cost for c in budget.charges_of("pp.m1")] == [2.0, 3.0]
-        assert len(budget.charges()) == 3  # the global ledger sees all
+        budget.charge("teardown", cost=4.0)
+        assert [c.cost for c in charges] == [2.0, 3.0]
+        assert len(budget.charges()) == 4  # the global ledger sees all
+        assert budget._windows == {}  # a closed window leaves nothing behind
 
     def test_concurrent_scopes_never_bleed(self):
         budget = Budget(clock=SimClock())
+        start = threading.Barrier(8)
 
-        def spend(owner: str) -> None:
-            with budget.scoped(owner):
-                for i in range(40):
+        def spend(owner: str) -> list:
+            start.wait(timeout=30)
+            with budget.window() as charges:
+                for _ in range(40):
                     budget.charge(owner, cost=0.25, latency=0.01)
+            return charges
 
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            list(pool.map(spend, [f"n{i}" for i in range(4)]))
-        for i in range(4):
-            mine = budget.charges_of(f"n{i}")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(spend, f"n{i}") for i in range(8)]
+                windows = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for i, mine in enumerate(windows):
             assert len(mine) == 40
             assert all(c.source == f"n{i}" for c in mine)
-        assert budget.spent_cost() == pytest.approx(4 * 40 * 0.25)
+        assert budget.spent_cost() == pytest.approx(8 * 40 * 0.25)
+        assert budget._windows == {}
+
+    def test_nested_windows_both_see_a_charge(self):
+        budget = Budget(clock=SimClock())
+        with budget.window() as outer:
+            budget.charge("plan", cost=1.0)
+            with budget.window() as inner:
+                budget.charge("replan", cost=2.0)
+            budget.charge("plan", cost=3.0)
+        assert [c.cost for c in inner] == [2.0]
+        assert [c.cost for c in outer] == [1.0, 2.0, 3.0]
+
+    def test_window_equals_the_positional_slice_on_one_thread(self):
+        budget = Budget(clock=SimClock())
+        for step in range(5):
+            marker = len(budget.charges())
+            with budget.window() as charges:
+                for i in range(step):
+                    budget.charge(f"s{step}", cost=float(i), quality=0.9)
+            assert charges == budget.charges()[marker:]
+
+    def test_window_sees_only_its_own_budget(self):
+        clock = SimClock()
+        mine, other = Budget(clock=clock), Budget(clock=clock)
+        with mine.window() as charges:
+            other.charge("elsewhere", cost=1.0)
+            mine.charge("here", cost=2.0)
+        assert [c.source for c in charges] == ["here"]
+
+    def test_window_excludes_other_threads(self):
+        budget = Budget(clock=SimClock())
+        with budget.window() as charges:
+            budget.charge("mine", cost=1.0)
+            worker = threading.Thread(target=budget.charge, args=("theirs", 2.0))
+            worker.start()
+            worker.join(timeout=30)
+            assert not worker.is_alive()
+        assert [c.source for c in charges] == ["mine"]
+        assert [c.source for c in budget.charges()] == ["mine", "theirs"]
 
 
 # ----------------------------------------------------------------------

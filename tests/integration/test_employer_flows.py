@@ -19,9 +19,9 @@ class TestFigure9UIFlow:
         assert "Job 1" in reply
 
     def test_step_sequence_matches_figure(self, app):
-        marker = len(app.blueprint.store.trace())
+        marker = app.blueprint.store.mark()
         app.click_job(1)
-        messages = app.messages_since(marker)
+        messages = app.blueprint.store.trace_since(marker)
         # Step 1: the user event enters a stream.
         assert messages[0].producer == "user"
         assert messages[0].has_tag("UI_EVENT")
@@ -71,18 +71,18 @@ class TestFigure10ConversationFlow:
         assert positions == sorted(positions)
 
     def test_tags_drive_the_chain(self, app):
-        marker = len(app.blueprint.store.trace())
+        marker = app.blueprint.store.mark()
         app.say(self.QUERY)
-        messages = app.messages_since(marker)
+        messages = app.blueprint.store.trace_since(marker)
         tags_seen = [tuple(sorted(m.tags)) for m in messages if m.is_data]
         flat = {t for tags in tags_seen for t in tags}
         assert {"USER", "INTENT", "NLQ", "SQL", "ROWS", "DISPLAY"} <= flat
 
     def test_sql_result_correct(self, app, enterprise):
-        marker = len(app.blueprint.store.trace())
+        marker = app.blueprint.store.mark()
         app.say(self.QUERY)
         rows_messages = [
-            m for m in app.messages_since(marker)
+            m for m in app.blueprint.store.trace_since(marker)
             if m.is_data and m.has_tag("ROWS")
         ]
         count = rows_messages[0].payload[0]["n"]

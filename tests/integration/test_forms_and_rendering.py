@@ -59,5 +59,5 @@ class TestAppRendering:
         app = AgenticEmployerApp(enterprise=enterprise)
         # Force a dict payload through the display path.
         app.ae.emit("RESPONSE", {"type": "form", "title": "T", "fields": []}, tags=("DISPLAY",))
-        reply = app._collect_display(len(app.blueprint.store.trace()) - 1)
+        reply = app._collect_display(app.blueprint.store.mark() - 1)
         assert "┌─ T ─" in reply

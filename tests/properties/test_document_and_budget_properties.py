@@ -96,6 +96,30 @@ class TestBudgetProperties:
         assert abs(budget.quality_estimate() - expected_quality) < 1e-9
 
     @given(
+        st.lists(
+            st.tuples(
+                st.booleans(),  # True: charge(), False: restore() of one entry
+                st.one_of(st.none(), st.floats(min_value=0.01, max_value=1)),
+            ),
+            max_size=25,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_running_quality_is_the_product_over_the_ledger(self, steps):
+        budget = Budget()
+        for i, (charged, quality) in enumerate(steps):
+            if charged:
+                budget.charge(f"s{i}", cost=0.1, quality=quality)
+            else:
+                budget.restore([{"source": f"r{i}", "cost": 0.1, "quality": quality}])
+            recomputed = 1.0
+            for entry in budget.charges():
+                if entry.quality is not None:
+                    recomputed *= entry.quality
+            assert budget.quality_estimate() == recomputed  # bit-identical
+        assert budget.summary()["charges"] == float(len(steps))
+
+    @given(
         st.floats(min_value=0, max_value=10),
         st.floats(min_value=0, max_value=10),
     )

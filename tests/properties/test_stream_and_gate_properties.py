@@ -1,5 +1,9 @@
 """Property-based tests for streams and the PetriNet gate."""
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +22,45 @@ class TestStreamStoreProperties:
             store.publish_data("s", payload)
         assert store.get_stream("s").data_payloads() == payloads
         assert [m.payload for m in store.trace()] == payloads
+
+    @given(st.lists(st.tuples(st.sampled_from(["s", "t"]), st.integers()), max_size=30))
+    @settings(max_examples=30, deadline=None)
+    def test_trace_since_is_the_tail_at_every_mark(self, publishes):
+        store = StreamStore(SimClock())
+        store.create_stream("s")
+        store.create_stream("t")
+        for stream_id, payload in publishes:
+            assert store.mark() == store.stats()["messages"]
+            store.publish_data(stream_id, payload)
+        trace = store.trace()
+        assert store.mark() == store.stats()["messages"] == len(publishes)
+        for mark in range(len(trace) + 1):
+            assert store.trace_since(mark) == trace[mark:]
+
+    def test_window_holds_a_thread_s_own_publishes_in_order(self):
+        store = StreamStore(SimClock())
+        store.create_stream("s")
+        start = threading.Barrier(8)
+
+        def publish(worker: int) -> list:
+            start.wait(timeout=30)
+            mark = store.mark()
+            for i in range(50):
+                store.publish_data("s", i, producer=f"w{worker}")
+            return store.trace_since(mark)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(publish, worker) for worker in range(8)]
+                windows = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for worker, window in enumerate(windows):
+            mine = [m.payload for m in window if m.producer == f"w{worker}"]
+            assert mine == list(range(50))
+        assert store.mark() == 8 * 50
 
     @given(
         st.lists(

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.clock import SimClock
-from repro.errors import ClusterUnavailableError
+from repro.errors import ClusterUnavailableError, StreamClosedError
 from repro.streams import (
     MessageKind,
     PartitionedStreamStore,
@@ -77,6 +77,22 @@ class TestPartitionedPublish:
         with pytest.raises(ClusterUnavailableError):
             store.publish_data("s", "dropped")
         assert seen == []
+
+    def test_publish_to_closed_stream_is_not_replicated(self, store):
+        store.create_stream("s")
+        store.publish_data("s", "kept")
+        store.close_stream("s")
+        with pytest.raises(StreamClosedError):
+            store.publish_data("s", "refused")
+        # the rebuilt log still equals the trace: nothing reached a replica
+        live_ids = [m.message_id for m in store.trace()]
+        replica_ids = [m["message_id"] for m in export_partitioned(store)["messages"]]
+        assert len(live_ids) == 2
+        assert replica_ids == live_ids
+        # ... and a later publish elsewhere keeps the contract
+        store.create_stream("t")
+        store.publish_data("t", "after")
+        assert len(export_partitioned(store)["messages"]) == len(store.trace()) == 3
 
 
 class TestFailoverDurability:

@@ -166,6 +166,23 @@ class TestObservability:
         store.publish_control("b", "X")
         assert len(store.trace()) == 2
 
+    def test_trace_since_reads_the_tail_from_a_mark(self, store):
+        store.create_stream("s")
+        assert store.mark() == 0
+        store.publish_data("s", 1)
+        mark = store.mark()
+        store.publish_data("s", 2)
+        store.publish_control("s", "X")
+        assert [m.payload for m in store.trace_since(mark)] == [2, {"instruction": "X"}]
+        assert store.trace_since(store.mark()) == []
+        assert store.trace_since(0) == store.trace()
+
+    def test_trace_since_negative_mark_rejected(self, store):
+        store.create_stream("s")
+        store.publish_data("s", 1)
+        with pytest.raises(ValueError):
+            store.trace_since(-1)
+
     def test_trace_by_tag_and_producer(self, store):
         store.create_stream("s")
         store.publish_data("s", 1, tags=["T"], producer="p1")

@@ -38,6 +38,15 @@ class TestStream:
             stream.append(message(i))
         assert [m.payload for m in stream.read(1, limit=2)] == [1, 2]
 
+    def test_read_negative_offset_rejected(self):
+        stream = Stream("s")
+        for i in range(3):
+            stream.append(message(i))
+        with pytest.raises(ValueError):
+            stream.read(-1)
+        with pytest.raises(ValueError):
+            stream.read(-2, limit=1)
+
     def test_history_persists_after_read(self):
         stream = Stream("s")
         stream.append(message(1))
