@@ -692,6 +692,14 @@ def cmd_surge(args: argparse.Namespace) -> int:
     return 0 if completion_ok and latency_ok and shed_ok else 1
 
 
+def _access_path(stats: dict) -> str:
+    """Which shards a clustered ``find`` read and how it read them."""
+    how = f"index {'+'.join(stats['index'])}" if stats["index"] else "scan"
+    return (f"(scanned {stats['shards_scanned']}/{stats['shards_total']} "
+            f"shards, {stats['docs_scanned']} docs; examined "
+            f"{stats['docs_examined']} by {how})")
+
+
 def cmd_shard(args: argparse.Namespace) -> int:
     """Sharded-substrate demo: pruned queries, then an optional chaos drill."""
     from .core.resilience.chaos import ChaosController, ChaosSpec
@@ -715,20 +723,14 @@ def cmd_shard(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     pruned = profiles.find({"city": "Austin"}, limit=20)
     pruned_ms = (time.perf_counter() - t0) * 1000
-    stats = dict(profiles.last_find_stats)
     print(f"\npruned doc find  city=Austin: {len(pruned)} rows in "
-          f"{pruned_ms:.1f}ms  "
-          f"(scanned {stats['shards_scanned']}/{stats['shards_total']} "
-          f"shards, {stats['docs_scanned']} docs)")
+          f"{pruned_ms:.1f}ms  {_access_path(profiles.last_find_stats)}")
 
     t0 = time.perf_counter()
     fanout = profiles.find({"years_experience": {"$gte": 15}}, limit=20)
     fanout_ms = (time.perf_counter() - t0) * 1000
-    stats = dict(profiles.last_find_stats)
     print(f"fan-out doc find years>=15: {len(fanout)} rows in "
-          f"{fanout_ms:.1f}ms  "
-          f"(scanned {stats['shards_scanned']}/{stats['shards_total']} "
-          f"shards, {stats['docs_scanned']} docs)")
+          f"{fanout_ms:.1f}ms  {_access_path(profiles.last_find_stats)}")
 
     result = database.execute(
         "SELECT title, COUNT(*) AS n FROM seekers WHERE city = 'Austin' "

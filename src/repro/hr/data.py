@@ -422,6 +422,8 @@ def build_enterprise(
     seekers_table = database.create_table(_seekers_schema())
     seekers_table.insert_many(seekers)
     seekers_table.create_index("title", kind="hash")
+    seekers_table.create_index("city", kind="hash")
+    seekers_table.create_index("years_experience", kind="sorted")
 
     applications_table = database.create_table(_applications_schema())
     applications_table.insert_many(applications)
@@ -433,6 +435,8 @@ def build_enterprise(
     for seeker in seekers:
         profiles.insert({**seeker, "seeker_id": seeker["id"]}, doc_id=f"profile-{seeker['id']}")
     profiles.create_index("title")
+    profiles.create_index("city")
+    profiles.create_index("years_experience", kind="sorted")
     resumes = documents.create_collection("resumes", "Raw resume texts")
     for seeker in seekers:
         resumes.insert(
@@ -523,11 +527,14 @@ def build_sharded_enterprise(
     seekers_table = database.create_table(_seekers_schema(), partition_column="city")
     seekers_table.insert_many(seekers)
     seekers_table.create_index("title", kind="hash")
+    seekers_table.create_index("city", kind="hash")
+    seekers_table.create_index("years_experience", kind="sorted")
 
     applications_table = database.create_table(
         _applications_schema(), partition_column="job_id"
     )
     applications_table.insert_many(applications)
+    del applications  # the largest generated list: loaded, so not held through the document build
     applications_table.create_index("job_id", kind="hash")
     applications_table.create_index("seeker_id", kind="hash")
 
@@ -548,6 +555,8 @@ def build_sharded_enterprise(
         doc_ids=[f"profile-{seeker['id']}" for seeker in seekers],
     )
     profiles.create_index("title")
+    profiles.create_index("city")
+    profiles.create_index("years_experience", kind="sorted")
     resumes = documents.create_collection("resumes", "Raw resume texts")
     resumes.insert_many(
         (

@@ -36,6 +36,7 @@ from ..document.query import sargable
 from ..document.store import Collection, DocumentStore, find_in
 from ..relational.index import partition_values
 from .cluster import StoreCluster
+from .ring import routing_key
 
 
 def _make_store() -> DocumentStore:
@@ -60,7 +61,7 @@ def _apply_docs(state: DocumentStore, op: dict[str, Any]) -> Any:
     if kind == "delete":
         return collection.delete(op["filter"])
     if kind == "create_index":
-        collection.create_index(op["field"])
+        collection.create_index(op["field"], kind=op["kind"])
         return None
     raise StorageError(f"unknown document op: {kind}")
 
@@ -95,7 +96,7 @@ class ClusteredCollection(Collection):
         return doc_id
 
     def _route(self, partition_value: Any) -> str:
-        return f"{self.name}|{partition_value}"
+        return routing_key(self.name, partition_value)
 
     def shards_for_filter(
         self, filter_spec: Mapping[str, Any] | None
@@ -240,11 +241,15 @@ class ClusteredCollection(Collection):
         else:
             indices, pruned = self.shards_for_filter(filter_spec)
         slices = self._slices(indices)
-        results = find_in(slices, filter_spec, fields, sort, descending, limit)
+        results, examined, indexed = find_in(
+            slices, filter_spec, fields, sort, descending, limit
+        )
         docs_scanned = sum(map(len, slices))
         self.last_find_stats = {
             **self._cluster.scan_stats(indices, pruned, collection=self.name),
-            "docs_scanned": docs_scanned,
+            "docs_scanned": docs_scanned,  # documents in the slices read
+            "docs_examined": examined,  # candidates the filter was applied to
+            "index": indexed,
             "rows": len(results),
         }
         self._cluster._metric(
@@ -273,9 +278,11 @@ class ClusteredCollection(Collection):
     # ------------------------------------------------------------------
     # Field indices
     # ------------------------------------------------------------------
-    def create_index(self, field: str) -> None:
+    def create_index(self, field: str, kind: str = "hash") -> None:
+        if kind not in ("hash", "sorted"):  # refused before any replica logs it
+            raise StorageError(f"unknown index kind: {kind!r}")
         self._cluster.broadcast(
-            {"op": "create_index", "collection": self.name, "field": field}
+            {"op": "create_index", "collection": self.name, "field": field, "kind": kind}
         )
 
     def indexed_fields(self) -> list[str]:

@@ -37,6 +37,7 @@ from ..relational.sql.parser import parse
 from ..relational.view import ConcatTable
 from ..schema import Column, ColumnType, TableSchema
 from .cluster import StoreCluster
+from .ring import routing_key
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...observability.span import Span
@@ -123,7 +124,7 @@ class ShardedTable:
         return self.schema.name
 
     def _route(self, value: Any) -> str:
-        return f"{self.schema.name.lower()}|{value}"
+        return routing_key(self.schema.name.lower(), value)
 
     def shard_for_value(self, value: Any) -> int:
         return self._cluster.shard_for(self._route(value))

@@ -15,12 +15,26 @@ from __future__ import annotations
 
 import bisect
 import hashlib
+from typing import Any
 
 
 def stable_hash(text: str) -> int:
     """64-bit md5-derived hash; stable across processes and runs."""
     digest = hashlib.md5(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little")
+
+
+def routing_key(scope: str, value: Any) -> str:
+    """``scope|value``, what a partitioned table or collection routes on.
+
+    Numbers that are equal route alike: ``True``, ``1`` and ``1.0`` are one
+    value to ``=`` / ``==``, so they must be one key, or a filter written
+    with the other spelling prunes to a shard the row is not on.  An int
+    and a string keep the key ``str`` gave them.
+    """
+    if isinstance(value, bool) or (isinstance(value, float) and value.is_integer()):
+        value = int(value)
+    return f"{scope}|{value}"
 
 
 class HashRing:

@@ -12,54 +12,155 @@ operator mapping:
     {"$or": [{...}, {...}]}, {"$and": [...]}, {"$not": {...}}
 
 Dotted paths descend into nested documents: ``{"address.city": "SF"}``.
+
+A filter is compiled to a closure once (:func:`compile_filter`) and the
+closure applied per document.  The range operators compare within a type
+bracket only (:func:`order_key`: numbers with numbers, text with text), so
+a comparison across types is "no match", never a ``TypeError``.
 """
 
 from __future__ import annotations
 
+import operator
 import re
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from ...errors import QueryError
 
 _MISSING = object()
 
+Test = Callable[[Any], bool]
+
 
 def get_path(document: Mapping[str, Any], path: str) -> Any:
     """Resolve a dotted *path* in *document*; returns _MISSING when absent."""
-    current: Any = document
-    for part in path.split("."):
-        if isinstance(current, Mapping) and part in current:
+    return _walk(document, path.split("."))
+
+
+def _walk(document: Any, parts: Sequence[str]) -> Any:
+    current = document
+    for part in parts:
+        # the exact-type test spares stored documents the ABC machinery
+        if (type(current) is dict or isinstance(current, Mapping)) and part in current:
             current = current[part]
         else:
             return _MISSING
     return current
 
 
+def order_key(value: Any) -> tuple[int, Any] | None:
+    """Where *value* stands in the order range operators and sorted indexes
+    share: numbers (bool included) in one bracket, text in the next, and
+    None for anything else.  Values compare within a bracket only, so a
+    comparison across brackets — or with a value that has none — is "no
+    match", never a ``TypeError``."""
+    if isinstance(value, (int, float)):
+        return (1, value) if value == value else None  # NaN orders with nothing
+    if isinstance(value, str):
+        return (2, value)
+    return None
+
+
 def matches(document: Mapping[str, Any], filter_spec: Mapping[str, Any]) -> bool:
     """Whether *document* satisfies *filter_spec*."""
-    for key, condition in filter_spec.items():
-        if key == "$or":
-            if not _is_clause_list(condition):
-                raise QueryError("$or expects a list of filter mappings")
-            if not any(matches(document, clause) for clause in condition):
+    return bool(compile_filter(filter_spec)(document))
+
+
+def compile_filter(filter_spec: Mapping[str, Any]) -> Test:
+    """*filter_spec* as one closure over a document.
+
+    Everything the filter fixes — operator dispatch, path splitting, clause
+    validation, regex compilation — happens here, once, so a malformed
+    filter raises ``QueryError`` before any document is read (even when no
+    document would have reached the bad clause).  Entries and operators
+    apply in filter order and short-circuit, as written."""
+    return _all_of([_compile_entry(key, cond) for key, cond in filter_spec.items()])
+
+
+def _all_of(tests: Sequence[Test]) -> Test:
+    if not tests:
+        return lambda subject: True
+    if len(tests) == 1:
+        return tests[0]
+
+    def conjunction(subject: Any) -> bool:
+        for test in tests:
+            if not test(subject):
                 return False
-        elif key == "$and":
-            if not _is_clause_list(condition):
-                raise QueryError("$and expects a list of filter mappings")
-            if not all(matches(document, clause) for clause in condition):
-                return False
-        elif key == "$not":
-            if not isinstance(condition, Mapping):
-                raise QueryError("$not expects a filter mapping")
-            if matches(document, condition):
-                return False
-        elif key.startswith("$"):
-            raise QueryError(f"unknown top-level operator: {key!r}")
-        else:
-            value = get_path(document, key)
-            if not _match_value(value, condition):
-                return False
-    return True
+        return True
+
+    return conjunction
+
+
+def _compile_entry(key: str, condition: Any) -> Test:
+    if key in ("$or", "$and"):
+        if not _is_clause_list(condition):
+            raise QueryError(f"{key} expects a list of filter mappings")
+        clauses = [compile_filter(clause) for clause in condition]
+        if key == "$and":
+            return _all_of(clauses)
+        return lambda document: any(clause(document) for clause in clauses)
+    if key == "$not":
+        if not isinstance(condition, Mapping):
+            raise QueryError("$not expects a filter mapping")
+        negated = compile_filter(condition)
+        return lambda document: not negated(document)
+    if key.startswith("$"):
+        raise QueryError(f"unknown top-level operator: {key!r}")
+    test = _compile_condition(condition)
+    if "." not in key:
+        return lambda document: test(document.get(key, _MISSING))
+    parts = key.split(".")
+    return lambda document: test(_walk(document, parts))
+
+
+def _compile_condition(condition: Any) -> Test:
+    """A test of a field's value, which is ``_MISSING`` when absent."""
+    if isinstance(condition, Mapping) and any(k.startswith("$") for k in condition):
+        return _all_of([_compile_operator(op, arg) for op, arg in condition.items()])
+    return lambda value: value == condition  # _MISSING equals nothing
+
+
+_COMPARISONS = {
+    "$gt": operator.gt, "$gte": operator.ge, "$lt": operator.lt, "$lte": operator.le,
+}
+
+
+def _compile_operator(op: str, operand: Any) -> Test:
+    if op == "$exists":
+        wanted = bool(operand)
+        return lambda value: (value is not _MISSING) is wanted
+    if op == "$eq":
+        return lambda value: value == operand
+    if op == "$ne":
+        return lambda value: value is not _MISSING and value != operand
+    if op in _COMPARISONS:
+        compare, key = _COMPARISONS[op], order_key(operand)
+        if key is None:
+            return lambda value: False
+        bracket = str if key[0] == 2 else (int, float)
+        return lambda value: isinstance(value, bracket) and compare(value, operand)
+    if op == "$in":
+        return lambda value: value is not _MISSING and value in operand
+    if op == "$nin":
+        return lambda value: value is not _MISSING and value not in operand
+    if op == "$contains":
+        needle = str(operand).lower()
+
+        def contains(value: Any) -> bool:
+            if isinstance(value, str):
+                return needle in value.lower()
+            return isinstance(value, (list, tuple, set)) and operand in value
+
+        return contains
+    if op == "$regex":
+        pattern = re.compile(str(operand), flags=re.IGNORECASE)
+        return lambda value: isinstance(value, str) and pattern.search(value) is not None
+    if op == "$size":
+        return lambda value: (
+            isinstance(value, (list, tuple, set, str)) and len(value) == operand
+        )
+    raise QueryError(f"unknown operator: {op!r}")
 
 
 def hashable(value: Any) -> bool:
@@ -69,25 +170,30 @@ def hashable(value: Any) -> bool:
     return not isinstance(value, (list, dict, set))
 
 
+_RANGES = {"$gt": ">", "$gte": ">=", "$lt": "<", "$lte": "<="}
+
+
 def sargable(filter_spec: Mapping[str, Any]) -> list[tuple[str, str, Any]]:
-    """The top-level entries pinning a field to hashable constants, in the
-    form :mod:`repro.storage.relational.index` reads: ``(field, "=", value)``
-    for equality / ``$eq``, ``(field, "in", [values])`` for ``$in``.
-    Everything else stays a scan."""
+    """The top-level entries comparing a field to constants, in the form
+    :mod:`repro.storage.relational.index` reads: ``(field, "=", value)`` for
+    equality / ``$eq`` and ``(field, "in", [values])`` for ``$in`` over
+    hashable constants, ``(field, ">", value)`` (``>=`` ``<`` ``<=``) for a
+    range operator whose constant has an :func:`order_key`.  Everything
+    else stays a scan."""
     found = []
     for field, condition in filter_spec.items():
         if field.startswith("$"):
             continue
         if not isinstance(condition, Mapping):
-            op, pinned = "=", [condition]
-        elif "$eq" in condition:
-            op, pinned = "=", [condition["$eq"]]
-        elif isinstance(condition.get("$in"), (list, tuple)):
-            op, pinned = "in", list(condition["$in"])
-        else:
-            continue
-        if all(map(hashable, pinned)):
-            found.append((field, op, pinned if op == "in" else pinned[0]))
+            condition = {"$eq": condition}
+        for op, operand in condition.items():
+            if op == "$eq" and hashable(operand):
+                found.append((field, "=", operand))
+            elif op == "$in" and isinstance(operand, (list, tuple)):
+                if all(map(hashable, operand)):
+                    found.append((field, "in", list(operand)))
+            elif op in _RANGES and order_key(operand) is not None:
+                found.append((field, _RANGES[op], operand))
     return found
 
 
@@ -95,53 +201,6 @@ def _is_clause_list(condition: Any) -> bool:
     return isinstance(condition, Sequence) and not isinstance(condition, (str, bytes)) and all(
         isinstance(clause, Mapping) for clause in condition
     )
-
-
-def _match_value(value: Any, condition: Any) -> bool:
-    if isinstance(condition, Mapping) and any(k.startswith("$") for k in condition):
-        return all(_apply_operator(value, op, operand) for op, operand in condition.items())
-    if value is _MISSING:
-        return False
-    return value == condition
-
-
-def _apply_operator(value: Any, op: str, operand: Any) -> bool:
-    if op == "$exists":
-        exists = value is not _MISSING
-        return exists if operand else not exists
-    if value is _MISSING:
-        return False
-    if op == "$eq":
-        return value == operand
-    if op == "$ne":
-        return value != operand
-    if op == "$gt":
-        return value is not None and value > operand
-    if op == "$gte":
-        return value is not None and value >= operand
-    if op == "$lt":
-        return value is not None and value < operand
-    if op == "$lte":
-        return value is not None and value <= operand
-    if op == "$in":
-        return value in operand
-    if op == "$nin":
-        return value not in operand
-    if op == "$contains":
-        if isinstance(value, str):
-            return str(operand).lower() in value.lower()
-        if isinstance(value, (list, tuple, set)):
-            return operand in value
-        return False
-    if op == "$regex":
-        if not isinstance(value, str):
-            return False
-        return re.search(str(operand), value, flags=re.IGNORECASE) is not None
-    if op == "$size":
-        if not isinstance(value, (list, tuple, set, str)):
-            return False
-        return len(value) == operand
-    raise QueryError(f"unknown operator: {op!r}")
 
 
 def project(document: Mapping[str, Any], fields: Sequence[str] | None) -> dict[str, Any]:

@@ -14,9 +14,21 @@ class Expr:
     """Base class for expressions."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Literal(Expr):
+    """A constant.  Equal only to a literal of the same value *and type*:
+    nodes key caches, and ``1`` / ``1.0`` / ``TRUE`` evaluate differently."""
+
     value: Any
+
+    def _identity(self) -> tuple[type, Any]:
+        return type(self.value), self.value
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Literal) and self._identity() == other._identity()
+
+    def __hash__(self) -> int:
+        return hash(self._identity())
 
 
 @dataclass(frozen=True)

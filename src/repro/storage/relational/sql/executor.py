@@ -3,21 +3,25 @@
 The executor performs a light logical-planning pass for SELECTs:
 
 * **access path** — :func:`sargable` conjuncts on indexed columns of the
-  base table turn full scans into index lookups (``index.choose_index``),
+  base table turn full scans into index lookups, every usable index
+  intersected (``index.choose_index``; ``stats.used_index`` names them),
 * **join strategy** — equi-join conditions become hash joins; anything else
   falls back to a nested-loop join,
 * then filtering, grouping, projection, distinct, ordering, and limiting.
 
 Rows travel through the pipeline as *environments*: mappings from table
 binding (alias or name) to the row dict, so qualified and unqualified column
-references both resolve naturally.
+references both resolve naturally.  Expressions are not interpreted per
+row: :func:`compile_expr` turns each distinct AST node into a closure once
+(the whole WHERE is still applied to every row an index returns).
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from functools import lru_cache
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from ....errors import SQLError, StorageError
 from ...schema import Column, ColumnType, TableSchema
@@ -29,6 +33,10 @@ from .functions import SCALAR_FUNCTIONS, make_aggregate
 from .parser import parse
 
 Env = dict[str, dict[str, Any]]
+#: Per-group aggregate results, by the call that asked for them.
+Aggregates = dict[ast.FunctionCall, Any] | None
+#: A compiled expression: ``evaluate(executor, env, agg_values)``.
+Evaluator = Callable[["Executor", Env, Aggregates], Any]
 
 #: Sentinel: an expression that cannot be folded to a constant at plan time.
 _NOT_CONSTANT = object()
@@ -44,6 +52,8 @@ class ExecutionStats:
         self.rows_scanned = 0
         self.rows_joined = 0
         self.index_lookups = 0
+        #: ``table.column`` of each index intersected for the base rows,
+        #: ``+``-joined in conjunct order; None for a scan.
         self.used_index: str | None = None
 
 
@@ -88,14 +98,15 @@ class Executor:
         for join in select.joins:
             envs = self._apply_join(envs, join)
         if select.where is not None:
-            envs = [env for env in envs if _truthy(self._eval(select.where, env))]
+            where = compile_expr(select.where)
+            envs = [env for env in envs if _truthy(where(self, env, None))]
         has_aggregates = any(
             _find_aggregates(item.expr) for item in select.items
         ) or (select.having is not None and _find_aggregates(select.having))
         if select.group_by or has_aggregates:
             rows = self._grouped_projection(select, envs)
         else:
-            rows = [self._project(select.items, env) for env in envs]
+            rows = list(map(self._projector(select.items), envs))
             rows = self._order_rows(select, rows, envs)
         columns = self._output_columns(select.items, envs)
         if select.distinct:
@@ -116,10 +127,10 @@ class Executor:
             rows = table.rows()
             self.stats.rows_scanned += len(rows)
         else:
-            column, row_ids = chosen
+            columns, row_ids = chosen
             rows = table.get_by_row_ids(row_ids)
-            self.stats.used_index = f"{table.name}.{column}"
-            self.stats.index_lookups += 1
+            self.stats.used_index = "+".join(f"{table.name}.{c}" for c in columns)
+            self.stats.index_lookups += len(columns)
         return [{binding: row} for row in rows]
 
     def _apply_join(self, envs: list[Env], join: ast.Join) -> list[Env]:
@@ -130,12 +141,13 @@ class Executor:
         equi = _equi_join_key(join.condition, binding)
         joined: list[Env] = []
         if equi is not None:
-            left_key_expr, right_column = equi
+            left_key = compile_expr(equi[0])
+            right_column = equi[1]
             buckets: dict[Any, list[dict[str, Any]]] = {}
             for row in right_rows:
                 buckets.setdefault(row.get(right_column), []).append(row)
             for env in envs:
-                key = self._eval(left_key_expr, env)
+                key = left_key(self, env, None)
                 matches = buckets.get(key, []) if key is not None else []
                 for row in matches:
                     joined.append({**env, binding: row})
@@ -143,12 +155,12 @@ class Executor:
                 if not matches and join.kind == "left":
                     joined.append({**env, binding: _null_row(table)})
         else:
+            condition = None if join.condition is None else compile_expr(join.condition)
             for env in envs:
                 matched = False
                 for row in right_rows:
                     candidate = {**env, binding: row}
-                    condition = join.condition
-                    if condition is None or _truthy(self._eval(condition, candidate)):
+                    if condition is None or _truthy(condition(self, candidate, None)):
                         joined.append(candidate)
                         matched = True
                         self.stats.rows_joined += 1
@@ -161,23 +173,22 @@ class Executor:
     ) -> list[dict[str, Any]]:
         groups: dict[tuple, list[Env]] = {}
         if select.group_by:
+            keys = [compile_expr(expr) for expr in select.group_by]
             for env in envs:
-                key = tuple(
-                    _hashable(self._eval(expr, env)) for expr in select.group_by
-                )
+                key = tuple(_hashable(part(self, env, None)) for part in keys)
                 groups.setdefault(key, []).append(env)
         else:
             groups[()] = envs  # implicit single group (may be empty)
         rows: list[dict[str, Any]] = []
         representative_envs: list[Env] = []
+        project = self._projector(select.items)
+        having = None if select.having is None else compile_expr(select.having)
         for member_envs in groups.values():
             agg_values = self._compute_aggregates(select, member_envs)
             representative = member_envs[0] if member_envs else {}
-            if select.having is not None:
-                having_value = self._eval(select.having, representative, agg_values)
-                if not _truthy(having_value):
-                    continue
-            rows.append(self._project(select.items, representative, agg_values))
+            if having is not None and not _truthy(having(self, representative, agg_values)):
+                continue
+            rows.append(project(representative, agg_values))
             representative_envs.append(representative)
         return self._order_rows(select, rows, representative_envs)
 
@@ -198,33 +209,41 @@ class Executor:
             count_star = bool(call.args) and isinstance(call.args[0], ast.Star)
             count_star = count_star or (call.name == "COUNT" and not call.args)
             accumulator = make_aggregate(call.name, count_star, call.distinct)
-            for env in envs:
-                if count_star:
+            if count_star:
+                for _ in envs:
                     accumulator.add(1)
-                else:
-                    if len(call.args) != 1:
-                        raise SQLError(f"{call.name} expects one argument")
-                    accumulator.add(self._eval(call.args[0], env))
+            elif envs:
+                if len(call.args) != 1:
+                    raise SQLError(f"{call.name} expects one argument")
+                argument = compile_expr(call.args[0])
+                for env in envs:
+                    accumulator.add(argument(self, env, None))
             values[call] = accumulator.result()
         return values
 
-    def _project(
-        self,
-        items: Iterable[ast.SelectItem],
-        env: Env,
-        agg_values: dict[ast.FunctionCall, Any] | None = None,
-    ) -> dict[str, Any]:
-        row: dict[str, Any] = {}
+    def _projector(
+        self, items: Iterable[ast.SelectItem]
+    ) -> Callable[[Env, Aggregates], dict[str, Any]]:
+        """The select list as one function of a row environment."""
+        plan: list[tuple[str | None, Evaluator | None]] = []
         for item in items:
             if isinstance(item.expr, ast.Star):
-                for binding, bound_row in env.items():
-                    if item.expr.table is not None and binding != item.expr.table:
-                        continue
-                    row.update(bound_row)
-                continue
-            name = item.alias or _output_name(item.expr)
-            row[name] = self._eval(item.expr, env, agg_values)
-        return row
+                plan.append((item.expr.table, None))
+            else:
+                plan.append((item.alias or _output_name(item.expr), compile_expr(item.expr)))
+
+        def project(env: Env, agg_values: Aggregates = None) -> dict[str, Any]:
+            row: dict[str, Any] = {}
+            for name, evaluate in plan:
+                if evaluate is not None:
+                    row[name] = evaluate(self, env, agg_values)
+                    continue
+                for binding, bound_row in env.items():  # ``*`` or ``name.*``
+                    if name is None or binding == name:
+                        row.update(bound_row)
+            return row
+
+        return project
 
     def _output_columns(
         self, items: Iterable[ast.SelectItem], envs: list[Env]
@@ -273,7 +292,7 @@ class Executor:
             if name in row:
                 return row[name]
         try:
-            return self._eval(expr, env)
+            return compile_expr(expr)(self, env, None)
         except SQLError:
             if isinstance(expr, ast.ColumnRef) and expr.name in row:
                 return row[expr.name]
@@ -292,7 +311,7 @@ class Executor:
                     f"{len(insert.columns)} vs {len(value_tuple)}"
                 )
             row = {
-                column: self._eval(expr, {})
+                column: compile_expr(expr)(self, {}, None)
                 for column, expr in zip(insert.columns, value_tuple)
             }
             table.insert(row)
@@ -303,21 +322,16 @@ class Executor:
         table = self._db.table(update.table)
         binding = update.table
 
-        def predicate(row: dict[str, Any]) -> bool:
-            if update.where is None:
-                return True
-            return _truthy(self._eval(update.where, {binding: row}))
-
+        where = None if update.where is None else compile_expr(update.where)
+        assignments = [(column, compile_expr(expr)) for column, expr in update.assignments]
         # Assignments may reference current row values (e.g. salary = salary*2),
         # so compute per-row via update's callback contract.
         count = 0
         for row in table.rows():
-            if not predicate(row):
-                continue
             env = {binding: row}
-            changes = {
-                column: self._eval(expr, env) for column, expr in update.assignments
-            }
+            if where is not None and not _truthy(where(self, env, None)):
+                continue
+            changes = {column: value(self, env, None) for column, value in assignments}
             key_column = table.schema.primary_key()
             if key_column is not None:
                 key_value = row[key_column.name]
@@ -334,9 +348,8 @@ class Executor:
         if delete.where is None:
             count = table.delete(lambda row: True)
         else:
-            count = table.delete(
-                lambda row: _truthy(self._eval(delete.where, {binding: row}))
-            )
+            where = compile_expr(delete.where)
+            count = table.delete(lambda row: _truthy(where(self, {binding: row}, None)))
         return SQLResult(rowcount=count, statement_kind="delete")
 
     def _execute_create_table(self, create: ast.CreateTable) -> SQLResult:
@@ -359,167 +372,253 @@ class Executor:
         table.create_index(create.column, kind=create.kind)
         return SQLResult(statement_kind="create_index")
 
-    # ------------------------------------------------------------------
-    # Expression evaluation
-    # ------------------------------------------------------------------
-    def _eval(
-        self,
-        expr: ast.Expr,
-        env: Env,
-        agg_values: dict[ast.FunctionCall, Any] | None = None,
-    ) -> Any:
-        if isinstance(expr, ast.Literal):
-            return expr.value
-        if isinstance(expr, ast.Parameter):
-            if expr.name not in self._params:
-                raise SQLError(f"missing parameter: {expr.name!r}")
-            return self._params[expr.name]
-        if isinstance(expr, ast.ColumnRef):
-            return _resolve(env, expr)
-        if isinstance(expr, ast.Unary):
-            value = self._eval(expr.operand, env, agg_values)
-            if expr.op == "-":
-                return None if value is None else -value
-            if expr.op == "NOT":
-                return None if value is None else not _truthy(value)
-            raise SQLError(f"unknown unary operator: {expr.op}")
-        if isinstance(expr, ast.Binary):
-            return self._eval_binary(expr, env, agg_values)
-        if isinstance(expr, ast.InList):
-            value = self._eval(expr.operand, env, agg_values)
-            if value is None:
-                return None
-            members = {self._eval(item, env, agg_values) for item in expr.items}
-            found = value in members
-            return (not found) if expr.negated else found
-        if isinstance(expr, ast.Between):
-            value = self._eval(expr.operand, env, agg_values)
-            low = self._eval(expr.low, env, agg_values)
-            high = self._eval(expr.high, env, agg_values)
-            if value is None or low is None or high is None:
-                return None
-            inside = low <= value <= high
-            return (not inside) if expr.negated else inside
-        if isinstance(expr, ast.IsNull):
-            value = self._eval(expr.operand, env, agg_values)
-            return (value is not None) if expr.negated else (value is None)
-        if isinstance(expr, ast.Exists):
-            result = self._execute_select(expr.select)
-            found = bool(result.rows)
-            return (not found) if expr.negated else found
-        if isinstance(expr, ast.Subquery):
-            result = self._execute_select(expr.select)
-            if not result.rows or not result.columns:
-                return None
-            return result.rows[0][result.columns[0]]
-        if isinstance(expr, ast.InSubquery):
-            value = self._eval(expr.operand, env, agg_values)
-            if value is None:
-                return None
-            result = self._execute_select(expr.select)
-            if not result.columns:
-                return False if not expr.negated else True
-            members = {row[result.columns[0]] for row in result.rows}
-            found = value in members
-            return (not found) if expr.negated else found
-        if isinstance(expr, ast.FunctionCall):
-            return self._eval_function(expr, env, agg_values)
-        if isinstance(expr, ast.CaseWhen):
-            for condition, result in expr.whens:
-                if _truthy(self._eval(condition, env, agg_values)):
-                    return self._eval(result, env, agg_values)
-            if expr.default is not None:
-                return self._eval(expr.default, env, agg_values)
-            return None
-        if isinstance(expr, ast.Star):
-            raise SQLError("'*' is only valid in select lists and COUNT(*)")
-        raise SQLError(f"cannot evaluate expression: {expr!r}")
+# ----------------------------------------------------------------------
+# Expression compilation
+# ----------------------------------------------------------------------
+@lru_cache(maxsize=4096)
+def compile_expr(expr: ast.Expr) -> Evaluator:
+    """*expr* as a closure ``evaluate(executor, env, agg_values)``.
 
-    def _eval_binary(
-        self,
-        expr: ast.Binary,
-        env: Env,
-        agg_values: dict[ast.FunctionCall, Any] | None,
-    ) -> Any:
-        op = expr.op
-        if op == "AND":
-            left = self._eval(expr.left, env, agg_values)
-            if left is not None and not _truthy(left):
-                return False
-            right = self._eval(expr.right, env, agg_values)
-            if right is not None and not _truthy(right):
-                return False
-            if left is None or right is None:
-                return None
-            return True
-        if op == "OR":
-            left = self._eval(expr.left, env, agg_values)
-            if left is not None and _truthy(left):
-                return True
-            right = self._eval(expr.right, env, agg_values)
-            if right is not None and _truthy(right):
-                return True
-            if left is None or right is None:
-                return None
-            return False
-        left = self._eval(expr.left, env, agg_values)
-        right = self._eval(expr.right, env, agg_values)
-        if op == "||":
-            if left is None or right is None:
-                return None
-            return str(left) + str(right)
-        if op == "LIKE":
-            if left is None or right is None:
-                return None
-            return _like(str(left), str(right))
-        if left is None or right is None:
-            return None
-        if op == "=":
-            return left == right
-        if op == "<>":
-            return left != right
-        if op == "<":
-            return left < right
-        if op == "<=":
-            return left <= right
-        if op == ">":
-            return left > right
-        if op == ">=":
-            return left >= right
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
-            if right == 0:
-                raise SQLError("division by zero")
-            result = left / right
-            return result
-        if op == "%":
-            if right == 0:
-                raise SQLError("modulo by zero")
-            return left % right
-        raise SQLError(f"unknown binary operator: {op}")
+    The tree is walked here, once per distinct node — the AST is frozen, so
+    the node is the cache key and a statement parsed once compiles once,
+    sub-expressions shared between statements included.  Nothing of a
+    particular execution is captured: parameters and subqueries are read
+    through *executor*, grouped aggregates through *agg_values*, at call
+    time.  Errors an expression can only raise on a row (unknown column or
+    function, missing parameter, division by zero) still raise there.
+    """
+    compiler = _COMPILERS.get(type(expr))
+    if compiler is None:
+        return _raises(f"cannot evaluate expression: {expr!r}")
+    return compiler(expr)
 
-    def _eval_function(
-        self,
-        call: ast.FunctionCall,
-        env: Env,
-        agg_values: dict[ast.FunctionCall, Any] | None,
-    ) -> Any:
-        if call.is_aggregate:
-            if agg_values is None or call not in agg_values:
-                raise SQLError(
-                    f"aggregate {call.name} used outside a grouped context"
-                )
-            return agg_values[call]
-        handler = SCALAR_FUNCTIONS.get(call.name)
-        if handler is None:
-            raise SQLError(f"unknown function: {call.name}")
-        args = [self._eval(arg, env, agg_values) for arg in call.args]
-        return handler(args)
+
+def _raises(message: str) -> Evaluator:
+    def fail(executor: Executor, env: Env, aggs: Aggregates) -> Any:
+        raise SQLError(message)
+
+    return fail
+
+
+def _compile_literal(expr: ast.Literal) -> Evaluator:
+    constant = expr.value
+    return lambda executor, env, aggs: constant
+
+
+def _compile_is_null(expr: ast.IsNull) -> Evaluator:
+    operand, negated = compile_expr(expr.operand), expr.negated
+    return lambda executor, env, aggs: (operand(executor, env, aggs) is None) is not negated
+
+
+def _compile_parameter(expr: ast.Parameter) -> Evaluator:
+    name = expr.name
+
+    def parameter(executor: Executor, env: Env, aggs: Aggregates) -> Any:
+        try:
+            return executor._params[name]
+        except KeyError:
+            raise SQLError(f"missing parameter: {name!r}") from None
+
+    return parameter
+
+
+def _compile_column(ref: ast.ColumnRef) -> Evaluator:
+    name, table = ref.name, ref.table
+
+    def qualified(executor: Executor, env: Env, aggs: Aggregates) -> Any:
+        try:
+            return env[table][name]
+        except KeyError:
+            return _resolve(env, ref)  # raises: which of the two is unknown
+
+    def unqualified(executor: Executor, env: Env, aggs: Aggregates) -> Any:
+        holder = None
+        for row in env.values():
+            if name in row:
+                if holder is not None:
+                    return _resolve(env, ref)  # raises: ambiguous
+                holder = row
+        if holder is None:
+            return _resolve(env, ref)  # raises: unknown
+        return holder[name]
+
+    return unqualified if table is None else qualified
+
+
+def _compile_unary(expr: ast.Unary) -> Evaluator:
+    operand = compile_expr(expr.operand)
+    if expr.op == "-":
+
+        def negative(executor: Executor, env: Env, aggs: Aggregates) -> Any:
+            value = operand(executor, env, aggs)
+            return None if value is None else -value
+
+        return negative
+    if expr.op == "NOT":
+
+        def negation(executor: Executor, env: Env, aggs: Aggregates) -> Any:
+            value = operand(executor, env, aggs)
+            return None if value is None else not value
+
+        return negation
+    return _raises(f"unknown unary operator: {expr.op}")
+
+
+def _divide(left: Any, right: Any) -> Any:
+    if right == 0:
+        raise SQLError("division by zero")
+    return left / right
+
+
+def _modulo(left: Any, right: Any) -> Any:
+    if right == 0:
+        raise SQLError("modulo by zero")
+    return left % right
+
+
+#: NULL-propagating binary operators: applied only when both sides are not NULL.
+_BINARY_OPERATORS: dict[str, Callable[[Any, Any], Any]] = {
+    "=": operator.eq, "<>": operator.ne,
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "/": _divide, "%": _modulo,
+    "||": lambda left, right: str(left) + str(right),
+    "LIKE": lambda left, right: _like(str(left), str(right)),
+}
+
+
+def _compile_binary(expr: ast.Binary) -> Evaluator:
+    left, right = compile_expr(expr.left), compile_expr(expr.right)
+    if expr.op in ("AND", "OR"):
+        # Three-valued: the absorbing value (FALSE for AND, TRUE for OR)
+        # decides alone and skips the right side; else NULL wins.
+        absorbing = expr.op == "OR"
+
+        def connective(executor: Executor, env: Env, aggs: Aggregates) -> Any:
+            first = left(executor, env, aggs)
+            if first is not None and bool(first) is absorbing:
+                return absorbing
+            second = right(executor, env, aggs)
+            if second is not None and bool(second) is absorbing:
+                return absorbing
+            if first is None or second is None:
+                return None
+            return not absorbing
+
+        return connective
+    apply = _BINARY_OPERATORS.get(expr.op)
+    if apply is None:
+        return _raises(f"unknown binary operator: {expr.op}")
+
+    def binary(executor: Executor, env: Env, aggs: Aggregates) -> Any:
+        first, second = left(executor, env, aggs), right(executor, env, aggs)
+        if first is None or second is None:
+            return None
+        return apply(first, second)
+
+    return binary
+
+
+def _compile_in_list(expr: ast.InList) -> Evaluator:
+    operand, negated = compile_expr(expr.operand), expr.negated
+    items = [compile_expr(item) for item in expr.items]
+
+    def in_list(executor: Executor, env: Env, aggs: Aggregates) -> Any:
+        value = operand(executor, env, aggs)
+        if value is None:
+            return None
+        found = value in {item(executor, env, aggs) for item in items}
+        return found is not negated
+
+    return in_list
+
+
+def _compile_between(expr: ast.Between) -> Evaluator:
+    operand, negated = compile_expr(expr.operand), expr.negated
+    lower, upper = compile_expr(expr.low), compile_expr(expr.high)
+
+    def between(executor: Executor, env: Env, aggs: Aggregates) -> Any:
+        value = operand(executor, env, aggs)
+        low, high = lower(executor, env, aggs), upper(executor, env, aggs)
+        if value is None or low is None or high is None:
+            return None
+        return (low <= value <= high) is not negated
+
+    return between
+
+
+def _compile_subquery(expr: ast.Exists | ast.Subquery | ast.InSubquery) -> Evaluator:
+    select = expr.select
+    if isinstance(expr, ast.Exists):
+        negated = expr.negated
+        return lambda executor, env, aggs: (
+            bool(executor._execute_select(select).rows) is not negated
+        )
+    if isinstance(expr, ast.Subquery):
+
+        def scalar(executor: Executor, env: Env, aggs: Aggregates) -> Any:
+            return executor._execute_select(select).scalar()
+
+        return scalar
+    operand, negated = compile_expr(expr.operand), expr.negated
+
+    def in_subquery(executor: Executor, env: Env, aggs: Aggregates) -> Any:
+        value = operand(executor, env, aggs)
+        if value is None:
+            return None
+        result = executor._execute_select(select)
+        if not result.columns:
+            return negated
+        return (value in set(result.column(result.columns[0]))) is not negated
+
+    return in_subquery
+
+
+def _compile_function(call: ast.FunctionCall) -> Evaluator:
+    if call.is_aggregate:
+
+        def aggregate(executor: Executor, env: Env, aggs: Aggregates) -> Any:
+            if aggs is None or call not in aggs:
+                raise SQLError(f"aggregate {call.name} used outside a grouped context")
+            return aggs[call]
+
+        return aggregate
+    handler = SCALAR_FUNCTIONS.get(call.name)
+    if handler is None:
+        return _raises(f"unknown function: {call.name}")
+    args = [compile_expr(arg) for arg in call.args]
+    return lambda executor, env, aggs: handler([arg(executor, env, aggs) for arg in args])
+
+
+def _compile_case(expr: ast.CaseWhen) -> Evaluator:
+    whens = [(compile_expr(when), compile_expr(then)) for when, then in expr.whens]
+    default = None if expr.default is None else compile_expr(expr.default)
+
+    def case(executor: Executor, env: Env, aggs: Aggregates) -> Any:
+        for when, then in whens:
+            if _truthy(when(executor, env, aggs)):
+                return then(executor, env, aggs)
+        return None if default is None else default(executor, env, aggs)
+
+    return case
+
+
+_COMPILERS: dict[type, Callable[[Any], Evaluator]] = {
+    ast.Literal: _compile_literal,
+    ast.Parameter: _compile_parameter,
+    ast.ColumnRef: _compile_column,
+    ast.Unary: _compile_unary,
+    ast.Binary: _compile_binary,
+    ast.InList: _compile_in_list,
+    ast.Between: _compile_between,
+    ast.IsNull: _compile_is_null,
+    ast.Exists: _compile_subquery,
+    ast.Subquery: _compile_subquery,
+    ast.InSubquery: _compile_subquery,
+    ast.FunctionCall: _compile_function,
+    ast.CaseWhen: _compile_case,
+    ast.Star: lambda expr: _raises("'*' is only valid in select lists and COUNT(*)"),
+}
 
 
 # ----------------------------------------------------------------------

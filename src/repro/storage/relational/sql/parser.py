@@ -19,6 +19,8 @@ Expressions support the usual precedence: OR < AND < NOT < comparison
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from ....errors import SQLError
 from . import ast
 from .lexer import Token, TokenType, tokenize
@@ -483,6 +485,11 @@ class Parser:
         return ast.FunctionCall(upper, tuple(args), distinct)
 
 
+@lru_cache(maxsize=512)
 def parse(sql: str) -> ast.Statement:
-    """Parse one SQL statement into an AST."""
+    """Parse one SQL statement into an AST.
+
+    Statements are frozen, so one text parses once and every caller shares
+    the tree — which is also what makes its nodes good cache keys for the
+    executor's ``compile_expr``."""
     return Parser(sql).parse_statement()

@@ -7,7 +7,7 @@ from typing import Any, Callable, Iterable, Iterator
 
 from ...errors import SchemaError, StorageError
 from ..schema import TableSchema
-from .index import HashIndex, SortedIndex
+from .index import HashIndex, KeyIndex, SortedIndex
 
 
 class Table:
@@ -21,11 +21,11 @@ class Table:
         self.schema = schema
         self._rows: dict[int, dict[str, Any]] = {}
         self._next_row_id = 0
-        self._indices: dict[str, HashIndex | SortedIndex] = {}
+        self._indices: dict[str, HashIndex | KeyIndex | SortedIndex] = {}
         self._lock = threading.RLock()
         primary = schema.primary_key()
         if primary is not None:
-            self.create_index(primary.name, kind="hash")
+            self._indices[primary.name] = KeyIndex(primary.name)
 
     @property
     def name(self) -> str:
@@ -124,11 +124,10 @@ class Table:
                 index = SortedIndex(column)
             else:
                 raise StorageError(f"unknown index kind: {kind!r}")
-            for row_id, row in self._rows.items():
-                index.insert(row[column], row_id)
+            index.extend((row[column], row_id) for row_id, row in self._rows.items())
             self._indices[column] = index
 
-    def index_on(self, column: str) -> HashIndex | SortedIndex | None:
+    def index_on(self, column: str) -> HashIndex | KeyIndex | SortedIndex | None:
         with self._lock:
             return self._indices.get(column)
 

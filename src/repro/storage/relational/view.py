@@ -13,11 +13,12 @@ a scan returns.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Sequence
+from itertools import chain, repeat
+from typing import Any, Iterable, Sequence
 
 from ...errors import StorageError
 from ..schema import TableSchema
-from .index import HashIndex, SortedIndex
+from .index import HashIndex, KeyIndex, SortedIndex
 from .table import Table
 
 RowId = tuple[int, int]
@@ -26,26 +27,18 @@ RowId = tuple[int, int]
 class ConcatIndex:
     """The slices' indexes on one column, read as one."""
 
-    def __init__(self, indexes: Sequence[HashIndex | SortedIndex]) -> None:
+    def __init__(self, indexes: Sequence[HashIndex | KeyIndex | SortedIndex]) -> None:
         self._indexes = indexes
-        self.kind = indexes[0].kind
 
-    def _collect(self, ids_of: Callable[[Any], Iterable[int]]) -> set[RowId]:
-        return {
-            (position, row_id)
+    def estimate(self, op: str, value: Any) -> int | None:
+        sizes = [index.estimate(op, value) for index in self._indexes]
+        return None if None in sizes else sum(sizes)
+
+    def ids(self, op: str, value: Any) -> Iterable[RowId]:
+        return chain.from_iterable(
+            zip(repeat(position), index.ids(op, value))
             for position, index in enumerate(self._indexes)
-            for row_id in ids_of(index)
-        }
-
-    def lookup(self, value: Any) -> set[RowId]:
-        return self._collect(lambda index: index.lookup(value))
-
-    def lookup_many(self, values: Iterable[Any]) -> set[RowId]:
-        values = list(values)
-        return self._collect(lambda index: index.lookup_many(values))
-
-    def range(self, **bounds: Any) -> set[RowId]:
-        return self._collect(lambda index: index.range(**bounds))
+        )
 
 
 class ConcatTable:

@@ -1,17 +1,22 @@
 """Differential property tests for the one document ``find`` path.
 
 Three collections take the same inserts, updates and deletes: a plain
-single-node ``Collection`` (the oracle: no index, no shards), the same with
-field indexes, and a ``ClusteredCollection`` over 1 / 2 / 4 shards,
-partitioned by ``city`` or not, indexed or not.  Every ``find`` must agree
-with the oracle — exactly where the sort key is total, as a multiset where
-there is no limit, and otherwise as *some* valid top-k — and raise the same
-exception type when the oracle raises.  Writes must report the same counts
-and refuse the same duplicate ids, and no index may keep an emptied bucket.
+single-node ``Collection`` (the oracle: no index, no shards), the same under
+a drawn *index plan* — any subset of the fields, each hash or sorted, so one,
+two or three indexes answer a filter and intersect — and a
+``ClusteredCollection`` over 1 / 2 / 4 shards, partitioned by ``city`` or
+not, under its own index plan.  An index never changes an answer: the
+indexed collection returns the oracle's list, order and ``limit`` cut
+included.  The clustered one reads shards in shard order, so it agrees
+exactly where the sort key is total, as a multiset where there is no limit,
+and otherwise as *some* valid top-k.  Both raise the same exception type
+when the oracle raises.  Writes must report the same counts and refuse the
+same duplicate ids, and no index may keep an emptied bucket or a stale
+sorted entry.
 
-A conjunction puts its sargable entry first: ``matches`` short-circuits in
-filter order, so only then do an index or a pruned fan-out skip exactly the
-documents the scan would have rejected before reaching a raising operator.
+A malformed filter is refused when it is compiled, before any document is
+read, so the oracle, the indexes and the shards cannot disagree on it; range
+operators never raise (unlike types are "no match").
 """
 
 import json
@@ -22,7 +27,9 @@ from hypothesis import strategies as st
 from repro.clock import SimClock
 from repro.errors import StorageError
 from repro.storage.cluster import ClusteredDocumentStore
+from repro.storage.document.query import get_path, order_key
 from repro.storage.document.store import Collection
+from repro.storage.relational.index import SortedIndex
 
 CITIES = ["SF", "Oakland", "Austin", "Denver"]
 INDEXED = ["city", "rank", "mix", "tags", "sub", "sub.x"]
@@ -61,19 +68,33 @@ sargable_entries = st.one_of(
     st.sampled_from(SUBS).map(lambda s: {"sub": {"$in": [s, {"x": 9}]}}),
     st.just({"sub.x": 1}),
     doc_ids.map(lambda i: {"_id": i}),
+    st.lists(doc_ids, max_size=3).map(lambda ids: {"_id": {"$in": ids}}),
+)
+compare = st.sampled_from(["$gt", "$gte", "$lt", "$lte"])
+# Sargable too, answered by a sorted index: every bracket of constant —
+# number (bool and float included), text, and the ones that match nothing.
+bound = st.one_of(
+    st.integers(-1, 4), st.sampled_from([1.5, True, "a", "2", "SF", None]), tags
+)
+range_entries = st.one_of(
+    st.tuples(st.sampled_from(["rank", "mix", "city", "sub.x", "nope"]), compare, bound).map(
+        lambda e: {e[0]: {e[1]: e[2]}}
+    ),
+    st.tuples(st.sampled_from(["rank", "mix"]), st.integers(0, 3), st.integers(0, 3)).map(
+        lambda e: {e[0]: {"$gte": e[1], "$lt": e[2]}}  # a window: two spans of one index
+    ),
 )
 scan_entries = st.one_of(
     st.sampled_from(CITIES).map(lambda c: {"city": {"$ne": c}}),
     st.tuples(st.sampled_from(["$gt", "$gte", "$lt", "$lte"]), st.integers(0, 12)).map(
         lambda pair: {"n": {pair[0]: pair[1]}}
     ),
-    st.integers(0, 3).map(lambda r: {"rank": {"$gte": r}}),
-    st.integers(0, 3).map(lambda m: {"mix": {"$gt": m}}),  # raises on a str / list
+    range_entries,  # on a str / list value: no match, never a TypeError
     st.sampled_from(["a", "b"]).map(lambda t: {"tags": {"$contains": t}}),
     st.tuples(st.sampled_from(["city", "rank", "nope"]), st.booleans()).map(
         lambda pair: {pair[0]: {"$exists": pair[1]}}
     ),
-    st.just({"rank": {"$bogus": 1}}),  # QueryError, on a document that has the field
+    st.just({"rank": {"$bogus": 1}}),  # QueryError, with or without a document
 )
 entries = st.one_of(sargable_entries, scan_entries)
 filters = st.one_of(
@@ -81,6 +102,10 @@ filters = st.one_of(
     st.just({}),
     entries,
     st.tuples(sargable_entries, entries).map(lambda pair: {**pair[0], **pair[1]}),
+    # up to three indexable entries on distinct fields: the intersection
+    st.lists(st.one_of(sargable_entries, range_entries), min_size=2, max_size=3).map(
+        lambda found: {k: v for entry in found for k, v in entry.items()}
+    ),
     st.lists(entries, min_size=1, max_size=2).map(lambda clauses: {"$or": clauses}),
     st.tuples(sargable_entries, st.lists(entries, min_size=1, max_size=2)).map(
         lambda pair: {**pair[0], "$or": pair[1]}
@@ -104,14 +129,27 @@ changes = st.one_of(
 steps = st.lists(
     st.one_of(
         st.tuples(st.just("find"), queries),
-        st.tuples(st.just("update"), sargable_entries, changes),
-        st.tuples(st.just("delete"), sargable_entries),
+        st.tuples(st.just("update"), st.one_of(sargable_entries, range_entries), changes),
+        st.tuples(st.just("delete"), st.one_of(sargable_entries, range_entries)),
         st.tuples(st.just("insert"), doc_ids, bodies()),
     ),
     min_size=1,
     max_size=8,
 )
-topologies = st.tuples(st.sampled_from([1, 2, 4]), st.booleans(), st.booleans())
+index_plans = st.dictionaries(st.sampled_from(INDEXED), st.sampled_from(["hash", "sorted"]))
+#: One filter per way an index can answer (and ``{}``: the scan).
+SWEEP = [
+    {},
+    *({"city": c} for c in CITIES),
+    {"city": {"$in": ["SF", "Austin", 7]}},
+    {"rank": {"$gte": 0}},
+    {"rank": {"$in": [0, 1, 2, 3]}},
+    {"mix": {"$lt": 9}},
+    {"mix": {"$gte": ""}},
+    {"sub.x": {"$lte": 1}},
+    {"city": "SF", "rank": {"$gte": 1}, "mix": {"$gt": 0}},
+]
+topologies = st.tuples(st.sampled_from([1, 2, 4]), st.booleans(), index_plans)
 
 
 # ----------------------------------------------------------------------
@@ -129,6 +167,7 @@ def outcome(call, *args, **kwargs):
 
 
 def assert_same_answer(got, expected, query, oracle):
+    """What a clustered ``find`` owes the oracle (shard order is not insertion order)."""
     if isinstance(expected, type) or isinstance(got, type):
         assert got is expected
     elif query["sort"] == "n":  # unique and always present: a total order
@@ -144,35 +183,47 @@ def assert_same_answer(got, expected, query, oracle):
             assert [d.get("rank") for d in got] == [d.get("rank") for d in expected]
 
 
-def empty_buckets(collection):
-    return [
-        (field, key)
-        for field, index in collection._field_indices.items()
-        for key, bucket in getattr(index, "_buckets", index).items()
-        if not bucket
-    ]
+def stale_entries(collection):
+    """Index entries no document backs: emptied hash buckets, and sorted
+    entries other than exactly one per live document with an ordered value."""
+    stale = []
+    for field, index in collection._field_indices.items():
+        if isinstance(index, SortedIndex):
+            live = sorted(
+                (*order_key(get_path(document, field)), row_id)
+                for row_id, document in collection._rows.items()
+                if order_key(get_path(document, field)) is not None
+            )
+            if index._entries != live:
+                stale.append((field, index._entries, live))
+        else:
+            stale += [(field, key) for key, bucket in index._buckets.items() if not bucket]
+    if sorted(collection._primary._row_ids.values()) != sorted(collection._rows):
+        stale.append(("_id", collection._primary._row_ids))
+    return stale
 
 
-def build(topology):
-    n_shards, partitioned, clustered_indexes = topology
+def build(topology, index_plan):
+    n_shards, partitioned, clustered_plan = topology
     plain, indexed = Collection("people"), Collection("people")
     store = ClusteredDocumentStore("prop", n_shards=n_shards, n_replicas=3,
                                    clock=SimClock(), seed=3)
     clustered = store.create_collection(
         "people", partition_field="city" if partitioned else None
     )
-    for field in INDEXED:
-        indexed.create_index(field)
-        if clustered_indexes:
-            clustered.create_index(field)
+    for collection, plan in ((indexed, index_plan), (clustered, clustered_plan)):
+        for field, kind in plan.items():
+            collection.create_index(field, kind=kind)
     return plain, indexed, clustered
 
 
 class TestOneFindPath:
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(bodies(), max_size=16), topologies, steps)
-    def test_clustered_and_indexed_match_the_plain_scan(self, seed_docs, topology, script):
-        plain, indexed, clustered = build(topology)
+    @given(st.lists(bodies(), max_size=16), topologies, index_plans, steps)
+    def test_clustered_and_indexed_match_the_plain_scan(
+        self, seed_docs, topology, index_plan, script
+    ):
+        plain, indexed, clustered = build(topology, index_plan)
         collections = (plain, indexed, clustered)
         inserted = 0
 
@@ -184,13 +235,15 @@ class TestOneFindPath:
             assert results in ([doc_id] * 3, [StorageError] * 3)
 
         for position, body in enumerate(seed_docs):
-            insert(f"d{position:02d}", body)
+            # descending ids: insertion order is never the sorted order an
+            # index used to return its candidates in
+            insert(f"d{29 - position:02d}", body)
         for kind, *args in script:
             if kind == "find":
                 (query,) = args
                 expected = outcome(plain.find, **query)
-                for other in (indexed, clustered):
-                    assert_same_answer(outcome(other.find, **query), expected, query, plain)
+                assert outcome(indexed.find, **query) == expected  # order and cut included
+                assert_same_answer(outcome(clustered.find, **query), expected, query, plain)
             elif kind == "insert":
                 insert(*args)
             else:
@@ -198,10 +251,13 @@ class TestOneFindPath:
                 assert counts[0] == counts[1] == counts[2]
             assert len(plain) == len(indexed) == len(clustered)
 
-        assert canonical(clustered.find()) == canonical(indexed.find()) == canonical(plain.find())
-        assert empty_buckets(indexed) == []
+        for filter_spec in SWEEP:  # whatever the script drew, every index answers once
+            expected = plain.find(filter_spec)
+            assert indexed.find(filter_spec) == expected
+            assert canonical(clustered.find(filter_spec)) == canonical(expected)
+        assert stale_entries(indexed) == []
         for state in clustered._cluster.primary_states():
-            assert empty_buckets(state.collection("people")) == []
+            assert stale_entries(state.collection("people")) == []
 
     def test_equal_values_that_key_differently_stay_a_scan(self):
         """Sub-document and list equality is ``==``: no index key reproduces
@@ -224,5 +280,31 @@ class TestOneFindPath:
         people.insert({"y": 3})
         assert people.update({"y": 3}, {"y": 4}) == 1
         assert people.delete({"y": 4}) == 1
-        assert empty_buckets(people) == []
+        assert stale_entries(people) == []
         assert people.find({"y": {"$in": [3, 4]}}) == []
+
+
+numbers = st.sampled_from([0, 1, 2, 0.0, 1.0, 2.0, True, False, 2.5, "1", 10**20, 1e20])
+
+
+class TestNumericPartitionValues:
+    """Routing keys were ``str(value)``: a document partitioned under ``1``
+    was invisible to a filter spelling it ``1.0`` or ``True``."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(numbers, max_size=12), st.lists(numbers, min_size=1, max_size=3),
+           st.sampled_from([2, 4]))
+    def test_equal_numbers_prune_to_the_document(self, keys, constants, n_shards):
+        plain = Collection("people")
+        store = ClusteredDocumentStore("prop", n_shards=n_shards, n_replicas=3,
+                                       clock=SimClock(), seed=3)
+        clustered = store.create_collection("people", partition_field="k")
+        for position, key in enumerate(keys):
+            for collection in (plain, clustered):
+                collection.insert({"k": key, "n": position}, doc_id=f"d{position}")
+        for filter_spec in (
+            {"k": constants[0]}, {"k": {"$eq": constants[0]}}, {"k": {"$in": constants}},
+        ):
+            assert clustered.find(filter_spec, sort="n") == plain.find(filter_spec, sort="n")
+            assert clustered.last_find_stats["pruned"]
+

@@ -229,3 +229,58 @@ def test_gather_select_builds_no_table(monkeypatch):
     )
     assert [row["dept"] for row in result.rows] == sorted(DEPTS)
     assert calls == []
+
+
+# ----------------------------------------------------------------------
+# Numeric routing keys
+# ----------------------------------------------------------------------
+KEYED = TableSchema(
+    "keyed",
+    [
+        Column("id", ColumnType.INT, primary_key=True),
+        Column("k", ColumnType.INT),
+        Column("f", ColumnType.FLOAT),
+    ],
+)
+numeric_constants = st.one_of(
+    st.integers(-2, 8),
+    st.integers(-2, 8).map(float),
+    st.sampled_from([0.5, 2.5, 1e20, float("inf")]),
+    st.booleans(),
+)
+
+
+def literal(constant):
+    """The constant as SQL text, or None where the lexer has no spelling for it."""
+    if isinstance(constant, bool):
+        return str(constant).upper()
+    return str(constant) if 0 <= constant < 100 else None
+
+
+class TestNumericRoutingKeys:
+    """Routing keys were ``str(value)``: on a table partitioned by an INT
+    column, ``WHERE k = 1.0`` pruned to the shard of ``"1.0"`` and counted 0
+    where a single node counts 1."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.integers(-2, 8), max_size=20),
+        st.sampled_from(["k", "f"]),
+        st.lists(numeric_constants, min_size=1, max_size=3),
+        st.sampled_from([2, 3, 5]),
+    )
+    def test_equal_constants_prune_to_the_row(self, keys, column, constants, n_shards):
+        sharded = ShardedDatabase("prop", n_shards=n_shards, n_replicas=3, clock=SimClock(), seed=2)
+        single = Database("single")
+        rows = [{"id": i, "k": key, "f": key + (0.5 if i % 3 == 0 else 0.0)}
+                for i, key in enumerate(keys)]
+        sharded.create_table(KEYED, partition_column=column).insert_many(rows)
+        single.create_table(KEYED).insert_many(rows)
+        parameters = {f"c{position}": constant for position, constant in enumerate(constants)}
+        wheres = [f"{column} = :c0", f":c0 = {column}", f"{column} IN ({', '.join(':' + name for name in parameters)})"]
+        if literal(constants[0]) is not None:
+            wheres += [f"{column} = {literal(constants[0])}", f"{column} IN (99, {literal(constants[0])})"]
+        for where in wheres:
+            sql = f"SELECT id FROM keyed WHERE {where} ORDER BY id"
+            assert sharded.execute(sql, parameters).rows == single.execute(sql, parameters).rows, sql
+            assert sharded.last_execute_stats["shards_scanned"] <= len(constants) + 1

@@ -16,7 +16,7 @@ from repro.storage.cluster import (
     ShardGroup,
     StoreCluster,
 )
-from repro.storage.cluster.ring import stable_hash
+from repro.storage.cluster.ring import routing_key, stable_hash
 from repro.storage.document.store import DocumentStore
 
 
@@ -77,6 +77,15 @@ class TestHashRing:
     def test_rejects_bad_shard_count(self):
         with pytest.raises(ValueError):
             HashRing(0)
+
+    def test_equal_numbers_are_one_routing_key(self):
+        """Keys were ``str(value)``: ``1.0`` and ``True`` missed ``1``'s shard."""
+        assert routing_key("t", 1) == routing_key("t", 1.0) == routing_key("t", True) == "t|1"
+        assert routing_key("t", 0) == routing_key("t", -0.0) == routing_key("t", False) == "t|0"
+        assert routing_key("t", 1e20) == routing_key("t", 10**20)
+        # what ``str`` gave ints, text and non-integral floats has not moved
+        for value in (7, -3, "7", "SF", 2.5, float("inf"), None):
+            assert routing_key("t", value) == f"t|{value}"
 
 
 class TestReplica:
@@ -373,6 +382,48 @@ class TestClusteredDocumentStore:
         rows = people.find({"rank": {"$gte": 70}})
         assert len(rows) == 10
         assert people.last_find_stats["shards_scanned"] == 4
+
+    def test_find_stats_say_which_access_path_ran(self, docs):
+        people = docs.collection("people")
+        people.find({"rank": {"$gte": 70}})
+        scan = dict(people.last_find_stats)
+        assert (scan["docs_scanned"], scan["docs_examined"], scan["index"]) == (80, 80, [])
+        people.create_index("rank", kind="sorted")
+        people.create_index("city")
+        assert people.indexed_fields() == ["city", "rank"]
+        assert len(people.find({"rank": {"$gte": 70}})) == 10
+        ranged = people.last_find_stats
+        # ``docs_scanned`` keeps meaning the slices read, not the candidates
+        assert (ranged["docs_scanned"], ranged["docs_examined"], ranged["index"]) == (80, 10, ["rank"])
+        assert len(people.find({"city": "Austin", "rank": {"$lt": 40}, "name": {"$ne": ""}})) == 10
+        both = people.last_find_stats
+        assert (both["docs_examined"], both["rows"], both["index"]) == (10, 10, ["city", "rank"])
+        assert both["docs_scanned"] < 80 and both["pruned"]
+        people.find({"_id": "nope"})
+        assert people.last_find_stats["docs_examined"] == 0
+
+    def test_unknown_index_kind_reaches_no_log(self, docs):
+        people = docs.collection("people")
+        logs = [len(replica.log) for replica in docs.cluster.all_replicas()]
+        with pytest.raises(StorageError, match="unknown index kind"):
+            people.create_index("rank", kind="btree")
+        assert [len(replica.log) for replica in docs.cluster.all_replicas()] == logs
+
+    def test_sorted_index_survives_a_replica_rebuild(self, docs):
+        """``create_index`` replays from the log with its kind, in one sort."""
+        people = docs.collection("people")
+        people.create_index("rank", kind="sorted")
+        people.insert({"name": "late", "city": "Austin", "rank": 99})
+        for shard in docs.cluster.shards:
+            docs.cluster.kill_replica(shard.replicas[0].replica_id)
+        docs.cluster.settle()
+        for shard in docs.cluster.shards:
+            rebuilt, witness = (r.state.collection("people") for r in shard.replicas[:2])
+            assert rebuilt._field_indices["rank"].kind == "sorted"
+            assert rebuilt._field_indices["rank"]._entries == witness._field_indices["rank"]._entries
+            assert rebuilt.find({"rank": {"$gte": 75}}) == witness.find({"rank": {"$gte": 75}})
+        assert len(people.find({"rank": {"$gte": 75}})) == 6
+        assert people.last_find_stats["docs_examined"] == 6
 
     def test_sorted_limited_merge(self, docs):
         people = docs.collection("people")

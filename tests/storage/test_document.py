@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import QueryError, StorageError
 from repro.storage.document import Collection, DocumentStore, matches, project
+from repro.storage.document.store import find_in
 
 
 @pytest.fixture
@@ -145,6 +146,71 @@ class TestCollection:
         people.create_index("name")
         found = people.find({"name": {"$in": ["ann", "cam"]}})
         assert len(found) == 2
+
+
+class TestAccessPaths:
+    """An index selects candidates; it never changes an answer."""
+
+    def test_candidates_come_back_in_insertion_order(self):
+        """An index's ids used to be read in ``sorted`` order, so ``limit=1``
+        returned a different document once ``create_index`` existed."""
+        plain, indexed = Collection("c"), Collection("c")
+        indexed.create_index("x")
+        indexed.create_index("n", kind="sorted")
+        for collection in (plain, indexed):
+            for position, doc_id in enumerate(["b", "a", "c10", "c9"]):
+                collection.insert({"x": 1, "n": position}, doc_id=doc_id)
+            collection.delete({"_id": "a"})
+            collection.insert({"x": 1, "n": 9}, doc_id="a")  # re-inserted: now last
+        for filter_spec in ({"x": 1}, {"n": {"$gte": 0}}, {"x": 1, "n": {"$lt": 99}}):
+            found = [d["_id"] for d in indexed.find(filter_spec)]
+            assert found == [d["_id"] for d in plain.find(filter_spec)] == ["b", "c10", "c9", "a"]
+            assert indexed.find(filter_spec, limit=1) == plain.find(filter_spec, limit=1)
+
+    def test_unlike_types_are_no_match_not_a_type_error(self, people):
+        people.insert({"name": "odd", "age": "seven"})
+        people.insert({"name": "none", "age": None})
+        people.insert({"name": "list", "age": [40]})
+        assert sorted(d["name"] for d in people.find({"age": {"$gte": 30}})) == ["ann", "cam"]
+        assert [d["name"] for d in people.find({"age": {"$gt": "a"}})] == ["odd"]
+        assert people.find({"age": {"$lt": None}}) == people.find({"age": {"$gte": [1]}}) == []
+        assert people.count({"age": {"$lte": True}}) == 0  # bool is a number: 25 > 1
+        people.create_index("age", kind="sorted")  # did raise at insert of "seven"
+        assert sorted(d["name"] for d in people.find({"age": {"$gte": 30}})) == ["ann", "cam"]
+        assert [d["name"] for d in people.find({"age": {"$gt": "a"}})] == ["odd"]
+        assert people.update({"age": {"$gt": "a"}}, {"age": 7}) == 1
+        assert [d["name"] for d in people.find({"age": {"$lt": 10}})] == ["odd"]
+
+    def test_sorted_index_answers_ranges_and_is_maintained(self, people):
+        people.create_index("age", kind="sorted")
+        people.create_index("address.city")
+        assert people.indexed_fields() == ["address.city", "age"]
+        _, examined, used = find_in([people], {"age": {"$gt": 25, "$lte": 35}}, None, None, False, None)
+        assert (examined, used) == (2, ["age"])
+        found, examined, used = find_in(
+            [people], {"address.city": "SF", "age": {"$gte": 31}, "name": {"$ne": "x"}},
+            None, None, False, None,
+        )
+        assert ([d["name"] for d in found], examined, used) == (["cam"], 1, ["address.city", "age"])
+        people.update({"name": "bob"}, {"age": 50})
+        people.delete({"name": "cam"})
+        assert [d["name"] for d in people.find({"age": {"$gte": 31}})] == ["bob"]
+        with pytest.raises(StorageError):
+            people.create_index("name", kind="btree")
+
+    def test_id_is_the_primary_key(self, people):
+        ann = people.find_one({"name": "ann"})["_id"]
+        bob = people.find_one({"name": "bob"})["_id"]
+        for filter_spec, names, candidates in [
+            ({"_id": ann}, ["ann"], 1),
+            ({"_id": {"$in": [bob, "nope", ann]}}, ["ann", "bob"], 2),
+            ({"_id": ann, "name": "bob"}, [], 1),
+            ({"_id": "nope"}, [], 0),
+        ]:
+            found, examined, used = find_in([people], filter_spec, None, None, False, None)
+            assert [d["name"] for d in found] == names
+            assert (examined, used) == (candidates, ["_id"])  # never the whole collection
+        assert people.delete({"_id": ann}) == 1 and people.count({"_id": ann}) == 0
 
 
 class TestDocumentStore:

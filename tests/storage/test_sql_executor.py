@@ -353,12 +353,17 @@ class TestSargableForm:
     def test_document_conjuncts(self):
         assert doc_sargable({
             "city": "SF", "n": {"$eq": 3}, "tag": {"$in": ("a", "b")}, "x": None,
-            "years": {"$gte": 2}, "$or": [{"city": "LA"}], "sub": {"a": 1},
+            "years": {"$gte": 2, "$lt": 9.5}, "$or": [{"city": "LA"}], "sub": {"a": 1},
             "eq_sub": {"$eq": {"a": 1}}, "lst": [1, 2], "in_lst": {"$in": [[1], 2]},
-            "in_text": {"$in": "abc"},
-        }) == [("city", "=", "SF"), ("n", "=", 3), ("tag", "in", ["a", "b"]), ("x", "=", None)]
+            "in_text": {"$in": "abc"}, "name": {"$gt": "m", "$ne": "x"},
+            # a range is sargable only for a constant that has a place in the order
+            "gt_none": {"$gt": None}, "lte_list": {"$lte": [1]}, "lt_sub": {"$lt": {"a": 1}},
+        }) == [
+            ("city", "=", "SF"), ("n", "=", 3), ("tag", "in", ["a", "b"]), ("x", "=", None),
+            ("years", ">=", 2), ("years", "<", 9.5), ("name", ">", "m"),
+        ]
 
-    def test_choose_index_takes_the_first_usable_conjunct(self):
+    def test_choose_index_intersects_every_usable_conjunct(self):
         hashed, ranged = HashIndex("h"), SortedIndex("r")
         for row_id, value in enumerate([10, 20, 20, 30]):
             hashed.insert(value, row_id)
@@ -366,19 +371,44 @@ class TestSargableForm:
         index_on = {"h": hashed, "r": ranged}.get
         assert choose_index(index_on, []) is None
         assert choose_index(index_on, [("none", "=", 20)]) is None
-        # first-usable order: the unindexed and the unusable are passed over
+        # the unindexed and the unusable are passed over, the rest intersected;
+        # the columns come back in conjunct order whatever the sizes were
         assert choose_index(
-            index_on, [("none", "=", 1), ("h", ">", 10), ("r", "in", [10]), ("r", "<", 20), ("h", "=", 30)]
-        ) == ("r", {0})
-        assert choose_index(index_on, [("h", "=", 20), ("r", "<", 20)]) == ("h", {1, 2})
+            index_on, [("none", "=", 1), ("h", ">", 10), ("r", "in", [10]), ("r", "<", 30), ("h", "=", 20)]
+        ) == (["r", "h"], {1, 2})
+        assert choose_index(index_on, [("h", "=", 20), ("r", "<", 20)]) == (["h", "r"], set())
+        assert choose_index(index_on, [("h", "=", 20), ("r", ">=", 20)]) == (["h", "r"], {1, 2})
+        assert choose_index(index_on, [("r", ">", 10), ("r", "<", 30)]) == (["r"], {1, 2})
         # equality takes either kind, ``in`` a hash index, a range a sorted one
-        assert choose_index(index_on, [("r", "=", 20)]) == ("r", {1, 2})
-        assert choose_index(index_on, [("h", "in", [10, 30, 40])]) == ("h", {0, 3})
+        assert choose_index(index_on, [("r", "=", 20)]) == (["r"], {1, 2})
+        assert choose_index(index_on, [("h", "in", [10, 30, 40])]) == (["h"], {0, 3})
         assert choose_index(index_on, [("r", "in", [10, 30])]) is None
         assert choose_index(index_on, [("h", ">=", 20)]) is None
-        assert choose_index(index_on, [("r", ">", 20)]) == ("r", {3})
-        assert choose_index(index_on, [("r", ">=", 20)]) == ("r", {1, 2, 3})
-        assert choose_index(index_on, [("r", "<=", 20)]) == ("r", {0, 1, 2})
+        assert choose_index(index_on, [("r", ">", 20)]) == (["r"], {3})
+
+    def test_choose_index_reads_the_smallest_posting_list_first(self):
+        """Sizes come from ``estimate``; only then is anything materialised."""
+        read = []
+
+        class Spy(HashIndex):
+            def ids(self, op, value):
+                read.append(self.column)
+                return super().ids(op, value)
+
+        big, small, empty = Spy("big"), Spy("small"), Spy("empty")
+        for row_id in range(50):
+            big.insert("x", row_id)
+        small.extend([("y", 3), ("y", 70)])
+        index_on = {"big": big, "small": small, "empty": empty}.get
+        conjuncts = [("big", "=", "x"), ("small", "=", "y")]
+        assert choose_index(index_on, conjuncts) == (["big", "small"], {3})
+        assert read == ["small", "big"]
+        del read[:]
+        # an empty answer stops the intersection: nothing else is read
+        assert choose_index(index_on, conjuncts + [("empty", "in", ["z"])]) == (
+            ["big", "small", "empty"], set()
+        )
+        assert read == ["empty"]
 
     def test_partition_values(self):
         conjuncts = [("age", ">", 3), ("city", "in", ("a", "b")), ("city", "=", "c")]

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SchemaError, StorageError
-from repro.storage.relational.index import HashIndex, SortedIndex
+from repro.storage.relational.index import HashIndex, KeyIndex, SortedIndex
 from repro.storage.relational.table import Table
 from repro.storage.schema import Column, ColumnType, TableSchema
 
@@ -118,6 +118,43 @@ class TestHashIndex:
         index.insert("a", 2)
         assert len(index) == 2
 
+    def test_a_bucket_is_a_sorted_list_without_repeats(self):
+        index = HashIndex("c")
+        for row_id in (5, 9, 2, 9, 7, 2, 11):  # updates move older rows in
+            index.insert("a", row_id)
+        assert list(index.ids("=", "a")) == [2, 5, 7, 9, 11]
+        assert index.estimate("=", "a") == 5 and index.estimate("=", "zz") == 0
+        assert index.estimate("in", ["a", "zz", "a"]) == 10  # repeats counted
+        assert index.estimate(">", "a") is None  # ranges need a sorted index
+        index.remove("a", 7)
+        index.remove("a", 8)  # not there
+        index.remove("zz", 1)
+        assert list(index.ids("=", "a")) == [2, 5, 9, 11]
+        for row_id in (2, 5, 9, 11):
+            index.remove("a", row_id)
+        assert list(index.keys()) == []  # an emptied bucket is dropped
+
+
+class TestKeyIndex:
+    def test_one_row_id_per_key(self):
+        index = KeyIndex("id")
+        index.insert("k1", 0)
+        index.insert("k2", 4)
+        assert (index.get("k1"), index.get("k2"), index.get("nope")) == (0, 4, None)
+        assert index.lookup("k1") == {0} and index.lookup("nope") == set()
+        assert index.estimate("=", "nope") == 1 and index.estimate("in", ["k1", "x"]) == 2
+        assert index.estimate("<", "k1") is None
+        assert list(index.ids("in", ["k2", "x", "k1"])) == [4, 0]
+        index.remove("k1", 99)  # another row's id: not this entry
+        index.remove("k1", 0)
+        assert list(index.keys()) == ["k2"]
+
+    def test_a_primary_key_is_a_key_index(self, table):
+        assert isinstance(table.index_on("id"), KeyIndex)
+        assert table.indexed_columns()["id"] == "hash"
+        with pytest.raises(StorageError, match="duplicate primary key"):
+            table.insert({"id": 1, "name": "dup", "age": 1})
+
 
 class TestSortedIndex:
     def build(self):
@@ -151,3 +188,44 @@ class TestSortedIndex:
         index = self.build()
         index.remove(20, 1)
         assert index.lookup(20) == set()
+
+    def test_row_ids_of_any_type(self):
+        """Ranges bisect on the value alone: a ``(value, inf)`` sentinel used
+        to raise ``TypeError`` as soon as row ids were document ids."""
+        index = SortedIndex("c")
+        index.extend([(20, "doc-b"), (10, "doc-a"), (None, "doc-n"), (20, "doc-c")])
+        index.insert(30, "doc-d")
+        assert index.range(low=20, low_inclusive=False) == {"doc-d"}
+        assert index.range(high=20) == {"doc-a", "doc-b", "doc-c"}
+        assert index.range(low=10, high=20, high_inclusive=False) == {"doc-a"}
+        assert index.lookup(20) == {"doc-b", "doc-c"}
+        index.remove(20, "doc-b")
+        assert list(index.ids("<=", 20)) == ["doc-a", "doc-c"]
+
+    def test_estimate_is_the_posting_list_length(self):
+        index = self.build()
+        for op, value, size in [("=", 20, 1), (">", 20, 2), (">=", 5, 4), ("<", 10, 0), ("<=", 99, 4)]:
+            assert index.estimate(op, value) == len(list(index.ids(op, value))) == size
+        assert index.estimate("in", [10, 20]) is None  # ``in`` needs a hash index
+
+    def test_keyed_index_orders_within_a_bracket_only(self):
+        """Schemaless values: numbers and text never compare with each other,
+        the rest has no place in the order, and only ranges are answered."""
+        from repro.storage.document.query import order_key
+
+        index = SortedIndex("f", key=order_key)
+        values = [3, "b", None, 1.5, True, [1], "a", {"x": 1}, 0]
+        index.extend((value, f"d{position}") for position, value in enumerate(values))
+        assert len(index) == 6  # None, the list and the sub-document are left out
+        assert list(index.ids(">=", 1)) == ["d4", "d3", "d0"]  # True, 1.5, 3: no text
+        assert list(index.ids("<", 2)) == ["d8", "d4", "d3"]
+        assert list(index.ids(">", "a")) == ["d1"]
+        assert list(index.ids("<=", "zz")) == ["d6", "d1"]  # no numbers
+        for unordered in (None, [1], {"x": 1}):
+            assert index.estimate(">=", unordered) == 0
+        assert index.estimate("=", 3) is None  # equality needs a hash index
+        assert index.range(low=1) == {"d4", "d3", "d0"}
+        index.remove(1.5, "d3")
+        index.remove([1], "d5")  # was never in
+        assert list(index.ids(">=", 1)) == ["d4", "d0"]
+
