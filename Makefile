@@ -49,7 +49,7 @@ e2e-smoke:
 	PYTHONPATH=src python -m pytest benchmarks/e2e/test_e2e_smoke.py -q
 
 examples:
-	@for f in examples/*.py; do echo "== $$f =="; python $$f > /dev/null && echo OK; done
+	@for f in examples/*.py; do echo "== $$f =="; PYTHONPATH=src python $$f > /dev/null && echo OK || exit 1; done
 
 artifacts: bench
 	@ls benchmarks/results

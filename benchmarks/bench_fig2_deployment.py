@@ -82,12 +82,13 @@ def test_fig2_restart_on_failure(benchmark):
     """Bench: one fail + supervisor-restart cycle."""
     _, cluster, factory, context_factory = build_cluster()
     containers = deploy_fleet(cluster, factory, context_factory)
-    supervisor = Supervisor(cluster)
     victim = containers[1]
 
     def fail_and_recover():
         victim.fail()
-        return supervisor.tick()
+        # A supervisor per cycle: one that saw every timed round would
+        # quarantine the victim as crash-looping after ``max_restarts``.
+        return Supervisor(cluster).tick()
 
     restarted = benchmark(fail_and_recover)
     assert restarted == [victim.container_id]

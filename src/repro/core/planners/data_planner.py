@@ -25,6 +25,7 @@ from typing import Any
 from ...errors import PlanningError
 from ...ids import IdGenerator
 from ...llm import ModelCatalog, prompts
+from ...llm.windows import LiveLRU
 from ..budget import Budget
 from ..optimizer import CostModel, PlanOptimizer
 from ..plan.data_plan import DataPlan, Op, OperatorChoice
@@ -40,6 +41,9 @@ CITY_COLUMNS = ("city", "location")
 class DataPlanner:
     """Plans and executes multi-source data retrieval and transformation."""
 
+    #: Bound on the known-city memo (distinct probed locations).
+    MEMO_ENTRIES = 1024
+
     def __init__(
         self,
         registry: DataRegistry,
@@ -54,6 +58,8 @@ class DataPlanner:
         self._cost_model = CostModel(catalog)
         self.optimizer = PlanOptimizer(self._cost_model, rows_in=rows_estimate)
         self.executor = DataPlanExecutor(registry, catalog)
+        #: (source, table, column, location) -> (data version, known city?).
+        self._known_cities = LiveLRU(self.MEMO_ENTRIES)
 
     # ------------------------------------------------------------------
     # Request interpretation
@@ -418,13 +424,23 @@ class DataPlanner:
     def _location_is_known_city(
         self, jobs: RegistryEntry, city_col: str, location: str
     ) -> bool:
+        """Whether *location* is a value of the jobs table's city column —
+        probed once per table data version, not once per plan."""
         database = self.registry.handle(jobs.name, principal=SYSTEM_PRINCIPAL)
+        table = jobs.metadata["table"]
+        key = (jobs.name, table, city_col, location)
+        version = database.data_version(table)
+        memo = self._known_cities.recall(key)
+        if memo is not None and memo[0] == version:
+            return memo[1]
         result = database.execute(
-            f"SELECT COUNT(*) AS n FROM {jobs.metadata['table']} "
+            f"SELECT COUNT(*) AS n FROM {table} "
             f"WHERE LOWER({city_col}) = LOWER(:loc)",
             {"loc": location},
         )
-        return bool(result.scalar())
+        known = bool(result.scalar())
+        self._known_cities.remember(key, (version, known))
+        return known
 
     def _collection_handle(self, source_name: str) -> Any | None:
         """The registered collection behind *source_name*, if reachable."""

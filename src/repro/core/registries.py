@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
 
 from ..embedding import HashingEmbedder, keyword_overlap
 from ..errors import AccessDeniedError, RegistryError
+from ..llm.windows import LiveLRU
 from ..storage import Collection, Database, GraphStore, KeyValueStore
 from ..storage.vector import FlatIndex, IVFIndex
 from .agent import Agent
@@ -66,7 +67,15 @@ class SearchableRegistry:
     ``approximate=True`` swaps the exact flat index for an IVF index —
     the trade a very large enterprise registry makes: probed clusters
     instead of brute force, slightly lossy, much cheaper per query.
+
+    Planners search with the same few texts on every turn, so what a
+    search derives from the entries is memoized under a *content version*
+    (DESIGN §8 "Planner decision memos"); answers equal an unmemoized
+    search's exactly.
     """
+
+    #: Bound on each search memo (distinct query texts / search keys).
+    MEMO_ENTRIES = 1024
 
     def __init__(
         self,
@@ -78,8 +87,15 @@ class SearchableRegistry:
         self.approximate = approximate
         self._entries: dict[str, RegistryEntry] = {}
         self._embedder = HashingEmbedder(dim=embedding_dim)
+        #: Each entry's text embedding (read-only), in registration order.
+        self._vectors: dict[str, np.ndarray] = {}
         self._index = self._new_index()
         self._lock = threading.RLock()
+        #: Bumped whenever an entry's searchable text may change (``_add``,
+        #: :meth:`update_metadata`) — not by :meth:`record_usage`.
+        self._version = 0
+        self._query_vectors = LiveLRU(self.MEMO_ENTRIES)
+        self._candidates = LiveLRU(self.MEMO_ENTRIES)
 
     def _new_index(self) -> FlatIndex | IVFIndex:
         if self.approximate:
@@ -97,9 +113,26 @@ class SearchableRegistry:
                 raise RegistryError(
                     f"{self.registry_name}: entry already registered: {entry.name!r}"
                 )
+            vector = self._embed(entry.text())
             self._entries[entry.name] = entry
-            self._index.add(entry.name, self._embedder.embed(entry.text()))
+            self._vectors[entry.name] = vector
+            self._index.add(entry.name, vector)
+            self._version += 1
             return entry
+
+    def _embed(self, text: str) -> np.ndarray:
+        """*text*'s embedding, read-only: stored vectors are shared."""
+        vector = self._embedder.embed(text)
+        vector.flags.writeable = False
+        return vector
+
+    def _query_vector(self, text: str) -> np.ndarray:
+        """*text*'s embedding, memoized: the embedder is deterministic."""
+        vector = self._query_vectors.recall(text)
+        if vector is None:
+            vector = self._embed(text)
+            self._query_vectors.remember(text, vector)
+        return vector
 
     def get(self, name: str) -> RegistryEntry:
         with self._lock:
@@ -134,12 +167,42 @@ class SearchableRegistry:
         method: str = "vector",
         kind: str | None = None,
     ) -> list[SearchHit]:
-        """Top-*k* entries for *query*; methods: vector, keyword, hybrid."""
+        """Top-*k* entries for *query*; methods: vector, keyword, hybrid.
+
+        The pre-boost candidate scores are memoized by ``(query, k,
+        method)`` under the content version; the usage boost, the *kind*
+        filter and the cut are applied on every call, since usage moves
+        between calls without changing the version.
+        """
         if method not in {"vector", "keyword", "hybrid"}:
             raise RegistryError(f"unknown search method: {method!r}")
+        key = (query, k, method)
+        with self._lock:
+            memo = self._candidates.recall(key)
+            if memo is not None and memo[0] == self._version:
+                candidates = memo[1]
+            else:
+                candidates = self._candidate_scores(query, k, method)
+                self._candidates.remember(key, (self._version, candidates))
+            hits = []
+            for name, score in candidates:
+                entry = self._entries[name]
+                if kind is not None and entry.kind != kind:
+                    continue
+                boosted = score + 0.02 * math.log1p(entry.usage_count) * entry.success_rate()
+                hits.append(SearchHit(entry, boosted))
+        hits.sort(key=lambda hit: (-hit.score, hit.entry.name))
+        return hits[:k]
+
+    def _candidate_scores(
+        self, query: str, k: int, method: str
+    ) -> tuple[tuple[str, float], ...]:
+        """(name, best score) of every candidate: the vector index's top
+        ``max(4k, 16)`` and/or every entry whose text overlaps *query*.
+        The caller holds the lock (an IVF index builds lazily in here)."""
         scores: dict[str, float] = {}
         if method in {"vector", "hybrid"}:
-            query_vector = self._embedder.embed(query)
+            query_vector = self._query_vector(query)
             for name, score in self._index.search(query_vector, k=max(k * 4, 16)):
                 scores[name] = max(scores.get(name, 0.0), score)
         if method in {"keyword", "hybrid"}:
@@ -147,15 +210,7 @@ class SearchableRegistry:
                 score = keyword_overlap(query, entry.text())
                 if score > 0:
                     scores[entry.name] = max(scores.get(entry.name, 0.0), score)
-        hits = []
-        for name, score in scores.items():
-            entry = self.get(name)
-            if kind is not None and entry.kind != kind:
-                continue
-            boosted = score + 0.02 * math.log1p(entry.usage_count) * entry.success_rate()
-            hits.append(SearchHit(entry, boosted))
-        hits.sort(key=lambda hit: (-hit.score, hit.entry.name))
-        return hits[:k]
+        return tuple(scores.items())
 
     def record_usage(self, name: str, success: bool = True) -> None:
         """Log one use of an entry (feeds search ranking and planners)."""
@@ -172,21 +227,31 @@ class SearchableRegistry:
         **metadata_updates: Any,
     ) -> RegistryEntry:
         """Update an entry's description/metadata (the registry web UI's
-        "update metadata" operation).  The entry is re-embedded so search
-        reflects the new text immediately."""
+        "update metadata" operation).  Only this entry is re-embedded;
+        the replacement index is built from the stored vectors and swapped
+        in whole under the lock, so a search sees the old index or the new
+        one, never a partial one, and reflects the new text immediately."""
         entry = self.get(name)
         with self._lock:
-            if description is not None:
-                entry.description = description
+            revised = replace(
+                entry,
+                description=entry.description if description is None else description,
+                metadata={**entry.metadata, **metadata_updates},
+            )
+            self._vectors[name] = self._embed(revised.text())
+            entry.description = revised.description
             entry.metadata.update(metadata_updates)
-            self._index = self._new_index()
-            for existing in self._entries.values():
-                self._index.add(existing.name, self._embedder.embed(existing.text()))
+            index = self._new_index()
+            index.add_many(self._vectors.items())
+            self._index = index
+            self._version += 1
         return entry
 
     def embedding_of(self, name: str) -> np.ndarray:
-        """The stored representation of an entry (for diagnostics)."""
-        return self._embedder.embed(self.get(name).text())
+        """The stored representation of an entry (for diagnostics; read-only)."""
+        self.get(name)  # raises on unknown entries
+        with self._lock:
+            return self._vectors[name]
 
 
 # ======================================================================
@@ -333,6 +398,8 @@ class DataRegistry(SearchableRegistry):
         self._handles: dict[str, Any] = {}
         self._acls: dict[str, frozenset[str]] = {}
         self._vector_indices: dict[str, tuple[FlatIndex, str]] = {}
+        #: ``(content version, fields)`` last built by :meth:`_fine_fields`.
+        self._fine: tuple[int, tuple[tuple[str, str, str, np.ndarray], ...]] = (-1, ())
 
     def handle(self, name: str, principal: str | None = None) -> Any:
         """The live source object behind an entry.
@@ -456,8 +523,9 @@ class DataRegistry(SearchableRegistry):
         return self._vector_indices[name]
 
     def embed_query(self, text: str) -> np.ndarray:
-        """Embed *text* with the registry's embedder (query side of RAG)."""
-        return self._embedder.embed(text)
+        """Embed *text* with the registry's embedder (query side of RAG);
+        memoized with the search queries' embeddings, read-only."""
+        return self._query_vector(text)
 
     def register_graph(
         self,
@@ -565,26 +633,35 @@ class DataRegistry(SearchableRegistry):
         granularity hierarchy of Section V-D ("data at various levels of
         granularity") and the authors' CMDBench framing.
         """
-        scored: list[tuple[str, str, float]] = []
-        query_vector = self._embedder.embed(concept)
-        for entry in self.entries():
-            fine_items: list[tuple[str, str]] = []
-            if entry.kind == "relational_table":
-                for column in entry.metadata.get("schema", {}).get("columns", []):
-                    text = f"{column['name']} {column.get('description', '')}"
-                    fine_items.append((column["name"], text))
-            elif entry.kind == "document_collection":
-                fine_items.extend(
-                    (field, field) for field in entry.metadata.get("fields", [])
-                )
-            else:
-                continue
-            for field, text in fine_items:
-                field_vector = self._embedder.embed(
-                    f"{text} {entry.name.replace('_', ' ')}"
-                )
-                score = float(np.dot(query_vector, field_vector))
-                overlap = keyword_overlap(concept, text)
-                scored.append((entry.name, field, score + overlap))
+        query_vector = self._query_vector(concept)
+        # One dot per field, not one matrix product: gemv sums in another
+        # order, moves scores by an ulp and could reorder near-ties.
+        scored = [
+            (source, name, float(np.dot(query_vector, vector)) + keyword_overlap(concept, text))
+            for source, name, text, vector in self._fine_fields()
+        ]
         scored.sort(key=lambda item: (-item[2], item[0], item[1]))
         return scored[:k]
+
+    def _fine_fields(self) -> tuple[tuple[str, str, str, np.ndarray], ...]:
+        """(source, field, text, vector) of every column and document
+        field, embedded once per content version."""
+        with self._lock:
+            if self._fine[0] == self._version:
+                return self._fine[1]
+            fields = []
+            for entry in self.entries():
+                if entry.kind == "relational_table":
+                    fine_items = [
+                        (column["name"], f"{column['name']} {column.get('description', '')}")
+                        for column in entry.metadata.get("schema", {}).get("columns", [])
+                    ]
+                elif entry.kind == "document_collection":
+                    fine_items = [(name, name) for name in entry.metadata.get("fields", [])]
+                else:
+                    continue
+                for name, text in fine_items:
+                    vector = self._embedder.embed(f"{text} {entry.name.replace('_', ' ')}")
+                    fields.append((entry.name, name, text, vector))
+            self._fine = (self._version, tuple(fields))
+            return self._fine[1]

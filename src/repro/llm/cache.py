@@ -20,7 +20,6 @@ Caching is strictly opt-in:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 from .model import LLMResponse, LLMUsage
@@ -103,9 +102,7 @@ class LLMCache(LiveLRU):
         self, model: str, prompt: str, max_output_tokens: int, response: LLMResponse
     ) -> None:
         """Remember *response* (with its real usage, for savings tallies)."""
-        with self._lock:
-            # A completed call is never live: the plain LRU rule.
-            self._store((model, prompt, max_output_tokens), response, -math.inf, 0.0)
+        self.remember((model, prompt, max_output_tokens), response)
 
     def stats(self) -> CacheStats:
         with self._lock:

@@ -13,10 +13,14 @@ Who passes what to :meth:`LiveLRU._store`: ``LLMCache`` — never live
 (``-inf``), a plain LRU; ``SingleFlight`` — live until the leader's
 ``end``, judged at the recording clock instant; ``LLMBatcher`` — live
 until the batch's ``exec_end``, judged at the new window's ``start``.
+A plain LRU needs nothing more than :meth:`LiveLRU.recall` /
+:meth:`LiveLRU.remember`; the registries' and the data planner's memos
+are bare ``LiveLRU`` instances used that way.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import OrderedDict
 from itertools import islice
@@ -54,6 +58,19 @@ class LiveLRU:
             stale = (k for k, (_, until) in entries.items() if until <= now)
             for stale_key in list(islice(stale, excess)):
                 del entries[stale_key]
+
+    def recall(self, key: Hashable) -> Any:
+        """The payload under *key* (or None), counted as a use."""
+        with self._lock:
+            payload = self._peek(key)
+            if payload is not None:
+                self._entries.move_to_end(key)
+            return payload
+
+    def remember(self, key: Hashable, payload: Any) -> None:
+        """Store *payload* under *key*, never live: the plain LRU rule."""
+        with self._lock:
+            self._store(key, payload, -math.inf, 0.0)
 
     def clear(self) -> None:
         """Drop all entries (tallies survive: they describe history)."""

@@ -247,6 +247,12 @@ class ShardedDatabase(Database):
     def drop_table(self, name: str) -> None:
         raise StorageError("sharded databases do not support DROP TABLE")
 
+    def data_version(self, table_name: str) -> tuple[int, ...]:
+        """Every shard's acked sequence: a primary holds exactly its
+        shard's acked ops, so an equal tuple means equal committed data
+        (of every table — a write elsewhere only costs a memo a miss)."""
+        return tuple(shard.acked for shard in self.cluster.shards)
+
     def describe(self) -> dict[str, Any]:
         return {**super().describe(), "cluster": self.cluster.describe()}
 

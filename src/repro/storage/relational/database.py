@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import threading
-from typing import Any, Iterable, TYPE_CHECKING
+from typing import Any, Hashable, Iterable, TYPE_CHECKING
 
 from ...errors import StorageError
 from ...observability.span import NOOP_SPAN
@@ -72,6 +72,11 @@ class Database:
 
     def table_names(self) -> list[str]:
         return sorted(table.name for table in self.tables())
+
+    def data_version(self, table_name: str) -> Hashable:
+        """Equal values mean *table_name* holds the same rows: what a memo
+        over a statement on that table is keyed on (here, its write stamp)."""
+        return self.table(table_name).version
 
     def describe(self) -> dict[str, Any]:
         """Catalog metadata (used by the data registry)."""

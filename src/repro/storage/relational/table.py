@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import itertools
 import threading
 from typing import Any, Callable, Iterable, Iterator
 
 from ...errors import SchemaError, StorageError
 from ..schema import TableSchema
 from .index import HashIndex, KeyIndex, SortedIndex
+
+#: Process-wide write stamps, so no two table states ever share a version.
+_STAMPS = itertools.count(1)
 
 
 class Table:
@@ -23,6 +27,9 @@ class Table:
         self._next_row_id = 0
         self._indices: dict[str, HashIndex | KeyIndex | SortedIndex] = {}
         self._lock = threading.RLock()
+        #: Re-stamped by every insert / update / delete that changes a row:
+        #: equal versions mean equal rows (what a memo over them keys on).
+        self.version = next(_STAMPS)
         primary = schema.primary_key()
         if primary is not None:
             self._indices[primary.name] = KeyIndex(primary.name)
@@ -53,6 +60,7 @@ class Table:
             row_id = self._next_row_id
             self._next_row_id += 1
             self._rows[row_id] = validated
+            self.version = next(_STAMPS)
             for column, index in self._indices.items():
                 index.insert(validated[column], row_id)
             return row_id
@@ -78,6 +86,7 @@ class Table:
                         index.remove(row[column], row_id)
                         index.insert(new_row[column], row_id)
                 self._rows[row_id] = new_row
+                self.version = next(_STAMPS)  # per row: a later row may raise
                 updated += 1
         return updated
 
@@ -85,6 +94,8 @@ class Table:
         """Delete rows matching *predicate*; returns count."""
         with self._lock:
             doomed = [rid for rid, row in self._rows.items() if predicate(row)]
+            if doomed:
+                self.version = next(_STAMPS)
             for row_id in doomed:
                 row = self._rows.pop(row_id)
                 for column, index in self._indices.items():

@@ -9,12 +9,21 @@ what ``matches`` did: a range operator compares a number with a number or
 text with text and is "no match" for any other pair, where it used to leak
 a ``TypeError`` (``_comparable`` spells that rule out independently of
 ``query.order_key``).
+
+The registry section keeps ``SearchableRegistry.search`` and
+``DataRegistry.discover_fine`` as they were before their memos — every
+entry, field and query re-embedded on every call — as the oracle of
+``test_registry_memo_properties.py``.
 """
 
+import math
 import re
 from collections.abc import Mapping, Sequence
 from typing import Any
 
+import numpy as np
+
+from repro.embedding import HashingEmbedder, keyword_overlap
 from repro.errors import QueryError, SQLError
 from repro.storage.document.query import _MISSING
 from repro.storage.relational.sql import ast
@@ -285,3 +294,63 @@ def _eval_function(
         raise SQLError(f"unknown function: {call.name}")
     args = [reference_eval(executor, arg, env, agg_values) for arg in call.args]
     return handler(args)
+
+
+# ----------------------------------------------------------------------
+# Registry search
+# ----------------------------------------------------------------------
+def reference_search(registry, query: str, k: int, method: str, kind: str | None):
+    """``SearchableRegistry.search`` as it was before it was memoized:
+    every entry re-embedded into a fresh index (registration order, the
+    registry's own index configuration), the query re-embedded, every
+    entry's text re-tokenized.  Returns ``[(name, score), ...]``."""
+    embedder = HashingEmbedder(dim=registry._embedder.dim)
+    entries = list(registry._entries.values())  # registration order
+    index = registry._new_index()
+    for entry in entries:
+        index.add(entry.name, embedder.embed(entry.text()))
+    by_name = {entry.name: entry for entry in entries}
+    scores: dict[str, float] = {}
+    if method in {"vector", "hybrid"}:
+        query_vector = embedder.embed(query)
+        for name, score in index.search(query_vector, k=max(k * 4, 16)):
+            scores[name] = max(scores.get(name, 0.0), score)
+    if method in {"keyword", "hybrid"}:
+        for name in sorted(by_name):
+            score = keyword_overlap(query, by_name[name].text())
+            if score > 0:
+                scores[name] = max(scores.get(name, 0.0), score)
+    hits = []
+    for name, score in scores.items():
+        entry = by_name[name]
+        if kind is not None and entry.kind != kind:
+            continue
+        boosted = score + 0.02 * math.log1p(entry.usage_count) * entry.success_rate()
+        hits.append((name, boosted))
+    hits.sort(key=lambda hit: (-hit[1], hit[0]))
+    return hits[:k]
+
+
+def reference_discover_fine(registry, concept: str, k: int):
+    """``DataRegistry.discover_fine`` before its field vectors were cached:
+    every column / document field re-embedded on every call."""
+    embedder = HashingEmbedder(dim=registry._embedder.dim)
+    scored: list[tuple[str, str, float]] = []
+    query_vector = embedder.embed(concept)
+    for entry in registry.entries():
+        fine_items: list[tuple[str, str]] = []
+        if entry.kind == "relational_table":
+            for column in entry.metadata.get("schema", {}).get("columns", []):
+                text = f"{column['name']} {column.get('description', '')}"
+                fine_items.append((column["name"], text))
+        elif entry.kind == "document_collection":
+            fine_items.extend((name, name) for name in entry.metadata.get("fields", []))
+        else:
+            continue
+        for name, text in fine_items:
+            field_vector = embedder.embed(f"{text} {entry.name.replace('_', ' ')}")
+            score = float(np.dot(query_vector, field_vector))
+            overlap = keyword_overlap(concept, text)
+            scored.append((entry.name, name, score + overlap))
+    scored.sort(key=lambda item: (-item[2], item[0], item[1]))
+    return scored[:k]
