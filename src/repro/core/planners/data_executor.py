@@ -13,9 +13,11 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from ...errors import PlanError, QueryError
+from ...errors import PlanError
 from ...llm import ModelCatalog, prompts
 from ...storage import Collection, Database, GraphStore, KeyValueStore
+from ...storage.document.query import compile_filter
+from ...storage.relational.index import sort_key
 from ..budget import Budget
 from ..optimizer.cost_model import CostModel
 from ..plan.data_plan import DataOperator, DataPlan, Op
@@ -330,23 +332,11 @@ class DataPlanExecutor:
         return value, cost, latency, quality
 
     def _op_select(self, operator: DataOperator, inputs: list[Any]):
+        """The rows matching ``{column: {"$" + op: value}}``, as ``find`` would."""
         rows = _rows_input(operator, inputs)
-        column = operator.params["column"]
-        op_name = operator.params.get("op", "eq")
-        target = operator.params.get("value")
-        comparators = {
-            "eq": lambda v: v == target,
-            "ne": lambda v: v != target,
-            "gt": lambda v: v is not None and v > target,
-            "gte": lambda v: v is not None and v >= target,
-            "lt": lambda v: v is not None and v < target,
-            "lte": lambda v: v is not None and v <= target,
-            "in": lambda v: v in (target or ()),
-            "contains": lambda v: isinstance(v, str) and str(target).lower() in v.lower(),
-        }
-        if op_name not in comparators:
-            raise QueryError(f"unknown select op: {op_name!r}")
-        kept = [row for row in rows if comparators[op_name](row.get(column))]
+        params = operator.params
+        condition = {"$" + params.get("op", "eq"): params.get("value")}
+        kept = list(filter(compile_filter({params["column"]: condition}), rows))
         cost, latency, quality = self._storage_metrics(operator, len(rows))
         return kept, cost, latency, quality
 
@@ -455,11 +445,7 @@ class DataPlanExecutor:
         rows = _rows_input(operator, inputs)
         by = operator.params["by"]
         descending = operator.params.get("descending", True)
-        ranked = sorted(
-            rows,
-            key=lambda row: (row.get(by) is None, row.get(by)),
-            reverse=descending,
-        )
+        ranked = sorted(rows, key=lambda row: sort_key(row.get(by)), reverse=descending)
         cost, latency, quality = self._storage_metrics(operator, len(rows))
         return ranked, cost, latency, quality
 

@@ -15,8 +15,9 @@ Dotted paths descend into nested documents: ``{"address.city": "SF"}``.
 
 A filter is compiled to a closure once (:func:`compile_filter`) and the
 closure applied per document.  The range operators compare within a type
-bracket only (:func:`order_key`: numbers with numbers, text with text), so
-a comparison across types is "no match", never a ``TypeError``.
+bracket only (``relational.index.order_key``: numbers with numbers, text
+with text), so a comparison across types is "no match", never a
+``TypeError``.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ import re
 from typing import Any, Callable, Mapping, Sequence
 
 from ...errors import QueryError
-
-_MISSING = object()
+from ..relational.index import MISSING as _MISSING
+from ..relational.index import order_key
 
 Test = Callable[[Any], bool]
 
@@ -46,19 +47,6 @@ def _walk(document: Any, parts: Sequence[str]) -> Any:
         else:
             return _MISSING
     return current
-
-
-def order_key(value: Any) -> tuple[int, Any] | None:
-    """Where *value* stands in the order range operators and sorted indexes
-    share: numbers (bool included) in one bracket, text in the next, and
-    None for anything else.  Values compare within a bracket only, so a
-    comparison across brackets — or with a value that has none — is "no
-    match", never a ``TypeError``."""
-    if isinstance(value, (int, float)):
-        return (1, value) if value == value else None  # NaN orders with nothing
-    if isinstance(value, str):
-        return (2, value)
-    return None
 
 
 def matches(document: Mapping[str, Any], filter_spec: Mapping[str, Any]) -> bool:

@@ -3,11 +3,12 @@
 ``find`` has one path, :func:`find_in`, over collections read as one: a
 single-node ``find`` passes itself, the clustered router its pruned shard
 slices.  Field indexes are the relational layer's ``HashIndex`` and
-``SortedIndex`` (the latter keyed by ``query.order_key``) and ``_id`` is the
-primary key (a ``KeyIndex``); its ``choose_index`` intersects what they
-answer of the filter's ``sargable`` form.  An index never changes an
-answer: candidates are read in insertion order whatever selected them, and
-the filter — compiled once per call — is re-applied to each.
+``SortedIndex`` and ``_id`` is the primary key (a ``KeyIndex``); its
+``choose_index`` intersects what they answer of the filter's ``sargable``
+form.  An index never changes an answer: candidates are read in insertion
+order whatever selected them, and the filter — compiled once per call — is
+re-applied to each.  ``find(sort=)`` and ``distinct`` order and dedupe by
+``sort_key`` / ``group_key``, as SQL's ``ORDER BY`` and ``DISTINCT`` do.
 """
 
 from __future__ import annotations
@@ -19,17 +20,10 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from ...errors import QueryError, StorageError
 from ...ids import IdGenerator
-from ..relational.index import Conjunct, HashIndex, KeyIndex, SortedIndex, choose_index
-from .query import (
-    _MISSING,
-    Test,
-    compile_filter,
-    get_path,
-    hashable,
-    order_key,
-    project,
-    sargable,
+from ..relational.index import (
+    Conjunct, HashIndex, KeyIndex, SortedIndex, choose_index, group_key, sort_key,
 )
+from .query import _MISSING, Test, compile_filter, get_path, hashable, project, sargable
 
 
 class Collection:
@@ -135,17 +129,13 @@ class Collection:
         return len(self.find(filter_spec))
 
     def distinct(self, field: str) -> list[Any]:
-        values = []
-        seen: set[Any] = set()
+        """Each value of *field* once, first-seen first (``==`` values are one)."""
+        values: dict[Any, Any] = {}
         for document in self.find():
             value = get_path(document, field)
-            if value is _MISSING:
-                continue
-            key = repr(value) if isinstance(value, (list, dict)) else value
-            if key not in seen:
-                seen.add(key)
-                values.append(value)
-        return values
+            if value is not _MISSING:
+                values.setdefault(group_key(value), value)
+        return list(values.values())
 
     # ------------------------------------------------------------------
     # Field indices
@@ -159,7 +149,7 @@ class Collection:
             if kind == "hash":
                 index: HashIndex | SortedIndex = HashIndex(field)
             elif kind == "sorted":
-                index = SortedIndex(field, key=order_key)
+                index = SortedIndex(field)
             else:
                 raise StorageError(f"unknown index kind: {kind!r}")
             index.extend(
@@ -240,20 +230,10 @@ def find_in(
         examined += seen
         used.update(indexed)
     if sort is not None:
-        results.sort(key=lambda d: _sortable(get_path(d, sort)), reverse=descending)
+        results.sort(key=lambda d: sort_key(get_path(d, sort)), reverse=descending)
     if limit is not None:
         results = results[:limit]
     return [project(document, fields) for document in results], examined, sorted(used)
-
-
-def _sortable(value: Any) -> Any:
-    if value is _MISSING or value is None:
-        return (0, 0)
-    if isinstance(value, bool):
-        return (1, int(value))
-    if isinstance(value, (int, float)):
-        return (1, value)
-    return (2, str(value))
 
 
 class DocumentStore:

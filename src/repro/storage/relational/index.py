@@ -1,4 +1,5 @@
-"""Secondary indices, and the two decisions both query stores take from them.
+"""Secondary indices, the one value order, and the two decisions both query
+stores take from them.
 
 * :class:`HashIndex` — O(1) equality lookups,
 * :class:`SortedIndex` — binary-searched range lookups,
@@ -20,6 +21,11 @@ An index answers a conjunct in two steps, so :func:`choose_index` can size
 every posting list before it reads one: ``estimate(op, value)`` is how many
 row ids ``ids(op, value)`` yields (repeats counted for ``in``), or None when
 this index cannot answer *op*; ``ids`` is a read-only iterable.
+
+Both stores order and group values one way: :func:`order_key` places a
+value for range operators and sorted indexes, :func:`sort_key` extends it to
+the total order every sort reads, and :func:`group_key` is what ``DISTINCT``,
+``GROUP BY`` and ``Collection.distinct`` dedupe on.
 """
 
 from __future__ import annotations
@@ -30,6 +36,49 @@ from operator import itemgetter
 from typing import Any, Callable, Iterable, KeysView
 
 Conjunct = tuple[str, str, Any]
+
+#: A field a document does not have (``document.query`` resolves paths to it).
+MISSING = object()
+_NAN = object()  # the one group key of every NaN
+
+
+def order_key(value: Any) -> tuple[int, Any] | None:
+    """Where *value* stands in the order range operators and sorted indexes
+    share: numbers (bool included) in one bracket, text in the next, and
+    None for anything else.  Values compare within a bracket only, so a
+    comparison across brackets — or with a value that has none — is "no
+    match", never a ``TypeError``."""
+    if isinstance(value, (int, float)):
+        return (1, value) if value == value else None  # NaN orders with nothing
+    if isinstance(value, str):
+        return (2, value)
+    return None
+
+
+def sort_key(value: Any) -> tuple[Any, ...]:
+    """The total order every sort reads: None and a missing field first,
+    then :func:`order_key`'s numbers and text, then every value it leaves
+    out (NaN, containers), tied — so a stable sort keeps those in scan order."""
+    key = order_key(value)
+    if key is not None:
+        return key
+    return (0,) if value is None or value is MISSING else (3,)
+
+
+def group_key(value: Any) -> Any:
+    """A hashable stand-in for *value*: two keys are equal exactly when the
+    values are ``==`` (``{"a": 1, "b": 2}`` and ``{"b": 2, "a": 1}``,
+    ``[1]`` and ``[1.0]``, ``1`` and ``True``), except that every NaN shares
+    one key."""
+    if isinstance(value, float):
+        return value if value == value else _NAN
+    if isinstance(value, dict):
+        return dict, frozenset((name, group_key(item)) for name, item in value.items())
+    if isinstance(value, (set, frozenset)):
+        return set, frozenset(map(group_key, value))
+    if isinstance(value, (list, tuple)):
+        return (list if isinstance(value, list) else tuple), tuple(map(group_key, value))
+    return value
 
 
 class HashIndex:
@@ -84,12 +133,6 @@ class HashIndex:
             return self._buckets.get(value, ())
         return chain.from_iterable(self._buckets.get(member, ()) for member in value)
 
-    def lookup(self, value: Any) -> set[Any]:
-        return set(self.ids("=", value))
-
-    def lookup_many(self, values: Iterable[Any]) -> set[Any]:
-        return set(self.ids("in", values))
-
     def keys(self) -> KeysView[Any]:
         """The distinct indexed values (a live view, not a copy)."""
         return self._buckets.keys()
@@ -103,7 +146,7 @@ class KeyIndex:
 
     What a primary key needs — a table's, or a collection's ``_id`` — at one
     dict entry per row, where a ``HashIndex`` spends a bucket per row too.
-    Uniqueness is the caller's to check (``lookup`` before ``insert``).
+    Uniqueness is the caller's to check (``get`` before ``insert``).
     """
 
     kind = "hash"
@@ -132,57 +175,46 @@ class KeyIndex:
         members = value if op == "in" else (value,)
         return [self._row_ids[member] for member in members if member in self._row_ids]
 
-    def lookup(self, value: Any) -> set[Any]:
-        return set(self.ids("=", value))
-
     def keys(self) -> KeysView[Any]:
         """The distinct indexed values (a live view, not a copy)."""
         return self._row_ids.keys()
 
 
 class SortedIndex:
-    """Range index: a sorted list of ``(*sort key, row_id)`` tuples.
+    """Range index: a sorted list of ``(*order_key(value), row_id)`` tuples.
 
-    Over a typed column the sort key is ``(value,)``; NULLs are not indexed,
-    so range queries never match them, mirroring SQL comparison semantics.
-    Over schemaless values pass *key*: it maps a value to ``(bracket,
-    comparable)`` — values order within their bracket only — or to None for
-    a value that has no place in the order.  Such values are left out and
-    such constants match nothing, and a keyed index answers ranges only:
-    values may be equal where their keys are not.
+    Values with no :func:`order_key` (NULL, NaN, containers) are left out,
+    and values compare within their bracket only.  It answers ranges only —
+    values may be equal where their keys are not (``Decimal(1) == 1``), so
+    equality is a hash or key index's job — and declines (``estimate`` →
+    None) a constant whose bracket holds none of its entries: there only a
+    scan knows the answer, which in SQL is a ``TypeError`` for an ill-typed
+    constant, and an index must not change an answer.
 
-    A sort key is a prefix of its entries, so it bisects to their left with
-    no sentinel row id (row ids may be of any type); their right end is
-    found by comparing prefixes.
+    A key is a prefix of its entries, so it bisects to their left with no
+    sentinel row id (row ids may be of any type); their right end is found
+    by comparing prefixes.
     """
 
     kind = "sorted"
 
-    def __init__(
-        self, column: str, key: Callable[[Any], tuple[int, Any] | None] | None = None
-    ) -> None:
+    def __init__(self, column: str) -> None:
         self.column = column
-        self._key = key
         self._entries: list[tuple[Any, ...]] = []
 
-    def _sort_key(self, value: Any) -> tuple[Any, ...] | None:
-        if self._key is not None:
-            return self._key(value)
-        return None if value is None else (value,)
-
     def insert(self, value: Any, row_id: Any) -> None:
-        key = self._sort_key(value)
+        key = order_key(value)
         if key is not None:
             bisect.insort(self._entries, (*key, row_id))
 
     def extend(self, entries: Iterable[tuple[Any, Any]]) -> None:
         """Insert many ``(value, row_id)`` entries with one sort."""
-        keyed = ((self._sort_key(value), row_id) for value, row_id in entries)
+        keyed = ((order_key(value), row_id) for value, row_id in entries)
         self._entries.extend((*key, row_id) for key, row_id in keyed if key is not None)
         self._entries.sort()
 
     def remove(self, value: Any, row_id: Any) -> None:
-        key = self._sort_key(value)
+        key = order_key(value)
         if key is None:
             return
         entry = (*key, row_id)
@@ -190,60 +222,35 @@ class SortedIndex:
         if position < len(self._entries) and self._entries[position] == entry:
             self._entries.pop(position)
 
-    def _span(self, op: str, value: Any) -> tuple[int, int]:
+    def _span(self, op: str, value: Any) -> tuple[int, int] | None:
         """``[start, stop)`` of the entries satisfying ``column op value``,
-        within the constant's bracket (a typed column has one: ``()``)."""
-        key, entries = self._sort_key(value), self._entries
+        or None when the constant's bracket holds no entry."""
+        key, entries = order_key(value), self._entries
         if key is None:
-            return 0, 0
-        bracket = key[:-1]
+            return None
 
         def after(prefix: tuple[Any, ...]) -> int:
             """Past every entry that starts with *prefix*."""
             return bisect.bisect_right(entries, prefix, key=itemgetter(slice(len(prefix))))
 
-        if op in ("=", ">="):
-            start = bisect.bisect_left(entries, key)
-        elif op == ">":
-            start = after(key)
-        else:
-            start = bisect.bisect_left(entries, bracket)
-        if op in ("=", "<="):
-            stop = after(key)
-        elif op == "<":
-            stop = bisect.bisect_left(entries, key)
-        else:
-            stop = after(bracket)
-        return start, max(start, stop)
+        low, high = bisect.bisect_left(entries, key[:1]), after(key[:1])
+        if low == high:
+            return None
+        if op == ">=":
+            return bisect.bisect_left(entries, key, low, high), high
+        if op == ">":
+            return after(key), high
+        if op == "<=":
+            return low, after(key)
+        return low, bisect.bisect_left(entries, key, low, high)
 
     def estimate(self, op: str, value: Any) -> int | None:
-        if op == "in" or (op == "=" and self._key is not None):
-            return None
-        start, stop = self._span(op, value)
-        return stop - start
+        span = None if op in ("=", "in") else self._span(op, value)
+        return None if span is None else span[1] - span[0]
 
     def ids(self, op: str, value: Any) -> Iterable[Any]:
-        start, stop = self._span(op, value)
+        start, stop = self._span(op, value) or (0, 0)
         return [entry[-1] for entry in self._entries[start:stop]]
-
-    def lookup(self, value: Any) -> set[Any]:
-        return set(self.ids("=", value))
-
-    def range(
-        self,
-        low: Any = None,
-        high: Any = None,
-        low_inclusive: bool = True,
-        high_inclusive: bool = True,
-    ) -> set[Any]:
-        """Row ids with values in the given (optionally open) range."""
-        start, stop = 0, len(self._entries)
-        if low is not None:
-            start, stop = self._span(">=" if low_inclusive else ">", low)
-        if high is not None:
-            first, last = self._span("<=" if high_inclusive else "<", high)
-            start, stop = max(start, first), min(stop, last)
-        return {entry[-1] for entry in self._entries[start:stop]}
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -26,7 +26,7 @@ from typing import Any, Callable, Iterable
 from ....errors import SQLError, StorageError
 from ...schema import Column, ColumnType, TableSchema
 from ..database import Database, SQLResult
-from ..index import Conjunct, choose_index
+from ..index import Conjunct, choose_index, group_key, sort_key
 from ..table import Table
 from . import ast
 from .functions import SCALAR_FUNCTIONS, make_aggregate
@@ -175,7 +175,7 @@ class Executor:
         if select.group_by:
             keys = [compile_expr(expr) for expr in select.group_by]
             for env in envs:
-                key = tuple(_hashable(part(self, env, None)) for part in keys)
+                key = tuple(group_key(part(self, env, None)) for part in keys)
                 groups.setdefault(key, []).append(env)
         else:
             groups[()] = envs  # implicit single group (may be empty)
@@ -268,18 +268,17 @@ class Executor:
         rows: list[dict[str, Any]],
         envs: list[Env],
     ) -> list[dict[str, Any]]:
+        """*rows* (each beside the environment it came from) by ``sort_key``:
+        one stable sort per key, last key first."""
         if not select.order_by:
             return rows
-        decorated = []
-        for position, row in enumerate(rows):
-            env = envs[position] if position < len(envs) else {}
-            sort_key = []
-            for order in select.order_by:
-                value = self._order_value(order.expr, row, env)
-                sort_key.append(_SortKey(value, order.descending))
-            decorated.append((sort_key, position, row))
-        decorated.sort(key=lambda entry: (entry[0], entry[1]))
-        return [row for _, _, row in decorated]
+        pairs = list(zip(rows, envs))
+        for order in reversed(select.order_by):
+            pairs.sort(
+                key=lambda pair, expr=order.expr: sort_key(self._order_value(expr, *pair)),
+                reverse=order.descending,
+            )
+        return [row for row, _ in pairs]
 
     def _order_value(self, expr: ast.Expr, row: dict[str, Any], env: Env) -> Any:
         # ORDER BY may reference an output alias or an input column.
@@ -624,31 +623,6 @@ _COMPILERS: dict[type, Callable[[Any], Evaluator]] = {
 # ----------------------------------------------------------------------
 # Helpers
 # ----------------------------------------------------------------------
-class _SortKey:
-    """Ordering wrapper: NULLs first ascending, comparison-safe, reversible."""
-
-    __slots__ = ("value", "descending")
-
-    def __init__(self, value: Any, descending: bool) -> None:
-        self.value = value
-        self.descending = descending
-
-    def __lt__(self, other: "_SortKey") -> bool:
-        a, b = self.value, other.value
-        if a is None and b is None:
-            return False
-        if a is None:
-            return not self.descending
-        if b is None:
-            return self.descending
-        if self.descending:
-            return b < a
-        return a < b
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _SortKey) and self.value == other.value
-
-
 def _truthy(value: Any) -> bool:
     """SQL filter semantics: NULL (None) is not true."""
     return bool(value) and value is not None
@@ -812,14 +786,8 @@ def _distinct_rows(rows: list[dict[str, Any]]) -> list[dict[str, Any]]:
     seen: set[tuple] = set()
     result = []
     for row in rows:
-        key = tuple(_hashable(row[k]) for k in row)
+        key = tuple(map(group_key, row.values()))
         if key not in seen:
             seen.add(key)
             result.append(row)
     return result
-
-
-def _hashable(value: Any) -> Any:
-    if isinstance(value, (list, dict, set)):
-        return repr(value)
-    return value

@@ -51,8 +51,7 @@ class Table:
         with self._lock:
             primary = self.schema.primary_key()
             if primary is not None:
-                index = self._indices[primary.name]
-                if index.lookup(validated[primary.name]):
+                if self._indices[primary.name].get(validated[primary.name]) is not None:
                     raise StorageError(
                         f"duplicate primary key {validated[primary.name]!r} "
                         f"in table {self.name!r}"
@@ -148,8 +147,8 @@ class Table:
             return {column: index.kind for column, index in self._indices.items()}
 
     def lookup(self, column: str, value: Any) -> list[dict[str, Any]]:
-        """Indexed equality lookup; falls back to a scan when unindexed."""
+        """Indexed equality lookup; a scan where no index answers ``=``."""
         index = self.index_on(column)
-        if index is not None:
-            return self.get_by_row_ids(index.lookup(value))
+        if index is not None and index.estimate("=", value) is not None:
+            return self.get_by_row_ids(index.ids("=", value))
         return [row for row in self.scan() if row[column] == value]

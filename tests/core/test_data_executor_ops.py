@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.budget import Budget
-from repro.core.plan import DataPlan, Op, OperatorChoice
+from repro.core.plan import DataOperator, DataPlan, Op, OperatorChoice
 from repro.core.planners.data_executor import DataPlanExecutor
 from repro.errors import PlanError, QueryError
 from repro.llm import ModelCatalog
@@ -97,6 +97,33 @@ class TestRowOperators:
         plan = single_op_plan(Op.RANK, {"by": "salary", "descending": False}, inputs_value=ROWS_SQL)
         salaries = [row["salary"] for row in executor.execute(plan).final()]
         assert salaries == sorted(salaries)
+
+    def test_rank_puts_rows_without_a_score_last(self, executor):
+        """Ranked by ``sort_key``, as ``ORDER BY`` and ``find(sort=)`` are: a
+        row with no score (NULL or no such field) used to rank *first* in the
+        default descending order — ``None, missing, 300, 100``."""
+        rows = [{"id": 1, "salary": 100}, {"id": 2, "salary": None},
+                {"id": 3, "salary": 300}, {"id": 4}]
+        ranked, *_ = executor._run(DataOperator("r", Op.RANK, {"by": "salary"}), [rows])
+        assert [row["id"] for row in ranked] == [3, 1, 2, 4]
+        # ascending, NULL comes first as in SQL (it came last: [1, 3, 2, 4])
+        ascending = DataOperator("r", Op.RANK, {"by": "salary", "descending": False})
+        assert [row["id"] for row in executor._run(ascending, [rows])[0]] == [2, 4, 1, 3]
+
+    def test_select_matches_as_find_does(self, executor):
+        """``select`` is ``compile_filter({column: {"$" + op: value}})``: a
+        range across types is no match (it raised ``TypeError``), and a
+        missing field matches no ``eq`` / ``ne``."""
+        rows = [{"v": 1}, {"v": "a"}, {"v": None}, {}]
+
+        def select(op, value):
+            operator = DataOperator("s", Op.SELECT, {"column": "v", "op": op, "value": value})
+            return executor._run(operator, [rows])[0]
+
+        assert select("gt", 0) == [{"v": 1}]
+        assert select("eq", None) == [{"v": None}]
+        assert select("ne", 1) == [{"v": "a"}, {"v": None}]
+        assert select("in", [1, "a"]) == [{"v": 1}, {"v": "a"}]
 
     def test_join(self, executor):
         plan = DataPlan("j")

@@ -379,8 +379,11 @@ class TestSargableForm:
         assert choose_index(index_on, [("h", "=", 20), ("r", "<", 20)]) == (["h", "r"], set())
         assert choose_index(index_on, [("h", "=", 20), ("r", ">=", 20)]) == (["h", "r"], {1, 2})
         assert choose_index(index_on, [("r", ">", 10), ("r", "<", 30)]) == (["r"], {1, 2})
-        # equality takes either kind, ``in`` a hash index, a range a sorted one
-        assert choose_index(index_on, [("r", "=", 20)]) == (["r"], {1, 2})
+        # equality takes a hash (or key) index, ``in`` a hash index, a range a
+        # sorted one.  Flipped: a sorted index answered ``=`` too until every
+        # sorted index ordered by ``order_key``, under which ``Decimal(1) == 1``
+        # holds where the keys differ, so it answers ranges only.
+        assert choose_index(index_on, [("r", "=", 20)]) is None
         assert choose_index(index_on, [("h", "in", [10, 30, 40])]) == (["h"], {0, 3})
         assert choose_index(index_on, [("r", "in", [10, 30])]) is None
         assert choose_index(index_on, [("h", ">=", 20)]) is None
