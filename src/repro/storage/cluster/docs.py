@@ -279,8 +279,6 @@ class ClusteredCollection(Collection):
     # Field indices
     # ------------------------------------------------------------------
     def create_index(self, field: str, kind: str = "hash") -> None:
-        if kind not in ("hash", "sorted"):  # refused before any replica logs it
-            raise StorageError(f"unknown index kind: {kind!r}")
         self._cluster.broadcast(
             {"op": "create_index", "collection": self.name, "field": field, "kind": kind}
         )

@@ -82,9 +82,22 @@ class Replica:
         )
 
     def append(self, op: dict[str, Any]) -> Any:
-        """Append *op* to the log and apply it to the state."""
+        """Apply *op* to the state, then log it.  An op the state machine
+        refuses is never logged: the state it may have half-changed is
+        rebuilt from the unchanged log, and the error propagates."""
+        try:
+            result = self._apply(self.state, op)
+        except Exception:
+            self._replay()
+            raise
         self.log.append(op)
-        return self._apply(self.state, op)
+        return result
+
+    def _replay(self) -> None:
+        """Rebuild the state from the log alone."""
+        self.state = self._state_factory()
+        for op in self.log:
+            self._apply(self.state, op)
 
     def catch_up(self, donor: "Replica") -> int:
         """Replay the suffix of *donor*'s log this replica is missing."""
@@ -104,10 +117,7 @@ class Replica:
 
     def begin_restart(self) -> None:
         """Come back up: rebuild state from the local log, then SYNC."""
-        self.state = self._state_factory()
-        log, self.log = self.log, []
-        for op in log:
-            self.append(op)
+        self._replay()
         self.status = ReplicaStatus.SYNCING
         self.restart_at_tick = None
 

@@ -9,7 +9,9 @@ membership of R replicas (quorum = ``R // 2 + 1``):
   :class:`~repro.errors.ClusterUnavailableError` *without touching any
   replica*, so logs never diverge and un-acked partial writes cannot
   masquerade as data.  An acked append therefore lives on >= quorum
-  replicas.
+  replicas.  An op the state machine refuses raises at the first
+  acceptor, which applies before it logs (``Replica.append``): nothing is
+  logged or acked, and no other replica sees it.
 * **Quorum read** — reads the quorum of live replicas with the longest
   logs; since any two majorities of the same R-set intersect, the
   longest log in a read quorum always contains the latest acked append.
@@ -91,6 +93,8 @@ class ShardGroup:
         Raises:
             ClusterUnavailableError: when fewer than a quorum of replicas
                 can accept — nothing is applied and the write is NOT acked.
+            Exception: whatever the first acceptor's state machine raised
+                refusing *op*; no replica logged it.
         """
         with self._lock:
             seq = self.acked
@@ -101,13 +105,9 @@ class ShardGroup:
                     f"{len(self.replicas)} replicas accepting, quorum is "
                     f"{self.quorum}"
                 )
-            result = None
-            for position, replica in enumerate(acceptors):
-                value = replica.append(op)
-                if position == 0:
-                    result = value
+            results = [replica.append(op) for replica in acceptors]
             self.acked = seq + 1
-            return result
+            return results[0]
 
     # ------------------------------------------------------------------
     # Reads

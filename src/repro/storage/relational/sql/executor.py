@@ -4,7 +4,7 @@ The executor performs a light logical-planning pass for SELECTs:
 
 * **access path** — :func:`sargable` conjuncts on indexed columns of the
   base table turn full scans into index lookups, every usable index
-  intersected (``index.choose_index``; ``stats.used_index`` names them),
+  intersected (``Table.select``; ``stats.used_index`` names them),
 * **join strategy** — equi-join conditions become hash joins; anything else
   falls back to a nested-loop join,
 * then filtering, grouping, projection, distinct, ordering, and limiting.
@@ -26,7 +26,7 @@ from typing import Any, Callable, Iterable
 from ....errors import SQLError, StorageError
 from ...schema import Column, ColumnType, TableSchema
 from ..database import Database, SQLResult
-from ..index import Conjunct, choose_index, group_key, sort_key
+from ..index import Conjunct, group_key, sort_key
 from ..table import Table
 from . import ast
 from .functions import SCALAR_FUNCTIONS, make_aggregate
@@ -118,25 +118,21 @@ class Executor:
         return SQLResult(rows=rows, columns=columns, statement_kind="select")
 
     def _base_rows(self, select: ast.Select) -> list[Env]:
+        """The base table's candidate rows — the stored rows, never mutated."""
         table = self._db.table(select.table.name)
         binding = select.table.binding()
-        chosen = choose_index(
-            table.index_on, sargable(select.where, binding, self._params)
-        )
-        if chosen is None:
-            rows = table.rows()
-            self.stats.rows_scanned += len(rows)
-        else:
-            columns, row_ids = chosen
-            rows = table.get_by_row_ids(row_ids)
+        rows, _, columns = table.select(sargable(select.where, binding, self._params))
+        if columns:
             self.stats.used_index = "+".join(f"{table.name}.{c}" for c in columns)
             self.stats.index_lookups += len(columns)
+        else:
+            self.stats.rows_scanned += len(rows)
         return [{binding: row} for row in rows]
 
     def _apply_join(self, envs: list[Env], join: ast.Join) -> list[Env]:
         table = self._db.table(join.table.name)
         binding = join.table.binding()
-        right_rows = table.rows()
+        right_rows, _, _ = table.select(())
         self.stats.rows_scanned += len(right_rows)
         equi = _equi_join_key(join.condition, binding)
         joined: list[Env] = []
@@ -318,37 +314,25 @@ class Executor:
         return SQLResult(rowcount=inserted, statement_kind="insert")
 
     def _execute_update(self, update: ast.Update) -> SQLResult:
+        """One ``Table.update`` pass: WHERE and SET (``salary = salary * 2``)
+        read each row as it was before the statement."""
         table = self._db.table(update.table)
         binding = update.table
-
         where = None if update.where is None else compile_expr(update.where)
         assignments = [(column, compile_expr(expr)) for column, expr in update.assignments]
-        # Assignments may reference current row values (e.g. salary = salary*2),
-        # so compute per-row via update's callback contract.
-        count = 0
-        for row in table.rows():
-            env = {binding: row}
-            if where is not None and not _truthy(where(self, env, None)):
-                continue
-            changes = {column: value(self, env, None) for column, value in assignments}
-            key_column = table.schema.primary_key()
-            if key_column is not None:
-                key_value = row[key_column.name]
-                table.update(lambda r: r[key_column.name] == key_value, changes)
-            else:
-                frozen = dict(row)
-                table.update(lambda r: r == frozen, changes)
-            count += 1
+        count = table.update(
+            lambda row: where is None or _truthy(where(self, {binding: row}, None)),
+            lambda row: {col: value(self, {binding: row}, None) for col, value in assignments},
+        )
         return SQLResult(rowcount=count, statement_kind="update")
 
     def _execute_delete(self, delete: ast.Delete) -> SQLResult:
         table = self._db.table(delete.table)
         binding = delete.table
-        if delete.where is None:
-            count = table.delete(lambda row: True)
-        else:
-            where = compile_expr(delete.where)
-            count = table.delete(lambda row: _truthy(where(self, {binding: row}, None)))
+        where = None if delete.where is None else compile_expr(delete.where)
+        count = table.delete(
+            lambda row: where is None or _truthy(where(self, {binding: row}, None))
+        )
         return SQLResult(rowcount=count, statement_kind="delete")
 
     def _execute_create_table(self, create: ast.CreateTable) -> SQLResult:

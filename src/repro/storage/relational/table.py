@@ -1,154 +1,269 @@
-"""Tables: schema-validated row storage with secondary indices."""
+"""Tables: schema-validated row storage with secondary indices, over the
+row heap both query stores keep their rows in."""
 
 from __future__ import annotations
 
 import itertools
 import threading
-from typing import Any, Callable, Iterable, Iterator
+from itertools import islice
+from operator import getitem, length_hint
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from ...errors import SchemaError, StorageError
 from ..schema import TableSchema
-from .index import HashIndex, KeyIndex, SortedIndex
+from .index import MISSING, Conjunct, HashIndex, KeyIndex, SortedIndex, choose_index
 
-#: Process-wide write stamps, so no two table states ever share a version.
+#: Process-wide write stamps, so no two heap states ever share a version.
 _STAMPS = itertools.count(1)
+
+Row = dict[str, Any]
+#: A selection: the rows, how many candidates were read, the indexed fields that chose them.
+Selection = tuple[list[Row], int, list[str]]
+_KINDS = {"hash": HashIndex, "sorted": SortedIndex}
+
+
+class RowHeap:
+    """The row layout under a ``Table`` and a ``Collection``.
+
+    Rows live under int row ids handed out in insertion order, so sorting
+    row ids *is* scan order, and every index maps values to row ids: the one
+    optional unique *key* (a table's primary key, a collection's ``_id``)
+    and the secondary ones.  A stored row is never mutated — ``replace``
+    swaps in a new dict — so ``select`` hands its read-only callers the
+    stored rows themselves.  ``version`` is re-stamped by every write that
+    changes a row: equal versions mean equal rows (what a memo keys on).
+
+    *read* ``(row, field)`` is the value an index on *field* keys a row
+    under, or ``MISSING`` for a row it leaves out; *duplicate* ``(key)`` is
+    the message refusing a key another row holds.
+    """
+
+    def __init__(
+        self, key: str | None, duplicate: Callable[[Any], str], read: Callable = getitem
+    ) -> None:
+        self.key = key
+        self._duplicate = duplicate
+        self._read = read
+        self._rows: dict[int, Row] = {}
+        self._next_row_id = 0
+        self._indexes: dict[str, HashIndex | KeyIndex | SortedIndex] = {}
+        if key is not None:
+            self._indexes[key] = KeyIndex(key)
+        self._lock = threading.RLock()
+        self.version = next(_STAMPS)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def insert(self, row: Row) -> int:
+        """Store *row* — the heap keeps it, so pass a dict no one else holds;
+        returns its row id."""
+        with self._lock:
+            key = self.key
+            if key is not None and self._indexes[key].get(row[key]) is not None:
+                raise StorageError(self._duplicate(row[key]))
+            row_id = self._next_row_id
+            self._next_row_id += 1
+            self._rows[row_id] = row
+            self.version = next(_STAMPS)
+            read = self._read
+            for field, index in self._indexes.items():
+                value = read(row, field)
+                if value is not MISSING:
+                    index.insert(value, row_id)
+            return row_id
+
+    def replace(self, conjuncts: Sequence[Conjunct], test: Callable, change: Callable) -> int:
+        """Swap every row passing *test* for ``change(row)``, each matched and
+        changed as it was before the call; returns how many.  Only the index
+        entries whose value changed move, and a key another row holds is
+        refused there: the rows before it stay replaced, as an INSERT's do."""
+        with self._lock:
+            matched = self._matching(conjuncts, test)
+            key, read = self.key, self._read
+            for row_id in matched:
+                old = self._rows[row_id]
+                new = change(old)
+                if key is not None and self._indexes[key].get(new[key]) not in (None, row_id):
+                    raise StorageError(self._duplicate(new[key]))
+                for field, index in self._indexes.items():
+                    before, after = read(old, field), read(new, field)
+                    if before != after:
+                        if before is not MISSING:
+                            index.remove(before, row_id)
+                        if after is not MISSING:
+                            index.insert(after, row_id)
+                self._rows[row_id] = new
+                self.version = next(_STAMPS)  # per row: a later row may raise
+            return len(matched)
+
+    def remove(self, conjuncts: Sequence[Conjunct], test: Callable) -> int:
+        """Delete every row passing *test*; returns how many."""
+        with self._lock:
+            doomed = self._matching(conjuncts, test)
+            if doomed:
+                self.version = next(_STAMPS)
+            read = self._read
+            for row_id in doomed:
+                row = self._rows.pop(row_id)
+                for field, index in self._indexes.items():
+                    value = read(row, field)
+                    if value is not MISSING:
+                        index.remove(value, row_id)
+            return len(doomed)
+
+    def select(
+        self, conjuncts: Sequence[Conjunct], test: Callable | None = None,
+        at_most: int | None = None,
+    ) -> Selection:
+        """The stored rows (read-only) passing *test* — every candidate when
+        None — in insertion order, the first *at_most* of them, reading no
+        further; with how many candidates were read and the indexed fields
+        that chose them (none: every row was a candidate)."""
+        with self._lock:
+            fields, row_ids = self._candidates(conjuncts)
+            pending = iter(row_ids)
+            rows = map(self._rows.__getitem__, pending)
+            matched = list(islice(rows if test is None else filter(test, rows), at_most))
+            # a list iterator's hint is exact: what early exit left unread
+            return matched, len(row_ids) - length_hint(pending), fields
+
+    def get(self, key: Any) -> Row | None:
+        """The stored row (read-only) holding *key*, or None: a point read."""
+        with self._lock:
+            return self._rows.get(self._indexes[self.key].get(key))
+
+    def _candidates(self, conjuncts: Sequence[Conjunct]) -> tuple[list[str], list[int]]:
+        fields, row_ids = choose_index(self._indexes.get, conjuncts) or ([], self._rows)
+        return fields, sorted(row_ids)
+
+    def _matching(self, conjuncts: Sequence[Conjunct], test: Callable) -> list[int]:
+        return [rid for rid in self._candidates(conjuncts)[1] if test(self._rows[rid])]
+
+    def create_index(self, field: str, kind: str = "hash") -> None:
+        """Index *field* (kinds: ``hash`` answers ``=`` and ``in``, ``sorted``
+        the ranges); a field already indexed keeps its index."""
+        if kind not in _KINDS:
+            raise StorageError(f"unknown index kind: {kind!r}")
+        with self._lock:
+            if field in self._indexes:
+                return
+            index = _KINDS[kind](field)
+            read = self._read
+            index.extend(
+                (value, row_id)
+                for row_id, row in self._rows.items()
+                if (value := read(row, field)) is not MISSING
+            )
+            self._indexes[field] = index
+
+    def index_on(self, field: str) -> HashIndex | KeyIndex | SortedIndex | None:
+        return self._indexes.get(field)
+
+    def kinds(self) -> dict[str, str]:
+        """Indexed field -> index kind, the key first."""
+        with self._lock:
+            return {field: index.kind for field, index in self._indexes.items()}
+
+
+def select_in(
+    slices: Iterable[Any], conjuncts: Sequence[Conjunct], test: Callable | None = None,
+    at_most: int | None = None,
+) -> Selection:
+    """``select`` over *slices* (heaps, or tables) read as one, in slice
+    order: each slice picks its own access path, reading stops once *at_most*
+    rows matched, and the fields are every one a slice's indexes answered."""
+    rows: list[Row] = []
+    examined, used = 0, {}
+    for heap in slices:
+        wanted = None if at_most is None else at_most - len(rows)
+        if wanted == 0:
+            break
+        matched, seen, fields = heap.select(conjuncts, test, wanted)
+        rows += matched
+        examined += seen
+        used.update(dict.fromkeys(fields))
+    return rows, examined, list(used)
 
 
 class Table:
-    """An in-memory relation.
-
-    Rows are dicts keyed by column name, stored under stable integer row
-    ids; deletions leave holes so indices stay valid without renumbering.
-    """
+    """An in-memory relation: a :class:`RowHeap` of schema-validated rows,
+    keyed by the primary key when the schema has one."""
 
     def __init__(self, schema: TableSchema) -> None:
         self.schema = schema
-        self._rows: dict[int, dict[str, Any]] = {}
-        self._next_row_id = 0
-        self._indices: dict[str, HashIndex | KeyIndex | SortedIndex] = {}
-        self._lock = threading.RLock()
-        #: Re-stamped by every insert / update / delete that changes a row:
-        #: equal versions mean equal rows (what a memo over them keys on).
-        self.version = next(_STAMPS)
         primary = schema.primary_key()
-        if primary is not None:
-            self._indices[primary.name] = KeyIndex(primary.name)
+        self._heap = RowHeap(
+            None if primary is None else primary.name,
+            lambda key: f"duplicate primary key {key!r} in table {self.name!r}",
+        )
 
     @property
     def name(self) -> str:
         return self.schema.name
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._rows)
+    @property
+    def version(self) -> int:
+        """The heap's write stamp: equal versions mean equal rows."""
+        return self._heap.version
 
-    # ------------------------------------------------------------------
-    # Mutation
-    # ------------------------------------------------------------------
+    def __len__(self) -> int:
+        return len(self._heap)
+
     def insert(self, row: dict[str, Any]) -> int:
         """Validate and insert *row*; returns its row id."""
-        validated = self.schema.validate_row(row)
-        with self._lock:
-            primary = self.schema.primary_key()
-            if primary is not None:
-                if self._indices[primary.name].get(validated[primary.name]) is not None:
-                    raise StorageError(
-                        f"duplicate primary key {validated[primary.name]!r} "
-                        f"in table {self.name!r}"
-                    )
-            row_id = self._next_row_id
-            self._next_row_id += 1
-            self._rows[row_id] = validated
-            self.version = next(_STAMPS)
-            for column, index in self._indices.items():
-                index.insert(validated[column], row_id)
-            return row_id
+        return self._heap.insert(self.schema.validate_row(row))
 
     def insert_many(self, rows: Iterable[dict[str, Any]]) -> list[int]:
         return [self.insert(row) for row in rows]
 
     def update(
-        self, predicate: Callable[[dict[str, Any]], bool], changes: dict[str, Any]
+        self, predicate: Callable[[dict[str, Any]], bool], changes: Mapping[str, Any] | Callable
     ) -> int:
-        """Apply *changes* to rows matching *predicate*; returns count."""
-        unknown = set(changes) - set(self.schema.column_names())
-        if unknown:
-            raise SchemaError(f"unknown columns in update: {sorted(unknown)}")
-        updated = 0
-        with self._lock:
-            for row_id, row in self._rows.items():
-                if not predicate(row):
-                    continue
-                new_row = self.schema.validate_row({**row, **changes})
-                for column, index in self._indices.items():
-                    if row[column] != new_row[column]:
-                        index.remove(row[column], row_id)
-                        index.insert(new_row[column], row_id)
-                self._rows[row_id] = new_row
-                self.version = next(_STAMPS)  # per row: a later row may raise
-                updated += 1
-        return updated
+        """Apply *changes* — a mapping, or a function of the stored row returning
+        one (``SET age = age + 5``) — to rows matching *predicate*, each read as
+        it was before the call; returns count."""
+        if not callable(changes):
+            unknown = set(changes) - set(self.schema.column_names())
+            if unknown:
+                raise SchemaError(f"unknown columns in update: {sorted(unknown)}")
+        revise = changes if callable(changes) else lambda row: changes
+        validate = self.schema.validate_row
+        return self._heap.replace((), predicate, lambda row: validate({**row, **revise(row)}))
 
     def delete(self, predicate: Callable[[dict[str, Any]], bool]) -> int:
         """Delete rows matching *predicate*; returns count."""
-        with self._lock:
-            doomed = [rid for rid, row in self._rows.items() if predicate(row)]
-            if doomed:
-                self.version = next(_STAMPS)
-            for row_id in doomed:
-                row = self._rows.pop(row_id)
-                for column, index in self._indices.items():
-                    index.remove(row[column], row_id)
-        return len(doomed)
+        return self._heap.remove((), predicate)
 
-    # ------------------------------------------------------------------
-    # Access
-    # ------------------------------------------------------------------
+    def select(
+        self, conjuncts: Sequence[Conjunct], test: Callable | None = None,
+        at_most: int | None = None,
+    ) -> Selection:
+        """:meth:`RowHeap.select`: the stored rows, for read-only callers."""
+        return self._heap.select(conjuncts, test, at_most)
+
     def scan(self) -> Iterator[dict[str, Any]]:
         """Iterate over copies of all rows in insertion order."""
-        with self._lock:
-            snapshot = [self._rows[rid] for rid in sorted(self._rows)]
-        for row in snapshot:
-            yield dict(row)
+        return map(dict, self.select(())[0])
 
     def rows(self) -> list[dict[str, Any]]:
         return list(self.scan())
 
-    def get_by_row_ids(self, row_ids: Iterable[int]) -> list[dict[str, Any]]:
-        with self._lock:
-            return [dict(self._rows[rid]) for rid in sorted(row_ids) if rid in self._rows]
-
-    # ------------------------------------------------------------------
-    # Indices
-    # ------------------------------------------------------------------
     def create_index(self, column: str, kind: str = "hash") -> None:
         """Build a secondary index over *column* (kinds: hash, sorted)."""
         if not self.schema.has_column(column):
             raise SchemaError(f"no column {column!r} in table {self.name!r}")
-        with self._lock:
-            if column in self._indices:
-                return
-            if kind == "hash":
-                index: HashIndex | SortedIndex = HashIndex(column)
-            elif kind == "sorted":
-                index = SortedIndex(column)
-            else:
-                raise StorageError(f"unknown index kind: {kind!r}")
-            index.extend((row[column], row_id) for row_id, row in self._rows.items())
-            self._indices[column] = index
+        self._heap.create_index(column, kind)
 
     def index_on(self, column: str) -> HashIndex | KeyIndex | SortedIndex | None:
-        with self._lock:
-            return self._indices.get(column)
+        return self._heap.index_on(column)
 
     def indexed_columns(self) -> dict[str, str]:
         """Mapping of indexed column -> index kind (registry metadata)."""
-        with self._lock:
-            return {column: index.kind for column, index in self._indices.items()}
+        return self._heap.kinds()
 
     def lookup(self, column: str, value: Any) -> list[dict[str, Any]]:
-        """Indexed equality lookup; a scan where no index answers ``=``."""
-        index = self.index_on(column)
-        if index is not None and index.estimate("=", value) is not None:
-            return self.get_by_row_ids(index.ids("=", value))
-        return [row for row in self.scan() if row[column] == value]
+        """Copies of the rows whose *column* equals *value*: indexed where an
+        index answers ``=``, else a scan."""
+        rows, _, _ = self.select([(column, "=", value)], lambda row: row[column] == value)
+        return [dict(row) for row in rows]

@@ -23,13 +23,12 @@ import json
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from row_heaps import stale_entries
 
 from repro.clock import SimClock
 from repro.errors import StorageError
 from repro.storage.cluster import ClusteredDocumentStore
-from repro.storage.document.query import get_path, order_key
 from repro.storage.document.store import Collection
-from repro.storage.relational.index import SortedIndex
 
 CITIES = ["SF", "Oakland", "Austin", "Denver"]
 INDEXED = ["city", "rank", "mix", "tags", "sub", "sub.x"]
@@ -183,26 +182,6 @@ def assert_same_answer(got, expected, query, oracle):
             assert [d.get("rank") for d in got] == [d.get("rank") for d in expected]
 
 
-def stale_entries(collection):
-    """Index entries no document backs: emptied hash buckets, and sorted
-    entries other than exactly one per live document with an ordered value."""
-    stale = []
-    for field, index in collection._field_indices.items():
-        if isinstance(index, SortedIndex):
-            live = sorted(
-                (*order_key(get_path(document, field)), row_id)
-                for row_id, document in collection._rows.items()
-                if order_key(get_path(document, field)) is not None
-            )
-            if index._entries != live:
-                stale.append((field, index._entries, live))
-        else:
-            stale += [(field, key) for key, bucket in index._buckets.items() if not bucket]
-    if sorted(collection._primary._row_ids.values()) != sorted(collection._rows):
-        stale.append(("_id", collection._primary._row_ids))
-    return stale
-
-
 def build(topology, index_plan):
     n_shards, partitioned, clustered_plan = topology
     plain, indexed = Collection("people"), Collection("people")
@@ -255,9 +234,9 @@ class TestOneFindPath:
             expected = plain.find(filter_spec)
             assert indexed.find(filter_spec) == expected
             assert canonical(clustered.find(filter_spec)) == canonical(expected)
-        assert stale_entries(indexed) == []
+        assert stale_entries(indexed._heap) == []
         for state in clustered._cluster.primary_states():
-            assert stale_entries(state.collection("people")) == []
+            assert stale_entries(state.collection("people")._heap) == []
 
     def test_equal_values_that_key_differently_stay_a_scan(self):
         """Sub-document and list equality is ``==``: no index key reproduces
@@ -280,7 +259,7 @@ class TestOneFindPath:
         people.insert({"y": 3})
         assert people.update({"y": 3}, {"y": 4}) == 1
         assert people.delete({"y": 4}) == 1
-        assert stale_entries(people) == []
+        assert stale_entries(people._heap) == []
         assert people.find({"y": {"$in": [3, 4]}}) == []
 
 

@@ -8,7 +8,9 @@ Three oracles, one per thing ``src/`` no longer does the slow way:
   what the tree-walking ``_eval`` evaluated to — ``reference_eval``;
 * a ``SELECT`` under any subset and kind of secondary indexes returns what
   the same statement returns with none, row order included, single-node and
-  sharded (the document twin lives in ``test_clustered_find_properties.py``).
+  sharded (the document twin lives in ``test_clustered_find_properties.py``)
+  — writes included, a colliding key change too — and after every step no
+  table or shard primary holds a stale index entry (``row_heaps``).
 
 "The same" is the same value of the same type, or the same exception type.
 One difference is allowed and pinned: a malformed filter is refused when it
@@ -21,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_interpreters import reference_eval, reference_matches
+from row_heaps import stale_entries
 
 from repro.clock import SimClock
 from repro.errors import QueryError
@@ -346,6 +349,8 @@ WRITES = [
     "UPDATE emp SET dept = 'ops' WHERE age >= 40",
     "DELETE FROM emp WHERE age < 25",
     "DELETE FROM emp WHERE city = 'Denver' AND score > 1.5",
+    "UPDATE emp SET id = id + 1 WHERE age > 30",  # collides while id + 1 is held
+    "UPDATE emp SET age = age + 1 WHERE age < 30",  # the index it reads moves
 ]
 index_plans = st.dictionaries(
     st.sampled_from(["city", "dept", "age", "score"]), st.sampled_from(["hash", "sorted"])
@@ -376,6 +381,18 @@ sql_steps = st.lists(
 )
 
 
+def answer(database, sql, parameters):
+    result = database.execute(sql, parameters)
+    return result.rows, result.columns, result.rowcount
+
+
+def heaps(database):
+    """``emp``'s row heap, or each shard primary's of a sharded database."""
+    if isinstance(database, ShardedDatabase):
+        return [state.table("emp")._heap for state in database.cluster.primary_states()]
+    return [database.table("emp")._heap]
+
+
 def populate(database, rows, plan, **table_options):
     table = database.create_table(EMP, **table_options)
     for column, kind in plan.items():
@@ -401,11 +418,10 @@ class TestIndexesNeverChangeASelect:
             populate(indexed, rows, plan, **options)
         for sql, parameters in script:
             for plain, indexed in pairs:
-                expected = plain.execute(sql, parameters)
-                actual = indexed.execute(sql, parameters)
-                assert actual.rows == expected.rows, (sql, plan)
-                assert actual.columns == expected.columns
-                assert actual.rowcount == expected.rowcount
+                expected = outcome(answer, plain, sql, parameters)
+                assert outcome(answer, indexed, sql, parameters) == expected, (sql, plan)
+                for heap in heaps(plain) + heaps(indexed):
+                    assert stale_entries(heap) == [], (sql, plan)
 
     def test_every_index_intersected_is_named(self):
         database = Database("named")

@@ -419,8 +419,8 @@ class TestClusteredDocumentStore:
         docs.cluster.settle()
         for shard in docs.cluster.shards:
             rebuilt, witness = (r.state.collection("people") for r in shard.replicas[:2])
-            assert rebuilt._field_indices["rank"].kind == "sorted"
-            assert rebuilt._field_indices["rank"]._entries == witness._field_indices["rank"]._entries
+            assert rebuilt._heap.index_on("rank").kind == "sorted"
+            assert rebuilt._heap.index_on("rank")._entries == witness._heap.index_on("rank")._entries
             assert rebuilt.find({"rank": {"$gte": 75}}) == witness.find({"rank": {"$gte": 75}})
         assert len(people.find({"rank": {"$gte": 75}})) == 6
         assert people.last_find_stats["docs_examined"] == 6

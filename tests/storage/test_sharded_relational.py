@@ -3,7 +3,7 @@
 import pytest
 
 from repro.clock import SimClock
-from repro.errors import StorageError
+from repro.errors import SchemaError, StorageError
 from repro.observability import Observability
 from repro.storage.cluster import ShardedDatabase
 from repro.storage.relational import Database
@@ -332,6 +332,43 @@ class TestShardedDDL:
             for i, city in enumerate(CITIES)
         )
         assert db.execute("SELECT COUNT(*) AS n FROM people").scalar() == 105
+
+
+class TestRefusedWrites:
+    """A write a shard's state machine refuses reaches no replica's log.
+    The first acceptor used to log before applying: the refused op sat in
+    its log past ``acked``, later appends skipped that replica, and while it
+    stayed primary it served without them (ids 3-7 read back as 3, 5, 6, 7);
+    a refused ``CREATE INDEX`` also broke every replay of that log."""
+
+    @pytest.fixture
+    def small(self):
+        db = ShardedDatabase("t", n_shards=2, n_replicas=3, clock=SimClock(), seed=0)
+        db.execute("CREATE TABLE t (id INT PRIMARY KEY, x INT)")
+        db.execute("INSERT INTO t (id, x) VALUES (1, 1), (2, 2)")
+        return db
+
+    @pytest.mark.parametrize("refused, error", [
+        ("INSERT INTO t (id, x) VALUES (1, 9)", StorageError),
+        ("CREATE INDEX ix ON t (nosuch)", SchemaError),
+    ])
+    def test_a_refused_write_reaches_no_log(self, small, refused, error):
+        cluster = small.cluster
+        digests = [replica.log_digest() for replica in cluster.all_replicas()]
+        with pytest.raises(error):
+            small.execute(refused)
+        assert [replica.log_digest() for replica in cluster.all_replicas()] == digests
+        for i in range(3, 8):
+            small.execute(f"INSERT INTO t (id, x) VALUES ({i}, {i})")
+        ids = list(range(1, 8))
+        assert [row["id"] for row in small.query("SELECT id FROM t ORDER BY id")] == ids
+        for shard in cluster.shards:
+            cluster.kill_replica(shard.replicas[0].replica_id)
+        cluster.settle()  # replays every log: raised SchemaError at each tick
+        assert [row["id"] for row in small.query("SELECT id FROM t ORDER BY id")] == ids
+        for shard in cluster.shards:
+            assert {r.applied for r in shard.replicas} == {shard.acked}
+            assert len({replica.log_digest() for replica in shard.replicas}) == 1
 
 
 class TestSqlSpan:

@@ -444,6 +444,34 @@ class TestDML:
     def test_update_all(self, db):
         assert db.execute("UPDATE jobs SET remote = TRUE").rowcount == 5
 
+    def test_update_reads_each_row_as_it_was_before_the_statement(self):
+        """Each matched row was updated through a whole-row ``==`` predicate
+        that re-matched rows already updated: 1, 2 became 3, 3."""
+        database = Database("keyless")
+        quick_table(database, "t", [("x", ColumnType.INT)], [{"x": 1}, {"x": 2}])
+        assert database.execute("UPDATE t SET x = x + 1").rowcount == 2
+        assert database.query("SELECT x FROM t") == [{"x": 2}, {"x": 3}]
+
+    def test_update_refuses_a_primary_key_another_row_holds(self):
+        """``SET id = id + 1`` on 1, 2 reported 2 rows and left two rows with
+        id 3, the key index pointing at one of them."""
+        database = Database("keyed")
+        keyed = [Column("id", ColumnType.INT, primary_key=True)]
+        quick_table(database, "p", keyed, [{"id": 1}, {"id": 2}])
+        with pytest.raises(StorageError, match="duplicate primary key 2 in table 'p'"):
+            database.execute("UPDATE p SET id = id + 1")
+        assert database.query("SELECT id FROM p") == [{"id": 1}, {"id": 2}]
+        # refused at the colliding row: the rows before it stay updated
+        quick_table(database, "q", keyed, [{"id": 1}, {"id": 3}, {"id": 4}])
+        with pytest.raises(StorageError, match="duplicate primary key 4"):
+            database.execute("UPDATE q SET id = id + 1")
+        assert database.query("SELECT id FROM q") == [{"id": 2}, {"id": 3}, {"id": 4}]
+        assert database.query("SELECT id FROM q WHERE id = 2") == [{"id": 2}]
+        assert database.execute("UPDATE q SET id = id + 10").rowcount == 3
+        assert database.query("SELECT id FROM q WHERE id IN (2, 12, 14)") == [
+            {"id": 12}, {"id": 14}
+        ]
+
     def test_delete(self, db):
         assert db.execute("DELETE FROM jobs WHERE city = 'Oakland'").rowcount == 2
         assert len(db.query("SELECT * FROM jobs")) == 3

@@ -52,6 +52,19 @@ class TestTable:
         assert count == 2
         assert sorted(r["age"] for r in table.scan()) == [25, 31, 31]
 
+    def test_update_reads_changes_from_the_stored_row(self, table):
+        assert table.update(lambda r: r["age"] == 30, lambda r: {"age": r["age"] + r["id"]}) == 2
+        assert [r["age"] for r in table.scan()] == [31, 25, 33]
+
+    def test_update_refuses_a_primary_key_another_row_holds(self, table):
+        """The key index was overwritten: ``id = 2`` then found one of two rows."""
+        with pytest.raises(StorageError, match="duplicate primary key 2 in table 'people'"):
+            table.update(lambda r: r["id"] == 1, {"id": 2})
+        assert [r["name"] for r in table.lookup("id", 2)] == ["bob"]
+        assert table.update(lambda r: r["id"] == 1, {"id": 9}) == 1
+        assert [r["name"] for r in table.lookup("id", 9)] == ["ann"]
+        assert table.lookup("id", 1) == []
+
     def test_update_unknown_column_rejected(self, table):
         with pytest.raises(SchemaError):
             table.update(lambda r: True, {"bogus": 1})
