@@ -11,8 +11,12 @@ the mechanism behind the bench's sub-linear query latency.
 interface compatibility (``isinstance`` checks in the data executor);
 every operation is overridden to route through the cluster:
 
-* point ops (``insert``, ``get``) go to the owning shard — quorum append
-  / quorum read;
+* ``insert`` / ``insert_many`` build each document's stored form
+  (``{**document, "_id": doc_id}``) once, at the router, and quorum-append
+  one ``insert_many`` op per touched shard: each replica puts the logged
+  document object itself into its collection's row heap, so the log and
+  every replica share one stored document;
+* ``get`` goes to the owning shard — a quorum read;
 * ``find`` prunes shards when it can and hands their primaries' slices to
   the one find path (``document.store.find_in``), which reads them as one
   collection in shard order — so it returns what a single-node
@@ -50,12 +54,11 @@ def _apply_docs(state: DocumentStore, op: dict[str, Any]) -> Any:
             state.create_collection(op["name"], op.get("description", ""))
         return None
     collection = state.collection(op["collection"])
-    if kind == "insert":
-        return collection.insert(op["document"], doc_id=op["doc_id"])
-    if kind == "insert_many":
-        for document, doc_id in zip(op["documents"], op["doc_ids"]):
-            collection.insert(document, doc_id=doc_id)
-        return len(op["doc_ids"])
+    if kind == "insert_many":  # the router's stored documents, shared with the log
+        insert = collection._heap.insert
+        for document in op["documents"]:
+            insert(document)
+        return len(op["documents"])
     if kind == "update":
         return collection.update(op["filter"], op["changes"])
     if kind == "delete":
@@ -132,35 +135,19 @@ class ClusteredCollection(Collection):
         return doc_id in self._doc_shard and bool(self.count({"_id": doc_id}))
 
     def insert(self, document: Mapping[str, Any], doc_id: str | None = None) -> str:
-        with self._lock:
-            if doc_id is None:
-                doc_id = self._ids.next("doc")
-            if self._holds(doc_id):
-                raise StorageError(f"duplicate document id: {doc_id!r}")
-            shard = self._cluster.shard_for(
-                self._route(self._route_value(document, doc_id))
-            )
-        self._cluster.append_to(
-            shard,
-            {
-                "op": "insert",
-                "collection": self.name,
-                "document": dict(document),
-                "doc_id": doc_id,
-            },
-        )
-        with self._lock:
-            self._doc_shard[doc_id] = shard
-        return doc_id
+        return self.insert_many([document], None if doc_id is None else [doc_id])[0]
 
     def insert_many(
         self,
         documents: Iterable[Mapping[str, Any]],
         doc_ids: Iterable[str] | None = None,
     ) -> list[str]:
-        """Bulk insert, batched into one quorum append per touched shard."""
+        """Build each document's stored form once, here — the log and every
+        replica of its shard share it; one quorum append per touched shard.
+        Every id is checked before the first append, so a duplicate appends
+        nothing."""
         explicit = iter(doc_ids) if doc_ids is not None else None
-        batches: dict[int, tuple[list[dict[str, Any]], list[str]]] = {}
+        batches: dict[int, tuple[list[Mapping[str, Any]], list[str]]] = {}
         assigned: list[str] = []
         seen: set[str] = set()
         with self._lock:
@@ -177,23 +164,23 @@ class ClusteredCollection(Collection):
                     self._route(self._route_value(document, doc_id))
                 )
                 docs, ids = batches.setdefault(shard, ([], []))
-                docs.append(dict(document))
+                docs.append(document)
                 ids.append(doc_id)
                 assigned.append(doc_id)
-        for shard in sorted(batches):
-            docs, ids = batches[shard]
+        # A shard's documents are built together, so they lie together in
+        # memory: built in input order, the shards' documents interleave and
+        # scans slow.
+        stored = {
+            shard: [{**document, "_id": doc_id} for document, doc_id in zip(*batches[shard])]
+            for shard in sorted(batches)
+        }
+        for shard, batch in stored.items():
             self._cluster.append_to(
-                shard,
-                {
-                    "op": "insert_many",
-                    "collection": self.name,
-                    "documents": docs,
-                    "doc_ids": ids,
-                },
+                shard, {"op": "insert_many", "collection": self.name, "documents": batch}
             )
             with self._lock:
-                for doc_id in ids:
-                    self._doc_shard[doc_id] = shard
+                for document in batch:
+                    self._doc_shard[document["_id"]] = shard
         return assigned
 
     def update(self, filter_spec: Mapping[str, Any], changes: Mapping[str, Any]) -> int:

@@ -17,10 +17,14 @@ holding the same rows returns.  A primary key present on two gathered
 slices (possible when the partition column is not the primary key) is a
 ``StorageError``.
 
-Writes never take a shortcut: INSERT rows are evaluated at the router,
-routed by partition value, and quorum-appended; UPDATE/DELETE replay the
-statement itself on each pruned shard (all replicas execute the same SQL
-in the same order, so their tables stay identical).
+Writes never take a shortcut.  An INSERT's rows are evaluated and
+validated once, at the router, routed by partition value, and
+quorum-appended as one ``insert_many`` op per touched shard: each replica
+puts the logged row object itself into its table's row heap, so the log
+and every replica share one stored row and no replica re-validates it.
+UPDATE/DELETE replay the statement itself on each pruned shard (all
+replicas execute the same SQL in the same order, so their tables stay
+identical).
 """
 
 from __future__ import annotations
@@ -90,11 +94,10 @@ def _apply_relational(state: Database, op: dict[str, Any]) -> Any:
         if not state.has_table(op["schema"]["name"]):
             state.create_table(_schema_from_json(op["schema"]))
         return None
-    if kind == "insert":
-        state.table(op["table"]).insert(op["row"])
-        return 1
-    if kind == "insert_many":
-        state.table(op["table"]).insert_many(op["rows"])
+    if kind == "insert_many":  # the router's stored rows, shared with the log
+        insert = state.table(op["table"])._heap.insert
+        for row in op["rows"]:
+            insert(row)
         return len(op["rows"])
     if kind == "create_index":
         table = state.table(op["table"])
@@ -134,30 +137,31 @@ class ShardedTable:
 
     # -- mutation ------------------------------------------------------
     def insert(self, row: Mapping[str, Any]) -> None:
-        validated = self.schema.validate_row(dict(row))
-        shard = self.shard_for_value(validated.get(self.partition_column))
-        self._cluster.append_to(
-            shard, {"op": "insert", "table": self.schema.name, "row": validated}
-        )
+        self.insert_many([row])
 
     def insert_many(self, rows: Iterable[Mapping[str, Any]]) -> int:
-        """Bulk insert, batched into one quorum append per touched shard."""
-        batches: dict[int, list[dict[str, Any]]] = {}
+        """Validate each row once, here, into the stored row the log and
+        every replica of its shard share; one quorum append per touched
+        shard.  Every row is validated before the first append, so a bad
+        row appends nothing."""
+        # validate_row stores an int as a FLOAT column's float(int)
+        coerce = self.schema.column(self.partition_column).type is ColumnType.FLOAT
+        batches: dict[int, list[Mapping[str, Any]]] = {}
         for row in rows:
-            validated = self.schema.validate_row(dict(row))
-            shard = self.shard_for_value(validated.get(self.partition_column))
-            batches.setdefault(shard, []).append(validated)
-        total = 0
-        for shard in sorted(batches):
-            total += self._cluster.append_to(
-                shard,
-                {
-                    "op": "insert_many",
-                    "table": self.schema.name,
-                    "rows": batches[shard],
-                },
+            value = row.get(self.partition_column)
+            if coerce and isinstance(value, int):
+                value = float(value)  # past 2**53 the int routes elsewhere
+            batches.setdefault(self.shard_for_value(value), []).append(row)
+        # A shard's rows are built together, so they lie together in memory:
+        # built in input order, the shards' rows interleave and scans slow.
+        validate = self.schema.validate_row
+        stored = {shard: [validate(row) for row in batches[shard]] for shard in sorted(batches)}
+        return sum(
+            self._cluster.append_to(
+                shard, {"op": "insert_many", "table": self.schema.name, "rows": batch}
             )
-        return total
+            for shard, batch in stored.items()
+        )
 
     def create_index(self, column: str, kind: str = "hash") -> None:
         self._cluster.broadcast(

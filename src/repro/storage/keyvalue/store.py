@@ -26,11 +26,11 @@ class KeyValueStore:
 
     def put(self, namespace: str, key: str, value: Any, ttl: float | None = None) -> None:
         """Store *value*; with *ttl*, it expires after that many sim-seconds."""
+        if ttl is not None and ttl <= 0:
+            raise StorageError(f"ttl must be positive: {ttl}")
         with self._lock:
             self._data.setdefault(namespace, {})[key] = value
             if ttl is not None:
-                if ttl <= 0:
-                    raise StorageError(f"ttl must be positive: {ttl}")
                 self._expiry[(namespace, key)] = self._clock.now() + ttl
             else:
                 self._expiry.pop((namespace, key), None)
@@ -47,12 +47,11 @@ class KeyValueStore:
         return self.get(namespace, key, sentinel) is not sentinel
 
     def delete(self, namespace: str, key: str) -> bool:
+        """Whether a live entry was deleted: an expired one is absent (and evicted)."""
         with self._lock:
-            bucket = self._data.get(namespace)
-            if bucket is None or key not in bucket:
-                return False
+            live = key in self._data.get(namespace, {}) and not self._expired(namespace, key)
             self._evict(namespace, key)
-            return True
+            return live
 
     def keys(self, namespace: str) -> list[str]:
         with self._lock:

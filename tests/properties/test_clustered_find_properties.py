@@ -12,7 +12,9 @@ exactly where the sort key is total, as a multiset where there is no limit,
 and otherwise as *some* valid top-k.  Both raise the same exception type
 when the oracle raises.  Writes must report the same counts and refuse the
 same duplicate ids, and no index may keep an emptied bucket or a stale
-sorted entry.
+sorted entry.  Replicas die and restart mid-script, so replay of the logged
+documents is part of the differential: once the cluster settles, every
+replica of every shard holds its primary's documents in order.
 
 A malformed filter is refused when it is compiled, before any document is
 read, so the oracle, the indexes and the shards cannot disagree on it; range
@@ -27,7 +29,7 @@ from row_heaps import stale_entries
 
 from repro.clock import SimClock
 from repro.errors import StorageError
-from repro.storage.cluster import ClusteredDocumentStore
+from repro.storage.cluster import ClusteredDocumentStore, ReplicaStatus
 from repro.storage.document.store import Collection
 
 CITIES = ["SF", "Oakland", "Austin", "Denver"]
@@ -131,6 +133,7 @@ steps = st.lists(
         st.tuples(st.just("update"), st.one_of(sargable_entries, range_entries), changes),
         st.tuples(st.just("delete"), st.one_of(sargable_entries, range_entries)),
         st.tuples(st.just("insert"), doc_ids, bodies()),
+        st.tuples(st.just("kill"), st.integers(0, 11)),  # then a tick: the clustered side
     ),
     min_size=1,
     max_size=8,
@@ -196,6 +199,16 @@ def build(topology, index_plan):
     return plain, indexed, clustered
 
 
+def kill_and_tick(cluster, victim):
+    """Kill a replica where its shard keeps a quorum, then tick once."""
+    replicas = cluster.all_replicas()
+    replica = replicas[victim % len(replicas)]
+    shard = cluster.shards[replica.shard_index]
+    if all(r.status is ReplicaStatus.ALIVE and r.applied == shard.acked for r in shard.replicas):
+        cluster.kill_replica(replica.replica_id)
+    cluster.tick()
+
+
 class TestOneFindPath:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(bodies(), max_size=16), topologies, index_plans, steps)
@@ -225,6 +238,8 @@ class TestOneFindPath:
                 assert_same_answer(outcome(clustered.find, **query), expected, query, plain)
             elif kind == "insert":
                 insert(*args)
+            elif kind == "kill":
+                kill_and_tick(clustered._cluster, *args)
             else:
                 counts = [outcome(getattr(c, kind), *args) for c in collections]
                 assert counts[0] == counts[1] == counts[2]
@@ -235,8 +250,14 @@ class TestOneFindPath:
             assert indexed.find(filter_spec) == expected
             assert canonical(clustered.find(filter_spec)) == canonical(expected)
         assert stale_entries(indexed._heap) == []
-        for state in clustered._cluster.primary_states():
-            assert stale_entries(state.collection("people")._heap) == []
+        cluster = clustered._cluster
+        cluster.settle()  # killed replicas replay their logs and catch up
+        for shard, primary in zip(cluster.shards, cluster.primary_states()):
+            expected = primary.collection("people")._heap.select(())[0]
+            for replica in shard.replicas:
+                heap = replica.state.collection("people")._heap
+                assert heap.select(())[0] == expected  # in order
+                assert stale_entries(heap) == []
 
     def test_equal_values_that_key_differently_stay_a_scan(self):
         """Sub-document and list equality is ``==``: no index key reproduces

@@ -11,6 +11,9 @@ The two acceptance properties for the shard substrate:
 2. **Determinism** — the same seed and kill schedule produce
    byte-identical cluster exports: replica logs, failover events and
    anti-entropy repairs all land identically.
+
+And the clustered key-value store answers as the single-node one does,
+through replica kills, restarts and catch-up.
 """
 
 import json
@@ -22,7 +25,8 @@ from hypothesis import strategies as st
 from repro.clock import SimClock
 from repro.core.resilience import ChaosController, ChaosSpec
 from repro.errors import ClusterUnavailableError
-from repro.storage.cluster import ClusteredKeyValueStore, StoreCluster
+from repro.storage.cluster import ClusteredKeyValueStore, ReplicaStatus, StoreCluster
+from repro.storage.keyvalue import KeyValueStore
 
 
 def apply_kv(state, op):
@@ -214,3 +218,76 @@ class TestThreadBackend:
         for worker in range(4):
             assert len(kv.keys(f"w{worker}")) == 20
             assert kv.get(f"w{worker}", "k7") == 7
+
+
+# ----------------------------------------------------------------------
+# Clustered key-value store == the single-node one
+# ----------------------------------------------------------------------
+kv_namespaces = st.sampled_from(["n1", "n2"])
+kv_keys = st.sampled_from(["a", "b", "c"])
+kv_steps = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("put"), kv_namespaces, kv_keys, st.integers(0, 9),
+            st.sampled_from([None, None, 0, -1.0, 0.5, 1.0, 3.0]),  # refused TTLs included
+        ),
+        st.tuples(st.sampled_from(["get", "contains", "delete"]), kv_namespaces, kv_keys),
+        st.tuples(st.sampled_from(["keys", "items", "clear"]), kv_namespaces),
+        st.tuples(st.just("namespaces")),
+        st.tuples(st.just("advance"), st.sampled_from([0.5, 1.0, 2.5])),
+        # the clustered side only
+        st.tuples(st.just("kill"), st.integers(0, 11)),
+        st.tuples(st.sampled_from(["tick", "settle"])),
+    ),
+    max_size=30,
+)
+
+
+def answer(call, *args):
+    try:
+        result = call(*args)
+        return list(result) if call.__name__ == "items" else result
+    except Exception as error:  # the property is *which* error
+        return type(error)
+
+
+class TestClusteredKeyValueMatchesSingleNode:
+    """One clock, one call sequence: every answer of a
+    ``ClusteredKeyValueStore`` equals the single-node store's, or raises
+    the same exception type, while replicas die, restart and catch up.
+    (It found a refused TTL that still wrote, and an expired key that
+    deleted as present, both on the single node.)"""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([1, 2, 3]), kv_steps)
+    def test_every_answer_matches(self, n_shards, script):
+        clock = SimClock()
+        single = KeyValueStore("kv", clock=clock)
+        clustered = ClusteredKeyValueStore("kv", n_shards=n_shards, n_replicas=3,
+                                           clock=clock, seed=1)
+        cluster = clustered.cluster
+        for kind, *args in script:
+            if kind == "advance":
+                clock.advance(*args)
+            elif kind == "kill":
+                # one replica down per shard at most, so a quorum always answers
+                victim = cluster.all_replicas()[args[0] % len(cluster.all_replicas())]
+                shard = cluster.shards[victim.shard_index]
+                if all(r.status is ReplicaStatus.ALIVE and r.applied == shard.acked
+                       for r in shard.replicas):
+                    cluster.kill_replica(victim.replica_id)
+            elif kind in ("tick", "settle"):
+                getattr(cluster, kind)()  # advances the shared clock
+            else:
+                expected = answer(getattr(single, kind), *args)
+                assert answer(getattr(clustered, kind), *args) == expected, (kind, args)
+        cluster.settle()
+        for namespace in ("n1", "n2"):
+            assert list(clustered.items(namespace)) == list(single.items(namespace))
+        clock.advance(3.0)  # every TTL lapses, unread: each delete answers "absent"
+        for namespace in ("n1", "n2"):
+            for key in ("a", "b", "c"):
+                assert clustered.delete(namespace, key) == single.delete(namespace, key)
+            assert clustered.keys(namespace) == single.keys(namespace)
+        for shard in cluster.shards:
+            assert len({replica.log_digest() for replica in shard.replicas}) == 1

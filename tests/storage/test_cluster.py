@@ -605,3 +605,33 @@ class TestClusteredDocumentStore:
         store.cluster.settle()
         people.insert({"city": "Austin"}, doc_id="b")
         assert len(people) == 2
+
+
+class TestOneStoredDocument:
+    """A clustered insert builds each document's stored form once, at the
+    router, and the log and every replica of its shard hold that one
+    object; each replica used to build its own (3 per document)."""
+
+    def test_every_replica_and_the_log_share_the_document(self):
+        store = ClusteredDocumentStore("once", n_shards=2, n_replicas=3,
+                                       clock=SimClock(), seed=5)
+        people = store.create_collection("people", partition_field="city")
+        people.insert_many(
+            [{"city": city, "n": n} for n, city in enumerate(["SF", "Oakland", "Austin", "SF"])]
+        )
+        people.insert({"city": "Denver", "n": 4}, doc_id="one")
+        for shard in store.cluster.shards:
+            store.cluster.kill_replica(shard.replicas[1].replica_id)
+        store.cluster.settle()  # the killed replicas replay their logs
+        stored = 0
+        for shard in store.cluster.shards:
+            heaps = [replica.state.collection("people")._heap for replica in shard.replicas]
+            logged = [document for op in shard.replicas[0].log
+                      if op["op"] == "insert_many" for document in op["documents"]]
+            documents = heaps[0].select(())[0]
+            assert [id(d) for d in documents] == [id(d) for d in logged]
+            for document in documents:
+                assert all(heap.get(document["_id"]) is document for heap in heaps)
+            stored += len(documents)
+        assert stored == len(people) == 5
+        assert people.get("one") == {"city": "Denver", "n": 4, "_id": "one"}

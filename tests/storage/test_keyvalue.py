@@ -130,3 +130,26 @@ class TestTTLEnumerationConsistency:
         kv.put("ns", "dead", 2, ttl=1.0)
         clock.advance(1.0)
         assert kv.describe()["namespaces"] == {"ns": 1}
+
+
+class TestAnswersTheClusteredStoreGives:
+    """Two answers differed from ``ClusteredKeyValueStore`` on the same
+    clock and calls: a refused TTL still wrote the value, and deleting an
+    expired key reported a deletion."""
+
+    def test_a_refused_ttl_writes_nothing(self, kv):
+        kv.put("ns", "k", 1)
+        with pytest.raises(StorageError):
+            kv.put("ns", "k", 2, ttl=0)
+        assert kv.get("ns", "k") == 1
+        with pytest.raises(StorageError):
+            kv.put("ns", "new", 3, ttl=-1.0)
+        assert kv.keys("ns") == ["k"]
+
+    def test_an_expired_key_deletes_as_absent(self, kv, clock):
+        kv.put("ns", "k", 1, ttl=5.0)
+        clock.advance(5.0)
+        assert kv.delete("ns", "k") is False
+        assert kv._data == {"ns": {}} and kv._expiry == {}  # evicted all the same
+        kv.put("ns", "k", 2)
+        assert kv.delete("ns", "k") is True

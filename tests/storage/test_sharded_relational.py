@@ -71,6 +71,23 @@ class TestShardedTable:
         with pytest.raises(StorageError):
             db.drop_table("people")
 
+    def test_an_int_routes_as_the_float_it_is_stored_as(self):
+        """A FLOAT column stores ``float(v)``, which past 2**53 is another
+        number: routing the int as given would place the row off the shard
+        its stored value prunes to."""
+        schema = TableSchema("m", [
+            Column("id", ColumnType.INT, primary_key=True), Column("f", ColumnType.FLOAT),
+        ])
+        sharded = ShardedDatabase("s", n_shards=4, n_replicas=3, clock=SimClock(), seed=5)
+        single = Database("one")
+        rows = [{"id": i, "f": 2**53 + i} for i in range(1, 40, 2)]  # odd: rounded
+        sharded.create_table(schema, partition_column="f").insert_many(rows)
+        single.create_table(schema).insert_many(rows)
+        sql = "SELECT id FROM m WHERE f = :f ORDER BY id"
+        for row in rows:
+            parameters = {"f": float(row["f"])}
+            assert sharded.execute(sql, parameters).rows == single.execute(sql, parameters).rows
+
 
 class TestShardPruning:
     def test_equality_on_partition_column_prunes(self, db):
@@ -351,6 +368,9 @@ class TestRefusedWrites:
     @pytest.mark.parametrize("refused, error", [
         ("INSERT INTO t (id, x) VALUES (1, 9)", StorageError),
         ("CREATE INDEX ix ON t (nosuch)", SchemaError),
+        ("INSERT INTO t (id, x) VALUES (9, 'nine')", SchemaError),
+        ("INSERT INTO t (id, nosuch) VALUES (9, 1)", SchemaError),
+        ("INSERT INTO t (id, x) VALUES (NULL, 1)", SchemaError),
     ])
     def test_a_refused_write_reaches_no_log(self, small, refused, error):
         cluster = small.cluster
@@ -369,6 +389,61 @@ class TestRefusedWrites:
         for shard in cluster.shards:
             assert {r.applied for r in shard.replicas} == {shard.acked}
             assert len({replica.log_digest() for replica in shard.replicas}) == 1
+
+
+    def test_a_bad_last_row_appends_to_no_shard(self, small):
+        """The router is the only check: it validates every row before the
+        first append."""
+        cluster = small.cluster
+        digests = [replica.log_digest() for replica in cluster.all_replicas()]
+        rows = [{"id": i, "x": i} for i in range(3, 20)] + [{"id": 20, "x": "twenty"}]
+        with pytest.raises(SchemaError):
+            small.table("t").insert_many(rows)
+        assert [replica.log_digest() for replica in cluster.all_replicas()] == digests
+        assert len(small.table("t")) == 2
+
+
+class TestOneStoredRow:
+    """A sharded INSERT validates each row once, at the router, and the log
+    and every replica of its shard hold that one row object.  Each replica
+    used to validate it again and keep its own copy: 4 validations and 3
+    distinct rows per row."""
+
+    @pytest.fixture
+    def validated(self, monkeypatch):
+        rows = []
+        validate_row = TableSchema.validate_row
+
+        def counting(schema, row):
+            rows.append(row)
+            return validate_row(schema, row)
+
+        monkeypatch.setattr(TableSchema, "validate_row", counting)
+        return rows
+
+    def test_validated_once_and_shared_by_every_replica(self, validated):
+        db = ShardedDatabase("t", n_shards=2, n_replicas=3, clock=SimClock(), seed=0)
+        db.execute("CREATE TABLE t (id INT PRIMARY KEY, x INT)")
+        assert db.table("t").insert_many({"id": i, "x": i} for i in range(10)) == 10
+        assert len(validated) == 10
+        db.execute("INSERT INTO t (id, x) VALUES (10, 10), (11, 11)")
+        assert len(validated) == 12
+        cluster = db.cluster
+        for shard in cluster.shards:
+            cluster.kill_replica(shard.replicas[0].replica_id)
+        cluster.settle()  # the killed replicas replay their logs
+        assert len(validated) == 12
+        stored = 0
+        for shard in cluster.shards:
+            tables = [replica.state.table("t") for replica in shard.replicas]
+            logged = [row for op in shard.replicas[0].log if op["op"] == "insert_many"
+                      for row in op["rows"]]
+            rows = tables[0].select(())[0]
+            assert [id(row) for row in rows] == [id(row) for row in logged]
+            for row in rows:
+                assert all(table._heap.get(row["id"]) is row for table in tables)
+            stored += len(rows)
+        assert stored == 12
 
 
 class TestSqlSpan:
