@@ -24,7 +24,7 @@ parallel:
 
 streams:
 	PYTHONPATH=src python -m pytest benchmarks/bench_streams.py --benchmark-disable
-	PYTHONPATH=src python -m pytest tests/streams -q
+	PYTHONPATH=src python -m pytest tests/streams tests/core/test_agent.py tests/properties/test_hotpath_goldens.py -q
 
 fleet:
 	PYTHONPATH=src python -m pytest benchmarks/bench_fleet.py --benchmark-disable

@@ -162,3 +162,58 @@ def test_a2_trace_query(benchmark):
     by_tag, by_producer = benchmark(query)
     assert by_tag == 400
     assert by_producer > 0
+
+
+def addressed_deliveries(n_agents: int) -> tuple[int, int]:
+    """Deliveries made by one ``EXECUTE_AGENT`` naming one of *n_agents*
+    attached agents, and by each session-ceremony message (``ENTER_SESSION``,
+    ``CREATE_STREAM``, ``AGENT_ERROR``): the addressee is a route key, so
+    the others are never handed a message to ignore."""
+    from repro.core.agent import FunctionAgent
+    from repro.core.context import AgentContext
+    from repro.core.session import SessionManager
+    from repro.streams import Instruction
+
+    store = StreamStore(SimClock())
+    session = SessionManager(store).create("a2")
+    context = AgentContext(store=store, session=session, clock=store.clock)
+    for i in range(n_agents):
+        FunctionAgent(f"AGENT-{i}", lambda inputs: None).attach(context)
+    session_stream = session.session_stream.stream_id
+
+    def deliveries(publish) -> int:
+        before = store._delivery_count
+        publish()
+        return store._delivery_count - before
+
+    execute = deliveries(
+        lambda: store.publish_control(
+            session_stream, Instruction.EXECUTE_AGENT, agent=f"AGENT-{n_agents - 1}"
+        )
+    )
+    ceremony = [
+        deliveries(lambda: session.enter("LATECOMER")),
+        deliveries(lambda: session.create_stream("extra")),
+        deliveries(lambda: store.publish_control(session_stream, "AGENT_ERROR", agent="AGENT-0")),
+    ]
+    return execute, max(ceremony)
+
+
+def test_a2_addressed_activation():
+    """Gate (ROADMAP item 13): an activation reaches only its addressee.
+
+    Deterministic: with 1, 4 or 16 agents in a session an addressed
+    ``EXECUTE_AGENT`` delivers once and a ceremony message delivers zero
+    times (each agent's ``_on_control`` used to receive, and drop, all of
+    them).
+    """
+    rows = {n: addressed_deliveries(n) for n in (1, 4, 16)}
+    record(
+        "a2_addressed_activation",
+        "A2 — deliveries per session control message vs agents in the session\n"
+        + table(
+            ["agents", "EXECUTE_AGENT", "ceremony (max)"],
+            [[n, execute, ceremony] for n, (execute, ceremony) in rows.items()],
+        ),
+    )
+    assert all(execute == 1 and ceremony == 0 for execute, ceremony in rows.values())

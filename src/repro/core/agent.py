@@ -25,7 +25,7 @@ from typing import Any, Iterable, Mapping
 
 from ..errors import AgentError
 from ..llm import LLMResponse
-from ..streams import Instruction, Message
+from ..streams import Message
 from .context import AgentContext
 from .params import Parameter, validate_inputs
 from .resilience.retry import RetryPolicy, is_transient
@@ -105,7 +105,7 @@ class Agent:
             subscriber=self.name,
             callback=self._on_control,
             stream_pattern=f"{context.session.session_id}:*",
-            control_only=True,
+            addressee=self.name,
         )
         self._subscription_ids.append(subscription.subscription_id)
         # Decentralized activation: tag monitoring.
@@ -176,11 +176,7 @@ class Agent:
     # Activation paths
     # ------------------------------------------------------------------
     def _on_control(self, message: Message) -> None:
-        if message.instruction() != Instruction.EXECUTE_AGENT:
-            return
         payload = message.payload
-        if payload.get("agent") != self.name:
-            return
         inputs = dict(payload.get("inputs", {}))
         for param, stream_id in payload.get("input_refs", {}).items():
             inputs[param] = self._latest_payload(stream_id)

@@ -23,11 +23,16 @@ from __future__ import annotations
 import itertools
 import threading
 
+
+class _Scope(threading.local):
+    owner: str | None = None  # a class default: no ``getattr`` miss per id
+
+
 #: The calling thread's active id-scope owner (None outside any scope).
 #: Module-level so one scope covers every generator the task touches
 #: (stream store, session manager, planners) without threading a handle
 #: through each of them.
-_SCOPE = threading.local()
+_SCOPE = _Scope()
 
 
 class _IdScope:
@@ -39,7 +44,7 @@ class _IdScope:
         self._owner = owner
 
     def __enter__(self) -> "_IdScope":
-        self._saved = getattr(_SCOPE, "owner", None)
+        self._saved = _SCOPE.owner
         _SCOPE.owner = self._owner
         return self
 
@@ -55,7 +60,7 @@ def id_scope(owner: str) -> _IdScope:
 
 def current_id_scope() -> str | None:
     """The calling thread's active id-scope owner, if any."""
-    return getattr(_SCOPE, "owner", None)
+    return _SCOPE.owner
 
 
 class IdGenerator:
@@ -82,7 +87,7 @@ class IdGenerator:
         both owner-qualified, so concurrent owners can never collide nor
         steal each other's sequence numbers.
         """
-        owner = getattr(_SCOPE, "owner", None)
+        owner = _SCOPE.owner
         with self._lock:
             key = kind if owner is None else f"{owner}\x00{kind}"
             counter = self._counters.get(key)

@@ -18,11 +18,14 @@ from __future__ import annotations
 import enum
 from collections.abc import Mapping  # typing.Mapping's isinstance is ~10x dearer
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Any
 
 
 class MessageKind(enum.Enum):
     """The role a message plays on a stream."""
+
+    __hash__ = object.__hash__  # singletons: hash by identity, in C, not by Enum's name
 
     DATA = "data"
     CONTROL = "control"
@@ -42,7 +45,10 @@ class Instruction:
     BUDGET_VIOLATION = "BUDGET_VIOLATION"
 
 
-@dataclass(frozen=True)
+_NO_METADATA: Mapping[str, Any] = MappingProxyType({})
+
+
+@dataclass(slots=True, init=False)
 class Message:
     """An immutable message on a stream.
 
@@ -55,7 +61,8 @@ class Message:
         tags: labels enabling selective consumption (e.g. ``{"SQL"}``).
         producer: name of the component that emitted the message.
         timestamp: simulated time of emission.
-        metadata: free-form annotations (session id, plan node id, ...).
+        metadata: free-form annotations (session id, plan node id, ...): a
+            read-only copy of the caller's, or one shared empty mapping.
     """
 
     message_id: str
@@ -65,7 +72,28 @@ class Message:
     tags: frozenset[str] = frozenset()
     producer: str = ""
     timestamp: float = 0.0
-    metadata: Mapping[str, Any] = field(default_factory=dict)
+    metadata: Mapping[str, Any] = field(default_factory=lambda: _NO_METADATA)
+
+    def __init__(
+        self, message_id: str, stream_id: str, kind: MessageKind, payload: Any,
+        tags: frozenset[str] = frozenset(), producer: str = "", timestamp: float = 0.0,
+        metadata: Mapping[str, Any] | None = None,
+    ) -> None:
+        # ``__setattr__`` refuses: set each slot by its descriptor (the cheapest way).
+        s0, s1, s2, s3, s4, s5, s6, s7 = _SLOT_SETTERS
+        s0(self, message_id)
+        s1(self, stream_id)
+        s2(self, kind)
+        s3(self, payload)
+        s4(self, tags)
+        s5(self, producer)
+        s6(self, timestamp)
+        s7(self, MappingProxyType(dict(metadata)) if metadata else _NO_METADATA)
+
+    def __setattr__(self, name: str, *value: Any) -> None:
+        raise AttributeError(f"Message is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
     @property
     def is_data(self) -> bool:
@@ -88,6 +116,12 @@ class Message:
             return str(value) if value is not None else None
         return None
 
+    def addressee(self) -> str | None:
+        """The agent an ``EXECUTE_AGENT`` names (a route key), else None."""
+        if self.instruction() != Instruction.EXECUTE_AGENT:
+            return None
+        return self.payload.get("agent")
+
     def has_tag(self, tag: str) -> bool:
         return tag in self.tags
 
@@ -98,6 +132,9 @@ class Message:
             f"[{self.timestamp:8.3f}s] {self.message_id} {self.kind.value:<7} "
             f"stream={self.stream_id} tags={tag_text} producer={self.producer}"
         )
+
+
+_SLOT_SETTERS = tuple(getattr(Message, name).__set__ for name in Message.__slots__)
 
 
 def control_payload(instruction: str, **fields: Any) -> dict[str, Any]:

@@ -35,6 +35,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..observability import Observability
 
 
+_NO_TAGS: frozenset[str] = frozenset()
+
+
+class _DispatchDepth(threading.local):
+    depth = 0  # the calling thread's dispatch nesting; a class default, no getattr miss
+
+
 class StreamStore:
     """In-process streams database with pub/sub and full observability."""
 
@@ -55,18 +62,17 @@ class StreamStore:
         self._scanned_routes: dict[int, Subscription] = {}
         self._sub_order: dict[str, int] = {}
         self._sub_counter = 0
-        # (stream_id, tags, kind) -> ordered targets; cleared by every
-        # subscribe / unsubscribe, so a hit is as good as a fresh lookup.
+        # (stream_id, tags, kind, addressee) -> ordered targets; cleared by
+        # every subscribe / unsubscribe, so a hit is as good as a fresh lookup.
         self._route_memo: dict[tuple, tuple[Subscription, ...]] = {}
         self._trace: list[Message] = []
         self._lock = threading.RLock()
-        # Nesting depth of the calling thread's dispatch (``.depth``).
-        self._dispatching = threading.local()
+        self._dispatching = _DispatchDepth()
         self.max_dispatch_depth = 500
         # Plain tallies, pulled into a metrics snapshot by the collector
         # below: publishing is the hottest path in the runtime, so it
         # must not pay a registry update per message.
-        self._message_counts: dict[str, int] = {}
+        self._message_counts: dict[MessageKind, int] = {}
         self._delivery_count = 0
         self._observability: "Observability | None" = None
 
@@ -89,7 +95,7 @@ class StreamStore:
 
     def _collect_metrics(self, sink) -> None:
         for kind, count in self._message_counts.items():
-            sink.inc("stream.messages", float(count), kind=kind)
+            sink.inc("stream.messages", float(count), kind=kind.value)
         if self._delivery_count:
             sink.inc("stream.deliveries", float(self._delivery_count))
 
@@ -155,34 +161,62 @@ class StreamStore:
         producer: str = "",
         metadata: Mapping[str, Any] | None = None,
     ) -> Message:
-        """Append a message to *stream_id* and dispatch it to subscribers."""
-        stream = self.get_stream(stream_id)
-        message = Message(
-            message_id=self._ids.next("msg"),
-            stream_id=stream_id,
-            kind=kind,
-            payload=payload,
-            tags=frozenset(tags),
-            producer=producer,
-            timestamp=self.clock.now(),
-            metadata=dict(metadata or {}),
-        )
-        # Refused before the durability hook: a publish the stream will
-        # reject must not reach a replica log the trace never sees.
-        stream.ensure_open()
-        self._persist(message)
-        stream.append(message)
-        self._record(message)
-        self._dispatch(message)
+        """Append a message to *stream_id* and dispatch it to subscribers.
+
+        One critical section looks the stream up and mints, persists,
+        appends, logs and routes the message (DESIGN §15 "Stream dispatch").
+        Delivery runs after it, to the target tuple taken under the lock;
+        ``active`` is re-checked per delivery.
+        """
+        tags = frozenset(tags) if tags else _NO_TAGS  # one shared GC-tracked empty set
+        with self._lock:
+            stream = self._streams.get(stream_id)
+            if stream is None:
+                raise StreamError(f"unknown stream: {stream_id!r}")
+            message_id, now = self._ids.next("msg"), self.clock.now()
+            message = Message(message_id, stream_id, kind, payload, tags, producer, now, metadata)
+            # Refused before the durability hook: a publish the stream will
+            # reject must not reach a replica log the trace never sees.
+            stream.ensure_open()
+            self._persist(message)
+            stream.append(message)
+            self._record(message)
+            key = (stream_id, tags, kind, message.addressee())
+            targets = self._route_memo.get(key)
+            if targets is None:
+                targets = self._route_memo[key] = self._route(*key)
+        dispatching = self._dispatching
+        depth = dispatching.depth
+        if depth >= self.max_dispatch_depth:
+            raise StreamError(
+                f"dispatch depth exceeded {self.max_dispatch_depth} "
+                f"(agent loop?) on stream {stream_id!r}"
+            )
+        if not targets:
+            return message
+        dispatching.depth = depth + 1
+        delivered = 0
+        try:
+            for subscription in targets:
+                if not subscription.active:
+                    continue
+                delivered += 1
+                subscription.callback(message)
+        finally:
+            dispatching.depth = depth
+            # One locked add per publish that delivered, none otherwise; a
+            # raising callback still counts its own delivery.
+            if delivered:
+                with self._lock:
+                    self._delivery_count += delivered
         return message
 
     def _record(self, message: Message) -> None:
-        """Log *message* in the trace and the per-kind tallies (shared
-        with ``persistence.replay_store``, which never dispatches)."""
-        with self._lock:
-            self._trace.append(message)
-            counts = self._message_counts
-            counts[message.kind.value] = counts.get(message.kind.value, 0) + 1
+        """Log *message* in the trace and the per-kind tallies.  The caller holds
+        the lock, or owns the store alone (``persistence.replay_store``)."""
+        self._trace.append(message)
+        counts = self._message_counts
+        counts[message.kind] = counts.get(message.kind, 0) + 1
 
     def _persist(self, message: Message) -> None:
         """Durability hook, called before the message touches any in-memory
@@ -222,6 +256,7 @@ class StreamStore:
         exclude_tags: Iterable[str] = (),
         control_only: bool = False,
         data_only: bool = False,
+        addressee: str | None = None,
     ) -> Subscription:
         """Register *callback* for matching messages; returns the subscription."""
         subscription = Subscription(
@@ -232,6 +267,7 @@ class StreamStore:
             tag_rule=TagRule.of(include_tags, exclude_tags),
             control_only=control_only,
             data_only=data_only,
+            addressee=addressee,
         )
         with self._lock:
             self._subscriptions[subscription.subscription_id] = subscription
@@ -273,7 +309,7 @@ class StreamStore:
                 del self._keyed_routes[probe]
 
     def _route(
-        self, stream_id: str, tags: frozenset[str], kind: MessageKind
+        self, stream_id: str, tags: frozenset[str], kind: MessageKind, addressee: str | None
     ) -> tuple[Subscription, ...]:
         """Exactly the subscriptions a linear ``wants()`` scan would pick
         (liveness aside), in subscribe order.  Caller holds the lock."""
@@ -287,52 +323,8 @@ class StreamStore:
         return tuple(
             subscription
             for _, subscription in sorted(matched.items())
-            if subscription.accepts(kind, tags)
+            if subscription.accepts(kind, tags, addressee)
         )
-
-    # ------------------------------------------------------------------
-    # Dispatch
-    # ------------------------------------------------------------------
-    def _dispatch(self, message: Message) -> None:
-        """Depth-first synchronous delivery.
-
-        Messages published from inside a subscriber callback are delivered
-        immediately (nested), so a coordinator that publishes an
-        EXECUTE_AGENT instruction observes the agent's outputs as soon as
-        the publish returns.  A depth guard catches runaway agent loops.
-
-        Callbacks may mutate the subscription table: the target tuple is
-        taken under the lock before any callback runs (and is immutable,
-        so clearing the memo cannot alter it), so a subscription added
-        mid-dispatch only sees *later* messages, and ``active`` is
-        re-checked per delivery so one unsubscribed (by itself or a peer)
-        mid-dispatch is skipped, not called on a dead subscription.
-        """
-        dispatching = self._dispatching
-        depth = dispatching.depth = getattr(dispatching, "depth", 0) + 1
-        delivered = 0
-        try:
-            if depth > self.max_dispatch_depth:
-                raise StreamError(
-                    f"dispatch depth exceeded {self.max_dispatch_depth} "
-                    f"(agent loop?) on stream {message.stream_id!r}"
-                )
-            key = (message.stream_id, message.tags, message.kind)
-            with self._lock:
-                targets = self._route_memo.get(key)
-                if targets is None:
-                    targets = self._route_memo[key] = self._route(*key)
-            for subscription in targets:
-                if not subscription.active:
-                    continue
-                delivered += 1
-                subscription.callback(message)
-        finally:
-            dispatching.depth = depth - 1
-            # One locked add per dispatch instead of one per delivery; a
-            # raising callback still counts its own delivery, as before.
-            with self._lock:
-                self._delivery_count += delivered
 
     # ------------------------------------------------------------------
     # Observability
@@ -371,5 +363,5 @@ class StreamStore:
                 "streams": len(self._streams),
                 "subscriptions": len(self._subscriptions),
                 "messages": len(self._trace),
-                "by_kind": dict(self._message_counts),
+                "by_kind": {kind.value: n for kind, n in self._message_counts.items()},
             }

@@ -9,7 +9,6 @@ architecture its observability.
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Callable, Iterator
 
 from ..errors import StreamClosedError
@@ -21,7 +20,9 @@ class Stream:
 
     Streams are created through a :class:`~repro.streams.store.StreamStore`,
     which owns id generation and subscriber dispatch; the stream itself only
-    stores messages and its own lifecycle state.
+    stores messages and its own lifecycle state.  The store is the one
+    writer and appends under its own lock; a read is one list operation,
+    atomic under the GIL, so it needs no lock of the stream's own.
     """
 
     def __init__(
@@ -37,15 +38,13 @@ class Stream:
         self.created_at = created_at
         self._messages: list[Message] = []
         self._closed = False
-        self._lock = threading.Lock()
 
     @property
     def closed(self) -> bool:
         return self._closed
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._messages)
+        return len(self._messages)
 
     def ensure_open(self) -> None:
         """Raise :class:`StreamClosedError` once the stream has seen its EOS."""
@@ -56,26 +55,23 @@ class Stream:
 
     def append(self, message: Message) -> int:
         """Append *message*; returns its offset. Raises if the stream closed."""
-        with self._lock:
-            self.ensure_open()
-            self._messages.append(message)
-            if message.kind is MessageKind.EOS:
-                self._closed = True
-            return len(self._messages) - 1
+        self.ensure_open()
+        self._messages.append(message)
+        if message.kind is MessageKind.EOS:
+            self._closed = True
+        return len(self._messages) - 1
 
     def read(self, offset: int = 0, limit: int | None = None) -> list[Message]:
         """Messages starting at *offset* (persisted history stays readable)."""
         if offset < 0:
             raise ValueError(f"offset must be non-negative: {offset}")
-        with self._lock:
-            if limit is None:
-                return list(self._messages[offset:])
-            return list(self._messages[offset : offset + limit])
+        if limit is None:
+            return self._messages[offset:]
+        return self._messages[offset : offset + limit]
 
     def last(self) -> Message | None:
         """The most recent message, or None on an empty stream."""
-        with self._lock:
-            return self._messages[-1] if self._messages else None
+        return self._messages[-1] if self._messages else None
 
     def messages(self) -> list[Message]:
         """A snapshot of the full history."""

@@ -96,6 +96,7 @@ class Subscription:
         stream_pattern: glob over stream ids (``session-1/*``); ``*`` = all.
         tag_rule: inclusion/exclusion rule over message tags.
         control_only / data_only: restrict by message kind.
+        addressee: when set, accept only messages addressed to it (``Message.addressee``).
         route: ``compile_pattern(stream_pattern)``, set at construction.
     """
 
@@ -106,6 +107,7 @@ class Subscription:
     tag_rule: TagRule = field(default_factory=TagRule)
     control_only: bool = False
     data_only: bool = False
+    addressee: str | None = None
     active: bool = True
 
     def __post_init__(self) -> None:
@@ -113,8 +115,10 @@ class Subscription:
         # mutates it), so it is compiled once.
         self.route = compile_pattern(self.stream_pattern)
 
-    def accepts(self, kind: MessageKind, tags: frozenset[str]) -> bool:
-        """The kind and tag filters: what the store checks after routing."""
+    def accepts(self, kind: MessageKind, tags: frozenset[str], addressee: str | None) -> bool:
+        """The kind, addressee and tag filters: what the store checks after routing."""
+        if self.addressee is not None and addressee != self.addressee:
+            return False
         if self.control_only and kind is not MessageKind.CONTROL:
             return False
         if self.data_only and kind is not MessageKind.DATA:
@@ -130,6 +134,6 @@ class Subscription:
         """
         return (
             self.active
-            and self.accepts(message.kind, message.tags)
+            and self.accepts(message.kind, message.tags, message.addressee())
             and fnmatch.fnmatchcase(message.stream_id, self.stream_pattern)
         )

@@ -154,6 +154,64 @@ class TestControlActivation:
         assert target.data_payloads() == [4]
 
 
+class TestAddressedActivation:
+    """A control message reaches only the agent it names: the route table
+    drops the rest, so ``_on_control`` never sees a message to ignore."""
+
+    @pytest.fixture
+    def agents(self, context):
+        names = ("A1", "A2", "A3", "A4")
+        return [FunctionAgent(name, lambda inputs: None).attach(context) for name in names]
+
+    @staticmethod
+    def deliveries(store, publish):
+        before = store._delivery_count
+        publish()
+        return store._delivery_count - before
+
+    def test_only_the_addressee_is_delivered(self, agents, session, store):
+        session_stream = session.session_stream.stream_id
+        ceremony = [
+            lambda: session.enter("LATECOMER"),
+            lambda: session.create_stream("extra"),
+            lambda: store.publish_control(session_stream, "AGENT_ERROR", agent="A1", error="x"),
+            lambda: store.publish_control(
+                session_stream, Instruction.EXECUTE_AGENT, agent="ELSEWHERE"
+            ),
+        ]
+        assert [self.deliveries(store, publish) for publish in ceremony] == [0, 0, 0, 0]
+        addressed = self.deliveries(
+            store,
+            lambda: store.publish_control(session_stream, Instruction.EXECUTE_AGENT, agent="A3"),
+        )
+        assert addressed == 1
+        assert [agent.activations for agent in agents] == [0, 0, 1, 0]
+
+    def test_fleet_deliveries_are_activations_plus_data(self, monkeypatch):
+        """The golden's 6-plan serial fleet delivers nothing no agent acts on."""
+        from repro.cli import _fleet_agents, _fleet_plan
+        from repro.core.fleet import FleetSubmission
+        from repro.core.runtime import Blueprint
+
+        data_deliveries = []
+        on_data = Agent._on_data
+        monkeypatch.setattr(
+            Agent, "_on_data", lambda self, m: (data_deliveries.append(m), on_data(self, m))
+        )
+        blueprint = Blueprint()
+        submissions = [
+            FleetSubmission(plan=_fleet_plan(index), agents=_fleet_agents(blueprint.catalog, index))
+            for index in range(6)
+        ]
+        blueprint.run_fleet(submissions, max_inflight=3, single_flight=False, backend="serial")
+        snapshot = blueprint.observability.metrics.snapshot()
+        activations = sum(
+            value for key, value in snapshot.items() if key.startswith("agent.activations")
+        )
+        assert activations == 24
+        assert snapshot["stream.deliveries"] == activations + len(data_deliveries)
+
+
 class TestErrorHandling:
     def test_processor_error_reported_not_raised(self, context, session, store):
         def boom(inputs):

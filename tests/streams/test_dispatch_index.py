@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.clock import SimClock
-from repro.streams import Message, MessageKind, StreamStore
+from repro.streams import Instruction, Message, MessageKind, StreamStore, control_payload
 
 
 @pytest.fixture
@@ -165,6 +165,7 @@ class TestDispatchIndexEquivalence:
 
 PATTERNS = ["ab", "abc", "b", "a*", "ab*", "*", "a?c", "[ab]*", "a*c", "x*y"]
 STREAMS = ["ab", "abc", "acc", "b", "x-y"]
+AGENTS = ["A", "B"]
 tag_sets = st.frozensets(st.sampled_from(["T", "U"]))
 index = st.integers(min_value=0, max_value=63)
 subscribe_op = st.tuples(
@@ -173,6 +174,19 @@ subscribe_op = st.tuples(
     tag_sets,
     tag_sets,
     st.sampled_from([(False, False), (True, False), (False, True)]),
+    # An addressed subscription, as ``Agent.attach`` makes for activation.
+    st.sampled_from([None, None] + AGENTS),
+)
+# Payloads that name a drawn agent. Only an EXECUTE_AGENT on a control
+# message has an addressee; ENTER_SESSION and AGENT_ERROR name an agent
+# without addressing it.
+payloads = st.one_of(
+    st.none(),
+    st.builds(
+        lambda instruction, agent: control_payload(instruction, agent=agent),
+        st.sampled_from([Instruction.EXECUTE_AGENT, Instruction.ENTER_SESSION, "AGENT_ERROR"]),
+        st.sampled_from(AGENTS + ["C"]),
+    ),
 )
 route_ops = st.lists(
     st.one_of(
@@ -191,9 +205,23 @@ route_ops = st.lists(
                     tag_sets,
                     # EOS closes its stream for the rest of the example: keep it rare.
                     st.sampled_from([MessageKind.DATA] * 3 + [MessageKind.CONTROL] * 3 + [MessageKind.EOS]),
+                    payloads,
                 ),
                 min_size=1,
                 max_size=4,
+            ),
+        ),
+        # Control messages on one stream under one tag set, so memo entries
+        # that differ only in their addressee sit side by side.
+        st.tuples(
+            st.just("publish"),
+            st.builds(
+                lambda stream_id, tags, drawn: [
+                    (stream_id, tags, MessageKind.CONTROL, payload) for payload in drawn
+                ],
+                st.sampled_from(STREAMS),
+                tag_sets,
+                st.lists(payloads, min_size=2, max_size=4),
             ),
         ),
     ),
@@ -225,32 +253,34 @@ class TestRouteTableProperty:
 
             sub = store.subscribe("prop", callback, **shape)
 
-        def publish_and_check(stream_id, tags, kind):
+        def publish_and_check(stream_id, tags, kind, payload):
             if store.get_stream(stream_id).closed:
                 return
             # Reference: walk the table as it stands *now* in subscribe
             # order; a peer unsubscribed by an earlier callback is skipped,
             # a clone subscribed mid-dispatch is not in this walk at all.
-            probe = Message("probe", stream_id, kind, None, tags)
+            probe = Message("probe", stream_id, kind, payload, tags)
             expected, removed = [], set()
             for sub in store.subscriptions():
                 if sub.subscription_id in removed or not sub.wants(probe):
                     continue
+                # Addressing, spelled apart from ``accepts`` (which ``wants`` shares).
+                assert sub.addressee is None or sub.addressee == probe.addressee()
                 expected.append(sub.subscription_id)
                 action, target = armed.get(sub.subscription_id, (None, None))
                 if action == "unsubscribe":
                     removed.add(target)
             del log[:]
-            store.publish(stream_id, None, kind=kind, tags=tags)
+            store.publish(stream_id, payload, kind=kind, tags=tags)
             assert log == expected
 
         for op in initial + ops:
             live = [s.subscription_id for s in store.subscriptions()]
             if op[0] == "subscribe":
-                _, pattern, include, exclude, (control_only, data_only) = op
+                _, pattern, include, exclude, (control_only, data_only), addressee = op
                 subscribe(
                     stream_pattern=pattern, include_tags=include, exclude_tags=exclude,
-                    control_only=control_only, data_only=data_only,
+                    control_only=control_only, data_only=data_only, addressee=addressee,
                 )
             elif op[0] == "unsubscribe" and live:
                 store.unsubscribe(live[op[1] % len(live)])

@@ -1,5 +1,7 @@
 """Tests for the partitioned, replicated stream store."""
 
+import threading
+
 import pytest
 
 from repro.clock import SimClock
@@ -93,6 +95,39 @@ class TestPartitionedPublish:
         store.create_stream("t")
         store.publish_data("t", "after")
         assert len(export_partitioned(store)["messages"]) == len(store.trace()) == 3
+
+    def test_publish_racing_close_leaves_no_orphan_replica_record(self):
+        """A publish that has passed the closed check and is persisting
+        while another thread closes the stream: the replica log still
+        equals the trace (the close waits for the publish to finish)."""
+        parked, closed = threading.Event(), threading.Event()
+
+        class ParkingStore(PartitionedStreamStore):
+            def _persist(self, message):
+                super()._persist(message)
+                if message.payload == "racer":
+                    parked.set()
+                    closed.wait(timeout=0.2)
+
+        store = ParkingStore(SimClock(), n_partitions=4, n_replicas=3, seed=9)
+        store.create_stream("s")
+
+        def close():
+            parked.wait(timeout=5)
+            store.close_stream("s")
+            closed.set()
+
+        closer = threading.Thread(target=close)
+        closer.start()
+        try:
+            store.publish_data("s", "racer")
+        except StreamClosedError:
+            pass
+        closer.join(timeout=5)
+        assert not closer.is_alive()
+        logged = [record["payload"] for record in export_partitioned(store)["messages"]]
+        assert logged == [message.payload for message in store.trace()]
+        assert logged == ["racer", None]
 
 
 class TestFailoverDurability:

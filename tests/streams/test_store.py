@@ -1,5 +1,7 @@
 """Tests for the StreamStore: publish/subscribe/trace semantics."""
 
+import threading
+
 import pytest
 
 from repro.clock import SimClock
@@ -72,6 +74,50 @@ class TestPublish:
         ids = [store.publish_data("s", i).message_id for i in range(3)]
         assert ids == sorted(ids)
         assert len(set(ids)) == 3
+
+
+class CountingLock:
+    """A re-entrant lock that counts its acquisitions."""
+
+    def __init__(self):
+        self._lock = threading.RLock()
+        self.acquisitions = 0
+
+    def __enter__(self):
+        self.acquisitions += 1
+        return self._lock.__enter__()
+
+    def __exit__(self, *exc_info):
+        return self._lock.__exit__(*exc_info)
+
+
+class TestOneCriticalSection:
+    """A publish mints, persists, appends, logs and routes under one
+    acquisition of the store lock; a stream has no lock of its own."""
+
+    @pytest.fixture
+    def counted(self):
+        store = StreamStore(SimClock())
+        store._lock = CountingLock()
+        store.create_stream("s")
+        return store
+
+    def acquisitions(self, store, publish):
+        before = store._lock.acquisitions
+        publish()
+        return store._lock.acquisitions - before
+
+    def test_no_subscriber_publish_takes_the_lock_once(self, counted):
+        assert not hasattr(counted.get_stream("s"), "_lock")
+        publish = lambda: counted.publish_data("s", 1, tags=["T"], metadata={"node": "n"})
+        assert self.acquisitions(counted, publish) == 1
+        assert self.acquisitions(counted, publish) == 1  # route memo hit
+
+    def test_a_delivering_publish_adds_one_for_the_tally(self, counted):
+        seen = []
+        counted.subscribe("watcher", seen.append, stream_pattern="s")
+        assert self.acquisitions(counted, lambda: counted.publish_data("s", 1)) == 2
+        assert len(seen) == 1 and counted._delivery_count == 1
 
 
 class TestSubscriptions:
