@@ -31,6 +31,7 @@ fleet:
 	PYTHONPATH=src python -m pytest tests/core/test_fleet.py tests/llm/test_capacity_singleflight.py tests/properties/test_fleet_properties.py tests/properties/test_llm_ladder_properties.py -q
 
 engine:
+	PYTHONPATH=src python -m pytest benchmarks/bench_fleet.py -k a12_fleet_throughput --benchmark-disable
 	PYTHONPATH=src python -m pytest tests/core/test_engine.py tests/properties/test_parallel_properties.py tests/properties/test_fleet_properties.py -q
 
 # The batching gate is a section of benchmarks/bench_fleet.py, which `make fleet` runs.

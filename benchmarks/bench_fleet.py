@@ -32,7 +32,8 @@ thread backend wave siblings and in-flight plans overlap them, so
 wall-clock plans/sec must beat serial (median of 5 runs —
 large sleeps dominate scheduler overhead, which keeps the gate stable
 on slow CI hardware; the sleeps release the GIL, so the gate holds
-even on one core).
+even on one core).  It also records, ungated, ``peak_engine_threads``:
+how many workers the thread backend's pool grew to.
 
 The **batching** section gates cross-plan micro-batching on a
 homogeneous-model fleet: every stage of every plan calls the same
@@ -46,6 +47,7 @@ deterministic there.
 """
 
 import json
+import threading
 import time
 from pathlib import Path
 
@@ -53,6 +55,7 @@ from _artifacts import record, table
 
 from repro.cli import _fleet_agents, _fleet_plan
 from repro.core.coordinator import TaskCoordinator
+from repro.core.engine import resolve_backend
 from repro.core.fleet import FleetSubmission
 from repro.core.runtime import Blueprint
 from repro.llm import LLMBatcher
@@ -122,11 +125,15 @@ def run_fleet() -> tuple[Blueprint, "FleetResult", float]:
     return bp, result, time.perf_counter() - wall_start
 
 
-def run_engine(backend: str) -> tuple[float, float]:
-    """(simulated makespan, wall seconds) for the engine workload.
+def run_engine(backend: str) -> tuple[float, float, int]:
+    """(simulated makespan, wall seconds, engine threads) for the engine
+    workload.
 
     Identical submissions either way — only the execution backend
-    differs, so wall-clock is the only quantity allowed to move.
+    differs, so wall-clock is the only quantity allowed to move.  The
+    thread backend is owned here, so its workers — which live until
+    ``close()`` — can be counted after the run: that count is the
+    pool's peak size.
     """
     bp = Blueprint()
     bp.catalog.wall_latency_scale = WALL_SCALE
@@ -136,18 +143,28 @@ def run_engine(backend: str) -> tuple[float, float]:
         )
         for index in range(ENGINE_PLANS)
     ]
-    wall_start = time.perf_counter()
-    result = bp.run_fleet(
-        submissions,
-        max_inflight=ENGINE_INFLIGHT,
-        single_flight=False,
-        backend=backend,
-    )
-    wall = time.perf_counter() - wall_start
+    before = set(threading.enumerate())
+    engine = resolve_backend(backend)
+    try:
+        wall_start = time.perf_counter()
+        result = bp.run_fleet(
+            submissions,
+            max_inflight=ENGINE_INFLIGHT,
+            single_flight=False,
+            backend=engine,
+        )
+        wall = time.perf_counter() - wall_start
+        threads = sum(
+            1
+            for t in threading.enumerate()
+            if t not in before and t.name.startswith("engine-")
+        )
+    finally:
+        engine.close()
     assert len(result.completed()) == ENGINE_PLANS, [
         p.outcome for p in result.plans
     ]
-    return result.makespan, wall
+    return result.makespan, wall, threads
 
 
 def measure_engine() -> dict:
@@ -156,8 +173,8 @@ def measure_engine() -> dict:
     thread_runs = [run_engine("threads") for _ in range(5)]
     serial_makespan = serial_runs[0][0]
     thread_makespan = thread_runs[0][0]
-    serial_wall = sorted(wall for _, wall in serial_runs)[2]
-    thread_wall = sorted(wall for _, wall in thread_runs)[2]
+    serial_wall = sorted(wall for _, wall, _ in serial_runs)[2]
+    thread_wall = sorted(wall for _, wall, _ in thread_runs)[2]
     # Result identity: the backend moves wall-clock, never simulated time.
     assert abs(thread_makespan - serial_makespan) < 1e-9, (
         thread_makespan,
@@ -173,6 +190,9 @@ def measure_engine() -> dict:
         "serial_plans_per_sec": round(ENGINE_PLANS / serial_wall, 2),
         "threads_plans_per_sec": round(ENGINE_PLANS / thread_wall, 2),
         "wall_speedup": round(serial_wall / thread_wall, 4),
+        # Recorded, not gated: the thread backend's pool grows to the
+        # fleet's peak concurrent demand.
+        "peak_engine_threads": max(threads for _, _, threads in thread_runs),
     }
 
 
@@ -377,7 +397,8 @@ def test_a12_fleet_throughput():
         + f"\nengine wall-clock ({ENGINE_PLANS} plans, scale {WALL_SCALE}): "
         + f"threads {engine['threads_wall_seconds']:.3f}s vs serial "
         + f"{engine['serial_wall_seconds']:.3f}s "
-        + f"({engine['wall_speedup']:.2f}x, floor {MIN_WALL_SPEEDUP}x)"
+        + f"({engine['wall_speedup']:.2f}x, floor {MIN_WALL_SPEEDUP}x; "
+        + f"{engine['peak_engine_threads']} engine threads at peak)"
         + f"\nbatching ({BATCH_PLANS} homogeneous plans, "
         + f"{BATCH_SLOTS} slot): {batching['batched_plans_per_sec']} vs "
         + f"{batching['unbatched_plans_per_sec']} plans/sec simulated "

@@ -12,10 +12,11 @@ fleet scheduler decide *what* runs next; a backend decides *how*:
 
 * :class:`ThreadBackend` — real concurrency for the sync agent stack,
   following the dataflow-engine idiom (independent ready nodes execute
-  simultaneously; a scheduling loop only coordinates).  Nodes of a wave
-  run on a worker pool, and the fleet steps all in-flight plans' waves in
-  parallel rounds.  Simulated time stays correct because each worker runs
-  inside a :meth:`~repro.clock.SimClock.branch_begin` overlay — the
+  simultaneously; a scheduling loop only coordinates).  Every ready unit
+  — a wave's node, an in-flight plan's step in a fleet round — runs at
+  once: the caller runs one, and one uncapped pool runs the rest.
+  Simulated time stays correct because each node runs inside a
+  :meth:`~repro.clock.SimClock.branch_begin` overlay — the
   thread-safe replacement for the timeline's shared-rebase branches — and
   merges its branch end via :meth:`~repro.core.scheduler.VirtualTimeline.
   record`.  Ids are owner-scoped (:func:`repro.ids.id_scope`) and spans are
@@ -37,15 +38,17 @@ a failed run's executed set under threads is a superset of serial's
 
 from __future__ import annotations
 
-import os
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
-from typing import Any, Protocol, Sequence, TYPE_CHECKING
+from functools import partial
+from typing import Any, Callable, Protocol, Sequence, TYPE_CHECKING
 
 from ...ids import id_scope
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ...clock import SimClock
     from ..coordinator import PlanExecution
     from ..plan.task_plan import TaskNode
 
@@ -137,56 +140,36 @@ class SerialBackend:
 SERIAL = SerialBackend()
 
 
-def _default_workers() -> int:
-    return min(16, max(4, (os.cpu_count() or 4)))
-
-
 class ThreadBackend:
     """Thread-pool execution: wave nodes and fleet rounds overlap for real.
 
-    Two pools keep plan-level and node-level work from deadlocking on
-    each other: :meth:`step_round` fans plan steps onto the *plan* pool,
-    and each step's :meth:`run_wave` fans its nodes onto the *node* pool.
-    Every node task runs inside a clock branch overlay, an id scope, and
-    an adopted parent span, so the shared runtime state the serial path
-    mutates in place stays consistent under real interleaving.
+    One pool runs every *unit* — a wave's node or a round's plan step —
+    and the calling thread runs one unit itself: it submits ``units[1:]``
+    and then runs ``units[0]`` (caller-runs), so a singleton wave or round
+    never hops threads and the degenerate case needs no branch of its own.
+    The pool has no worker cap: ``ThreadPoolExecutor`` starts a thread
+    only when no worker is idle, so it grows to the peak concurrent
+    demand — (in-flight plans - 1) + the sum of (wave width - 1) — and no
+    ready unit ever queues behind a sleeping one.  A step waiting on its
+    wave's nodes can therefore never keep those nodes from a thread, so
+    nested waits cannot deadlock.  Every node runs inside a clock branch
+    overlay, an id scope, and an adopted parent span, so the shared
+    runtime state the serial path mutates in place stays consistent under
+    real interleaving.
     """
 
     name = "threads"
     concurrent = True
 
     def __init__(self) -> None:
-        self._plan_pool: ThreadPoolExecutor | None = None
-        self._node_pool: ThreadPoolExecutor | None = None
+        self._pool: ThreadPoolExecutor | None = None
         self._pool_lock = threading.Lock()
-
-    # -- pools ----------------------------------------------------------
-    def _plans(self) -> ThreadPoolExecutor:
-        with self._pool_lock:
-            if self._plan_pool is None:
-                self._plan_pool = ThreadPoolExecutor(
-                    max_workers=_default_workers(),
-                    thread_name_prefix="engine-plan",
-                )
-            return self._plan_pool
-
-    def _nodes(self) -> ThreadPoolExecutor:
-        with self._pool_lock:
-            if self._node_pool is None:
-                self._node_pool = ThreadPoolExecutor(
-                    max_workers=_default_workers(),
-                    thread_name_prefix="engine-node",
-                )
-            return self._node_pool
 
     def close(self) -> None:
         with self._pool_lock:
-            plan_pool, self._plan_pool = self._plan_pool, None
-            node_pool, self._node_pool = self._node_pool, None
-        if plan_pool is not None:
-            plan_pool.shutdown(wait=True)
-        if node_pool is not None:
-            node_pool.shutdown(wait=True)
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True)
 
     def __enter__(self) -> "ThreadBackend":
         return self
@@ -196,6 +179,43 @@ class ThreadBackend:
         return False
 
     # -- execution ------------------------------------------------------
+    def _run_all(
+        self, clock: "SimClock", units: "Sequence[Callable[[], Any]]"
+    ) -> list:
+        """Run every unit at once; their results, in unit order.
+
+        Siblings are submitted before the caller runs ``units[0]``, so a
+        failing unit never keeps the rest from running; every unit ends
+        before the first error in unit order re-raises — a chaos kill must
+        not leave siblings mutating shared state behind the exception.
+        """
+        futures = []
+        if len(units) > 1:
+            # Flip the clock into locked mode from THIS thread before any
+            # worker can race an unlocked serial-fast-path write.
+            clock.mark_threaded()
+            with self._pool_lock:
+                if self._pool is None:
+                    # Uncapped: the executor adds a thread only when none
+                    # is idle, so demand alone decides the size.
+                    self._pool = ThreadPoolExecutor(
+                        max_workers=sys.maxsize, thread_name_prefix="engine-worker"
+                    )
+                pool = self._pool
+            futures = [pool.submit(unit) for unit in units[1:]]
+        results: list = []
+        error: BaseException | None = None
+        for wait in (*units[:1], *(future.result for future in futures)):
+            try:
+                results.append(wait())
+            except BaseException as exc:  # noqa: BLE001 - re-raised below
+                if error is None:
+                    error = exc
+                results.append(None)
+        if error is not None:
+            raise error
+        return results
+
     @staticmethod
     def _run_node(
         execution: "PlanExecution",
@@ -241,75 +261,28 @@ class ThreadBackend:
             return SERIAL.run_wave(execution, wave, wave_index)
         run = execution.run
         pending = [node for node in wave if node.node_id not in run.executed]
-        if not pending:
-            return "ok"
         if len(wave) > 1:
             execution.coordinator._parallel_node_tally += len(pending)
         tracer = execution._tracer
         parent = tracer.current() if tracer is not None else None
-        if len(pending) == 1:
-            # A singleton wave still needs the branch overlay (other
-            # plans' steps run concurrently), but not a pool hop.
-            verdicts = [
-                self._run_node(execution, pending[0], wave_index, len(wave), parent)
-            ]
-        else:
-            # Flip the clock into locked mode from THIS thread before any
-            # worker can race an unlocked serial-fast-path write.
-            execution.coordinator._require_context().clock.mark_threaded()
-            pool = self._nodes()
-            futures = [
-                pool.submit(
-                    self._run_node, execution, node, wave_index, len(wave), parent
-                )
+        verdicts = self._run_all(
+            execution.coordinator._require_context().clock,
+            [
+                partial(self._run_node, execution, node, wave_index, len(wave), parent)
                 for node in pending
-            ]
-            verdicts = []
-            error: BaseException | None = None
-            for future in futures:
-                # Wait for EVERY sibling before re-raising: a chaos kill
-                # must not leave half the wave still mutating shared state
-                # behind the propagating exception.
-                try:
-                    verdicts.append(future.result())
-                except BaseException as exc:  # noqa: BLE001 - re-raised below
-                    if error is None:
-                        error = exc
-                    verdicts.append("ok")
-            if error is not None:
-                raise error
-        for verdict in verdicts:
-            if verdict != "ok":
-                return verdict
-        return "ok"
-
-    @staticmethod
-    def _step_guarded(execution: "PlanExecution") -> BaseException | None:
-        """One plan step; a crash is returned, to surface post-barrier.
-
-        Serial crash semantics re-raise immediately; under concurrency the
-        whole round completes first (siblings are already running), then
-        the first crash — in admission order — propagates to the fleet.
-        """
-        try:
-            execution.step()
-        except BaseException as error:  # noqa: BLE001 - re-raised by step_round
-            return error
-        return None
+            ],
+        )
+        return next((verdict for verdict in verdicts if verdict != "ok"), "ok")
 
     def step_round(self, executions: "Sequence[PlanExecution]") -> None:
-        if len(executions) == 1:
-            SERIAL.step_round(executions)
-            return
-        executions[0].coordinator._require_context().clock.mark_threaded()
-        pool = self._plans()
-        futures = [
-            pool.submit(self._step_guarded, execution) for execution in executions
-        ]
-        errors = [future.result() for future in futures]
-        for error in errors:
-            if error is not None:
-                raise error
+        # Every step of the round ends before the first crash in
+        # admission order re-raises (``step()`` has already abandoned the
+        # dying plan); an empty round does nothing.
+        if executions:
+            self._run_all(
+                executions[0].coordinator._require_context().clock,
+                [execution.step for execution in executions],
+            )
 
 
 def resolve_backend(

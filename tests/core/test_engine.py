@@ -11,18 +11,23 @@ Covers the concurrency contract directly:
   span opened on a pool thread parents under its plan span).
 * Budget.window — per-node charge attribution across threads.
 * Backend resolution and the thread backend end to end (fleet smoke,
-  result equality with serial).
+  result equality with serial, an empty round).
+* The demand law (every ready unit gets a thread at once) and the
+  crash contract of the unit the calling thread runs itself.
 """
 
 from __future__ import annotations
 
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import pytest
 
 from repro.clock import SimClock
+from repro.core.agent import FunctionAgent
 from repro.core.budget import Budget
 from repro.core.engine import (
     SERIAL,
@@ -31,6 +36,8 @@ from repro.core.engine import (
     resolve_backend,
 )
 from repro.core.fleet import FleetSubmission
+from repro.core.params import Parameter
+from repro.core.plan import Binding, TaskPlan
 from repro.core.runtime import Blueprint
 from repro.core.scheduler import VirtualTimeline
 from repro.ids import IdGenerator, current_id_scope, id_scope
@@ -446,3 +453,166 @@ class TestThreadBackendFleet:
             if t.name.startswith("engine-")
         } - before
         assert not lingering
+
+    @pytest.mark.parametrize("backend", ["serial", "threads"])
+    def test_a_round_of_refused_plans_is_empty(self, backend):
+        """Every in-flight plan refused at admission leaves an empty round:
+        the fleet reports the refusals instead of crashing on it."""
+        blueprint = Blueprint()
+        plans = []
+        for index in range(2):
+            plan = TaskPlan(f"absent-{index}", goal="names an absent agent")
+            plan.add_step("only", "NOBODY", {"IN": Binding.const("x")})
+            plans.append(plan)
+        result = blueprint.run_fleet(plans, max_inflight=2, backend=backend)
+        assert [p.outcome for p in result.plans] == ["failed", "failed"]
+
+
+def _stage(name: str, meet: threading.Barrier | None = None) -> FunctionAgent:
+    """A diamond stage that, given *meet*, blocks at that barrier first."""
+
+    def fn(inputs):
+        if meet is not None:
+            meet.wait()
+        return {"OUT": f"{name}({inputs['IN']})"}
+
+    return FunctionAgent(
+        name,
+        fn,
+        inputs=(Parameter("IN", "text"), Parameter("IN2", "text", required=False)),
+        outputs=(Parameter("OUT", "text"),),
+    )
+
+
+def _barrier_fleet(
+    plans: int, first: threading.Barrier | None, middle: threading.Barrier | None
+) -> list[str]:
+    """*plans* diamonds, all in flight at once, on the thread backend
+    under a shortened switch interval; their outcomes."""
+    blueprint = Blueprint()
+    submissions = []
+    for index in range(plans):
+        plan = TaskPlan(f"meet-{index}", goal="diamond")
+        plan.add_step("head", "HEAD", {"IN": Binding.const(f"#{index}")})
+        plan.add_step("left", "LEFT", {"IN": Binding.from_node("head", "OUT")})
+        plan.add_step("right", "RIGHT", {"IN": Binding.from_node("head", "OUT")})
+        plan.add_step(
+            "tail", "TAIL",
+            {
+                "IN": Binding.from_node("left", "OUT"),
+                "IN2": Binding.from_node("right", "OUT"),
+            },
+        )
+        agents = [
+            _stage("HEAD", first),
+            _stage("LEFT", middle),
+            _stage("RIGHT", middle),
+            _stage("TAIL"),
+        ]
+        submissions.append(FleetSubmission(plan=plan, agents=agents))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        result = blueprint.run_fleet(
+            submissions, max_inflight=plans, single_flight=False, backend="threads"
+        )
+    finally:
+        sys.setswitchinterval(interval)
+    return [p.outcome for p in result.plans]
+
+
+class TestDemandLaw:
+    """Every ready unit runs at once: units that can only finish together
+    (they meet at one barrier) must all get a thread.  The barriers time
+    out, so a starved unit fails its plan instead of hanging the suite."""
+
+    def test_every_node_of_every_middle_wave_runs_at_once(self):
+        # 4 plans x a 2-wide middle wave = 8 nodes in one round.
+        outcomes = _barrier_fleet(4, None, threading.Barrier(8, timeout=2))
+        assert outcomes == ["completed"] * 4
+
+    def test_every_in_flight_plan_steps_at_once(self):
+        # 8 plans whose first wave is one node each = 8 steps in one round.
+        outcomes = _barrier_fleet(8, threading.Barrier(8, timeout=2), None)
+        assert outcomes == ["completed"] * 8
+
+
+class _StubExecution:
+    """Just enough of a ``PlanExecution`` for the backend to drive."""
+
+    def __init__(self, clock: SimClock, drive=None, step=None) -> None:
+        context = SimpleNamespace(clock=clock)
+        self.coordinator = SimpleNamespace(
+            _require_context=lambda: context, _parallel_node_tally=0
+        )
+        self.run = SimpleNamespace(plan_id="stub", executed=set())
+        self.timeline = VirtualTimeline(clock)
+        self._tracer = None
+        self._ends: dict[str, float] = {}
+        self.drive = drive
+        self.step = step
+
+    def ready_time(self, node) -> float:
+        return 0.0
+
+
+class TestCallerRunsCrashContract:
+    """The unit the calling thread runs itself keeps the crash contract:
+    its error waits for every sibling, and no worker outlives close()."""
+
+    def test_the_callers_node_error_waits_for_its_sleeping_sibling(self):
+        caller = threading.current_thread()
+        seen: dict[str, threading.Thread] = {}
+
+        def drive(node, wave_index, wave_len):
+            seen[node.node_id] = threading.current_thread()
+            if node.node_id == "first":
+                raise RuntimeError("first node died")
+            time.sleep(0.05)
+            return "ok"
+
+        before = set(threading.enumerate())
+        backend = ThreadBackend()
+        execution = _StubExecution(SimClock(), drive=drive)
+        wave = [SimpleNamespace(node_id="first"), SimpleNamespace(node_id="second")]
+        with pytest.raises(RuntimeError, match="first node died"):
+            backend.run_wave(execution, wave, 0)
+        assert seen["first"] is caller
+        assert seen["second"] is not caller
+        assert set(execution._ends) == {"first", "second"}
+        backend.close()
+        assert not [
+            t for t in threading.enumerate()
+            if t not in before and t.name.startswith("engine-")
+        ]
+
+    def test_a_round_reraises_the_first_crash_after_every_step(self):
+        clock = SimClock()
+        finished: list[int] = []
+
+        def step_of(index: int, crash: bool):
+            def step():
+                if index:
+                    time.sleep(0.05)
+                finished.append(index)
+                if crash:
+                    raise RuntimeError(f"plan {index} crashed")
+                return False
+
+            return step
+
+        before = set(threading.enumerate())
+        backend = ThreadBackend()
+        executions = [
+            _StubExecution(clock, step=step_of(0, True)),
+            _StubExecution(clock, step=step_of(1, True)),
+            _StubExecution(clock, step=step_of(2, False)),
+        ]
+        with pytest.raises(RuntimeError, match="plan 0 crashed"):
+            backend.step_round(executions)
+        assert sorted(finished) == [0, 1, 2]
+        backend.close()
+        assert not [
+            t for t in threading.enumerate()
+            if t not in before and t.name.startswith("engine-")
+        ]
