@@ -18,7 +18,7 @@ every operation is overridden to route through the cluster:
   every replica share one stored document;
 * ``get`` goes to the owning shard — a quorum read;
 * ``find`` prunes shards when it can and hands their primaries' slices to
-  the one find path (``document.store.find_in``), which reads them as one
+  the one find path (``document.store.find_selection``), which reads them as one
   collection in shard order — so it returns what a single-node
   ``Collection`` holding the same documents returns;
 * ``update``/``delete`` fan out as quorum appends to the pruned shards.
@@ -37,7 +37,7 @@ from typing import Any, Iterable, Mapping, Sequence
 from ...clock import SimClock
 from ...errors import QueryError, StorageError
 from ..document.query import sargable
-from ..document.store import Collection, DocumentStore, find_in
+from ..document.store import Collection, DocumentStore, find_selection
 from ..relational.index import partition_values
 from .cluster import StoreCluster
 from .ring import routing_key
@@ -84,8 +84,8 @@ class ClusteredCollection(Collection):
         self.partition_field = partition_field
         #: The shard each acked id was placed on (under the inherited lock).
         self._doc_shard: dict[str, int] = {}
-        #: Stats of the most recent :meth:`find` — surfaced as span
-        #: attributes by the data executor and asserted on by the bench.
+        #: Stats of the most recent :meth:`find`, for tests, benches and the
+        #: ``repro shard`` demo to read.
         self.last_find_stats: dict[str, Any] = {}
 
     # ------------------------------------------------------------------
@@ -228,14 +228,15 @@ class ClusteredCollection(Collection):
         else:
             indices, pruned = self.shards_for_filter(filter_spec)
         slices = self._slices(indices)
-        results, examined, indexed = find_in(
+        results, examined, tested, indexed = find_selection(
             slices, filter_spec, fields, sort, descending, limit
         )
         docs_scanned = sum(map(len, slices))
         self.last_find_stats = {
             **self._cluster.scan_stats(indices, pruned, collection=self.name),
             "docs_scanned": docs_scanned,  # documents in the slices read
-            "docs_examined": examined,  # candidates the filter was applied to
+            "docs_examined": examined,  # candidates read
+            "docs_tested": tested,  # candidates a residual test ran on
             "index": indexed,
             "rows": len(results),
         }

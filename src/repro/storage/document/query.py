@@ -28,7 +28,8 @@ from typing import Any, Callable, Mapping, Sequence
 
 from ...errors import QueryError
 from ..relational.index import MISSING as _MISSING
-from ..relational.index import order_key
+from ..relational.index import Conjunct, order_key
+from ..relational.table import Residual, residual_of
 
 Test = Callable[[Any], bool]
 
@@ -153,36 +154,59 @@ def _compile_operator(op: str, operand: Any) -> Test:
 
 def hashable(value: Any) -> bool:
     """Whether an index or the shard router may key on *value*: a list or
-    sub-document matches by ``==``, which no derived key reproduces (equal
-    dicts ``repr`` differently, ``[1] == [1.0]``)."""
-    return not isinstance(value, (list, dict, set))
+    sub-document (or a tuple holding one) matches by ``==``, which no derived
+    key reproduces (equal dicts ``repr`` differently, ``[1] == [1.0]``)."""
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return True
 
 
 _RANGES = {"$gt": ">", "$gte": ">=", "$lt": "<", "$lte": "<="}
 
 
-def sargable(filter_spec: Mapping[str, Any]) -> list[tuple[str, str, Any]]:
+def sargable(filter_spec: Mapping[str, Any]) -> list[Conjunct]:
     """The top-level entries comparing a field to constants, in the form
     :mod:`repro.storage.relational.index` reads: ``(field, "=", value)`` for
     equality / ``$eq`` and ``(field, "in", [values])`` for ``$in`` over
     hashable constants, ``(field, ">", value)`` (``>=`` ``<`` ``<=``) for a
     range operator whose constant has an :func:`order_key`.  Everything
     else stays a scan."""
+    return [found for entry in filter_spec.items() for found in _entry_conjuncts(*entry)[0]]
+
+
+def _entry_conjuncts(field: str, condition: Any) -> tuple[list[Conjunct], bool]:
+    """One entry's sargable conjuncts, and whether every operator in it has one."""
+    if field.startswith("$"):
+        return [], False
+    if not isinstance(condition, Mapping):
+        condition = {"$eq": condition}
     found = []
+    for op, operand in condition.items():
+        if op == "$eq" and hashable(operand):
+            found.append((field, "=", operand))
+        elif op == "$in" and isinstance(operand, (list, tuple)):
+            if all(map(hashable, operand)):
+                found.append((field, "in", list(operand)))
+        elif op in _RANGES and order_key(operand) is not None:
+            found.append((field, _RANGES[op], operand))
+    return found, len(found) == len(condition)
+
+
+def compile_where(filter_spec: Mapping[str, Any]) -> tuple[list[Conjunct], Residual]:
+    """*filter_spec* as the row heap reads it: its :func:`sargable`
+    conjuncts and the :func:`~..relational.table.residual_of` its entries
+    make, each compiled here.  An entry is dropped only when every operator
+    in it was answered (``{"$gte": 1, "$regex": "a"}`` keeps its test)."""
+    conjuncts: list[Conjunct] = []
+    clauses = []
     for field, condition in filter_spec.items():
-        if field.startswith("$"):
-            continue
-        if not isinstance(condition, Mapping):
-            condition = {"$eq": condition}
-        for op, operand in condition.items():
-            if op == "$eq" and hashable(operand):
-                found.append((field, "=", operand))
-            elif op == "$in" and isinstance(operand, (list, tuple)):
-                if all(map(hashable, operand)):
-                    found.append((field, "in", list(operand)))
-            elif op in _RANGES and order_key(operand) is not None:
-                found.append((field, _RANGES[op], operand))
-    return found
+        found, whole = _entry_conjuncts(field, condition)
+        answers = set(range(len(conjuncts), len(conjuncts) + len(found)))
+        clauses.append((answers if found and whole else None, _compile_entry(field, condition)))
+        conjuncts += found
+    return conjuncts, residual_of(clauses)
 
 
 def _is_clause_list(condition: Any) -> bool:

@@ -3,13 +3,15 @@
 A collection is a ``RowHeap`` (``relational/table.py``) keyed by ``_id``,
 as a table is one keyed by its primary key: field indexes are the
 relational layer's ``HashIndex`` and ``SortedIndex``, and ``find`` has one
-path, :func:`find_in`, over collections read as one through ``select_in``
+path, :func:`find_selection`, over collections read as one through ``select_in``
 — a single-node ``find`` passes itself, the clustered router its pruned
 shard slices.  An index never changes an answer: candidates are read in
 insertion order whatever selected them, and the filter — compiled once per
-call — is re-applied to each.  ``find(sort=)`` and ``distinct`` order and
-dedupe by ``sort_key`` / ``group_key``, as SQL's ``ORDER BY`` and
-``DISTINCT`` do.
+call (``compile_where``) — is applied to each, less the entries whose every
+operator a slice's indexes answered exactly (``index.exact``: a range
+always; an ``=`` / ``$in`` unless a constant is NaN).  ``find(sort=)`` and
+``distinct`` order and dedupe by ``sort_key`` / ``group_key``, as SQL's
+``ORDER BY`` and ``DISTINCT`` do.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from typing import Any, Iterable, Mapping, Sequence
 from ...errors import QueryError, StorageError
 from ...ids import IdGenerator
 from ..relational.index import group_key, sort_key
-from ..relational.table import RowHeap, select_in
-from .query import _MISSING, compile_filter, get_path, hashable, project, sargable
+from ..relational.table import RowHeap, Selection, select_in
+from .query import _MISSING, compile_where, get_path, hashable, project
 
 
 def _indexed(document: Mapping[str, Any], field: str) -> Any:
@@ -68,14 +70,13 @@ class Collection:
         """Shallow-merge *changes* into matching documents; returns count."""
         if "_id" in changes:
             raise StorageError("cannot change _id")
-        test, changes = compile_filter(filter_spec), dict(changes)
+        (conjuncts, residual), changes = compile_where(filter_spec), dict(changes)
         return self._heap.replace(
-            sargable(filter_spec), test, lambda document: {**document, **changes}
+            conjuncts, residual, lambda document: {**document, **changes}
         )
 
     def delete(self, filter_spec: Mapping[str, Any]) -> int:
-        test = compile_filter(filter_spec)
-        return self._heap.remove(sargable(filter_spec), test)
+        return self._heap.remove(*compile_where(filter_spec))
 
     # ------------------------------------------------------------------
     # Queries
@@ -89,7 +90,7 @@ class Collection:
         limit: int | None = None,
     ) -> list[dict[str, Any]]:
         """Documents matching *filter_spec* (all when None)."""
-        return find_in([self], filter_spec, fields, sort, descending, limit)[0]
+        return find_selection([self], filter_spec, fields, sort, descending, limit).rows
 
     def find_one(self, filter_spec: Mapping[str, Any] | None = None) -> dict[str, Any] | None:
         found = self.find(filter_spec, limit=1)
@@ -134,31 +135,35 @@ class Collection:
         }
 
 
-def find_in(
+def find_in(*args: Any) -> tuple[list[dict[str, Any]], int, list[str]]:
+    """:func:`find_selection` as documents, candidates read, indexed fields."""
+    documents, examined, _, used = find_selection(*args)
+    return documents, examined, used
+
+
+def find_selection(
     slices: Sequence[Collection],
     filter_spec: Mapping[str, Any] | None,
     fields: Sequence[str] | None,
     sort: str | None,
     descending: bool,
     limit: int | None,
-) -> tuple[list[dict[str, Any]], int, list[str]]:
+) -> Selection:
     """``find`` over *slices* read as one collection in slice order: one
     compiled filter, one stable sort, one limit, and only what is returned
     is copied.  Without a sort the first *limit* matches are the answer, so
-    reading stops there.  Also returns how many candidates the filter was
-    applied to and which indexed fields selected them."""
-    filter_spec = filter_spec or {}
-    test = compile_filter(filter_spec)
+    reading stops there."""
     early_exit = sort is None and limit is not None and limit >= 0
-    results, examined, used = select_in(
+    results, examined, tested, used = select_in(
         [collection._heap for collection in slices],
-        sargable(filter_spec), test, limit if early_exit else None,
+        *compile_where(filter_spec or {}), limit if early_exit else None,
     )
     if sort is not None:
         results.sort(key=lambda d: sort_key(get_path(d, sort)), reverse=descending)
     if limit is not None:
         results = results[:limit]
-    return [project(document, fields) for document in results], examined, sorted(used)
+    documents = [project(document, fields) for document in results]
+    return Selection(documents, examined, tested, sorted(used))
 
 
 class DocumentStore:

@@ -20,7 +20,12 @@ the access path under SQL base rows and document candidates;
 An index answers a conjunct in two steps, so :func:`choose_index` can size
 every posting list before it reads one: ``estimate(op, value)`` is how many
 row ids ``ids(op, value)`` yields (repeats counted for ``in``), or None when
-this index cannot answer *op*; ``ids`` is a read-only iterable.
+this index cannot answer *op*; ``ids`` is a read-only iterable.  And
+``exact(op, value)`` says whether those ids are exactly the rows the
+conjunct's own test passes, so no candidate is tested on it again: a sorted
+range always is, a hash or key ``=`` / ``in`` when every constant equals
+itself (a lookup finds a NaN by identity, ``==`` rejects it).  SQL keeps
+testing a NULL constant whatever ``exact`` says: ``x = NULL`` is never true.
 
 Both stores order and group values one way: :func:`order_key` places a
 value for range operators and sorted indexes, :func:`sort_key` extends it to
@@ -33,7 +38,7 @@ from __future__ import annotations
 import bisect
 from itertools import chain
 from operator import itemgetter
-from typing import Any, Callable, Iterable, KeysView
+from typing import Any, Callable, Iterable, KeysView, Sequence
 
 Conjunct = tuple[str, str, Any]
 
@@ -133,6 +138,10 @@ class HashIndex:
             return self._buckets.get(value, ())
         return chain.from_iterable(self._buckets.get(member, ()) for member in value)
 
+    def exact(self, op: str, value: Any) -> bool:
+        """Unless a constant is not equal to itself (NaN), which a lookup finds."""
+        return all(member == member for member in value) if op == "in" else value == value
+
     def keys(self) -> KeysView[Any]:
         """The distinct indexed values (a live view, not a copy)."""
         return self._buckets.keys()
@@ -174,6 +183,8 @@ class KeyIndex:
     def ids(self, op: str, value: Any) -> Iterable[Any]:
         members = value if op == "in" else (value,)
         return [self._row_ids[member] for member in members if member in self._row_ids]
+
+    exact = HashIndex.exact
 
     def keys(self) -> KeysView[Any]:
         """The distinct indexed values (a live view, not a copy)."""
@@ -252,40 +263,46 @@ class SortedIndex:
         start, stop = self._span(op, value) or (0, 0)
         return [entry[-1] for entry in self._entries[start:stop]]
 
+    def exact(self, op: str, value: Any) -> bool:
+        """Always: a value out of the constant's bracket fails the range too."""
+        return True
+
     def __len__(self) -> int:
         return len(self._entries)
 
 
 def choose_index(
-    index_on: Callable[[str], Any], conjuncts: Iterable[Conjunct]
-) -> tuple[list[str], set[Any]] | None:
-    """``(columns, ids)``: the intersection of what every conjunct an index
-    can answer selects, and the columns whose indexes answered; None if no
-    conjunct has one.
+    index_on: Callable[[str], Any], conjuncts: Sequence[Conjunct]
+) -> tuple[list[str], set[Any], set[int]] | None:
+    """``(columns, ids, exact)``: the intersection of what every conjunct an
+    index can answer selects, the columns whose indexes answered, and the
+    positions of the conjuncts answered exactly; None if no conjunct has one.
 
     Every posting list is sized first; the smallest is read into a set and
     the rest narrow it, smallest first (ties in conjunct order).  ``ids`` ⊇
-    the rows satisfying the whole predicate — the caller re-applies it.
-    Equality takes either index kind, ``in`` a hash index, a range a sorted
-    one (each index says so through ``estimate``).
+    the rows satisfying the whole predicate, and each passes the conjuncts
+    in ``exact`` — the caller tests the rest.  Equality takes either index
+    kind, ``in`` a hash index, a range a sorted one (each index says so
+    through ``estimate``).
     """
     usable = []
-    for column, op, value in conjuncts:
+    for position, (column, op, value) in enumerate(conjuncts):
         index = index_on(column)
         size = None if index is None else index.estimate(op, value)
         if size is not None:
-            usable.append((size, len(usable), column, index.ids, op, value))
+            usable.append((size, position, column, index, op, value))
     if not usable:
         return None
     columns = list(dict.fromkeys(entry[2] for entry in usable))
+    exact = {position for _, position, _, index, op, value in usable if index.exact(op, value)}
     usable.sort()
     _, _, _, first, op, value = usable[0]
-    ids = set(first(op, value))
+    ids = set(first.ids(op, value))
     for _, _, _, narrow, op, value in usable[1:]:
         if not ids:
             break
-        ids.intersection_update(narrow(op, value))
-    return columns, ids
+        ids.intersection_update(narrow.ids(op, value))
+    return columns, ids, exact
 
 
 def partition_values(conjuncts: Iterable[Conjunct], column: str | None) -> list[Any] | None:

@@ -12,8 +12,9 @@ The executor performs a light logical-planning pass for SELECTs:
 Rows travel through the pipeline as *environments*: mappings from table
 binding (alias or name) to the row dict, so qualified and unqualified column
 references both resolve naturally.  Expressions are not interpreted per
-row: :func:`compile_expr` turns each distinct AST node into a closure once
-(the whole WHERE is still applied to every row an index returns).
+row: :func:`compile_expr` turns each distinct AST node into a closure once.
+A candidate is tested only on the WHERE's conjuncts no index answered
+exactly (:meth:`Executor._filter`).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from ....errors import SQLError, StorageError
 from ...schema import Column, ColumnType, TableSchema
 from ..database import Database, SQLResult
 from ..index import Conjunct, group_key, sort_key
-from ..table import Table
+from ..table import Residual, Table, residual_of
 from . import ast
 from .functions import SCALAR_FUNCTIONS, make_aggregate
 from .parser import parse
@@ -50,6 +51,8 @@ class ExecutionStats:
 
     def __init__(self) -> None:
         self.rows_scanned = 0
+        #: Rows (joined rows, under a JOIN) the WHERE's residual ran on.
+        self.rows_tested = 0
         self.rows_joined = 0
         self.index_lookups = 0
         #: ``table.column`` of each index intersected for the base rows,
@@ -94,12 +97,7 @@ class Executor:
     # SELECT pipeline
     # ------------------------------------------------------------------
     def _execute_select(self, select: ast.Select) -> SQLResult:
-        envs = self._base_rows(select)
-        for join in select.joins:
-            envs = self._apply_join(envs, join)
-        if select.where is not None:
-            where = compile_expr(select.where)
-            envs = [env for env in envs if _truthy(where(self, env, None))]
+        envs = self._matching_rows(select)
         has_aggregates = any(
             _find_aggregates(item.expr) for item in select.items
         ) or (select.having is not None and _find_aggregates(select.having))
@@ -117,22 +115,64 @@ class Executor:
             rows = rows[: select.limit]
         return SQLResult(rows=rows, columns=columns, statement_kind="select")
 
-    def _base_rows(self, select: ast.Select) -> list[Env]:
-        """The base table's candidate rows — the stored rows, never mutated."""
+    def _matching_rows(self, select: ast.Select) -> list[Env]:
+        """The FROM rows (stored, never mutated), joined, that pass the WHERE:
+        each slice's heap tests its own candidates — under a JOIN, the joined
+        rows are tested on what no slice's indexes answered."""
         table = self._db.table(select.table.name)
         binding = select.table.binding()
-        rows, _, columns = table.select(sargable(select.where, binding, self._params))
-        if columns:
-            self.stats.used_index = "+".join(f"{table.name}.{c}" for c in columns)
-            self.stats.index_lookups += len(columns)
+        conjuncts, residual = self._filter(select.where, binding, select.joins)
+        answered: list[set[int]] = []
+        selection = table.select(conjuncts, answered.append if select.joins else residual)
+        if selection.fields:
+            self.stats.used_index = "+".join(f"{table.name}.{c}" for c in selection.fields)
+            self.stats.index_lookups += len(selection.fields)
         else:
-            self.stats.rows_scanned += len(rows)
-        return [{binding: row} for row in rows]
+            self.stats.rows_scanned += selection.examined
+        self.stats.rows_tested += selection.tested
+        envs = [{binding: row} for row in selection.rows]
+        for join in select.joins:
+            envs = self._apply_join(envs, join)
+        passes = residual(set.intersection(*answered)) if answered else None
+        if passes is not None:
+            self.stats.rows_tested += len(envs)
+            envs = [env for env in envs if passes(self, env, None)]
+        return envs
+
+    def _filter(
+        self, where: ast.Expr | None, binding: str, joins: tuple[ast.Join, ...] = ()
+    ) -> tuple[list[Conjunct], Residual]:
+        """*where* as the row heap reads it: its :func:`sargable` conjuncts and
+        the :func:`~..table.residual_of` its compiled leaves make, a test of
+        *binding*'s rows (under a JOIN, an evaluator of the joined rows).  A leaf is dropped only without
+        a NULL constant (``x = NULL`` is never true) and, under a JOIN, if it
+        names *binding* and no join rebinds it (an unqualified column may be
+        ambiguous, which must raise)."""
+        rebound = joins and any(join.table.binding() == binding for join in joins)
+        conjuncts: list[Conjunct] = []
+        clauses = []
+        for leaf in [] if where is None else _conjuncts(where):
+            found = sargable(leaf, binding, self._params)  # the leaf's one conjunct, if any
+            _, op, value = found[0] if found else (None, "=", None)
+            droppable = found and None not in (value if op == "in" else [value]) and (
+                not joins or (_mentions_binding(leaf, binding) and not rebound)
+            )
+            clauses.append(({len(conjuncts)} if droppable else None, compile_expr(leaf)))
+            conjuncts += found
+        residual = residual_of(clauses)
+        if joins:
+            return conjuncts, residual
+
+        def on_rows(exact: set[int]) -> Callable[[dict[str, Any]], bool] | None:
+            passes = residual(exact)
+            return passes and (lambda row: passes(self, {binding: row}, None))
+
+        return conjuncts, on_rows
 
     def _apply_join(self, envs: list[Env], join: ast.Join) -> list[Env]:
         table = self._db.table(join.table.name)
         binding = join.table.binding()
-        right_rows, _, _ = table.select(())
+        right_rows = table.select(()).rows
         self.stats.rows_scanned += len(right_rows)
         equi = _equi_join_key(join.condition, binding)
         joined: list[Env] = []
@@ -202,13 +242,11 @@ class Executor:
         for call in calls:
             if call in values:
                 continue
-            count_star = bool(call.args) and isinstance(call.args[0], ast.Star)
-            count_star = count_star or (call.name == "COUNT" and not call.args)
-            accumulator = make_aggregate(call.name, count_star, call.distinct)
-            if count_star:
-                for _ in envs:
-                    accumulator.add(1)
-            elif envs:
+            if call.name == "COUNT" and (not call.args or isinstance(call.args[0], ast.Star)):
+                values[call] = len(envs)  # COUNT(*) is the group's size
+                continue
+            accumulator = make_aggregate(call.name, call.distinct)
+            if envs:
                 if len(call.args) != 1:
                     raise SQLError(f"{call.name} expects one argument")
                 argument = compile_expr(call.args[0])
@@ -318,21 +356,16 @@ class Executor:
         read each row as it was before the statement."""
         table = self._db.table(update.table)
         binding = update.table
-        where = None if update.where is None else compile_expr(update.where)
         assignments = [(column, compile_expr(expr)) for column, expr in update.assignments]
         count = table.update(
-            lambda row: where is None or _truthy(where(self, {binding: row}, None)),
+            self._filter(update.where, binding),
             lambda row: {col: value(self, {binding: row}, None) for col, value in assignments},
         )
         return SQLResult(rowcount=count, statement_kind="update")
 
     def _execute_delete(self, delete: ast.Delete) -> SQLResult:
         table = self._db.table(delete.table)
-        binding = delete.table
-        where = None if delete.where is None else compile_expr(delete.where)
-        count = table.delete(
-            lambda row: where is None or _truthy(where(self, {binding: row}, None))
-        )
+        count = table.delete(self._filter(delete.where, delete.table))
         return SQLResult(rowcount=count, statement_kind="delete")
 
     def _execute_create_table(self, create: ast.CreateTable) -> SQLResult:
@@ -697,7 +730,7 @@ def _mentions_binding(expr: ast.Expr, binding: str) -> bool:
         return expr.table == binding
     if isinstance(expr, ast.Binary):
         return _mentions_binding(expr.left, binding) or _mentions_binding(expr.right, binding)
-    if isinstance(expr, ast.Unary):
+    if isinstance(expr, (ast.Unary, ast.InList)):
         return _mentions_binding(expr.operand, binding)
     if isinstance(expr, ast.FunctionCall):
         return any(_mentions_binding(arg, binding) for arg in expr.args)

@@ -102,16 +102,12 @@ class Aggregate:
 
 
 class CountAgg(Aggregate):
-    def __init__(self, count_star: bool, distinct: bool) -> None:
-        self._count_star = count_star
+    def __init__(self, distinct: bool) -> None:
         self._distinct = distinct
         self._count = 0
         self._seen: set[Any] = set()
 
     def add(self, value: Any) -> None:
-        if self._count_star:
-            self._count += 1
-            return
         if value is None:
             return
         if self._distinct:
@@ -179,10 +175,11 @@ class MaxAgg(Aggregate):
         return self._value
 
 
-def make_aggregate(name: str, count_star: bool = False, distinct: bool = False) -> Aggregate:
-    """Instantiate the accumulator for aggregate *name*."""
+def make_aggregate(name: str, distinct: bool = False) -> Aggregate:
+    """Instantiate the accumulator for aggregate *name* (``COUNT(*)`` needs
+    none: it is the group's size)."""
     if name == "COUNT":
-        return CountAgg(count_star, distinct)
+        return CountAgg(distinct)
     if name == "SUM":
         return SumAgg()
     if name == "AVG":

@@ -7,7 +7,7 @@ import itertools
 import threading
 from itertools import islice
 from operator import getitem, length_hint
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from ...errors import SchemaError, StorageError
 from ..schema import TableSchema
@@ -17,8 +17,46 @@ from .index import MISSING, Conjunct, HashIndex, KeyIndex, SortedIndex, choose_i
 _STAMPS = itertools.count(1)
 
 Row = dict[str, Any]
-#: A selection: the rows, how many candidates were read, the indexed fields that chose them.
-Selection = tuple[list[Row], int, list[str]]
+#: A predicate's test left once an index answered the conjuncts at the given
+#: positions exactly: a row test, or None when nothing is left.
+Residual = Callable[[set[int]], Callable[[Row], Any] | None]
+#: A row test, or ``(conjuncts, residual)``: what ``Table.update`` / ``delete`` match.
+Predicate = Callable[[Row], Any] | tuple[Sequence[Conjunct], Residual]
+
+
+class Selection(NamedTuple):
+    rows: list[Row]
+    examined: int  # candidates read
+    tested: int  # candidates a residual test ran on
+    fields: list[str]  # the indexed fields that chose them (none: a scan)
+
+
+def residual_of(clauses: Sequence[tuple[set[int] | None, Callable[..., Any]]]) -> Residual:
+    """The :data:`Residual` of the AND of *clauses* ``(answers, test)``, each
+    dropped once the conjuncts at *answers* (None: none) were answered.  The
+    rest run as SQL's AND: in order, stopping at a falsy result; a None
+    (NULL) fails the row but runs on, so a later clause raises where it did.
+    The test left takes what each clause's test takes."""
+
+    def residual(exact: set[int]) -> Callable[..., Any] | None:
+        kept = [test for answers, test in clauses if answers is None or not answers <= exact]
+
+        def passes(*subject: Any) -> bool:
+            passed = True
+            for test in kept:
+                value = test(*subject)
+                if value is None:
+                    passed = False
+                elif not value:
+                    return False
+            return passed
+
+        # callers read the test as a truth value, so one clause is its own test
+        return None if not kept else kept[0] if len(kept) == 1 else passes
+
+    return residual
+
+
 _KINDS = {"hash": HashIndex, "sorted": SortedIndex}
 
 
@@ -30,8 +68,11 @@ class RowHeap:
     optional unique *key* (a table's primary key, a collection's ``_id``)
     and the secondary ones.  A stored row is never mutated — ``replace``
     swaps in a new dict — so ``select`` hands its read-only callers the
-    stored rows themselves.  ``version`` is re-stamped by every write that
-    changes a row: equal versions mean equal rows (what a memo keys on).
+    stored rows themselves.  Reads and writes take a predicate as sargable
+    *conjuncts* and a :data:`Residual`, so a candidate is tested only on what
+    the indexes that chose it did not answer exactly.  ``version`` is
+    re-stamped by every write that changes a row: equal versions mean equal
+    rows (what a memo keys on).
 
     *read* ``(row, field)`` is the value an index on *field* keys a row
     under, or ``MISSING`` for a row it leaves out; *duplicate* ``(key)`` is
@@ -73,13 +114,13 @@ class RowHeap:
                     index.insert(value, row_id)
             return row_id
 
-    def replace(self, conjuncts: Sequence[Conjunct], test: Callable, change: Callable) -> int:
-        """Swap every row passing *test* for ``change(row)``, each matched and
+    def replace(self, conjuncts: Sequence[Conjunct], residual: Residual, change: Callable) -> int:
+        """Swap every matching row for ``change(row)``, each matched and
         changed as it was before the call; returns how many.  Only the index
         entries whose value changed move, and a key another row holds is
         refused there: the rows before it stay replaced, as an INSERT's do."""
         with self._lock:
-            matched = self._matching(conjuncts, test)
+            matched = self._matching(conjuncts, residual)
             key, read = self.key, self._read
             for row_id in matched:
                 old = self._rows[row_id]
@@ -97,10 +138,10 @@ class RowHeap:
                 self.version = next(_STAMPS)  # per row: a later row may raise
             return len(matched)
 
-    def remove(self, conjuncts: Sequence[Conjunct], test: Callable) -> int:
-        """Delete every row passing *test*; returns how many."""
+    def remove(self, conjuncts: Sequence[Conjunct], residual: Residual) -> int:
+        """Delete every matching row; returns how many."""
         with self._lock:
-            doomed = self._matching(conjuncts, test)
+            doomed = self._matching(conjuncts, residual)
             if doomed:
                 self.version = next(_STAMPS)
             read = self._read
@@ -113,32 +154,37 @@ class RowHeap:
             return len(doomed)
 
     def select(
-        self, conjuncts: Sequence[Conjunct], test: Callable | None = None,
+        self, conjuncts: Sequence[Conjunct], residual: Residual | None = None,
         at_most: int | None = None,
     ) -> Selection:
-        """The stored rows (read-only) passing *test* — every candidate when
-        None — in insertion order, the first *at_most* of them, reading no
-        further; with how many candidates were read and the indexed fields
-        that chose them (none: every row was a candidate)."""
+        """The stored rows (read-only) matching — every candidate when
+        *residual* is None — in insertion order, the first *at_most* of them,
+        reading no further."""
         with self._lock:
-            fields, row_ids = self._candidates(conjuncts)
+            fields, row_ids, test = self._candidates(conjuncts, residual)
             pending = iter(row_ids)
             rows = map(self._rows.__getitem__, pending)
             matched = list(islice(rows if test is None else filter(test, rows), at_most))
             # a list iterator's hint is exact: what early exit left unread
-            return matched, len(row_ids) - length_hint(pending), fields
+            examined = len(row_ids) - length_hint(pending)
+            return Selection(matched, examined, 0 if test is None else examined, fields)
 
     def get(self, key: Any) -> Row | None:
         """The stored row (read-only) holding *key*, or None: a point read."""
         with self._lock:
             return self._rows.get(self._indexes[self.key].get(key))
 
-    def _candidates(self, conjuncts: Sequence[Conjunct]) -> tuple[list[str], list[int]]:
-        fields, row_ids = choose_index(self._indexes.get, conjuncts) or ([], self._rows)
-        return fields, sorted(row_ids)
+    def _candidates(
+        self, conjuncts: Sequence[Conjunct], residual: Residual | None
+    ) -> tuple[list[str], list[int], Callable | None]:
+        """The indexed fields, the candidate ids in scan order, the test left."""
+        chosen = choose_index(self._indexes.get, conjuncts)
+        fields, row_ids, exact = chosen or ([], self._rows, set())
+        return fields, sorted(row_ids), None if residual is None else residual(exact)
 
-    def _matching(self, conjuncts: Sequence[Conjunct], test: Callable) -> list[int]:
-        return [rid for rid in self._candidates(conjuncts)[1] if test(self._rows[rid])]
+    def _matching(self, conjuncts: Sequence[Conjunct], residual: Residual) -> list[int]:
+        _, row_ids, test = self._candidates(conjuncts, residual)
+        return row_ids if test is None else [rid for rid in row_ids if test(self._rows[rid])]
 
     def create_index(self, field: str, kind: str = "hash") -> None:
         """Index *field* (kinds: ``hash`` answers ``=`` and ``in``, ``sorted``
@@ -167,23 +213,29 @@ class RowHeap:
 
 
 def select_in(
-    slices: Iterable[Any], conjuncts: Sequence[Conjunct], test: Callable | None = None,
+    slices: Iterable[Any], conjuncts: Sequence[Conjunct], residual: Residual | None = None,
     at_most: int | None = None,
 ) -> Selection:
     """``select`` over *slices* (heaps, or tables) read as one, in slice
-    order: each slice picks its own access path, reading stops once *at_most*
-    rows matched, and the fields are every one a slice's indexes answered."""
+    order: each slice picks its own access path and residual test, reading
+    stops once *at_most* rows matched, and the fields are every one a slice's
+    indexes answered."""
     rows: list[Row] = []
-    examined, used = 0, {}
+    examined, tested, used = 0, 0, {}
     for heap in slices:
         wanted = None if at_most is None else at_most - len(rows)
         if wanted == 0:
             break
-        matched, seen, fields = heap.select(conjuncts, test, wanted)
+        matched, seen, run, fields = heap.select(conjuncts, residual, wanted)
         rows += matched
-        examined += seen
+        examined, tested = examined + seen, tested + run
         used.update(dict.fromkeys(fields))
-    return rows, examined, list(used)
+    return Selection(rows, examined, tested, list(used))
+
+
+def _where(predicate: Predicate) -> tuple[Sequence[Conjunct], Residual]:
+    """A bare row test has no conjunct, so it is its own residual."""
+    return predicate if isinstance(predicate, tuple) else ((), lambda exact: predicate)
 
 
 class Table:
@@ -217,9 +269,7 @@ class Table:
     def insert_many(self, rows: Iterable[dict[str, Any]]) -> list[int]:
         return [self.insert(row) for row in rows]
 
-    def update(
-        self, predicate: Callable[[dict[str, Any]], bool], changes: Mapping[str, Any] | Callable
-    ) -> int:
+    def update(self, predicate: Predicate, changes: Mapping[str, Any] | Callable) -> int:
         """Apply *changes* — a mapping, or a function of the stored row returning
         one (``SET age = age + 5``) — to rows matching *predicate*, each read as
         it was before the call; returns count."""
@@ -229,18 +279,18 @@ class Table:
                 raise SchemaError(f"unknown columns in update: {sorted(unknown)}")
         revise = changes if callable(changes) else lambda row: changes
         validate = self.schema.validate_row
-        return self._heap.replace((), predicate, lambda row: validate({**row, **revise(row)}))
+        return self._heap.replace(*_where(predicate), lambda row: validate({**row, **revise(row)}))
 
-    def delete(self, predicate: Callable[[dict[str, Any]], bool]) -> int:
+    def delete(self, predicate: Predicate) -> int:
         """Delete rows matching *predicate*; returns count."""
-        return self._heap.remove((), predicate)
+        return self._heap.remove(*_where(predicate))
 
     def select(
-        self, conjuncts: Sequence[Conjunct], test: Callable | None = None,
+        self, conjuncts: Sequence[Conjunct], residual: Residual | None = None,
         at_most: int | None = None,
     ) -> Selection:
         """:meth:`RowHeap.select`: the stored rows, for read-only callers."""
-        return self._heap.select(conjuncts, test, at_most)
+        return self._heap.select(conjuncts, residual, at_most)
 
     def scan(self) -> Iterator[dict[str, Any]]:
         """Iterate over copies of all rows in insertion order."""
@@ -265,5 +315,7 @@ class Table:
     def lookup(self, column: str, value: Any) -> list[dict[str, Any]]:
         """Copies of the rows whose *column* equals *value*: indexed where an
         index answers ``=``, else a scan."""
-        rows, _, _ = self.select([(column, "=", value)], lambda row: row[column] == value)
+        rows = self.select(
+            [(column, "=", value)], lambda exact: None if exact else lambda row: row[column] == value
+        ).rows
         return [dict(row) for row in rows]

@@ -10,12 +10,12 @@ slice's own indexes pick its candidates.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from ...errors import StorageError
 from ..schema import TableSchema
 from .index import Conjunct
-from .table import Selection, Table, select_in
+from .table import Residual, Selection, Table, select_in
 
 
 class ConcatTable:
@@ -49,8 +49,8 @@ class ConcatTable:
         return sum(len(table) for table in self._slices)
 
     def select(
-        self, conjuncts: Sequence[Conjunct], test: Callable[[Any], Any] | None = None,
+        self, conjuncts: Sequence[Conjunct], residual: Residual | None = None,
         at_most: int | None = None,
     ) -> Selection:
         """``Table.select`` over the slices read as one, in slice order."""
-        return select_in(self._slices, conjuncts, test, at_most)
+        return select_in(self._slices, conjuncts, residual, at_most)

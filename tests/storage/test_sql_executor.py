@@ -375,19 +375,19 @@ class TestSargableForm:
         # the columns come back in conjunct order whatever the sizes were
         assert choose_index(
             index_on, [("none", "=", 1), ("h", ">", 10), ("r", "in", [10]), ("r", "<", 30), ("h", "=", 20)]
-        ) == (["r", "h"], {1, 2})
-        assert choose_index(index_on, [("h", "=", 20), ("r", "<", 20)]) == (["h", "r"], set())
-        assert choose_index(index_on, [("h", "=", 20), ("r", ">=", 20)]) == (["h", "r"], {1, 2})
-        assert choose_index(index_on, [("r", ">", 10), ("r", "<", 30)]) == (["r"], {1, 2})
+        ) == (["r", "h"], {1, 2}, {3, 4})
+        assert choose_index(index_on, [("h", "=", 20), ("r", "<", 20)]) == (["h", "r"], set(), {0, 1})
+        assert choose_index(index_on, [("h", "=", 20), ("r", ">=", 20)]) == (["h", "r"], {1, 2}, {0, 1})
+        assert choose_index(index_on, [("r", ">", 10), ("r", "<", 30)]) == (["r"], {1, 2}, {0, 1})
         # equality takes a hash (or key) index, ``in`` a hash index, a range a
         # sorted one.  Flipped: a sorted index answered ``=`` too until every
         # sorted index ordered by ``order_key``, under which ``Decimal(1) == 1``
         # holds where the keys differ, so it answers ranges only.
         assert choose_index(index_on, [("r", "=", 20)]) is None
-        assert choose_index(index_on, [("h", "in", [10, 30, 40])]) == (["h"], {0, 3})
+        assert choose_index(index_on, [("h", "in", [10, 30, 40])]) == (["h"], {0, 3}, {0})
         assert choose_index(index_on, [("r", "in", [10, 30])]) is None
         assert choose_index(index_on, [("h", ">=", 20)]) is None
-        assert choose_index(index_on, [("r", ">", 20)]) == (["r"], {3})
+        assert choose_index(index_on, [("r", ">", 20)]) == (["r"], {3}, {0})
 
     def test_choose_index_reads_the_smallest_posting_list_first(self):
         """Sizes come from ``estimate``; only then is anything materialised."""
@@ -404,12 +404,12 @@ class TestSargableForm:
         small.extend([("y", 3), ("y", 70)])
         index_on = {"big": big, "small": small, "empty": empty}.get
         conjuncts = [("big", "=", "x"), ("small", "=", "y")]
-        assert choose_index(index_on, conjuncts) == (["big", "small"], {3})
+        assert choose_index(index_on, conjuncts) == (["big", "small"], {3}, {0, 1})
         assert read == ["small", "big"]
         del read[:]
         # an empty answer stops the intersection: nothing else is read
         assert choose_index(index_on, conjuncts + [("empty", "in", ["z"])]) == (
-            ["big", "small", "empty"], set()
+            ["big", "small", "empty"], set(), {0, 1, 2}
         )
         assert read == ["empty"]
 
