@@ -32,7 +32,7 @@ fleet:
 
 engine:
 	PYTHONPATH=src python -m pytest benchmarks/bench_fleet.py -k a12_fleet_throughput --benchmark-disable
-	PYTHONPATH=src python -m pytest tests/core/test_engine.py tests/properties/test_parallel_properties.py tests/properties/test_fleet_properties.py -q
+	PYTHONPATH=src python -m pytest tests/core/test_engine.py tests/core/test_coordinator.py tests/core/test_plan_lifecycle.py tests/core/test_fleet.py tests/properties/test_hotpath_goldens.py tests/properties/test_parallel_properties.py tests/properties/test_fleet_properties.py -q
 
 # The batching gate is a section of benchmarks/bench_fleet.py, which `make fleet` runs.
 batch:

@@ -4,8 +4,9 @@ optimizer, coordinator, deployment, and the :class:`Blueprint` runtime."""
 from .agent import Agent, FunctionAgent
 from .budget import Budget, Charge, Projection
 from .context import AgentContext
-from .coordinator import NodeFailure, PlanRun, TaskCoordinator
+from .coordinator import TaskCoordinator
 from .deployment import Cluster, Container, ResourceProfile, Supervisor
+from .execution import NodeFailure, PlanRun
 from .recovery import (
     CompensationRegistry,
     EffectTable,

@@ -32,6 +32,15 @@ from .resilience.retry import RetryPolicy, is_transient
 from .triggering import InputGate
 
 
+class _Activation(threading.local):
+    """An ``EXECUTE_AGENT``'s model tier and LLM-cache bypass, read by
+    :meth:`Agent.complete`; per thread, so wave siblings driving one agent
+    on the thread backend never see each other's."""
+
+    model: str | None = None
+    no_cache: bool = False
+
+
 class Agent:
     """Base class for every agent in the architecture."""
 
@@ -66,12 +75,7 @@ class Agent:
         self._gate: InputGate | None = None
         self._subscription_ids: list[str] = []
         self._lock = threading.RLock()
-        #: Per-execution model-tier override (e.g. a plan node's fallback
-        #: tier), threaded from EXECUTE_AGENT metadata into :meth:`complete`.
-        self._model_override: str | None = None
-        #: Per-execution LLM-cache bypass, threaded the same way from a
-        #: ``no_cache`` plan into :meth:`complete`.
-        self._no_cache = False
+        self._activation = _Activation()
         # _execute is the runtime's hottest path: the span name is
         # precomputed, and activation/failure metrics are pulled from the
         # plain counters above by a snapshot-time collector rather than
@@ -244,9 +248,9 @@ class Agent:
                 if self.inputs:
                     inputs = validate_inputs(self.inputs, inputs, self.name)
                 if override:
-                    self._model_override = override
+                    self._activation.model = override
                 if no_cache:
-                    self._no_cache = True
+                    self._activation.no_cache = True
                 results = self.processor(inputs)
             except Exception as error:  # noqa: BLE001 - agents report, don't crash the bus
                 self.failures += 1
@@ -265,9 +269,9 @@ class Agent:
                 return
             finally:
                 if override:
-                    self._model_override = None
+                    self._activation.model = None
                 if no_cache:
-                    self._no_cache = False
+                    self._activation.no_cache = False
             if results is None:
                 return
             self._emit(results, metadata)
@@ -342,12 +346,13 @@ class Agent:
         context = self._require_context()
         if context.catalog is None:
             raise AgentError(f"agent {self.name} has no model catalog in context")
-        name = model or self._model_override or self.default_model
+        activation = self._activation
+        name = model or activation.model or self.default_model
 
         def call() -> LLMResponse:
             client = context.catalog.client(name)
             before = context.clock.now()
-            response = client.complete(prompt, no_cache=self._no_cache)
+            response = client.complete(prompt, no_cache=activation.no_cache)
             already_elapsed = context.clock.now() - before
             context.charge(
                 source=f"{self.name}/{response.model}",

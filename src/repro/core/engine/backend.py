@@ -1,6 +1,6 @@
 """Execution backends: how plan waves and fleet rounds actually run.
 
-The wave stepper (:class:`~repro.core.coordinator.PlanExecution`) and the
+The wave stepper (:class:`~repro.core.execution.PlanExecution`) and the
 fleet scheduler decide *what* runs next; a backend decides *how*:
 
 * :class:`SerialBackend` — the default — runs every node and every plan
@@ -22,7 +22,7 @@ fleet scheduler decide *what* runs next; a backend decides *how*:
   record`.  Ids are owner-scoped (:func:`repro.ids.id_scope`) and spans are
   explicitly adopted cross-thread (:meth:`~repro.observability.span.
   Tracer.adopt`).  Charge attribution needs no scope here: the
-  coordinator's per-node :meth:`~repro.core.budget.Budget.window` holds
+  execution's per-node :meth:`~repro.core.budget.Budget.window` holds
   the opening thread's charges only, on either backend.
 
 Determinism contract: serial mode is byte-identical to the pre-backend
@@ -49,7 +49,7 @@ from ...ids import id_scope
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...clock import SimClock
-    from ..coordinator import PlanExecution
+    from ..execution import PlanExecution
     from ..plan.task_plan import TaskNode
 
 
@@ -58,7 +58,7 @@ class ExecutionBackend(Protocol):
 
     #: Human-readable backend name (``serial`` / ``threads``).
     name: str
-    #: True when work may run off the calling thread; the coordinator and
+    #: True when work may run off the calling thread; the execution and
     #: fleet consult this to avoid shared-clock rebases.
     concurrent: bool
 
@@ -115,8 +115,8 @@ class SerialBackend:
                 continue
             if timeline is not None:
                 if len(wave) > 1:
-                    execution.coordinator._parallel_node_tally += 1
-                timeline.open(execution.ready_time(node), owner=run.plan_id)
+                    execution.count_parallel(1)
+                timeline.open(execution.ready_time(node))
             try:
                 verdict = execution.drive(node, wave_index, len(wave))
             finally:
@@ -231,14 +231,11 @@ class ThreadBackend:
         worker — the invariants that keep shared runtime state consistent
         when siblings interleave for real.
         """
-        context = execution.coordinator._require_context()
-        clock = context.clock
-        run = execution.run
-        owner = f"{run.plan_id}.{node.node_id}"
+        clock = execution.clock
         clock.branch_begin(execution.ready_time(node))
         try:
             with ExitStack() as stack:
-                stack.enter_context(id_scope(owner))
+                stack.enter_context(id_scope(f"{execution.run.plan_id}.{node.node_id}"))
                 tracer = execution._tracer
                 if tracer is not None:
                     stack.enter_context(tracer.adopt(parent))
@@ -247,7 +244,7 @@ class ThreadBackend:
             end = clock.branch_end()
             execution._ends[node.node_id] = end
             if execution.timeline is not None:
-                execution.timeline.record(end, owner=run.plan_id)
+                execution.timeline.record(end)
 
     def run_wave(
         self,
@@ -262,11 +259,11 @@ class ThreadBackend:
         run = execution.run
         pending = [node for node in wave if node.node_id not in run.executed]
         if len(wave) > 1:
-            execution.coordinator._parallel_node_tally += len(pending)
+            execution.count_parallel(len(pending))
         tracer = execution._tracer
         parent = tracer.current() if tracer is not None else None
         verdicts = self._run_all(
-            execution.coordinator._require_context().clock,
+            execution.clock,
             [
                 partial(self._run_node, execution, node, wave_index, len(wave), parent)
                 for node in pending
@@ -280,7 +277,7 @@ class ThreadBackend:
         # dying plan); an empty round does nothing.
         if executions:
             self._run_all(
-                executions[0].coordinator._require_context().clock,
+                executions[0].clock,
                 [execution.step for execution in executions],
             )
 

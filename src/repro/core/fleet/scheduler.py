@@ -48,7 +48,8 @@ from typing import Sequence, TYPE_CHECKING
 from ...clock import SimClock
 from ...observability.span import NOOP_SPAN
 from ..budget import Budget
-from ..coordinator import PlanExecution, PlanRun, TaskCoordinator
+from ..coordinator import TaskCoordinator
+from ..execution import PlanExecution, PlanRun
 from ..engine import SERIAL, ExecutionBackend
 from ..overload.admission import FifoAdmission
 from ..plan.task_plan import TaskPlan

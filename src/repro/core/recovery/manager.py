@@ -34,7 +34,8 @@ from .saga import CompensationRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...clock import SimClock
-    from ..coordinator import PlanRun, TaskCoordinator
+    from ..coordinator import TaskCoordinator
+    from ..execution import PlanRun
     from .journal import WriteAheadJournal
 
 #: The coordinator handle: an instance, or a factory returning the current
@@ -183,7 +184,7 @@ class RecoveryManager:
         is already violated is not resumed — its completed nodes are
         compensated (reverse order) and the plan closes ``compensated``.
 
-        Returns the resumed :class:`~repro.core.coordinator.PlanRun`, or
+        Returns the resumed :class:`~repro.core.execution.PlanRun`, or
         None when there was nothing to resume (unknown/terminal plan, no
         live coordinator) or the plan was abandoned to compensation.
         """

@@ -47,10 +47,6 @@ class VirtualTimeline:
         self.origin = clock.now()
         self._horizon = self.origin
         self._branch_open = False
-        self._branch_owner: str | None = None
-        #: Per-owner critical paths: a timeline shared by a fleet of
-        #: plans tracks each plan's own horizon alongside the global one.
-        self._owner_horizons: dict[str, float] = {}
         # Guards horizon merges: the thread backend records branch ends
         # from worker threads (see :meth:`record`).
         self._merge_lock = threading.Lock()
@@ -64,32 +60,19 @@ class VirtualTimeline:
         """Critical-path seconds accounted so far."""
         return self._horizon - self.origin
 
-    def horizon_of(self, owner: str) -> float:
-        """Latest branch end recorded for *owner* (its critical path).
-
-        Owners that never opened a branch sit at the timeline origin.
-        """
-        return self._owner_horizons.get(owner, self.origin)
-
-    def owners(self) -> list[str]:
-        """Every owner that has opened a branch, sorted."""
-        return sorted(self._owner_horizons)
-
-    def open(self, ready_at: float, owner: str | None = None) -> float:
+    def open(self, ready_at: float) -> float:
         """Start a branch at *ready_at* (clamped to the plan origin).
 
         Branches do not nest: plan nodes are the unit of concurrency, and
-        any sub-plans a node runs belong to that node's branch.  *owner*
-        attributes the branch to one plan when several share the timeline
-        (fleet execution); its ends accrue to :meth:`horizon_of` as well
-        as the global horizon.
+        any sub-plans a node runs belong to that node's branch.  A plan
+        sharing the timeline with others (fleet execution) keeps its own
+        critical path itself (``PlanExecution.plan_end``).
         """
         if self._branch_open:
             raise RuntimeError("a timeline branch is already open")
         start = max(float(ready_at), self.origin)
         self._clock.rebase(start)
         self._branch_open = True
-        self._branch_owner = owner
         return start
 
     def close(self) -> float:
@@ -97,13 +80,11 @@ class VirtualTimeline:
         if not self._branch_open:
             raise RuntimeError("no timeline branch is open")
         end = self._clock.now()
-        owner = self._branch_owner
         self._branch_open = False
-        self._branch_owner = None
-        return self.record(end, owner=owner)
+        return self.record(end)
 
-    def record(self, end: float, owner: str | None = None) -> float:
-        """Merge a finished branch's *end* into the horizons; returns it.
+    def record(self, end: float) -> float:
+        """Merge a finished branch's *end* into the horizon; returns it.
 
         The thread backend's entry point: workers run their branches on a
         clock overlay (no :meth:`open`/:meth:`close` pairing, which would
@@ -116,18 +97,10 @@ class VirtualTimeline:
             # record() comes from the single driving thread.
             if end > self._horizon:
                 self._horizon = end
-            if owner is not None and end > self._owner_horizons.get(
-                owner, self.origin
-            ):
-                self._owner_horizons[owner] = end
             return end
         with self._merge_lock:
             if end > self._horizon:
                 self._horizon = end
-            if owner is not None and end > self._owner_horizons.get(
-                owner, self.origin
-            ):
-                self._owner_horizons[owner] = end
         return end
 
     def commit(self) -> float:

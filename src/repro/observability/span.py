@@ -222,51 +222,13 @@ class NoopSpan(Span):
 NOOP_SPAN = NoopSpan(name="noop")
 
 
-class _SpanScope:
-    """Re-enters a suspended span for one scope (see :meth:`Tracer.use`)."""
-
-    __slots__ = ("_tracer", "_span", "_saved", "_saved_prev", "_noop")
-
-    def __init__(self, tracer: "Tracer", span: Span) -> None:
-        self._tracer = tracer
-        self._span = span
-        self._noop = not tracer.enabled or span is NOOP_SPAN
-
-    def __enter__(self) -> Span:
-        if self._noop:
-            return self._span
-        state = self._tracer._state()
-        self._saved = state.current
-        self._saved_prev = self._span._prev
-        self._span._prev = self._saved
-        state.current = self._span
-        return self._span
-
-    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> bool:
-        if self._noop:
-            return False
-        state = self._tracer._state()
-        # The span may have been closed inside the scope (its final
-        # step): Span.__exit__ already popped it, so only restore when
-        # it is still on the chain.
-        walk = state.current
-        while walk is not None and walk is not self._span:
-            walk = walk._prev
-        if walk is self._span:
-            state.current = self._saved
-        if self._span.end is None:
-            self._span._prev = self._saved_prev
-        return False
-
-
 class _AdoptScope:
-    """Makes a span current on *another* thread (see :meth:`Tracer.adopt`).
+    """Makes a span current on this thread for one scope (see :meth:`Tracer.adopt`).
 
-    Unlike :class:`_SpanScope` it never touches ``span._prev``: the span
-    stays owned by (and chained on) its opening thread, while the adopting
-    worker only points its own thread-local ``current`` at it so children
-    opened there parent correctly.  Several workers may adopt the same
-    span concurrently.
+    It never touches ``span._prev``: the span stays chained on its opening
+    thread, while the adopting thread only points its own thread-local
+    ``current`` at it so children opened there parent correctly.  Several
+    threads may adopt the same span concurrently.
     """
 
     __slots__ = ("_tracer", "_span", "_saved", "_noop")
@@ -288,7 +250,13 @@ class _AdoptScope:
         if self._noop:
             return False
         state = self._tracer._state()
-        if state.current is self._span:
+        # Restore only while the span is still on this thread's chain:
+        # closing it inside the scope (a plan's final step) on the thread
+        # that opened it has already popped it.
+        walk = state.current
+        while walk is not None and walk is not self._span:
+            walk = walk._prev
+        if walk is self._span:
             state.current = self._saved
         return False
 
@@ -400,8 +368,8 @@ class Tracer:
 
         The fleet runtime opens one plan span per admitted plan but
         interleaves their execution: a suspended span stays open (no end
-        stamp) while other plans' spans take the stack, and re-enters via
-        :meth:`use` for each of its execution steps.  Anything opened
+        stamp) while other plans' spans take the stack, and is re-adopted
+        (:meth:`adopt`) for each of its execution steps.  Anything opened
         above *span* is detached with it (there should be nothing).
         """
         if not self.enabled or span is NOOP_SPAN:
@@ -413,26 +381,15 @@ class Tracer:
         if walk is span:
             state.current = span._prev
 
-    def use(self, span: Span) -> "_SpanScope":
-        """Context manager making a suspended *span* current again.
-
-        New spans opened inside the scope parent under *span*; on exit
-        the previous chain is restored.  Closing *span* inside the scope
-        (its final step) is safe — ``Span.__exit__`` already handles
-        popping, and the scope detects it.
-        """
-        return _SpanScope(self, span)
-
     def adopt(self, span: "Span | None") -> "_AdoptScope":
-        """Context manager parenting new spans under *span* cross-thread.
+        """Context manager making *span* current on this thread for one scope.
 
-        The explicit span-context transfer for pool workers: the active
-        chain is thread-local, so a span opened on a worker thread would
-        otherwise silently lose its parent.  The backend captures the
-        parent span on the scheduling thread and each worker adopts it —
-        spans it opens nest under *span* without mutating the parent's
-        own (concurrently shared) chain links.  ``adopt(None)`` is a
-        no-op scope, so callers need not special-case rootless work.
+        Spans opened inside parent under *span* — a suspended fleet plan
+        span re-entered per step, or a wave's parent span on a pool worker
+        (the active chain is thread-local).  The span's own chain links are
+        never mutated, and closing it inside the scope is safe.
+        ``adopt(None)`` is a no-op scope, so callers need not special-case
+        rootless work.
         """
         return _AdoptScope(self, span)
 

@@ -143,12 +143,10 @@ class TestTimelineRecord:
     def test_record_merges_like_close(self):
         clock = SimClock()
         timeline = VirtualTimeline(clock)
-        timeline.record(4.0, owner="a")
-        timeline.record(2.5, owner="b")
-        timeline.record(3.0, owner="a")
+        timeline.record(4.0)
+        timeline.record(2.5)
+        timeline.record(3.0)
         assert timeline.horizon == 4.0
-        assert timeline.horizon_of("a") == 4.0
-        assert timeline.horizon_of("b") == 2.5
         assert timeline.commit() == 4.0
         assert clock.now() == 4.0
 
@@ -159,14 +157,12 @@ class TestTimelineRecord:
 
         def merge(worker: int) -> None:
             for end in ends[worker]:
-                timeline.record(end, owner=f"w{worker}")
+                timeline.record(end)
 
         with ThreadPoolExecutor(max_workers=6) as pool:
             list(pool.map(merge, range(6)))
         expected = max(e for series in ends for e in series)
         assert timeline.horizon == expected
-        for worker in range(6):
-            assert timeline.horizon_of(f"w{worker}") == max(ends[worker])
 
 
 # ----------------------------------------------------------------------
@@ -537,14 +533,56 @@ class TestDemandLaw:
         assert outcomes == ["completed"] * 8
 
 
+class TestNodeSettingsStayPerNode:
+    """Two nodes of one wave that drive the same agent each see only their
+    own ``EXECUTE_AGENT`` model hint, on either backend.  On threads they
+    meet at a barrier inside the processor, so both hints are set before
+    either node calls the model."""
+
+    @pytest.mark.parametrize("backend", ["serial", "threads"])
+    def test_wave_siblings_keep_their_own_model_hint(self, backend):
+        meet = threading.Barrier(2, timeout=2) if backend == "threads" else None
+
+        def ask(inputs):
+            if meet is not None:
+                meet.wait()
+            return {"OUT": asker.complete(inputs["IN"]).model}
+
+        asker = FunctionAgent(
+            "ASKER", ask,
+            inputs=(Parameter("IN", "text"),),
+            outputs=(Parameter("OUT", "text"),),
+        )
+        plan = TaskPlan("hints", goal="two model tiers in one wave")
+        plan.add_step("head", "HEAD", {"IN": Binding.const("TASK: ECHO hello")})
+        for node, model in (("a", "mega-s"), ("b", "mega-xl")):
+            plan.add_step(
+                node, "ASKER", {"IN": Binding.from_node("head", "OUT")}, model=model
+            )
+        blueprint = Blueprint()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            result = blueprint.run_fleet(
+                [FleetSubmission(plan=plan, agents=[_stage("HEAD"), asker])],
+                single_flight=False,
+                backend=backend,
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        run = result.plans[0].run
+        assert run.status == "completed"
+        assert {node: run.node_outputs[node]["OUT"] for node in ("a", "b")} == {
+            "a": "mega-s",
+            "b": "mega-xl",
+        }
+
+
 class _StubExecution:
     """Just enough of a ``PlanExecution`` for the backend to drive."""
 
     def __init__(self, clock: SimClock, drive=None, step=None) -> None:
-        context = SimpleNamespace(clock=clock)
-        self.coordinator = SimpleNamespace(
-            _require_context=lambda: context, _parallel_node_tally=0
-        )
+        self.clock = clock
         self.run = SimpleNamespace(plan_id="stub", executed=set())
         self.timeline = VirtualTimeline(clock)
         self._tracer = None
@@ -554,6 +592,9 @@ class _StubExecution:
 
     def ready_time(self, node) -> float:
         return 0.0
+
+    def count_parallel(self, nodes: int) -> None:
+        pass
 
 
 class TestCallerRunsCrashContract:

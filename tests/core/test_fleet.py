@@ -7,6 +7,7 @@ from repro.core.agent import FunctionAgent
 from repro.core.budget import Budget
 from repro.core.context import AgentContext
 from repro.core.coordinator import TaskCoordinator
+from repro.core.execution import PlanExecution
 from repro.core.fleet import FleetEntry, FleetScheduler, FleetSubmission
 from repro.core.overload import AdmissionController
 from repro.core.params import Parameter
@@ -143,7 +144,7 @@ class TestFleetScheduling:
         run = result.plans[0].run
         assert run.node_outputs["n1"]["OUT"] == "STAGE1(STAGE0(go))"
 
-    def test_step_exception_abandons_plan(self, harness):
+    def test_step_exception_abandons_plan(self, harness, monkeypatch):
         clock, store = harness
         entry = make_entry(store, clock, "boom")
 
@@ -153,7 +154,7 @@ class TestFleetScheduling:
         def explode(*args, **kwargs):
             raise Boom("plan driver died")
 
-        entry.coordinator._drive_node = explode
+        monkeypatch.setattr(PlanExecution, "drive", explode)
         scheduler = FleetScheduler(VirtualTimeline(clock), clock)
         with pytest.raises(Boom):
             scheduler.run([entry])
@@ -233,3 +234,52 @@ class TestRunFleet:
         )
         assert bp.catalog.capacity is capacity
         assert capacity.max_concurrency("mega-s") == 1
+
+    @pytest.mark.parametrize("backend", ["serial", "threads"])
+    def test_interleaved_plans_keep_their_own_no_cache(self, backend):
+        """Plans with and without ``no_cache`` step round-robin in one
+        fleet over one shared LLM cache: each node sees its own plan's
+        setting, never a sibling plan's."""
+        bp = Blueprint(llm_cache=True)
+
+        def submission(index):
+            plan = TaskPlan(f"nc-{index}", goal="two cached asks", no_cache=bool(index % 2))
+            plan.add_step("first", "ASKER", {"IN": Binding.const("TASK: ECHO hello")})
+            plan.add_step(
+                "second", "ASKER",
+                {
+                    "IN": Binding.const("TASK: ECHO hello"),
+                    "AFTER": Binding.from_node("first", "OUT"),
+                },
+            )
+
+            def fn(inputs):
+                return {"OUT": agent.complete(inputs["IN"]).cached}
+
+            agent = FunctionAgent(
+                "ASKER", fn,
+                inputs=(
+                    Parameter("IN", "text"),
+                    Parameter("AFTER", "json", required=False),
+                ),
+                outputs=(Parameter("OUT", "json"),),
+            )
+            return FleetSubmission(plan=plan, agents=[agent])
+
+        result = bp.run_fleet(
+            [submission(i) for i in range(4)],
+            max_inflight=4,
+            single_flight=False,
+            backend=backend,
+        )
+        cached = {
+            r.plan_id: [r.node_outputs[n]["OUT"] for n in ("first", "second")]
+            for r in result.runs()
+        }
+        # A no_cache plan never reads the cache; a cached plan's second ask
+        # hits what the first round stored.
+        assert cached["nc-1"] == cached["nc-3"] == [False, False]
+        assert cached["nc-0"][1] is cached["nc-2"][1] is True
+        if backend == "serial":
+            assert cached["nc-0"] == [False, True]
+            assert cached["nc-2"] == [True, True]
