@@ -433,11 +433,10 @@ class DataPlanExecutor:
         query = operator.params.get("query") or (inputs[0] if inputs else "")
         k = operator.params.get("k", 5)
         hits = index.search(self._registry.embed_query(str(query)), k=k)
-        documents = []
-        for doc_id, score in hits:
-            document = collection.get(doc_id)
-            document["_score"] = round(float(score), 4)
-            documents.append(document)
+        # a stored document is read-only: each hit is a scored copy
+        documents = [
+            {**collection.get(doc_id), "_score": round(float(score), 4)} for doc_id, score in hits
+        ]
         cost, latency, quality = self._storage_metrics(operator, len(index))
         return documents, cost, latency, quality
 

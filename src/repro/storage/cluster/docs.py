@@ -11,16 +11,17 @@ the mechanism behind the bench's sub-linear query latency.
 interface compatibility (``isinstance`` checks in the data executor);
 every operation is overridden to route through the cluster:
 
-* ``insert`` / ``insert_many`` build each document's stored form
-  (``{**document, "_id": doc_id}``) once, at the router, and quorum-append
-  one ``insert_many`` op per touched shard: each replica puts the logged
-  document object itself into its collection's row heap, so the log and
-  every replica share one stored document;
+* ``insert`` / ``insert_many`` build each document's read-only stored
+  form (a ``StoredDocument``) once, at the router, and quorum-append one
+  ``insert_many`` op per touched shard: each replica puts the logged
+  document object itself into its collection's row heap, so the log, every
+  replica and every read share one stored document;
 * ``get`` goes to the owning shard — a quorum read;
 * ``find`` prunes shards when it can and hands their primaries' slices to
   the one find path (``document.store.find_selection``), which reads them as one
   collection in shard order — so it returns what a single-node
-  ``Collection`` holding the same documents returns;
+  ``Collection`` holding the same documents returns; ``count`` and
+  ``distinct`` read the same slices and leave ``last_find_stats`` alone;
 * ``update``/``delete`` fan out as quorum appends to the pruned shards.
 
 A document's placement is fixed at insert time, so the shard key is
@@ -37,7 +38,7 @@ from typing import Any, Iterable, Mapping, Sequence
 from ...clock import SimClock
 from ...errors import QueryError, StorageError
 from ..document.query import sargable
-from ..document.store import Collection, DocumentStore, find_selection
+from ..document.store import Collection, DocumentStore, Selection, StoredDocument, find_selection
 from ..relational.index import partition_values
 from .cluster import StoreCluster
 from .ring import routing_key
@@ -171,7 +172,7 @@ class ClusteredCollection(Collection):
         # memory: built in input order, the shards' documents interleave and
         # scans slow.
         stored = {
-            shard: [{**document, "_id": doc_id} for document, doc_id in zip(*batches[shard])]
+            shard: [StoredDocument(document, _id=doc_id) for document, doc_id in zip(*batches[shard])]
             for shard in sorted(batches)
         }
         for shard, batch in stored.items():
@@ -244,6 +245,10 @@ class ClusteredCollection(Collection):
             "cluster.docs_scanned", float(docs_scanned), collection=self.name
         )
         return results
+
+    def _selection(self, filter_spec: Mapping[str, Any] | None) -> Selection:
+        slices = self._slices(self.shards_for_filter(filter_spec)[0])
+        return find_selection(slices, filter_spec, None, None, False, None)
 
     def get(self, doc_id: str) -> dict[str, Any]:
         with self._lock:

@@ -42,8 +42,8 @@ def get_path(document: Mapping[str, Any], path: str) -> Any:
 def _walk(document: Any, parts: Sequence[str]) -> Any:
     current = document
     for part in parts:
-        # the exact-type test spares stored documents the ABC machinery
-        if (type(current) is dict or isinstance(current, Mapping)) and part in current:
+        # the dict test spares stored documents (a dict subclass) the ABC machinery
+        if (isinstance(current, dict) or isinstance(current, Mapping)) and part in current:
             current = current[part]
         else:
             return _MISSING
@@ -215,10 +215,11 @@ def _is_clause_list(condition: Any) -> bool:
     )
 
 
-def project(document: Mapping[str, Any], fields: Sequence[str] | None) -> dict[str, Any]:
-    """Keep only *fields* (dotted paths allowed); None keeps everything."""
+def project(document: Mapping[str, Any], fields: Sequence[str] | None) -> Mapping[str, Any]:
+    """A new dict of only *fields* (dotted paths allowed); None keeps the
+    document itself, uncopied."""
     if fields is None:
-        return dict(document)
+        return document
     result: dict[str, Any] = {}
     for field in fields:
         value = get_path(document, field)

@@ -17,13 +17,28 @@ always; an ``=`` / ``$in`` unless a constant is NaN).  ``find(sort=)`` and
 from __future__ import annotations
 
 import threading
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, NoReturn, Sequence
 
 from ...errors import QueryError, StorageError
 from ...ids import IdGenerator
 from ..relational.index import group_key, sort_key
 from ..relational.table import RowHeap, Selection, select_in
 from .query import _MISSING, compile_where, get_path, hashable, project
+
+
+class StoredDocument(dict):
+    """A document as a collection stores it: read-only, so a read hands out
+    the stored object itself.  Shallow, as a copy is: nested values are shared."""
+
+    __slots__ = ()
+
+    def _read_only(self, *args: Any, **kwargs: Any) -> NoReturn:
+        raise TypeError("a stored document is read-only: change a copy of it")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self) -> tuple[type, tuple[dict[str, Any]]]:
+        return StoredDocument, (dict(self),)  # copy / pickle would refill via __setitem__
 
 
 def _indexed(document: Mapping[str, Any], field: str) -> Any:
@@ -56,11 +71,11 @@ class Collection:
     # Mutation
     # ------------------------------------------------------------------
     def insert(self, document: Mapping[str, Any], doc_id: str | None = None) -> str:
-        """Insert a copy of *document*; returns its id (stored as ``_id``)."""
+        """Store a read-only copy of *document*; returns its id (stored as ``_id``)."""
         with self._lock:  # generated ids follow insertion order
             if doc_id is None:
                 doc_id = self._ids.next("doc")
-            self._heap.insert({**document, "_id": doc_id})
+            self._heap.insert(StoredDocument(document, _id=doc_id))
             return doc_id
 
     def insert_many(self, documents: Iterable[Mapping[str, Any]]) -> list[str]:
@@ -72,7 +87,7 @@ class Collection:
             raise StorageError("cannot change _id")
         (conjuncts, residual), changes = compile_where(filter_spec), dict(changes)
         return self._heap.replace(
-            conjuncts, residual, lambda document: {**document, **changes}
+            conjuncts, residual, lambda document: StoredDocument({**document, **changes})
         )
 
     def delete(self, filter_spec: Mapping[str, Any]) -> int:
@@ -89,7 +104,7 @@ class Collection:
         descending: bool = False,
         limit: int | None = None,
     ) -> list[dict[str, Any]]:
-        """Documents matching *filter_spec* (all when None)."""
+        """The stored documents (read-only) matching *filter_spec* (all when None)."""
         return find_selection([self], filter_spec, fields, sort, descending, limit).rows
 
     def find_one(self, filter_spec: Mapping[str, Any] | None = None) -> dict[str, Any] | None:
@@ -97,18 +112,23 @@ class Collection:
         return found[0] if found else None
 
     def get(self, doc_id: str) -> dict[str, Any]:
+        """The stored document holding *doc_id* (read-only)."""
         document = self._heap.get(doc_id)
         if document is None:
             raise QueryError(f"no document with id {doc_id!r} in {self.name!r}")
-        return dict(document)
+        return document
+
+    def _selection(self, filter_spec: Mapping[str, Any] | None) -> Selection:
+        return find_selection([self], filter_spec, None, None, False, None)
 
     def count(self, filter_spec: Mapping[str, Any] | None = None) -> int:
-        return len(self.find(filter_spec))
+        """How many match: the size of the stored selection, nothing copied."""
+        return len(self._selection(filter_spec).rows)
 
     def distinct(self, field: str) -> list[Any]:
         """Each value of *field* once, first-seen first (``==`` values are one)."""
         values: dict[Any, Any] = {}
-        for document in self.find():
+        for document in self._selection(None).rows:
             value = get_path(document, field)
             if value is not _MISSING:
                 values.setdefault(group_key(value), value)
@@ -150,9 +170,9 @@ def find_selection(
     limit: int | None,
 ) -> Selection:
     """``find`` over *slices* read as one collection in slice order: one
-    compiled filter, one stable sort, one limit, and only what is returned
-    is copied.  Without a sort the first *limit* matches are the answer, so
-    reading stops there."""
+    compiled filter, one stable sort, one limit, and the stored documents
+    themselves (read-only) unless *fields* projects them.  Without a sort
+    the first *limit* matches are the answer, so reading stops there."""
     early_exit = sort is None and limit is not None and limit >= 0
     results, examined, tested, used = select_in(
         [collection._heap for collection in slices],
@@ -162,8 +182,9 @@ def find_selection(
         results.sort(key=lambda d: sort_key(get_path(d, sort)), reverse=descending)
     if limit is not None:
         results = results[:limit]
-    documents = [project(document, fields) for document in results]
-    return Selection(documents, examined, tested, sorted(used))
+    if fields is not None:
+        results = [project(document, fields) for document in results]
+    return Selection(results, examined, tested, sorted(used))
 
 
 class DocumentStore:

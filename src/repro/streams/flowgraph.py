@@ -3,14 +3,18 @@
 Builds a directed graph over the trace — producers, streams, and the
 subscribers that consumed from them — for observability tooling (who talks
 to whom over which streams).  Uses :mod:`networkx` so standard graph
-analyses (reachability, centrality, cycles) apply directly.
+analyses (reachability, centrality, cycles) apply directly; the heaviest
+import of the program is paid by the first graph built, not by the package.
 """
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from .store import StreamStore
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def build_flow_graph(store: StreamStore) -> "nx.DiGraph":
@@ -20,6 +24,7 @@ def build_flow_graph(store: StreamStore) -> "nx.DiGraph":
     ``stream -> component`` for each subscription that matched at least
     one message on it.  Edge weights count messages.
     """
+    import networkx as nx
     graph = nx.DiGraph()
     messages = store.trace()
     for message in messages:
@@ -44,6 +49,7 @@ def build_flow_graph(store: StreamStore) -> "nx.DiGraph":
 
 def component_graph(store: StreamStore) -> "nx.DiGraph":
     """Collapse streams away: direct component-to-component message flow."""
+    import networkx as nx
     full = build_flow_graph(store)
     collapsed = nx.DiGraph()
     for node, data in full.nodes(data=True):

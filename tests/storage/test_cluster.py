@@ -17,7 +17,7 @@ from repro.storage.cluster import (
     StoreCluster,
 )
 from repro.storage.cluster.ring import routing_key, stable_hash
-from repro.storage.document.store import DocumentStore
+from repro.storage.document.store import DocumentStore, StoredDocument
 
 
 def apply_list(state, op):
@@ -635,3 +635,86 @@ class TestOneStoredDocument:
             stored += len(documents)
         assert stored == len(people) == 5
         assert people.get("one") == {"city": "Denver", "n": 4, "_id": "one"}
+
+
+class TestReadOnlyClusteredDocuments:
+    """Reads hand out the one stored document the log and every replica
+    share, so mutating a result must raise; and only ``find`` reports a
+    find (``count`` and the duplicate-id probe under ``insert`` ran the full
+    clustered ``find`` and overwrote its stats)."""
+
+    @pytest.fixture
+    def people(self):
+        store = ClusteredDocumentStore("ro", n_shards=4, n_replicas=3,
+                                       clock=SimClock(), seed=5)
+        people = store.create_collection("people", partition_field="city")
+        cities = ["SF", "Oakland", "Austin", "Denver"]
+        people.insert_many(
+            [{"city": cities[n % 4], "n": n, "tags": ["a"]} for n in range(12)],
+            doc_ids=[f"p{n}" for n in range(12)],
+        )
+        return people
+
+    def heaps(self, people):
+        return [replica.state.collection("people")._heap
+                for replica in people._cluster.all_replicas()]
+
+    def stored(self, people):
+        return [[dict(d) for d in heap.select(()).rows] for heap in self.heaps(people)]
+
+    def test_mutating_a_result_raises_and_no_replica_changes(self, people):
+        before = self.stored(people)
+        results = (people.find()[0], people.find({"city": "SF"}, sort="n")[-1],
+                   people.find_one({"n": 5}), people.get("p7"))
+        for result in results:
+            for mutate in (lambda d: d.__setitem__("n", -1), lambda d: d.pop("n"),
+                           lambda d: d.update({"city": "Reno"}), lambda d: d.clear()):
+                with pytest.raises(TypeError, match="read-only"):
+                    mutate(result)
+        assert self.stored(people) == before
+        people._cluster.settle()
+        assert self.stored(people) == before
+
+    def test_reads_hand_out_the_replicas_stored_object(self, people):
+        found = people.find({"_id": "p3"})[0]
+        assert found is people.get("p3") is people.find_one({"n": 3})
+        holders = [heap.get("p3") for heap in self.heaps(people) if heap.get("p3") is not None]
+        assert len(holders) == 3 and all(held is found for held in holders)
+        assert isinstance(found, StoredDocument)
+
+    def test_update_swaps_in_a_new_read_only_document_on_every_replica(self, people):
+        old = people.get("p2")
+        assert people.update({"_id": "p2"}, {"n": 20}) == 1
+        new = people.get("p2")
+        assert old["n"] == 2 and new == {**old, "n": 20} and new is not old
+        held = [heap.get("p2") for heap in self.heaps(people) if heap.get("p2") is not None]
+        assert len(held) == 3 and all(isinstance(d, StoredDocument) and d == new for d in held)
+        with pytest.raises(TypeError):
+            new["n"] = 21
+
+    def test_only_find_reports_a_find(self, people, monkeypatch):
+        samples = []
+        metric = people._cluster._metric
+        monkeypatch.setattr(people._cluster, "_metric",
+                            lambda name, *a, **kw: (samples.append(name), metric(name, *a, **kw)))
+        assert len(people.find({"n": {"$gte": 0}})) == 12
+        stats, scanned = dict(people.last_find_stats), samples.count("cluster.docs_scanned")
+        assert stats["rows"] == 12 and scanned == 1
+        assert people.delete({"_id": "p1"}) == 1
+        people.insert({"city": "SF", "n": 1}, doc_id="p1")  # probes that p1 is free
+        people.insert_many([{"city": "Reno", "n": 12}])
+        assert people.count() == 13 and people.count({"city": "SF"}) == 4
+        assert people.count({"_id": "p1"}) == 1 and people.count({"_id": "gone"}) == 0
+        assert set(people.distinct("city")) == {"SF", "Oakland", "Austin", "Denver", "Reno"}
+        assert sorted(people.distinct("n")) == list(range(13))
+        with pytest.raises(StorageError, match="duplicate"):
+            people.insert({"city": "SF"}, doc_id="p1")
+        assert people.last_find_stats == stats
+        assert samples.count("cluster.docs_scanned") == scanned
+
+    def test_count_and_distinct_answer_as_find(self, people):
+        for spec in ({}, {"city": "SF"}, {"city": {"$in": ["SF", "Austin"]}},
+                     {"n": {"$gte": 6}}, {"_id": "p4"}, {"_id": "nope"}):
+            assert people.count(spec) == len(people.find(spec))
+        assert people.distinct("city") == list(dict.fromkeys(d["city"] for d in people.find()))
+        assert people.distinct("tags") == [["a"]]

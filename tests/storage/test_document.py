@@ -1,10 +1,14 @@
 """Tests for the document store and its filter language."""
 
+import copy
+import json
+import pickle
+
 import pytest
 
 from repro.errors import QueryError, StorageError
 from repro.storage.document import Collection, DocumentStore, matches, project
-from repro.storage.document.store import find_in
+from repro.storage.document.store import StoredDocument, find_in
 
 
 @pytest.fixture
@@ -236,3 +240,84 @@ class TestDocumentStore:
         collection.insert({"x": 1})
         described = store.describe()
         assert described["collections"][0]["documents"] == 1
+
+
+MUTATIONS = [
+    lambda d: d.__setitem__("name", "zed"),
+    lambda d: d.__delitem__("name"),
+    lambda d: d.__ior__({"name": "zed"}),
+    lambda d: d.clear(),
+    lambda d: d.pop("name"),
+    lambda d: d.popitem(),
+    lambda d: d.setdefault("extra", 1),
+    lambda d: d.update(name="zed"),
+]
+
+
+class TestReadOnlyDocuments:
+    """A stored document is read-only, so every read hands out the stored
+    object itself; a read used to copy each returned document."""
+
+    def stored(self, collection):
+        return [dict(document) for document in collection._heap.select(()).rows]
+
+    @pytest.mark.parametrize("mutate", MUTATIONS)
+    def test_mutating_a_result_raises_and_changes_nothing(self, people, mutate):
+        before = self.stored(people)
+        ann = people.find_one({"name": "ann"})
+        for result in (people.find()[0], ann, people.get(ann["_id"])):
+            with pytest.raises(TypeError, match="read-only"):
+                mutate(result)
+        assert self.stored(people) == before
+
+    def test_reads_hand_out_the_stored_object(self, people):
+        doc_id = people.find_one({"name": "bob"})["_id"]
+        stored = people._heap.get(doc_id)
+        assert people.find({"_id": doc_id})[0] is people.get(doc_id) is stored
+        assert isinstance(stored, StoredDocument)
+        assert [d for d in people.find() if d["_id"] == doc_id][0] is stored
+
+    def test_update_swaps_in_a_new_read_only_document(self, people):
+        old = people.find_one({"name": "ann"})
+        assert people.update({"name": "ann"}, {"age": 31}) == 1
+        new = people.get(old["_id"])
+        assert new is not old and old["age"] == 30
+        assert new == {**old, "age": 31} and isinstance(new, StoredDocument)
+        with pytest.raises(TypeError):
+            new["age"] = 32
+
+    def test_a_projection_and_a_copy_are_plain_dicts(self, people):
+        (projected,) = people.find({"name": "ann"}, fields=["age"])
+        projected["age"] = 99  # a new dict, not the stored one
+        ann = people.find_one({"name": "ann"})
+        assert ann["age"] == 30
+        for copied in (dict(ann), {**ann}, ann.copy(), ann | {}):
+            assert type(copied) is dict and copied == ann
+            copied["age"] = 31
+        for copied in (copy.copy(ann), copy.deepcopy(ann), pickle.loads(pickle.dumps(ann))):
+            assert copied == ann and copied is not ann
+        assert copy.deepcopy(ann)["skills"] is not ann["skills"]
+
+    def test_json_repr_and_equality_match_a_plain_dict(self, people):
+        for document in people.find():
+            plain = dict(document)
+            assert json.dumps(document) == json.dumps(plain)
+            assert json.dumps(document, sort_keys=True, indent=2) == json.dumps(
+                plain, sort_keys=True, indent=2
+            )
+            assert repr(document) == repr(plain) and str(document) == str(plain)
+            assert document == plain and plain == document
+
+    def test_nested_values_are_shared_as_a_copy_shared_them(self, people):
+        ann = people.find_one({"name": "ann"})
+        assert ann["address"] is people.get(ann["_id"])["address"]
+        assert people.find_one({"address.city": "SF"}) is ann  # a dotted path reads it
+
+    def test_count_and_distinct_read_without_find(self, people, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("count and distinct read the selection, not find")
+
+        monkeypatch.setattr(people, "find", refused)
+        assert people.count({"address.city": "SF"}) == 2
+        assert people.count() == 3
+        assert people.distinct("address.city") == ["SF", "NY"]
