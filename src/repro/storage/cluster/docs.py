@@ -56,10 +56,7 @@ def _apply_docs(state: DocumentStore, op: dict[str, Any]) -> Any:
         return None
     collection = state.collection(op["collection"])
     if kind == "insert_many":  # the router's stored documents, shared with the log
-        insert = collection._heap.insert
-        for document in op["documents"]:
-            insert(document)
-        return len(op["documents"])
+        return len(collection._heap.insert_many(op["documents"]))
     if kind == "update":
         return collection.update(op["filter"], op["changes"])
     if kind == "delete":
@@ -145,44 +142,34 @@ class ClusteredCollection(Collection):
     ) -> list[str]:
         """Build each document's stored form once, here — the log and every
         replica of its shard share it; one quorum append per touched shard.
-        Every id is checked before the first append, so a duplicate appends
-        nothing."""
-        explicit = iter(doc_ids) if doc_ids is not None else None
-        batches: dict[int, tuple[list[Mapping[str, Any]], list[str]]] = {}
-        assigned: list[str] = []
-        seen: set[str] = set()
+        Every id is checked before the first append, so a duplicate (or
+        *doc_ids* not one per document) appends nothing."""
+        documents = list(documents)
         with self._lock:
-            for document in documents:
-                doc_id = (
-                    next(explicit)
-                    if explicit is not None
-                    else self._ids.next("doc")
-                )
+            ids = [self._ids.next("doc") for _ in documents] if doc_ids is None else list(doc_ids)
+            if len(ids) != len(documents):
+                raise StorageError(f"{len(documents)} documents but {len(ids)} document ids")
+            seen: set[str] = set()
+            for doc_id in ids:
                 if doc_id in seen or self._holds(doc_id):
                     raise StorageError(f"duplicate document id: {doc_id!r}")
                 seen.add(doc_id)
-                shard = self._cluster.shard_for(
-                    self._route(self._route_value(document, doc_id))
-                )
-                docs, ids = batches.setdefault(shard, ([], []))
-                docs.append(document)
-                ids.append(doc_id)
-                assigned.append(doc_id)
+            routes = map(self._route, map(self._route_value, documents, ids))
+            batches = self._cluster.ring.positions_by_shard(routes)
         # A shard's documents are built together, so they lie together in
         # memory: built in input order, the shards' documents interleave and
         # scans slow.
         stored = {
-            shard: [StoredDocument(document, _id=doc_id) for document, doc_id in zip(*batches[shard])]
-            for shard in sorted(batches)
+            shard: [StoredDocument(documents[i], _id=ids[i]) for i in batch]
+            for shard, batch in batches.items()
         }
         for shard, batch in stored.items():
             self._cluster.append_to(
                 shard, {"op": "insert_many", "collection": self.name, "documents": batch}
             )
             with self._lock:
-                for document in batch:
-                    self._doc_shard[document["_id"]] = shard
-        return assigned
+                self._doc_shard.update((document["_id"], shard) for document in batch)
+        return ids
 
     def update(self, filter_spec: Mapping[str, Any], changes: Mapping[str, Any]) -> int:
         if "_id" in changes:

@@ -95,10 +95,7 @@ def _apply_relational(state: Database, op: dict[str, Any]) -> Any:
             state.create_table(_schema_from_json(op["schema"]))
         return None
     if kind == "insert_many":  # the router's stored rows, shared with the log
-        insert = state.table(op["table"])._heap.insert
-        for row in op["rows"]:
-            insert(row)
-        return len(op["rows"])
+        return len(state.table(op["table"])._heap.insert_many(op["rows"]))
     if kind == "create_index":
         table = state.table(op["table"])
         if op["column"] not in table.indexed_columns():
@@ -144,18 +141,16 @@ class ShardedTable:
         every replica of its shard share; one quorum append per touched
         shard.  Every row is validated before the first append, so a bad
         row appends nothing."""
-        # validate_row stores an int as a FLOAT column's float(int)
-        coerce = self.schema.column(self.partition_column).type is ColumnType.FLOAT
-        batches: dict[int, list[Mapping[str, Any]]] = {}
-        for row in rows:
-            value = row.get(self.partition_column)
-            if coerce and isinstance(value, int):
-                value = float(value)  # past 2**53 the int routes elsewhere
-            batches.setdefault(self.shard_for_value(value), []).append(row)
+        rows = list(rows)
+        values = [row.get(self.partition_column) for row in rows]
+        if self.schema.column(self.partition_column).type is ColumnType.FLOAT:
+            # validate_row stores an int as a float: past 2**53 it routes elsewhere
+            values = [float(value) if isinstance(value, int) else value for value in values]
+        batches = self._cluster.ring.positions_by_shard(map(self._route, values))
         # A shard's rows are built together, so they lie together in memory:
         # built in input order, the shards' rows interleave and scans slow.
         validate = self.schema.validate_row
-        stored = {shard: [validate(row) for row in batches[shard]] for shard in sorted(batches)}
+        stored = {shard: [validate(rows[i]) for i in batch] for shard, batch in batches.items()}
         return sum(
             self._cluster.append_to(
                 shard, {"op": "insert_many", "table": self.schema.name, "rows": batch}

@@ -14,8 +14,9 @@ hashed keys, and adding a shard moves only ``~1/n_shards`` of them.
 from __future__ import annotations
 
 import bisect
+import functools
 import hashlib
-from typing import Any
+from typing import Any, Iterable
 
 
 def stable_hash(text: str) -> int:
@@ -61,6 +62,13 @@ class HashRing:
         if position == len(self._hashes):
             position = 0
         return self._shards[position]
+
+    def positions_by_shard(self, keys: Iterable[str]) -> dict[int, list[int]]:
+        """Shard (ascending) -> positions of the *keys* it owns; hashes a distinct key once."""
+        owner, positions = functools.cache(self.shard_for), {}
+        for position, key in enumerate(keys):
+            positions.setdefault(owner(key), []).append(position)
+        return dict(sorted(positions.items()))
 
     def shards_for(self, keys) -> list[int]:
         """Distinct shards owning *keys*, in ascending shard order."""

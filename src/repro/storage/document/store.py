@@ -79,7 +79,10 @@ class Collection:
             return doc_id
 
     def insert_many(self, documents: Iterable[Mapping[str, Any]]) -> list[str]:
-        return [self.insert(document) for document in documents]
+        """Store read-only copies under generated ids, as one :meth:`RowHeap.insert_many`."""
+        with self._lock:  # generated ids follow insertion order
+            stored = (StoredDocument(document, _id=self._ids.next("doc")) for document in documents)
+            return [self._heap._rows[row_id]["_id"] for row_id in self._heap.insert_many(stored)]
 
     def update(self, filter_spec: Mapping[str, Any], changes: Mapping[str, Any]) -> int:
         """Shallow-merge *changes* into matching documents; returns count."""

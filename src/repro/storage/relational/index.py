@@ -36,7 +36,7 @@ the total order every sort reads, and :func:`group_key` is what ``DISTINCT``,
 from __future__ import annotations
 
 import bisect
-from itertools import chain
+from itertools import chain, count
 from operator import itemgetter
 from typing import Any, Callable, Iterable, KeysView, Sequence
 
@@ -112,9 +112,16 @@ class HashIndex:
                 bucket.insert(position, row_id)
 
     def extend(self, entries: Iterable[tuple[Any, Any]]) -> None:
-        """Insert many ``(value, row_id)`` entries."""
+        """Insert ``(value, row_id)`` pairs, ids past every id held: appends, none for MISSING."""
+        buckets = self._buckets
         for value, row_id in entries:
-            self.insert(value, row_id)
+            if value is MISSING:
+                continue
+            bucket = buckets.get(value)
+            if bucket is None:
+                buckets[value] = [row_id]
+            else:
+                bucket.append(row_id)
 
     def remove(self, value: Any, row_id: Any) -> None:
         bucket = self._buckets.get(value)
@@ -166,6 +173,19 @@ class KeyIndex:
 
     def insert(self, value: Any, row_id: Any) -> None:
         self._row_ids[value] = row_id
+
+    def claim(self, values: list[Any], first_row_id: int) -> int:
+        """Key *values* to row ids ``first_row_id``, … up to the first held
+        already or earlier in *values*; returns how many were keyed."""
+        held = self._row_ids
+        if held.keys().isdisjoint(values) and len(set(values)) == len(values):
+            held.update(zip(values, count(first_row_id)))  # one C-level pass
+            return len(values)
+        for claimed, value in enumerate(values):
+            if value in held:
+                return claimed
+            held[value] = first_row_id + claimed
+        return len(values)
 
     def remove(self, value: Any, row_id: Any) -> None:
         if value in self._row_ids and self._row_ids[value] == row_id:
@@ -219,10 +239,15 @@ class SortedIndex:
             bisect.insort(self._entries, (*key, row_id))
 
     def extend(self, entries: Iterable[tuple[Any, Any]]) -> None:
-        """Insert many ``(value, row_id)`` entries with one sort."""
-        keyed = ((order_key(value), row_id) for value, row_id in entries)
-        self._entries.extend((*key, row_id) for key, row_id in keyed if key is not None)
-        self._entries.sort()
+        """Insert many ``(value, row_id)`` entries: a batch small next to the
+        index one by one (a sort compares every entry), a larger with one sort."""
+        keyed = [(*key, row_id) for value, row_id in entries if (key := order_key(value))]
+        if len(keyed) * 32 < len(self._entries):
+            for entry in keyed:
+                bisect.insort(self._entries, entry)
+        else:
+            self._entries += keyed
+            self._entries.sort()
 
     def remove(self, value: Any, row_id: Any) -> None:
         key = order_key(value)

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import itertools
 import threading
-from itertools import islice
+from itertools import islice, repeat
 from operator import getitem, length_hint
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -97,22 +97,38 @@ class RowHeap:
         return len(self._rows)
 
     def insert(self, row: Row) -> int:
-        """Store *row* — the heap keeps it, so pass a dict no one else holds;
-        returns its row id."""
+        """Store *row*: :meth:`insert_many`'s one-row case; returns its row id."""
+        return self.insert_many((row,))[0]
+
+    def insert_many(self, rows: Iterable[Row]) -> range:
+        """Store *rows* (kept: pass dicts no one else holds) under one lock, key
+        check and version stamp; their row ids.  A row is refused where a loop
+        would refuse it — a key held, or *rows* raising — and those before it stay."""
         with self._lock:
-            key = self.key
-            if key is not None and self._indexes[key].get(row[key]) is not None:
-                raise StorageError(self._duplicate(row[key]))
-            row_id = self._next_row_id
-            self._next_row_id += 1
-            self._rows[row_id] = row
-            self.version = next(_STAMPS)
-            read = self._read
-            for field, index in self._indexes.items():
-                value = read(row, field)
-                if value is not MISSING:
-                    index.insert(value, row_id)
-            return row_id
+            batch: list[Row] = []
+            refused: Exception | None = None  # raised once the rows before it are stored
+            try:
+                batch.extend(rows)
+            except Exception as error:
+                refused = error
+            start, key = self._next_row_id, self.key
+            if key is not None:
+                keys = [row[key] for row in batch]
+                claimed = self._indexes[key].claim(keys, start)
+                if claimed < len(batch):
+                    refused = StorageError(self._duplicate(keys[claimed]))
+                    del batch[claimed:]
+            row_ids = range(start, start + len(batch))
+            if batch:
+                self._next_row_id = row_ids.stop
+                self._rows.update(zip(row_ids, batch))
+                self.version = next(_STAMPS)
+                for field, index in self._indexes.items():
+                    if field != key:  # (value, row_id) pairs; an index skips MISSING
+                        index.extend(zip(map(self._read, batch, repeat(field)), row_ids))
+            if refused is not None:
+                raise refused
+            return row_ids
 
     def replace(self, conjuncts: Sequence[Conjunct], residual: Residual, change: Callable) -> int:
         """Swap every matching row for ``change(row)``, each matched and
@@ -195,12 +211,7 @@ class RowHeap:
             if field in self._indexes:
                 return
             index = _KINDS[kind](field)
-            read = self._read
-            index.extend(
-                (value, row_id)
-                for row_id, row in self._rows.items()
-                if (value := read(row, field)) is not MISSING
-            )
+            index.extend(zip(map(self._read, self._rows.values(), repeat(field)), self._rows))
             self._indexes[field] = index
 
     def index_on(self, field: str) -> HashIndex | KeyIndex | SortedIndex | None:
@@ -267,7 +278,8 @@ class Table:
         return self._heap.insert(self.schema.validate_row(row))
 
     def insert_many(self, rows: Iterable[dict[str, Any]]) -> list[int]:
-        return [self.insert(row) for row in rows]
+        """Validate and insert *rows* as one batch (:meth:`RowHeap.insert_many`)."""
+        return list(self._heap.insert_many(map(self.schema.validate_row, rows)))
 
     def update(self, predicate: Predicate, changes: Mapping[str, Any] | Callable) -> int:
         """Apply *changes* — a mapping, or a function of the stored row returning

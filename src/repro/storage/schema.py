@@ -67,6 +67,10 @@ class ColumnType(enum.Enum):
         return aliases[normalized]
 
 
+#: The one value type each column type passes as it is (Column.validate checks the rest).
+_EXACT = {ColumnType.INT: int, ColumnType.FLOAT: float, ColumnType.TEXT: str, ColumnType.BOOL: bool}
+
+
 @dataclass(frozen=True)
 class Column:
     """A named, typed column."""
@@ -99,6 +103,9 @@ class TableSchema:
             raise SchemaError(f"duplicate column names in schema {self.name!r}")
         if not self.columns:
             raise SchemaError(f"schema {self.name!r} has no columns")
+        # validate_row's per-row reads, computed once (not dataclass fields)
+        exact = [_EXACT[c.type] for c in self.columns]
+        object.__setattr__(self, "_checks", (tuple(names), frozenset(names), exact))
 
     @classmethod
     def build(
@@ -137,15 +144,17 @@ class TableSchema:
 
         Unknown keys are rejected; missing nullable columns become None.
         """
-        unknown = set(row) - set(self.column_names())
-        if unknown:
-            raise SchemaError(
-                f"unknown columns for table {self.name!r}: {sorted(unknown)}"
-            )
-        validated: dict[str, Any] = {}
-        for col in self.columns:
-            validated[col.name] = col.validate(row.get(col.name))
-        return validated
+        names, known, exact = self._checks
+        if not known.issuperset(row):
+            unknown = sorted(set(row) - known)
+            raise SchemaError(f"unknown columns for table {self.name!r}: {unknown}")
+        values = list(map(row.get, names))
+        if list(map(type, values)) != exact:  # not every value passes as it is
+            values = [
+                value if type(value) is kept else column.validate(value)
+                for value, kept, column in zip(values, exact, self.columns)
+            ]
+        return dict(zip(names, values))
 
     def describe(self) -> dict[str, Any]:
         """A metadata mapping used by the data registry."""
