@@ -36,7 +36,7 @@ the total order every sort reads, and :func:`group_key` is what ``DISTINCT``,
 from __future__ import annotations
 
 import bisect
-from itertools import chain, count
+from itertools import chain
 from operator import itemgetter
 from typing import Any, Callable, Iterable, KeysView, Sequence
 
@@ -174,17 +174,17 @@ class KeyIndex:
     def insert(self, value: Any, row_id: Any) -> None:
         self._row_ids[value] = row_id
 
-    def claim(self, values: list[Any], first_row_id: int) -> int:
-        """Key *values* to row ids ``first_row_id``, … up to the first held
+    def claim(self, values: list[Any], row_ids: list[Any]) -> int:
+        """Key each of *values* to its row id, up to the first one held
         already or earlier in *values*; returns how many were keyed."""
         held = self._row_ids
         if held.keys().isdisjoint(values) and len(set(values)) == len(values):
-            held.update(zip(values, count(first_row_id)))  # one C-level pass
+            held.update(zip(values, row_ids))  # one C-level pass
             return len(values)
         for claimed, value in enumerate(values):
             if value in held:
                 return claimed
-            held[value] = first_row_id + claimed
+            held[value] = row_ids[claimed]
         return len(values)
 
     def remove(self, value: Any, row_id: Any) -> None:

@@ -100,7 +100,7 @@ class RowHeap:
         """Store *row*: :meth:`insert_many`'s one-row case; returns its row id."""
         return self.insert_many((row,))[0]
 
-    def insert_many(self, rows: Iterable[Row]) -> range:
+    def insert_many(self, rows: Iterable[Row]) -> list[int]:
         """Store *rows* (kept: pass dicts no one else holds) under one lock, key
         check and version stamp; their row ids.  A row is refused where a loop
         would refuse it — a key held, or *rows* raising — and those before it stay."""
@@ -111,16 +111,17 @@ class RowHeap:
                 batch.extend(rows)
             except Exception as error:
                 refused = error
-            start, key = self._next_row_id, self.key
+            key, start = self.key, self._next_row_id
+            # one int object per row id, shared by _rows and every index
+            row_ids = list(range(start, start + len(batch)))
             if key is not None:
                 keys = [row[key] for row in batch]
-                claimed = self._indexes[key].claim(keys, start)
+                claimed = self._indexes[key].claim(keys, row_ids)
                 if claimed < len(batch):
                     refused = StorageError(self._duplicate(keys[claimed]))
-                    del batch[claimed:]
-            row_ids = range(start, start + len(batch))
+                    del batch[claimed:], row_ids[claimed:]
             if batch:
-                self._next_row_id = row_ids.stop
+                self._next_row_id = start + len(batch)
                 self._rows.update(zip(row_ids, batch))
                 self.version = next(_STAMPS)
                 for field, index in self._indexes.items():
@@ -279,7 +280,7 @@ class Table:
 
     def insert_many(self, rows: Iterable[dict[str, Any]]) -> list[int]:
         """Validate and insert *rows* as one batch (:meth:`RowHeap.insert_many`)."""
-        return list(self._heap.insert_many(map(self.schema.validate_row, rows)))
+        return self._heap.insert_many(map(self.schema.validate_row, rows))
 
     def update(self, predicate: Predicate, changes: Mapping[str, Any] | Callable) -> int:
         """Apply *changes* — a mapping, or a function of the stored row returning

@@ -606,6 +606,20 @@ class TestClusteredDocumentStore:
         people.insert({"city": "Austin"}, doc_id="b")
         assert len(people) == 2
 
+    @pytest.mark.parametrize("documents, doc_ids", [
+        ([{"a": 1}, {"a": 2}], ["x"]),  # a bare StopIteration escaped
+        ([{"a": 1}], ["y", "z"]),  # "z" was dropped: ["y"] came back
+    ])
+    def test_one_id_per_document_or_nothing_appended(self, documents, doc_ids):
+        store = ClusteredDocumentStore("ids", n_shards=2, n_replicas=3,
+                                       clock=SimClock(), seed=5)
+        people = store.create_collection("people")
+        logs = [replica.log_digest() for replica in store.cluster.all_replicas()]
+        with pytest.raises(StorageError, match="documents but .* document ids"):
+            people.insert_many(documents, doc_ids)
+        assert [replica.log_digest() for replica in store.cluster.all_replicas()] == logs
+        assert len(people) == 0
+
 
 class TestOneStoredDocument:
     """A clustered insert builds each document's stored form once, at the
