@@ -161,7 +161,7 @@ class ClusteredCollection(Collection):
         # scans slow.
         stored = {
             shard: [StoredDocument(documents[i], _id=ids[i]) for i in batch]
-            for shard, batch in batches.items()
+            for shard, batch in batches
         }
         for shard, batch in stored.items():
             self._cluster.append_to(

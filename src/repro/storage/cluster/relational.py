@@ -150,7 +150,7 @@ class ShardedTable:
         # A shard's rows are built together, so they lie together in memory:
         # built in input order, the shards' rows interleave and scans slow.
         validate = self.schema.validate_row
-        stored = {shard: [validate(rows[i]) for i in batch] for shard, batch in batches.items()}
+        stored = {shard: [validate(rows[i]) for i in batch] for shard, batch in batches}
         return sum(
             self._cluster.append_to(
                 shard, {"op": "insert_many", "table": self.schema.name, "rows": batch}

@@ -14,7 +14,6 @@ hashed keys, and adding a shard moves only ``~1/n_shards`` of them.
 from __future__ import annotations
 
 import bisect
-import functools
 import hashlib
 from typing import Any, Iterable
 
@@ -63,12 +62,13 @@ class HashRing:
             position = 0
         return self._shards[position]
 
-    def positions_by_shard(self, keys: Iterable[str]) -> dict[int, list[int]]:
-        """Shard (ascending) -> positions of the *keys* it owns; hashes a distinct key once."""
-        owner, positions = functools.cache(self.shard_for), {}
+    def positions_by_shard(self, keys: Iterable[str]) -> list[tuple[int, list[int]]]:
+        """``(shard, positions of the keys it owns)``, shards ascending; one hash per key."""
+        owners, positions = {}, {}
         for position, key in enumerate(keys):
-            positions.setdefault(owner(key), []).append(position)
-        return dict(sorted(positions.items()))
+            shard = owners[key] if key in owners else owners.setdefault(key, self.shard_for(key))
+            positions.setdefault(shard, []).append(position)
+        return sorted(positions.items())
 
     def shards_for(self, keys) -> list[int]:
         """Distinct shards owning *keys*, in ascending shard order."""
