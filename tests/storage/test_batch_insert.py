@@ -178,7 +178,7 @@ TABLE_QUERIES = [
     ("flag IN (TRUE)", [("flag", "in", [True])]),
     ("tag IN ('a', 'b') AND x > 0", [("tag", "in", ["a", "b"]), ("x", ">", 0)]),
 ]
-DOC_INDEXES = [("n", "sorted"), ("n", "hash"), ("tag", "hash"), ("sub.x", "hash")]
+DOC_INDEXES = [("n", "sorted"), ("tag", "hash"), ("sub.x", "hash")]
 DOC_FILTERS = [
     {}, {"n": {"$gte": 1}}, {"n": 1}, {"n": None}, {"tag": "a"}, {"sub.x": 1},
     {"tag": {"$in": ["a", "b"]}, "n": {"$lt": 3}},
