@@ -18,10 +18,12 @@ slices (possible when the partition column is not the primary key) is a
 ``StorageError``.
 
 Writes never take a shortcut.  An INSERT's rows are evaluated and
-validated once, at the router, routed by partition value, and
+validated once, at the router — a key its shard or the batch holds twice
+refusing them all before any append — routed by partition value, and
 quorum-appended as one ``insert_many`` op per touched shard: each replica
-puts the logged row object itself into its table's row heap, so the log
-and every replica share one stored row and no replica re-validates it.
+puts the logged row tuple itself into its table's row heap, so the log
+and every replica share one stored row and no replica re-validates it
+(as a CREATE TABLE op carries the router's immutable schema itself).
 UPDATE/DELETE replay the statement itself on each pruned shard (all
 replicas execute the same SQL in the same order, so their tables stay
 identical).
@@ -29,6 +31,7 @@ identical).
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Iterable, Mapping, TYPE_CHECKING
 
 from ...clock import SimClock
@@ -39,49 +42,12 @@ from ..relational.sql import ast
 from ..relational.sql.executor import Executor, sargable
 from ..relational.sql.parser import parse
 from ..relational.view import ConcatTable
-from ..schema import Column, ColumnType, TableSchema
+from ..schema import ColumnType, TableSchema
 from .cluster import StoreCluster
 from .ring import routing_key
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...observability.span import Span
-
-
-# ----------------------------------------------------------------------
-# Op serialization helpers (ops must be JSON-able for log digests)
-# ----------------------------------------------------------------------
-def _schema_to_json(schema: TableSchema) -> dict[str, Any]:
-    return {
-        "name": schema.name,
-        "description": schema.description,
-        "columns": [
-            {
-                "name": c.name,
-                "type": c.type.name,
-                "nullable": c.nullable,
-                "primary_key": c.primary_key,
-                "description": c.description,
-            }
-            for c in schema.columns
-        ],
-    }
-
-
-def _schema_from_json(data: Mapping[str, Any]) -> TableSchema:
-    return TableSchema(
-        name=data["name"],
-        columns=tuple(
-            Column(
-                name=c["name"],
-                type=ColumnType[c["type"]],
-                nullable=c["nullable"],
-                primary_key=c["primary_key"],
-                description=c["description"],
-            )
-            for c in data["columns"]
-        ),
-        description=data["description"],
-    )
 
 
 def _make_database() -> Database:
@@ -91,8 +57,8 @@ def _make_database() -> Database:
 def _apply_relational(state: Database, op: dict[str, Any]) -> Any:
     kind = op["op"]
     if kind == "create_table":
-        if not state.has_table(op["schema"]["name"]):
-            state.create_table(_schema_from_json(op["schema"]))
+        if not state.has_table(op["schema"].name):  # the router's schema, shared with the log
+            state.create_table(op["schema"])
         return None
     if kind == "insert_many":  # the router's stored rows, shared with the log
         return len(state.table(op["table"])._heap.insert_many(op["rows"]))
@@ -139,8 +105,8 @@ class ShardedTable:
     def insert_many(self, rows: Iterable[Mapping[str, Any]]) -> int:
         """Validate each row once, here, into the stored row the log and
         every replica of its shard share; one quorum append per touched
-        shard.  Every row is validated before the first append, so a bad
-        row appends nothing."""
+        shard.  Every row is validated, and its key checked, before the
+        first append, so a bad row or a held key appends nothing."""
         rows = list(rows)
         values = [row.get(self.partition_column) for row in rows]
         if self.schema.column(self.partition_column).type is ColumnType.FLOAT:
@@ -151,12 +117,28 @@ class ShardedTable:
         # built in input order, the shards' rows interleave and scans slow.
         validate = self.schema.validate_row
         stored = {shard: [validate(rows[i]) for i in batch] for shard, batch in batches}
+        self._refuse_held_keys(stored)
         return sum(
             self._cluster.append_to(
                 shard, {"op": "insert_many", "table": self.schema.name, "rows": batch}
             )
             for shard, batch in stored.items()
         )
+
+    def _refuse_held_keys(self, stored: dict[int, list[tuple[Any, ...]]]) -> None:
+        """A primary key its shard holds, or the batch holds twice, refuses
+        the batch (a key held on another shard is not looked for)."""
+        primary = self.schema.primary_key()
+        if primary is None:
+            return
+        at, seen = self.schema.column_names().index(primary.name), set()
+        for shard, batch in stored.items():
+            state = self._cluster.shards[shard].primary().state  # a read no metric counts
+            held = state.table(self.name).index_on(primary.name).keys()
+            for key in map(itemgetter(at), batch):
+                if key in seen or key in held:
+                    raise StorageError(f"duplicate primary key {key!r} in table {self.name!r}")
+                seen.add(key)
 
     def create_index(self, column: str, kind: str = "hash") -> None:
         self._cluster.broadcast(
@@ -237,7 +219,7 @@ class ShardedDatabase(Database):
                     f"partition column {partition_column!r} not in {schema.name!r}"
                 )
             self.cluster.broadcast(
-                {"op": "create_table", "schema": _schema_to_json(schema)}
+                {"op": "create_table", "schema": schema}
             )
             front = ShardedTable(self, schema, partition_column)
             self.attach(front)  # the inherited catalog holds the router fronts

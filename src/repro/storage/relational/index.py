@@ -178,7 +178,7 @@ class KeyIndex:
         """Key each of *values* to its row id, up to the first one held
         already or earlier in *values*; returns how many were keyed."""
         held = self._row_ids
-        if held.keys().isdisjoint(values) and len(set(values)) == len(values):
+        if len(values) > 1 and held.keys().isdisjoint(values) and len(set(values)) == len(values):
             held.update(zip(values, row_ids))  # one C-level pass
             return len(values)
         for claimed, value in enumerate(values):

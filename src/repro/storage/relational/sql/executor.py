@@ -9,12 +9,14 @@ The executor performs a light logical-planning pass for SELECTs:
   falls back to a nested-loop join,
 * then filtering, grouping, projection, distinct, ordering, and limiting.
 
-Rows travel through the pipeline as *environments*: mappings from table
-binding (alias or name) to the row dict, so qualified and unqualified column
-references both resolve naturally.  Expressions are not interpreted per
-row: :func:`compile_expr` turns each distinct AST node into a closure once.
-A candidate is tested only on the WHERE's conjuncts no index answered
-exactly (:meth:`Executor._filter`).
+Rows travel through the pipeline as the stored tuples themselves — under a
+JOIN, their concatenations — with one :data:`Layout` per statement saying
+which binding's columns sit at which positions.  Expressions are not
+interpreted per row: :func:`compile_expr` turns each distinct AST node into
+a closure once per layout, a column reference into a position.  A dict is
+built only for a row the statement returns (:meth:`Executor._projector`),
+so ``COUNT(*)`` is the selection's length.  A candidate is tested only on
+the WHERE's conjuncts no index answered exactly (:meth:`Executor._filter`).
 """
 
 from __future__ import annotations
@@ -22,22 +24,27 @@ from __future__ import annotations
 import operator
 import re
 from functools import lru_cache
+from itertools import chain
 from typing import Any, Callable, Iterable
 
-from ....errors import SQLError, StorageError
+from ....errors import SchemaError, SQLError, StorageError
 from ...schema import Column, ColumnType, TableSchema
 from ..database import Database, SQLResult
 from ..index import Conjunct, group_key, sort_key
 from ..table import Residual, Table, residual_of
 from . import ast
-from .functions import SCALAR_FUNCTIONS, make_aggregate
+from .functions import AGGREGATES, SCALAR_FUNCTIONS
 from .parser import parse
 
-Env = dict[str, dict[str, Any]]
+#: Where a row's columns are: one ``(binding, columns, offset)`` per table
+#: binding, in FROM / JOIN order, over the concatenation of the bound rows —
+#: a stored table row, or a joined one.
+Layout = tuple[tuple[str, tuple[str, ...], int], ...]
+Row = tuple[Any, ...]
 #: Per-group aggregate results, by the call that asked for them.
 Aggregates = dict[ast.FunctionCall, Any] | None
-#: A compiled expression: ``evaluate(executor, env, agg_values)``.
-Evaluator = Callable[["Executor", Env, Aggregates], Any]
+#: A compiled expression: ``evaluate(executor, row, agg_values)``.
+Evaluator = Callable[["Executor", Row, Aggregates], Any]
 
 #: Sentinel: an expression that cannot be folded to a constant at plan time.
 _NOT_CONSTANT = object()
@@ -97,31 +104,37 @@ class Executor:
     # SELECT pipeline
     # ------------------------------------------------------------------
     def _execute_select(self, select: ast.Select) -> SQLResult:
-        envs = self._matching_rows(select)
+        layout, rows = self._matching_rows(select)
         has_aggregates = any(
             _find_aggregates(item.expr) for item in select.items
         ) or (select.having is not None and _find_aggregates(select.having))
         if select.group_by or has_aggregates:
-            rows = self._grouped_projection(select, envs)
+            output = self._grouped_projection(select, layout, rows)
         else:
-            rows = list(map(self._projector(select.items), envs))
-            rows = self._order_rows(select, rows, envs)
-        columns = self._output_columns(select.items, envs)
+            output = list(map(self._projector(select.items, layout), rows))
+            output = self._order_rows(select, layout, output, rows)
+        # ``*`` names the columns of the rows there are: none without a row
+        columns = list(dict.fromkeys(_select_list(select.items, layout if rows else ())[0]))
         if select.distinct:
-            rows = _distinct_rows(rows)
+            output = _distinct_rows(output)
         if select.offset:
-            rows = rows[select.offset :]
+            output = output[select.offset :]
         if select.limit is not None:
-            rows = rows[: select.limit]
-        return SQLResult(rows=rows, columns=columns, statement_kind="select")
+            output = output[: select.limit]
+        return SQLResult(rows=output, columns=columns, statement_kind="select")
 
-    def _matching_rows(self, select: ast.Select) -> list[Env]:
-        """The FROM rows (stored, never mutated), joined, that pass the WHERE:
-        each slice's heap tests its own candidates — under a JOIN, the joined
-        rows are tested on what no slice's indexes answered."""
+    def _matching_rows(self, select: ast.Select) -> tuple[Layout, list[Row]]:
+        """The FROM rows (stored, never mutated), joined, that pass the WHERE,
+        and their layout: each slice's heap tests its own candidates — under
+        a JOIN, the joined rows are tested on what no slice's indexes answered."""
         table = self._db.table(select.table.name)
         binding = select.table.binding()
-        conjuncts, residual = self._filter(select.where, binding, select.joins)
+        layouts = [_bound((), binding, table.schema.column_names())]
+        for join in select.joins:  # a missing table raises where the join runs
+            known = self._db.has_table(join.table.name)
+            columns = self._db.table(join.table.name).schema.column_names() if known else ()
+            layouts.append(_bound(layouts[-1], join.table.binding(), columns))
+        conjuncts, residual = self._filter(select.where, binding, select.joins, layouts[-1])
         answered: list[set[int]] = []
         selection = table.select(conjuncts, answered.append if select.joins else residual)
         if selection.fields:
@@ -130,24 +143,26 @@ class Executor:
         else:
             self.stats.rows_scanned += selection.examined
         self.stats.rows_tested += selection.tested
-        envs = [{binding: row} for row in selection.rows]
-        for join in select.joins:
-            envs = self._apply_join(envs, join)
+        rows = selection.rows
+        for join, left, joined in zip(select.joins, layouts, layouts[1:]):
+            rows = self._apply_join(rows, join, left, joined)
         passes = residual(set.intersection(*answered)) if answered else None
         if passes is not None:
-            self.stats.rows_tested += len(envs)
-            envs = [env for env in envs if passes(self, env, None)]
-        return envs
+            self.stats.rows_tested += len(rows)
+            rows = [row for row in rows if passes(self, row, None)]
+        return layouts[-1], rows
 
     def _filter(
-        self, where: ast.Expr | None, binding: str, joins: tuple[ast.Join, ...] = ()
+        self, where: ast.Expr | None, binding: str, joins: tuple[ast.Join, ...] = (),
+        layout: Layout | None = None,
     ) -> tuple[list[Conjunct], Residual]:
         """*where* as the row heap reads it: its :func:`sargable` conjuncts and
-        the :func:`~..table.residual_of` its compiled leaves make, a test of
-        *binding*'s rows (under a JOIN, an evaluator of the joined rows).  A leaf is dropped only without
-        a NULL constant (``x = NULL`` is never true) and, under a JOIN, if it
-        names *binding* and no join rebinds it (an unqualified column may be
-        ambiguous, which must raise)."""
+        the :func:`~..table.residual_of` its leaves, compiled over *layout*,
+        make — a test of *binding*'s stored rows (under a JOIN, an evaluator
+        of the joined rows; without a layout, a test of a row dict).  A leaf
+        is dropped only without a NULL constant (``x = NULL`` is never true)
+        and, under a JOIN, if it names *binding* and no join rebinds it (an
+        unqualified column may be ambiguous, which must raise)."""
         rebound = joins and any(join.table.binding() == binding for join in joins)
         conjuncts: list[Conjunct] = []
         clauses = []
@@ -157,179 +172,158 @@ class Executor:
             droppable = found and None not in (value if op == "in" else [value]) and (
                 not joins or (_mentions_binding(leaf, binding) and not rebound)
             )
-            clauses.append(({len(conjuncts)} if droppable else None, compile_expr(leaf)))
+            clauses.append(({len(conjuncts)} if droppable else None, compile_expr(leaf, layout)))
             conjuncts += found
         residual = residual_of(clauses)
         if joins:
             return conjuncts, residual
 
-        def on_rows(exact: set[int]) -> Callable[[dict[str, Any]], bool] | None:
+        def on_rows(exact: set[int]) -> Callable[[Any], bool] | None:
             passes = residual(exact)
-            return passes and (lambda row: passes(self, {binding: row}, None))
+            if passes is None or layout is not None:
+                return passes and (lambda row: passes(self, row, None))
+            return lambda row: passes(self, {binding: row}, None)
 
         return conjuncts, on_rows
 
-    def _apply_join(self, envs: list[Env], join: ast.Join) -> list[Env]:
+    def _apply_join(
+        self, rows: list[Row], join: ast.Join, left: Layout, joined: Layout
+    ) -> list[Row]:
+        """*rows* (laid out as *left*) each concatenated with the rows of
+        *join*'s table it matches (laid out as *joined*)."""
         table = self._db.table(join.table.name)
         binding = join.table.binding()
         right_rows = table.select(()).rows
         self.stats.rows_scanned += len(right_rows)
+        columns = table.schema.column_names()
+        nulls = (None,) * len(columns)
         equi = _equi_join_key(join.condition, binding)
-        joined: list[Env] = []
+        output: list[Row] = []
         if equi is not None:
-            left_key = compile_expr(equi[0])
-            right_column = equi[1]
-            buckets: dict[Any, list[dict[str, Any]]] = {}
-            for row in right_rows:
-                buckets.setdefault(row.get(right_column), []).append(row)
-            for env in envs:
-                key = left_key(self, env, None)
-                matches = buckets.get(key, []) if key is not None else []
-                for row in matches:
-                    joined.append({**env, binding: row})
-                    self.stats.rows_joined += 1
-                if not matches and join.kind == "left":
-                    joined.append({**env, binding: _null_row(table)})
-        else:
-            condition = None if join.condition is None else compile_expr(join.condition)
-            for env in envs:
-                matched = False
+            left_key = compile_expr(equi[0], left)
+            buckets: dict[Any, list[Row]] = {}
+            if equi[1] in columns:  # else every row has a NULL key: none matches
+                at = columns.index(equi[1])
                 for row in right_rows:
-                    candidate = {**env, binding: row}
+                    buckets.setdefault(row[at], []).append(row)
+            for row in rows:
+                key = left_key(self, row, None)
+                matches = buckets.get(key, ()) if key is not None else ()
+                output += [row + match for match in matches]
+                self.stats.rows_joined += len(matches)
+                if not matches and join.kind == "left":
+                    output.append(row + nulls)
+        else:
+            condition = None if join.condition is None else compile_expr(join.condition, joined)
+            for row in rows:
+                matched = False
+                for match in right_rows:
+                    candidate = row + match
                     if condition is None or _truthy(condition(self, candidate, None)):
-                        joined.append(candidate)
+                        output.append(candidate)
                         matched = True
                         self.stats.rows_joined += 1
                 if not matched and join.kind == "left":
-                    joined.append({**env, binding: _null_row(table)})
-        return joined
+                    output.append(row + nulls)
+        return output
 
     def _grouped_projection(
-        self, select: ast.Select, envs: list[Env]
+        self, select: ast.Select, layout: Layout, rows: list[Row]
     ) -> list[dict[str, Any]]:
-        groups: dict[tuple, list[Env]] = {}
+        groups: dict[tuple, list[Row]] = {}
         if select.group_by:
-            keys = [compile_expr(expr) for expr in select.group_by]
-            for env in envs:
-                key = tuple(group_key(part(self, env, None)) for part in keys)
-                groups.setdefault(key, []).append(env)
-        else:
-            groups[()] = envs  # implicit single group (may be empty)
-        rows: list[dict[str, Any]] = []
-        representative_envs: list[Env] = []
-        project = self._projector(select.items)
-        having = None if select.having is None else compile_expr(select.having)
-        for member_envs in groups.values():
-            agg_values = self._compute_aggregates(select, member_envs)
-            representative = member_envs[0] if member_envs else {}
+            keys = [compile_expr(expr, layout) for expr in select.group_by]
+            for row in rows:
+                key = tuple(group_key(part(self, row, None)) for part in keys)
+                groups.setdefault(key, []).append(row)
+        elif rows:
+            groups[()] = rows
+        else:  # the implicit single group, empty: it has no row to read a column of
+            groups[()], layout = [], ()
+        output: list[dict[str, Any]] = []
+        representatives: list[Row] = []
+        project = self._projector(select.items, layout)
+        having = None if select.having is None else compile_expr(select.having, layout)
+        for members in groups.values():
+            agg_values = self._compute_aggregates(select, layout, members)
+            representative = members[0] if members else ()
             if having is not None and not _truthy(having(self, representative, agg_values)):
                 continue
-            rows.append(project(representative, agg_values))
-            representative_envs.append(representative)
-        return self._order_rows(select, rows, representative_envs)
+            output.append(project(representative, agg_values))
+            representatives.append(representative)
+        return self._order_rows(select, layout, output, representatives)
 
     def _compute_aggregates(
-        self, select: ast.Select, envs: list[Env]
+        self, select: ast.Select, layout: Layout, rows: list[Row]
     ) -> dict[ast.FunctionCall, Any]:
-        calls: list[ast.FunctionCall] = []
-        for item in select.items:
-            calls.extend(_find_aggregates(item.expr))
-        if select.having is not None:
-            calls.extend(_find_aggregates(select.having))
-        for order in select.order_by:
-            calls.extend(_find_aggregates(order.expr))
+        having = () if select.having is None else (select.having,)
+        exprs = [*(item.expr for item in select.items), *having, *(o.expr for o in select.order_by)]
         values: dict[ast.FunctionCall, Any] = {}
-        for call in calls:
-            if call in values:
-                continue
+        for call in dict.fromkeys(chain.from_iterable(map(_find_aggregates, exprs))):
             if call.name == "COUNT" and (not call.args or isinstance(call.args[0], ast.Star)):
-                values[call] = len(envs)  # COUNT(*) is the group's size
+                values[call] = len(rows)  # COUNT(*) is the group's size
                 continue
-            accumulator = make_aggregate(call.name, call.distinct)
-            if envs:
-                if len(call.args) != 1:
-                    raise SQLError(f"{call.name} expects one argument")
-                argument = compile_expr(call.args[0])
-                for env in envs:
-                    accumulator.add(argument(self, env, None))
-            values[call] = accumulator.result()
+            if rows and len(call.args) != 1:
+                raise SQLError(f"{call.name} expects one argument")
+            argument = compile_expr(call.args[0], layout) if rows else None
+            arguments = (argument(self, row, None) for row in rows)
+            values[call] = AGGREGATES[call.name](arguments, call.distinct)
         return values
 
     def _projector(
-        self, items: Iterable[ast.SelectItem]
-    ) -> Callable[[Env, Aggregates], dict[str, Any]]:
-        """The select list as one function of a row environment."""
-        plan: list[tuple[str | None, Evaluator | None]] = []
-        for item in items:
-            if isinstance(item.expr, ast.Star):
-                plan.append((item.expr.table, None))
-            else:
-                plan.append((item.alias or _output_name(item.expr), compile_expr(item.expr)))
-
-        def project(env: Env, agg_values: Aggregates = None) -> dict[str, Any]:
-            row: dict[str, Any] = {}
-            for name, evaluate in plan:
-                if evaluate is not None:
-                    row[name] = evaluate(self, env, agg_values)
-                    continue
-                for binding, bound_row in env.items():  # ``*`` or ``name.*``
-                    if name is None or binding == name:
-                        row.update(bound_row)
-            return row
-
-        return project
-
-    def _output_columns(
-        self, items: Iterable[ast.SelectItem], envs: list[Env]
-    ) -> list[str]:
-        columns: list[str] = []
-        sample = envs[0] if envs else {}
-        for item in items:
-            if isinstance(item.expr, ast.Star):
-                for binding, bound_row in sample.items():
-                    if item.expr.table is not None and binding != item.expr.table:
-                        continue
-                    columns.extend(c for c in bound_row if c not in columns)
-                continue
-            name = item.alias or _output_name(item.expr)
-            if name not in columns:
-                columns.append(name)
-        return columns
+        self, items: tuple[ast.SelectItem, ...], layout: Layout
+    ) -> Callable[[Row, Aggregates], dict[str, Any]]:
+        """The select list as one function of a row laid out as *layout*: a
+        dict is built only here, for a row the statement returns."""
+        names, exprs, positions = _select_list(items, layout)
+        if positions is not None:  # columns only: one C-level pick
+            pick = operator.itemgetter(*positions)
+            return lambda row, agg_values=None: dict(zip(names, pick(row)))
+        evaluators = [compile_expr(expr, layout) for expr in exprs]
+        return lambda row, agg_values=None: dict(
+            zip(names, [evaluate(self, row, agg_values) for evaluate in evaluators])
+        )
 
     def _order_rows(
         self,
         select: ast.Select,
+        layout: Layout,
         rows: list[dict[str, Any]],
-        envs: list[Env],
+        sources: list[Row],
     ) -> list[dict[str, Any]]:
-        """*rows* (each beside the environment it came from) by ``sort_key``:
-        one stable sort per key, last key first."""
+        """*rows* (each beside the row, laid out as *layout*, it came from)
+        by ``sort_key``: one stable sort per key, last key first."""
         if not select.order_by:
             return rows
-        pairs = list(zip(rows, envs))
+        pairs = list(zip(rows, sources))
         for order in reversed(select.order_by):
-            pairs.sort(
-                key=lambda pair, expr=order.expr: sort_key(self._order_value(expr, *pair)),
-                reverse=order.descending,
-            )
+            value = self._order_value(order.expr, layout)
+            pairs.sort(key=lambda pair: sort_key(value(*pair)), reverse=order.descending)
         return [row for row, _ in pairs]
 
-    def _order_value(self, expr: ast.Expr, row: dict[str, Any], env: Env) -> Any:
-        # ORDER BY may reference an output alias or an input column.
-        if isinstance(expr, ast.ColumnRef) and expr.table is None and expr.name in row:
-            return row[expr.name]
-        aggregates = _find_aggregates(expr)
-        if aggregates:
-            # Grouped query: aggregate results live in the projected row.
-            name = _output_name(expr)
-            if name in row:
+    def _order_value(
+        self, expr: ast.Expr, layout: Layout
+    ) -> Callable[[dict[str, Any], Row], Any]:
+        """ORDER BY *expr* as a function of an output row and its source row:
+        it may name an output alias or an input column."""
+        evaluate = compile_expr(expr, layout)
+        name = expr.name if isinstance(expr, ast.ColumnRef) else None
+        # a grouped query's aggregate results live in the projected row
+        output = _output_name(expr) if _find_aggregates(expr) else None
+
+        def value(row: dict[str, Any], source: Row) -> Any:
+            if name in row and expr.table is None:
                 return row[name]
-        try:
-            return compile_expr(expr)(self, env, None)
-        except SQLError:
-            if isinstance(expr, ast.ColumnRef) and expr.name in row:
-                return row[expr.name]
-            raise
+            if output in row:
+                return row[output]
+            try:
+                return evaluate(self, source, None)
+            except SQLError:
+                if name in row:
+                    return row[name]
+                raise
+
+        return value
 
     # ------------------------------------------------------------------
     # DML / DDL
@@ -344,7 +338,7 @@ class Executor:
                     f"{len(insert.columns)} vs {len(value_tuple)}"
                 )
             row = {
-                column: compile_expr(expr)(self, {}, None)
+                column: compile_expr(expr, ())(self, (), None)
                 for column, expr in zip(insert.columns, value_tuple)
             }
             table.insert(row)
@@ -352,20 +346,32 @@ class Executor:
         return SQLResult(rowcount=inserted, statement_kind="insert")
 
     def _execute_update(self, update: ast.Update) -> SQLResult:
-        """One ``Table.update`` pass: WHERE and SET (``salary = salary * 2``)
-        read each row as it was before the statement."""
+        """One ``Table.replace`` pass: WHERE and SET (``salary = salary * 2``)
+        read each stored row as it was before the statement."""
         table = self._db.table(update.table)
-        binding = update.table
-        assignments = [(column, compile_expr(expr)) for column, expr in update.assignments]
-        count = table.update(
-            self._filter(update.where, binding),
-            lambda row: {col: value(self, {binding: row}, None) for col, value in assignments},
-        )
+        names = table.schema.column_names()
+        layout = _bound((), update.table, names)
+        assignments = [compile_expr(expr, layout) for _, expr in update.assignments]
+        targets = [column for column, _ in update.assignments]
+        unknown = sorted(set(targets) - set(names))
+        positions = [] if unknown else list(map(names.index, targets))
+
+        def change(row: Row) -> list[Any]:
+            values = [value(self, row, None) for value in assignments]
+            if unknown:
+                raise SchemaError(f"unknown columns for table {table.name!r}: {unknown}")
+            new = list(row)
+            for at, value in zip(positions, values):
+                new[at] = value
+            return new
+
+        count = table.replace(*self._filter(update.where, update.table, layout=layout), change)
         return SQLResult(rowcount=count, statement_kind="update")
 
     def _execute_delete(self, delete: ast.Delete) -> SQLResult:
         table = self._db.table(delete.table)
-        count = table.delete(self._filter(delete.where, delete.table))
+        layout = _bound((), delete.table, table.schema.column_names())
+        count = table.delete(self._filter(delete.where, delete.table, layout=layout))
         return SQLResult(rowcount=count, statement_kind="delete")
 
     def _execute_create_table(self, create: ast.CreateTable) -> SQLResult:
@@ -392,44 +398,58 @@ class Executor:
 # Expression compilation
 # ----------------------------------------------------------------------
 @lru_cache(maxsize=4096)
-def compile_expr(expr: ast.Expr) -> Evaluator:
-    """*expr* as a closure ``evaluate(executor, env, agg_values)``.
+def compile_expr(expr: ast.Expr, layout: Layout | None = None) -> Evaluator:
+    """*expr* as a closure ``evaluate(executor, row, agg_values)`` of a row
+    laid out as *layout*: a column reference reads the position it
+    resolves to there.
 
-    The tree is walked here, once per distinct node — the AST is frozen, so
-    the node is the cache key and a statement parsed once compiles once,
-    sub-expressions shared between statements included.  Nothing of a
+    The tree is walked here, once per distinct node and layout — the AST is
+    frozen, so the node is the cache key and a statement parsed once compiles
+    once, sub-expressions shared between statements included.  Nothing of a
     particular execution is captured: parameters and subqueries are read
     through *executor*, grouped aggregates through *agg_values*, at call
-    time.  Errors an expression can only raise on a row (unknown column or
-    function, missing parameter, division by zero) still raise there.
+    time.  Errors an expression can only raise on a row (unknown or
+    ambiguous column, unknown function, missing parameter, division by zero)
+    still raise there.  Without a layout, the closure reads a ``{binding:
+    row dict}`` mapping, laid out as it comes.
     """
+    if layout is None:
+
+        def on_mapping(executor: Executor, env: dict[str, dict[str, Any]], aggs: Aggregates) -> Any:
+            layout: Layout = ()
+            for binding, row in env.items():
+                layout = _bound(layout, binding, row)
+            row = tuple(chain.from_iterable(row.values() for row in env.values()))
+            return compile_expr(expr, layout)(executor, row, aggs)
+
+        return on_mapping
     compiler = _COMPILERS.get(type(expr))
     if compiler is None:
         return _raises(f"cannot evaluate expression: {expr!r}")
-    return compiler(expr)
+    return compiler(expr, layout)
 
 
 def _raises(message: str) -> Evaluator:
-    def fail(executor: Executor, env: Env, aggs: Aggregates) -> Any:
+    def fail(executor: Executor, row: Row, aggs: Aggregates) -> Any:
         raise SQLError(message)
 
     return fail
 
 
-def _compile_literal(expr: ast.Literal) -> Evaluator:
+def _compile_literal(expr: ast.Literal, layout: Layout) -> Evaluator:
     constant = expr.value
-    return lambda executor, env, aggs: constant
+    return lambda executor, row, aggs: constant
 
 
-def _compile_is_null(expr: ast.IsNull) -> Evaluator:
-    operand, negated = compile_expr(expr.operand), expr.negated
-    return lambda executor, env, aggs: (operand(executor, env, aggs) is None) is not negated
+def _compile_is_null(expr: ast.IsNull, layout: Layout) -> Evaluator:
+    operand, negated = compile_expr(expr.operand, layout), expr.negated
+    return lambda executor, row, aggs: (operand(executor, row, aggs) is None) is not negated
 
 
-def _compile_parameter(expr: ast.Parameter) -> Evaluator:
+def _compile_parameter(expr: ast.Parameter, layout: Layout) -> Evaluator:
     name = expr.name
 
-    def parameter(executor: Executor, env: Env, aggs: Aggregates) -> Any:
+    def parameter(executor: Executor, row: Row, aggs: Aggregates) -> Any:
         try:
             return executor._params[name]
         except KeyError:
@@ -438,42 +458,26 @@ def _compile_parameter(expr: ast.Parameter) -> Evaluator:
     return parameter
 
 
-def _compile_column(ref: ast.ColumnRef) -> Evaluator:
-    name, table = ref.name, ref.table
-
-    def qualified(executor: Executor, env: Env, aggs: Aggregates) -> Any:
-        try:
-            return env[table][name]
-        except KeyError:
-            return _resolve(env, ref)  # raises: which of the two is unknown
-
-    def unqualified(executor: Executor, env: Env, aggs: Aggregates) -> Any:
-        holder = None
-        for row in env.values():
-            if name in row:
-                if holder is not None:
-                    return _resolve(env, ref)  # raises: ambiguous
-                holder = row
-        if holder is None:
-            return _resolve(env, ref)  # raises: unknown
-        return holder[name]
-
-    return unqualified if table is None else qualified
+def _compile_column(ref: ast.ColumnRef, layout: Layout) -> Evaluator:
+    at = _position(ref, layout)
+    if isinstance(at, str):
+        return _raises(at)
+    return lambda executor, row, aggs: row[at]
 
 
-def _compile_unary(expr: ast.Unary) -> Evaluator:
-    operand = compile_expr(expr.operand)
+def _compile_unary(expr: ast.Unary, layout: Layout) -> Evaluator:
+    operand = compile_expr(expr.operand, layout)
     if expr.op == "-":
 
-        def negative(executor: Executor, env: Env, aggs: Aggregates) -> Any:
-            value = operand(executor, env, aggs)
+        def negative(executor: Executor, row: Row, aggs: Aggregates) -> Any:
+            value = operand(executor, row, aggs)
             return None if value is None else -value
 
         return negative
     if expr.op == "NOT":
 
-        def negation(executor: Executor, env: Env, aggs: Aggregates) -> Any:
-            value = operand(executor, env, aggs)
+        def negation(executor: Executor, row: Row, aggs: Aggregates) -> Any:
+            value = operand(executor, row, aggs)
             return None if value is None else not value
 
         return negation
@@ -503,18 +507,18 @@ _BINARY_OPERATORS: dict[str, Callable[[Any, Any], Any]] = {
 }
 
 
-def _compile_binary(expr: ast.Binary) -> Evaluator:
-    left, right = compile_expr(expr.left), compile_expr(expr.right)
+def _compile_binary(expr: ast.Binary, layout: Layout) -> Evaluator:
+    left, right = compile_expr(expr.left, layout), compile_expr(expr.right, layout)
     if expr.op in ("AND", "OR"):
         # Three-valued: the absorbing value (FALSE for AND, TRUE for OR)
         # decides alone and skips the right side; else NULL wins.
         absorbing = expr.op == "OR"
 
-        def connective(executor: Executor, env: Env, aggs: Aggregates) -> Any:
-            first = left(executor, env, aggs)
+        def connective(executor: Executor, row: Row, aggs: Aggregates) -> Any:
+            first = left(executor, row, aggs)
             if first is not None and bool(first) is absorbing:
                 return absorbing
-            second = right(executor, env, aggs)
+            second = right(executor, row, aggs)
             if second is not None and bool(second) is absorbing:
                 return absorbing
             if first is None or second is None:
@@ -526,8 +530,8 @@ def _compile_binary(expr: ast.Binary) -> Evaluator:
     if apply is None:
         return _raises(f"unknown binary operator: {expr.op}")
 
-    def binary(executor: Executor, env: Env, aggs: Aggregates) -> Any:
-        first, second = left(executor, env, aggs), right(executor, env, aggs)
+    def binary(executor: Executor, row: Row, aggs: Aggregates) -> Any:
+        first, second = left(executor, row, aggs), right(executor, row, aggs)
         if first is None or second is None:
             return None
         return apply(first, second)
@@ -535,27 +539,27 @@ def _compile_binary(expr: ast.Binary) -> Evaluator:
     return binary
 
 
-def _compile_in_list(expr: ast.InList) -> Evaluator:
-    operand, negated = compile_expr(expr.operand), expr.negated
-    items = [compile_expr(item) for item in expr.items]
+def _compile_in_list(expr: ast.InList, layout: Layout) -> Evaluator:
+    operand, negated = compile_expr(expr.operand, layout), expr.negated
+    items = [compile_expr(item, layout) for item in expr.items]
 
-    def in_list(executor: Executor, env: Env, aggs: Aggregates) -> Any:
-        value = operand(executor, env, aggs)
+    def in_list(executor: Executor, row: Row, aggs: Aggregates) -> Any:
+        value = operand(executor, row, aggs)
         if value is None:
             return None
-        found = value in {item(executor, env, aggs) for item in items}
+        found = value in {item(executor, row, aggs) for item in items}
         return found is not negated
 
     return in_list
 
 
-def _compile_between(expr: ast.Between) -> Evaluator:
-    operand, negated = compile_expr(expr.operand), expr.negated
-    lower, upper = compile_expr(expr.low), compile_expr(expr.high)
+def _compile_between(expr: ast.Between, layout: Layout) -> Evaluator:
+    operand, negated = compile_expr(expr.operand, layout), expr.negated
+    lower, upper = compile_expr(expr.low, layout), compile_expr(expr.high, layout)
 
-    def between(executor: Executor, env: Env, aggs: Aggregates) -> Any:
-        value = operand(executor, env, aggs)
-        low, high = lower(executor, env, aggs), upper(executor, env, aggs)
+    def between(executor: Executor, row: Row, aggs: Aggregates) -> Any:
+        value = operand(executor, row, aggs)
+        low, high = lower(executor, row, aggs), upper(executor, row, aggs)
         if value is None or low is None or high is None:
             return None
         return (low <= value <= high) is not negated
@@ -563,23 +567,25 @@ def _compile_between(expr: ast.Between) -> Evaluator:
     return between
 
 
-def _compile_subquery(expr: ast.Exists | ast.Subquery | ast.InSubquery) -> Evaluator:
+def _compile_subquery(
+    expr: ast.Exists | ast.Subquery | ast.InSubquery, layout: Layout
+) -> Evaluator:
     select = expr.select
     if isinstance(expr, ast.Exists):
         negated = expr.negated
-        return lambda executor, env, aggs: (
+        return lambda executor, row, aggs: (
             bool(executor._execute_select(select).rows) is not negated
         )
     if isinstance(expr, ast.Subquery):
 
-        def scalar(executor: Executor, env: Env, aggs: Aggregates) -> Any:
+        def scalar(executor: Executor, row: Row, aggs: Aggregates) -> Any:
             return executor._execute_select(select).scalar()
 
         return scalar
-    operand, negated = compile_expr(expr.operand), expr.negated
+    operand, negated = compile_expr(expr.operand, layout), expr.negated
 
-    def in_subquery(executor: Executor, env: Env, aggs: Aggregates) -> Any:
-        value = operand(executor, env, aggs)
+    def in_subquery(executor: Executor, row: Row, aggs: Aggregates) -> Any:
+        value = operand(executor, row, aggs)
         if value is None:
             return None
         result = executor._execute_select(select)
@@ -590,10 +596,10 @@ def _compile_subquery(expr: ast.Exists | ast.Subquery | ast.InSubquery) -> Evalu
     return in_subquery
 
 
-def _compile_function(call: ast.FunctionCall) -> Evaluator:
+def _compile_function(call: ast.FunctionCall, layout: Layout) -> Evaluator:
     if call.is_aggregate:
 
-        def aggregate(executor: Executor, env: Env, aggs: Aggregates) -> Any:
+        def aggregate(executor: Executor, row: Row, aggs: Aggregates) -> Any:
             if aggs is None or call not in aggs:
                 raise SQLError(f"aggregate {call.name} used outside a grouped context")
             return aggs[call]
@@ -602,19 +608,21 @@ def _compile_function(call: ast.FunctionCall) -> Evaluator:
     handler = SCALAR_FUNCTIONS.get(call.name)
     if handler is None:
         return _raises(f"unknown function: {call.name}")
-    args = [compile_expr(arg) for arg in call.args]
-    return lambda executor, env, aggs: handler([arg(executor, env, aggs) for arg in args])
+    args = [compile_expr(arg, layout) for arg in call.args]
+    return lambda executor, row, aggs: handler([arg(executor, row, aggs) for arg in args])
 
 
-def _compile_case(expr: ast.CaseWhen) -> Evaluator:
-    whens = [(compile_expr(when), compile_expr(then)) for when, then in expr.whens]
-    default = None if expr.default is None else compile_expr(expr.default)
+def _compile_case(expr: ast.CaseWhen, layout: Layout) -> Evaluator:
+    whens = [
+        (compile_expr(when, layout), compile_expr(then, layout)) for when, then in expr.whens
+    ]
+    default = None if expr.default is None else compile_expr(expr.default, layout)
 
-    def case(executor: Executor, env: Env, aggs: Aggregates) -> Any:
+    def case(executor: Executor, row: Row, aggs: Aggregates) -> Any:
         for when, then in whens:
-            if _truthy(when(executor, env, aggs)):
-                return then(executor, env, aggs)
-        return None if default is None else default(executor, env, aggs)
+            if _truthy(when(executor, row, aggs)):
+                return then(executor, row, aggs)
+        return None if default is None else default(executor, row, aggs)
 
     return case
 
@@ -633,7 +641,7 @@ _COMPILERS: dict[type, Callable[[Any], Evaluator]] = {
     ast.InSubquery: _compile_subquery,
     ast.FunctionCall: _compile_function,
     ast.CaseWhen: _compile_case,
-    ast.Star: lambda expr: _raises("'*' is only valid in select lists and COUNT(*)"),
+    ast.Star: lambda expr, layout: _raises("'*' is only valid in select lists and COUNT(*)"),
 }
 
 
@@ -645,20 +653,56 @@ def _truthy(value: Any) -> bool:
     return bool(value) and value is not None
 
 
-def _resolve(env: Env, ref: ast.ColumnRef) -> Any:
-    if ref.table is not None:
-        if ref.table not in env:
-            raise SQLError(f"unknown table binding: {ref.table!r}")
-        row = env[ref.table]
-        if ref.name not in row:
-            raise SQLError(f"unknown column {ref.name!r} in {ref.table!r}")
-        return row[ref.name]
-    matches = [binding for binding, row in env.items() if ref.name in row]
-    if not matches:
-        raise SQLError(f"unknown column: {ref.name!r}")
-    if len(matches) > 1:
-        raise SQLError(f"ambiguous column {ref.name!r}: in {sorted(matches)}")
-    return env[matches[0]][ref.name]
+def _position(ref: ast.ColumnRef, layout: Layout) -> int | str:
+    """The position *ref* reads in a row laid out as *layout*, or the
+    message refusing it: an unknown binding or column, or an ambiguous one."""
+    found = [
+        (binding, offset + columns.index(ref.name))
+        for binding, columns, offset in layout
+        if ref.table in (None, binding) and ref.name in columns
+    ]
+    if len(found) == 1:
+        return found[0][1]
+    if ref.table is None:
+        if found:
+            return f"ambiguous column {ref.name!r}: in {sorted(binding for binding, _ in found)}"
+        return f"unknown column: {ref.name!r}"
+    if any(binding == ref.table for binding, _, _ in layout):
+        return f"unknown column {ref.name!r} in {ref.table!r}"
+    return f"unknown table binding: {ref.table!r}"
+
+
+@lru_cache(maxsize=1024)
+def _select_list(
+    items: tuple[ast.SelectItem, ...], layout: Layout
+) -> tuple[tuple[str, ...], tuple[ast.Expr, ...], tuple[int, ...] | None]:
+    """Each output column's name and expression — ``*`` / ``name.*``
+    standing for the columns *layout* binds, in FROM / JOIN order — and,
+    when there are two or more and every one is a column, their positions."""
+    selected: list[tuple[str, ast.Expr]] = []
+    for item in items:
+        if not isinstance(item.expr, ast.Star):
+            selected.append((item.alias or _output_name(item.expr), item.expr))
+            continue
+        for binding, columns, _ in layout:
+            if item.expr.table in (None, binding):
+                selected += [(column, ast.ColumnRef(column, binding)) for column in columns]
+    positions = [
+        _position(expr, layout) if isinstance(expr, ast.ColumnRef) else None
+        for _, expr in selected
+    ]
+    names, exprs = tuple(name for name, _ in selected), tuple(expr for _, expr in selected)
+    columns_only = len(positions) > 1 and all(isinstance(at, int) for at in positions)
+    return names, exprs, tuple(positions) if columns_only else None
+
+
+def _bound(layout: Layout, binding: str, columns: Iterable[str]) -> Layout:
+    """*layout* with a row of *columns* appended under *binding*: a binding
+    bound again keeps its place and reads the new row."""
+    width = max((offset + len(names) for _, names, offset in layout), default=0)
+    entry = (binding, tuple(columns), width)
+    kept = tuple(entry if name == binding else (name, *rest) for name, *rest in layout)
+    return kept if entry in kept else (*kept, entry)
 
 
 def _conjuncts(expr: ast.Expr) -> list[ast.Expr]:
@@ -737,35 +781,21 @@ def _mentions_binding(expr: ast.Expr, binding: str) -> bool:
     return False
 
 
-def _find_aggregates(expr: ast.Expr) -> list[ast.FunctionCall]:
-    found: list[ast.FunctionCall] = []
-    if isinstance(expr, ast.FunctionCall):
-        if expr.is_aggregate:
-            found.append(expr)
-            return found
-        for arg in expr.args:
-            found.extend(_find_aggregates(arg))
-    elif isinstance(expr, ast.Binary):
-        found.extend(_find_aggregates(expr.left))
-        found.extend(_find_aggregates(expr.right))
-    elif isinstance(expr, ast.Unary):
-        found.extend(_find_aggregates(expr.operand))
-    elif isinstance(expr, ast.InList):
-        found.extend(_find_aggregates(expr.operand))
-        for item in expr.items:
-            found.extend(_find_aggregates(item))
-    elif isinstance(expr, ast.Between):
-        for sub in (expr.operand, expr.low, expr.high):
-            found.extend(_find_aggregates(sub))
-    elif isinstance(expr, ast.IsNull):
-        found.extend(_find_aggregates(expr.operand))
-    elif isinstance(expr, ast.CaseWhen):
-        for condition, result in expr.whens:
-            found.extend(_find_aggregates(condition))
-            found.extend(_find_aggregates(result))
-        if expr.default is not None:
-            found.extend(_find_aggregates(expr.default))
-    return found
+def _find_aggregates(expr: ast.Expr) -> tuple[ast.FunctionCall, ...]:
+    """The aggregate calls in *expr*, in tree order, outside subqueries."""
+    if isinstance(expr, ast.FunctionCall) and expr.is_aggregate:
+        return (expr,)
+    if isinstance(expr, (ast.Subquery, ast.InSubquery, ast.Exists)):
+        return ()
+    return tuple(call for child in _children(expr) for call in _find_aggregates(child))
+
+
+def _children(expr: ast.Expr) -> Iterable[ast.Expr]:
+    """The sub-expressions of *expr* in field order (a CASE's pairs flattened)."""
+    for value in vars(expr).values():
+        for item in value if isinstance(value, tuple) else (value,):
+            yield from (node for node in (item if isinstance(item, tuple) else (item,))
+                        if isinstance(node, ast.Expr))
 
 
 def _output_name(expr: ast.Expr) -> str:
@@ -793,10 +823,6 @@ def _like_regex(pattern: str) -> re.Pattern[str]:
 
 def _like(text: str, pattern: str) -> bool:
     return _like_regex(pattern).fullmatch(text) is not None
-
-
-def _null_row(table: Table) -> dict[str, Any]:
-    return {name: None for name in table.schema.column_names()}
 
 
 def _distinct_rows(rows: list[dict[str, Any]]) -> list[dict[str, Any]]:

@@ -1,8 +1,9 @@
-"""Scalar functions and aggregate accumulators for the SQL engine."""
+"""Scalar and aggregate functions for the SQL engine."""
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from functools import reduce
+from typing import Any, Callable, Iterable, Iterator
 
 from ....errors import SQLError
 
@@ -91,101 +92,28 @@ SCALAR_FUNCTIONS: dict[str, Callable[[list[Any]], Any]] = {
 }
 
 
-class Aggregate:
-    """Base accumulator; one instance per (group, aggregate expression)."""
-
-    def add(self, value: Any) -> None:
-        raise NotImplementedError
-
-    def result(self) -> Any:
-        raise NotImplementedError
+def _present(values: Iterable[Any]) -> Iterator[Any]:
+    return (value for value in values if value is not None)
 
 
-class CountAgg(Aggregate):
-    def __init__(self, distinct: bool) -> None:
-        self._distinct = distinct
-        self._count = 0
-        self._seen: set[Any] = set()
-
-    def add(self, value: Any) -> None:
-        if value is None:
-            return
-        if self._distinct:
-            self._seen.add(value)
-        else:
-            self._count += 1
-
-    def result(self) -> int:
-        return len(self._seen) if self._distinct else self._count
+def _average(values: Iterable[Any], distinct: bool) -> Any:
+    total, count = 0.0, 0
+    for value in _present(values):
+        total, count = total + value, count + 1
+    return total / count if count else None
 
 
-class SumAgg(Aggregate):
-    def __init__(self) -> None:
-        self._total: Any = None
-
-    def add(self, value: Any) -> None:
-        if value is None:
-            return
-        self._total = value if self._total is None else self._total + value
-
-    def result(self) -> Any:
-        return self._total
-
-
-class AvgAgg(Aggregate):
-    def __init__(self) -> None:
-        self._total = 0.0
-        self._count = 0
-
-    def add(self, value: Any) -> None:
-        if value is None:
-            return
-        self._total += value
-        self._count += 1
-
-    def result(self) -> Any:
-        return self._total / self._count if self._count else None
-
-
-class MinAgg(Aggregate):
-    def __init__(self) -> None:
-        self._value: Any = None
-
-    def add(self, value: Any) -> None:
-        if value is None:
-            return
-        if self._value is None or value < self._value:
-            self._value = value
-
-    def result(self) -> Any:
-        return self._value
-
-
-class MaxAgg(Aggregate):
-    def __init__(self) -> None:
-        self._value: Any = None
-
-    def add(self, value: Any) -> None:
-        if value is None:
-            return
-        if self._value is None or value > self._value:
-            self._value = value
-
-    def result(self) -> Any:
-        return self._value
-
-
-def make_aggregate(name: str, distinct: bool = False) -> Aggregate:
-    """Instantiate the accumulator for aggregate *name* (``COUNT(*)`` needs
-    none: it is the group's size)."""
-    if name == "COUNT":
-        return CountAgg(distinct)
-    if name == "SUM":
-        return SumAgg()
-    if name == "AVG":
-        return AvgAgg()
-    if name == "MIN":
-        return MinAgg()
-    if name == "MAX":
-        return MaxAgg()
-    raise SQLError(f"unknown aggregate function: {name}")
+#: Each aggregate as a function of its group's argument values (read as they
+#: are evaluated, NULLs skipped) and its DISTINCT flag, which COUNT alone
+#: reads; ``COUNT(*)`` needs none: it is the group's size.
+AGGREGATES: dict[str, Callable[[Iterable[Any], bool], Any]] = {
+    "COUNT": lambda values, distinct: (
+        len(set(_present(values))) if distinct else sum(1 for _ in _present(values))
+    ),
+    "SUM": lambda values, distinct: reduce(
+        lambda total, value: value if total is None else total + value, _present(values), None
+    ),
+    "AVG": _average,
+    "MIN": lambda values, distinct: min(_present(values), default=None),
+    "MAX": lambda values, distinct: max(_present(values), default=None),
+}

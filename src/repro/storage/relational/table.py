@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import itertools
 import threading
-from itertools import islice, repeat
+from itertools import compress, islice, repeat
 from operator import getitem, length_hint
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -16,12 +16,13 @@ from .index import MISSING, Conjunct, HashIndex, KeyIndex, SortedIndex, choose_i
 #: Process-wide write stamps, so no two heap states ever share a version.
 _STAMPS = itertools.count(1)
 
-Row = dict[str, Any]
+#: A stored row: a table's tuple in column order, a collection's document.
+Row = Any
 #: A predicate's test left once an index answered the conjuncts at the given
-#: positions exactly: a row test, or None when nothing is left.
+#: positions exactly: a test of a stored row, or None when nothing is left.
 Residual = Callable[[set[int]], Callable[[Row], Any] | None]
-#: A row test, or ``(conjuncts, residual)``: what ``Table.update`` / ``delete`` match.
-Predicate = Callable[[Row], Any] | tuple[Sequence[Conjunct], Residual]
+#: What ``Table.update`` / ``delete`` match: a test of a row dict, or ``(conjuncts, residual)``.
+Predicate = Callable[[dict[str, Any]], Any] | tuple[Sequence[Conjunct], Residual]
 
 
 class Selection(NamedTuple):
@@ -59,49 +60,65 @@ def residual_of(clauses: Sequence[tuple[set[int] | None, Callable[..., Any]]]) -
 
 _KINDS = {"hash": HashIndex, "sorted": SortedIndex}
 
+#: Row ids as one shared int object each: every heap hands them out from 0.
+_ROW_IDS: list[int] = []
+_GROWING = threading.Lock()
+
+
+def _row_ids(start: int, stop: int) -> list[int]:
+    if stop > len(_ROW_IDS):
+        with _GROWING:
+            _ROW_IDS.extend(range(len(_ROW_IDS), stop))
+    return _ROW_IDS[start:stop]
+
 
 class RowHeap:
     """The row layout under a ``Table`` and a ``Collection``.
 
-    Rows live under int row ids handed out in insertion order, so sorting
-    row ids *is* scan order, and every index maps values to row ids: the one
-    optional unique *key* (a table's primary key, a collection's ``_id``)
-    and the secondary ones.  A stored row is never mutated — ``replace``
-    swaps in a new dict — so ``select`` hands its read-only callers the
-    stored rows themselves.  Reads and writes take a predicate as sargable
-    *conjuncts* and a :data:`Residual`, so a candidate is tested only on what
-    the indexes that chose it did not answer exactly.  ``version`` is
-    re-stamped by every write that changes a row: equal versions mean equal
-    rows (what a memo keys on).
+    Rows live in a list at int row ids handed out in insertion order (a
+    removed row leaves None), so sorting row ids *is* scan order, and every
+    index maps values to row ids: the one optional unique *key* (a table's
+    primary key, a collection's ``_id``) and the secondary ones.  A stored
+    row is never mutated — ``replace`` swaps in a new one — so ``select``
+    hands its read-only callers the stored rows themselves.  Reads and
+    writes take a predicate as sargable *conjuncts* and a :data:`Residual`,
+    so a candidate is tested only on what the indexes that chose it did not
+    answer exactly.  ``version`` is re-stamped by every write that changes
+    a row: equal versions mean equal rows (what a memo keys on).
 
-    *read* ``(row, field)`` is the value an index on *field* keys a row
-    under, or ``MISSING`` for a row it leaves out; *duplicate* ``(key)`` is
-    the message refusing a key another row holds.
+    *read* ``(row, at)`` is the value an index on a field keys a row under,
+    or ``MISSING`` for a row it leaves out, *at* being the field's entry in
+    *positions* (a table's: its column's) or else the field; the key is
+    ``row[at]``.  *duplicate* ``(key)`` is the message refusing a key
+    another row holds.
     """
 
     def __init__(
-        self, key: str | None, duplicate: Callable[[Any], str], read: Callable = getitem
+        self, key: str | None, duplicate: Callable[[Any], str], read: Callable = getitem,
+        positions: Mapping[str, int] | None = None,
     ) -> None:
         self.key = key
         self._duplicate = duplicate
         self._read = read
-        self._rows: dict[int, Row] = {}
-        self._next_row_id = 0
+        self._at = positions or {}
+        self._rows: list[Row | None] = []
+        self._size = 0
         self._indexes: dict[str, HashIndex | KeyIndex | SortedIndex] = {}
         if key is not None:
-            self._indexes[key] = KeyIndex(key)
+            self._key_index = self._indexes[key] = KeyIndex(key)
+            self._key_at = self._at.get(key, key)
         self._lock = threading.RLock()
         self.version = next(_STAMPS)
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return self._size
 
     def insert(self, row: Row) -> int:
         """Store *row*: :meth:`insert_many`'s one-row case; returns its row id."""
         return self.insert_many((row,))[0]
 
     def insert_many(self, rows: Iterable[Row]) -> list[int]:
-        """Store *rows* (kept: pass dicts no one else holds) under one lock, key
+        """Store *rows* (kept: pass rows no one changes) under one lock, key
         check and version stamp; their row ids.  A row is refused where a loop
         would refuse it — a key held, or *rows* raising — and those before it stay."""
         with self._lock:
@@ -111,22 +128,28 @@ class RowHeap:
                 batch.extend(rows)
             except Exception as error:
                 refused = error
-            key, start = self.key, self._next_row_id
-            # one int object per row id, shared by _rows and every index
-            row_ids = list(range(start, start + len(batch)))
-            if key is not None:
-                keys = [row[key] for row in batch]
-                claimed = self._indexes[key].claim(keys, row_ids)
+            start = len(self._rows)
+            row_ids = _row_ids(start, start + len(batch))
+            if self.key is not None:
+                keys = [row[self._key_at] for row in batch]
+                claimed = self._key_index.claim(keys, row_ids)
                 if claimed < len(batch):
                     refused = StorageError(self._duplicate(keys[claimed]))
                     del batch[claimed:], row_ids[claimed:]
             if batch:
-                self._next_row_id = start + len(batch)
-                self._rows.update(zip(row_ids, batch))
+                self._rows += batch
+                self._size += len(batch)
                 self.version = next(_STAMPS)
+                read, at = self._read, self._at
                 for field, index in self._indexes.items():
-                    if field != key:  # (value, row_id) pairs; an index skips MISSING
-                        index.extend(zip(map(self._read, batch, repeat(field)), row_ids))
+                    if field == self.key:
+                        continue
+                    if len(batch) == 1:  # no (value, row_id) pairs to build for one row
+                        value = read(batch[0], at.get(field, field))
+                        if value is not MISSING:
+                            index.insert(value, row_ids[0])
+                    else:  # an index skips MISSING
+                        index.extend(zip(map(read, batch, repeat(at.get(field, field))), row_ids))
             if refused is not None:
                 raise refused
             return row_ids
@@ -138,20 +161,23 @@ class RowHeap:
         refused there: the rows before it stay replaced, as an INSERT's do."""
         with self._lock:
             matched = self._matching(conjuncts, residual)
-            key, read = self.key, self._read
+            rows, read, at = self._rows, self._read, self._at
             for row_id in matched:
-                old = self._rows[row_id]
+                old = rows[row_id]
                 new = change(old)
-                if key is not None and self._indexes[key].get(new[key]) not in (None, row_id):
-                    raise StorageError(self._duplicate(new[key]))
+                if self.key is not None and self._key_index.get(new[self._key_at]) not in (
+                    None, row_id
+                ):
+                    raise StorageError(self._duplicate(new[self._key_at]))
                 for field, index in self._indexes.items():
-                    before, after = read(old, field), read(new, field)
+                    before = read(old, at.get(field, field))
+                    after = read(new, at.get(field, field))
                     if before != after:
                         if before is not MISSING:
                             index.remove(before, row_id)
                         if after is not MISSING:
                             index.insert(after, row_id)
-                self._rows[row_id] = new
+                rows[row_id] = new
                 self.version = next(_STAMPS)  # per row: a later row may raise
             return len(matched)
 
@@ -161,13 +187,14 @@ class RowHeap:
             doomed = self._matching(conjuncts, residual)
             if doomed:
                 self.version = next(_STAMPS)
-            read = self._read
+            rows, read, at = self._rows, self._read, self._at
             for row_id in doomed:
-                row = self._rows.pop(row_id)
+                row, rows[row_id] = rows[row_id], None
                 for field, index in self._indexes.items():
-                    value = read(row, field)
+                    value = read(row, at.get(field, field))
                     if value is not MISSING:
                         index.remove(value, row_id)
+            self._size -= len(doomed)
             return len(doomed)
 
     def select(
@@ -179,29 +206,39 @@ class RowHeap:
         reading no further."""
         with self._lock:
             fields, row_ids, test = self._candidates(conjuncts, residual)
-            pending = iter(row_ids)
-            rows = map(self._rows.__getitem__, pending)
+            if row_ids is None:  # a scan reads the rows themselves, less the removed
+                rows = self._rows
+                candidates = rows if self._size == len(rows) else [*filter(None, rows)]
+                rows = pending = iter(candidates)
+            else:
+                candidates, pending = row_ids, iter(row_ids)
+                rows = map(self._rows.__getitem__, pending)
             matched = list(islice(rows if test is None else filter(test, rows), at_most))
             # a list iterator's hint is exact: what early exit left unread
-            examined = len(row_ids) - length_hint(pending)
+            examined = len(candidates) - length_hint(pending)
             return Selection(matched, examined, 0 if test is None else examined, fields)
 
     def get(self, key: Any) -> Row | None:
         """The stored row (read-only) holding *key*, or None: a point read."""
         with self._lock:
-            return self._rows.get(self._indexes[self.key].get(key))
+            row_id = self._key_index.get(key)
+            return None if row_id is None else self._rows[row_id]
 
     def _candidates(
         self, conjuncts: Sequence[Conjunct], residual: Residual | None
-    ) -> tuple[list[str], list[int], Callable | None]:
-        """The indexed fields, the candidate ids in scan order, the test left."""
-        chosen = choose_index(self._indexes.get, conjuncts)
-        fields, row_ids, exact = chosen or ([], self._rows, set())
-        return fields, sorted(row_ids), None if residual is None else residual(exact)
+    ) -> tuple[list[str], list[int] | None, Callable | None]:
+        """The indexed fields, the candidate ids in scan order (None: all), the test left."""
+        fields, row_ids, exact = choose_index(self._indexes.get, conjuncts) or ([], None, set())
+        test = None if residual is None else residual(exact)
+        return fields, None if row_ids is None else sorted(row_ids), test
 
     def _matching(self, conjuncts: Sequence[Conjunct], residual: Residual) -> list[int]:
         _, row_ids, test = self._candidates(conjuncts, residual)
+        row_ids = self._stored_ids() if row_ids is None else row_ids
         return row_ids if test is None else [rid for rid in row_ids if test(self._rows[rid])]
+
+    def _stored_ids(self) -> list[int]:
+        return list(compress(_row_ids(0, len(self._rows)), self._rows))  # None: removed
 
     def create_index(self, field: str, kind: str = "hash") -> None:
         """Index *field* (kinds: ``hash`` answers ``=`` and ``in``, ``sorted``
@@ -211,8 +248,9 @@ class RowHeap:
         with self._lock:
             if field in self._indexes:
                 return
-            index = _KINDS[kind](field)
-            index.extend(zip(map(self._read, self._rows.values(), repeat(field)), self._rows))
+            index, row_ids = _KINDS[kind](field), self._stored_ids()
+            rows = map(self._rows.__getitem__, row_ids)
+            index.extend(zip(map(self._read, rows, repeat(self._at.get(field, field))), row_ids))
             self._indexes[field] = index
 
     def index_on(self, field: str) -> HashIndex | KeyIndex | SortedIndex | None:
@@ -245,21 +283,20 @@ def select_in(
     return Selection(rows, examined, tested, list(used))
 
 
-def _where(predicate: Predicate) -> tuple[Sequence[Conjunct], Residual]:
-    """A bare row test has no conjunct, so it is its own residual."""
-    return predicate if isinstance(predicate, tuple) else ((), lambda exact: predicate)
-
-
 class Table:
-    """An in-memory relation: a :class:`RowHeap` of schema-validated rows,
-    keyed by the primary key when the schema has one."""
+    """An in-memory relation: a :class:`RowHeap` of schema-validated rows —
+    tuples in column order — keyed by the primary key when the schema has
+    one.  A row is a dict only on its way out (``scan`` / ``rows`` /
+    ``lookup``) and where a caller's function reads it (``update`` / ``delete``)."""
 
     def __init__(self, schema: TableSchema) -> None:
         self.schema = schema
+        self._names = tuple(schema.column_names())
         primary = schema.primary_key()
         self._heap = RowHeap(
             None if primary is None else primary.name,
             lambda key: f"duplicate primary key {key!r} in table {self.name!r}",
+            positions={name: at for at, name in enumerate(self._names)},
         )
 
     @property
@@ -283,31 +320,50 @@ class Table:
         return self._heap.insert_many(map(self.schema.validate_row, rows))
 
     def update(self, predicate: Predicate, changes: Mapping[str, Any] | Callable) -> int:
-        """Apply *changes* — a mapping, or a function of the stored row returning
-        one (``SET age = age + 5``) — to rows matching *predicate*, each read as
-        it was before the call; returns count."""
+        """Apply *changes* — a mapping, or a function of the row (a dict)
+        returning one — to rows matching *predicate*, each read as it was
+        before the call; returns count."""
         if not callable(changes):
-            unknown = set(changes) - set(self.schema.column_names())
+            unknown = set(changes) - set(self._names)
             if unknown:
                 raise SchemaError(f"unknown columns in update: {sorted(unknown)}")
         revise = changes if callable(changes) else lambda row: changes
-        validate = self.schema.validate_row
-        return self._heap.replace(*_where(predicate), lambda row: validate({**row, **revise(row)}))
+        as_dict, validate = self._as_dict, self.schema.validate_row
+        return self._heap.replace(
+            *self._where(predicate), lambda row: validate({**(old := as_dict(row)), **revise(old)})
+        )
+
+    def replace(
+        self, conjuncts: Sequence[Conjunct], residual: Residual, change: Callable
+    ) -> int:
+        """:meth:`RowHeap.replace` over the stored tuples: *change* maps a
+        matching one to its new values in column order, validated here."""
+        validate = self.schema.validate_values
+        return self._heap.replace(conjuncts, residual, lambda row: validate(change(row)))
 
     def delete(self, predicate: Predicate) -> int:
         """Delete rows matching *predicate*; returns count."""
-        return self._heap.remove(*_where(predicate))
+        return self._heap.remove(*self._where(predicate))
+
+    def _where(self, predicate: Predicate) -> tuple[Sequence[Conjunct], Residual]:
+        """A test of a row dict has no conjunct: it is the residual, each row its own dict."""
+        if isinstance(predicate, tuple):
+            return predicate
+        return (), lambda exact: lambda row: predicate(self._as_dict(row))
+
+    def _as_dict(self, row: tuple[Any, ...]) -> dict[str, Any]:
+        return dict(zip(self._names, row))
 
     def select(
         self, conjuncts: Sequence[Conjunct], residual: Residual | None = None,
         at_most: int | None = None,
     ) -> Selection:
-        """:meth:`RowHeap.select`: the stored rows, for read-only callers."""
+        """:meth:`RowHeap.select`: the stored tuples, for read-only callers."""
         return self._heap.select(conjuncts, residual, at_most)
 
     def scan(self) -> Iterator[dict[str, Any]]:
-        """Iterate over copies of all rows in insertion order."""
-        return map(dict, self.select(())[0])
+        """Iterate over all rows, as dicts, in insertion order."""
+        return map(dict, map(zip, repeat(self._names), self.select(())[0]))
 
     def rows(self) -> list[dict[str, Any]]:
         return list(self.scan())
@@ -326,9 +382,12 @@ class Table:
         return self._heap.kinds()
 
     def lookup(self, column: str, value: Any) -> list[dict[str, Any]]:
-        """Copies of the rows whose *column* equals *value*: indexed where an
-        index answers ``=``, else a scan."""
+        """The rows, as dicts, whose *column* equals *value*: indexed where
+        an index answers ``=``, else a scan."""
+        if column not in self._names:
+            raise SchemaError(f"no column {column!r} in table {self.name!r}")
+        at = self._names.index(column)
         rows = self.select(
-            [(column, "=", value)], lambda exact: None if exact else lambda row: row[column] == value
+            [(column, "=", value)], lambda exact: None if exact else lambda row: row[at] == value
         ).rows
-        return [dict(row) for row in rows]
+        return list(map(self._as_dict, rows))

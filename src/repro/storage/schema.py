@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
 
 from ..errors import SchemaError
 
@@ -104,7 +104,7 @@ class TableSchema:
         if not self.columns:
             raise SchemaError(f"schema {self.name!r} has no columns")
         # validate_row's per-row reads, computed once (not dataclass fields)
-        exact = [_EXACT[c.type] for c in self.columns]
+        exact = tuple(_EXACT[c.type] for c in self.columns)
         object.__setattr__(self, "_checks", (tuple(names), frozenset(names), exact))
 
     @classmethod
@@ -139,22 +139,27 @@ class TableSchema:
                 return col
         return None
 
-    def validate_row(self, row: dict[str, Any]) -> dict[str, Any]:
-        """Validate and normalize a row dict against the schema.
+    def validate_row(self, row: dict[str, Any]) -> tuple[Any, ...]:
+        """Validate and normalize a row dict against the schema: the stored
+        row, a tuple in column order.
 
         Unknown keys are rejected; missing nullable columns become None.
         """
-        names, known, exact = self._checks
+        names, known, _ = self._checks
         if not known.issuperset(row):
             unknown = sorted(set(row) - known)
             raise SchemaError(f"unknown columns for table {self.name!r}: {unknown}")
-        values = list(map(row.get, names))
-        if list(map(type, values)) != exact:  # not every value passes as it is
-            values = [
+        return self.validate_values(tuple(map(row.get, names)))
+
+    def validate_values(self, values: Sequence[Any]) -> tuple[Any, ...]:
+        """Validate and normalize *values*, one per column in column order."""
+        exact = self._checks[2]
+        if tuple(map(type, values)) != exact:  # not every value passes as it is
+            return tuple(
                 value if type(value) is kept else column.validate(value)
                 for value, kept, column in zip(values, exact, self.columns)
-            ]
-        return dict(zip(names, values))
+            )
+        return tuple(values)
 
     def describe(self) -> dict[str, Any]:
         """A metadata mapping used by the data registry."""

@@ -27,10 +27,27 @@ from repro.embedding import HashingEmbedder, keyword_overlap
 from repro.errors import QueryError, SQLError
 from repro.storage.document.query import _MISSING
 from repro.storage.relational.sql import ast
-from repro.storage.relational.sql.executor import _like, _resolve, _truthy
+from repro.storage.relational.sql.executor import _like, _truthy
 from repro.storage.relational.sql.functions import SCALAR_FUNCTIONS
 
 Env = dict[str, dict[str, Any]]
+
+
+def _resolve(env: Env, ref: ast.ColumnRef) -> Any:
+    """A column of a ``{binding: row dict}`` environment, by name."""
+    if ref.table is not None:
+        if ref.table not in env:
+            raise SQLError(f"unknown table binding: {ref.table!r}")
+        row = env[ref.table]
+        if ref.name not in row:
+            raise SQLError(f"unknown column {ref.name!r} in {ref.table!r}")
+        return row[ref.name]
+    matches = [binding for binding, row in env.items() if ref.name in row]
+    if not matches:
+        raise SQLError(f"unknown column: {ref.name!r}")
+    if len(matches) > 1:
+        raise SQLError(f"ambiguous column {ref.name!r}: in {sorted(matches)}")
+    return env[matches[0]][ref.name]
 
 
 # ----------------------------------------------------------------------

@@ -14,14 +14,17 @@ def stale_entries(heap):
     key mapped to the wrong row all show — and a key index holding other
     than exactly one key per row."""
     stale = []
+    stored = [(row_id, row) for row_id, row in enumerate(heap._rows) if row is not None]
     for field, index in heap._indexes.items():
         fresh = type(index)(field)
-        for row_id, row in heap._rows.items():
-            value = heap._read(row, field)
+        for row_id, row in stored:  # a removed row leaves None at its row id
+            value = heap._read(row, heap._at.get(field, field))
             if value is not MISSING:
                 fresh.insert(value, row_id)
         if vars(index) != vars(fresh):
             stale.append((field, vars(index), vars(fresh)))
-        if isinstance(index, KeyIndex) and len(index.keys()) != len(heap._rows):
-            stale.append((field, sorted(index.keys()), len(heap._rows)))
+        if isinstance(index, KeyIndex) and len(index.keys()) != len(stored):
+            stale.append((field, sorted(index.keys()), len(stored)))
+    if len(heap) != len(stored):
+        stale.append(("len", len(heap), len(stored)))
     return stale

@@ -76,6 +76,20 @@ class TestWhereABatchIsRefused:
             table.insert_many([{"id": 7}, {"id": 8, "x": "eight"}, {"id": 1}])
         assert ids(table) == [1, 7]
 
+    @pytest.mark.parametrize("ids", [range(1, 9), [1, 2, 3, 2]])
+    def test_a_sharded_batch_with_a_duplicate_key_appends_nothing(self, ids):
+        """Id 5 is held, or 2 is in the batch twice: the router refuses the
+        batch before its first append.  Each shard's replicas used to refuse
+        only that shard's batch, so ids 1-8 kept 1, 2 and 6."""
+        db = ShardedDatabase("t", n_shards=4, n_replicas=3, clock=SimClock(), seed=0)
+        db.execute("CREATE TABLE t (id INT PRIMARY KEY, x INT)")
+        db.table("t").insert({"id": 5})
+        logs = [replica.log_digest() for replica in db.cluster.all_replicas()]
+        with pytest.raises(StorageError, match="duplicate primary key [52]"):
+            db.table("t").insert_many({"id": i} for i in ids)
+        assert [row["id"] for row in db.table("t").rows()] == [5]
+        assert [replica.log_digest() for replica in db.cluster.all_replicas()] == logs
+
     def test_a_refused_batch_still_changes_the_version_when_rows_were_stored(self):
         table = keyed_table()
         before = table.version
@@ -256,8 +270,10 @@ class TestABatchStoresWhatARowByRowLoopStores:
         assert stale_entries(batched._heap) == [] and stale_entries(looped._heap) == []
         assert (batched.version > version) == (len(batched) > held)
         assert batched.version >= version
+        names = batched.schema.column_names()
         for _, conjuncts in TABLE_QUERIES:
-            test = matches(conjuncts)
+            by_name = matches(conjuncts)
+            test = lambda row: by_name(dict(zip(names, row)))  # a stored row is a tuple
             answer = batched.select(conjuncts, lambda exact: test).rows
             assert answer == looped.select(conjuncts, lambda exact: test).rows
             assert answer == [row for row in batched.select(()).rows if test(row)]
@@ -347,14 +363,13 @@ class TestAClusteredBatchStoresWhatOneNodeStores:
         before = by_id(front.rows(), "id")
         error = first_error(front.insert_many, [batch])
         after = by_id(front.rows(), "id")
-        if error is SchemaError:  # the router checks every row before the first append
+        if error is not None:  # the router checks every row and key before the first append
             assert [replica.log_digest() for replica in db.cluster.all_replicas()] == logs
             assert after == before
-        elif error is None:  # one node holding the same rows
+        else:  # one node holding the same rows
             plain = Table(front.schema)
             plain.insert_many([*before, *batch])
             assert after == by_id(plain.rows(), "id")
-        # (a duplicate key refuses its own shard's batch whole; the rest stand)
         replicas_agree(db.cluster, lambda state: state.table("t")._heap)
         for where, conjuncts in TABLE_QUERIES:
             got = db.query(f"SELECT id FROM t WHERE {where} ORDER BY id")

@@ -100,7 +100,7 @@ class TestTableSchema:
 
     def test_validate_row_fills_missing_nullable(self):
         row = self.schema().validate_row({"id": 1})
-        assert row == {"id": 1, "name": None}
+        assert row == (1, None)  # the stored row: a tuple in column order
 
     def test_validate_row_rejects_unknown(self):
         with pytest.raises(SchemaError):

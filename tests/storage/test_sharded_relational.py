@@ -441,7 +441,7 @@ class TestOneStoredRow:
             rows = tables[0].select(())[0]
             assert [id(row) for row in rows] == [id(row) for row in logged]
             for row in rows:
-                assert all(table._heap.get(row["id"]) is row for table in tables)
+                assert all(table._heap.get(row[0]) is row for table in tables)  # id, by position
             stored += len(rows)
         assert stored == 12
 
