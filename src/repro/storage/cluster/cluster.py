@@ -86,6 +86,9 @@ class StoreCluster:
         ]
         #: Active partitions: shard -> (replica indices hidden, heal tick).
         self._partitions: dict[int, tuple[tuple[int, ...], int]] = {}
+        #: The latest tick any replica stays degraded until: no replica is
+        #: degraded once ``tick_count`` reaches it.
+        self._degraded_until = -1
 
     # ------------------------------------------------------------------
     # Introspection
@@ -148,7 +151,8 @@ class StoreCluster:
         shard = self.shards[shard_index]
         self._charge_degraded(shard)
         result = shard.append(op)
-        self._metric("cluster.writes", shard=str(shard_index))
+        if self._observability is not None:
+            self._metric("cluster.writes", shard=str(shard_index))
         return result
 
     def broadcast(self, op: dict[str, Any]) -> list[Any]:
@@ -178,7 +182,8 @@ class StoreCluster:
         shard = self.shards[shard_index]
         self._charge_degraded(shard)
         state = shard.quorum_state()
-        self._metric("cluster.quorum_reads", shard=str(shard.shard_index))
+        if self._observability is not None:
+            self._metric("cluster.quorum_reads", shard=str(shard_index))
         return state
 
     def primary_state(self, shard_index: int) -> Any:
@@ -186,7 +191,8 @@ class StoreCluster:
         shard = self.shards[shard_index]
         self._charge_degraded(shard)
         state = shard.primary().state
-        self._metric("cluster.scan_reads", shard=str(shard_index))
+        if self._observability is not None:
+            self._metric("cluster.scan_reads", shard=str(shard_index))
         return state
 
     def primary_states(self, shard_indices: list[int] | None = None) -> list[Any]:
@@ -197,7 +203,11 @@ class StoreCluster:
         return [self.primary_state(index) for index in indices]
 
     def _charge_degraded(self, shard: ShardGroup) -> None:
-        """Account degraded-replica latency on ops touching the shard."""
+        """Account degraded-replica latency on ops touching the shard.
+
+        O(1) while no replica of the cluster is degraded."""
+        if self.tick_count >= self._degraded_until:
+            return
         for replica in shard.replicas:
             if replica.is_degraded(self.tick_count):
                 self._metric(
@@ -253,6 +263,7 @@ class StoreCluster:
         replica = self.replica_by_id(replica_id)
         replica.degraded_seconds = seconds
         replica.degraded_until_tick = self.tick_count + ticks
+        self._degraded_until = max(self._degraded_until, replica.degraded_until_tick)
         self._event(
             "replica_degraded", replica=replica_id, seconds=seconds, ticks=ticks
         )

@@ -117,13 +117,11 @@ class ClusteredCollection(Collection):
             return ring.shards_for(self._route(v) for v in values), True
         return ring.all_shards(), False
 
-    def _shard_collection(self, state: DocumentStore) -> Collection | None:
-        return state.collection(self.name) if state.has_collection(self.name) else None
-
     def _slices(self, indices: list[int] | None = None) -> list[Collection]:
         """The listed shards' primaries' slices (every shard's when None)."""
         states = self._cluster.primary_states(indices)
-        return [c for c in map(self._shard_collection, states) if c is not None]
+        slices = (state.get_collection(self.name) for state in states)
+        return [c for c in slices if c is not None]
 
     # ------------------------------------------------------------------
     # Mutation
@@ -241,8 +239,7 @@ class ClusteredCollection(Collection):
         with self._lock:
             shard = self._doc_shard.get(doc_id)
         if shard is not None:
-            state = self._cluster.quorum_state_of(shard)
-            collection = self._shard_collection(state)
+            collection = self._cluster.quorum_state_of(shard).get_collection(self.name)
             if collection is not None:
                 return collection.get(doc_id)
         for collection in self._slices():

@@ -2,7 +2,10 @@
 
 Routing key is ``namespace + "\\x00" + key`` so a namespace's entries
 spread across shards; namespace-wide operations (``keys``, ``clear``)
-fan out.  Point reads are quorum reads; writes are quorum appends.
+fan out.  Point reads are quorum reads; writes are quorum appends.  The
+router remembers the shard of each key it wrote (a cache of the ring's
+pure placement, so it is never stale), and a point op on such a key
+does not hash.
 
 TTL handling differs from the single-node store on purpose: replicas
 never *evict* expired records (eviction timing would depend on read
@@ -67,9 +70,16 @@ class ClusteredKeyValueStore(KeyValueStore):
             seed=seed,
             **cluster_options,
         )
+        #: namespace -> key -> shard, for the keys this router wrote.
+        self._placed: dict[str, dict[str, int]] = {}
 
-    def _route(self, namespace: str, key: str) -> str:
-        return f"{namespace}{_SEP}{key}"
+    def _shard(self, namespace: str, key: str) -> int:
+        """The shard owning *key*: remembered if written, else hashed."""
+        placed = self._placed.get(namespace)
+        shard = None if placed is None else placed.get(key)
+        if shard is None:
+            shard = self.cluster.shard_for(f"{namespace}{_SEP}{key}")
+        return shard
 
     def _live(self, record: dict[str, Any] | None) -> bool:
         if record is None:
@@ -84,8 +94,9 @@ class ClusteredKeyValueStore(KeyValueStore):
         if ttl is not None and ttl <= 0:
             raise StorageError(f"ttl must be positive: {ttl}")
         expires_at = None if ttl is None else self._clock.now() + ttl
-        self.cluster.append(
-            self._route(namespace, key),
+        shard = self._shard(namespace, key)
+        self.cluster.append_to(
+            shard,
             {
                 "op": "put",
                 "ns": namespace,
@@ -94,9 +105,10 @@ class ClusteredKeyValueStore(KeyValueStore):
                 "expires_at": expires_at,
             },
         )
+        self._placed.setdefault(namespace, {})[key] = shard
 
     def get(self, namespace: str, key: str, default: Any = None) -> Any:
-        state = self.cluster.quorum_state(self._route(namespace, key))
+        state = self.cluster.quorum_state_of(self._shard(namespace, key))
         record = state.get(namespace, {}).get(key)
         if not self._live(record):
             return default
@@ -107,13 +119,13 @@ class ClusteredKeyValueStore(KeyValueStore):
         return self.get(namespace, key, sentinel) is not sentinel
 
     def delete(self, namespace: str, key: str) -> bool:
-        route = self._route(namespace, key)
-        state = self.cluster.quorum_state(route)
+        shard = self._shard(namespace, key)
+        state = self.cluster.quorum_state_of(shard)
         if not self._live(state.get(namespace, {}).get(key)):
             return False
         return bool(
-            self.cluster.append(
-                route, {"op": "delete", "ns": namespace, "key": key}
+            self.cluster.append_to(
+                shard, {"op": "delete", "ns": namespace, "key": key}
             )
         )
 
@@ -143,6 +155,7 @@ class ClusteredKeyValueStore(KeyValueStore):
 
     def clear(self, namespace: str) -> int:
         live = len(self.keys(namespace))
+        self._placed.pop(namespace, None)
         for index in self.cluster.ring.all_shards():
             state = self.cluster.primary_state(index)
             if namespace in state:

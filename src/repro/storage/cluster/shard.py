@@ -36,6 +36,7 @@ from .failure import FailureDetector
 from .replica import ApplyFn, Replica, ReplicaStatus, StateFactory
 
 EventFn = Callable[..., None]  # (kind, **detail)
+_ALIVE = ReplicaStatus.ALIVE
 
 
 class ShardGroup:
@@ -116,8 +117,23 @@ class ShardGroup:
         """State observed by a majority read (always >= latest acked).
 
         Reads the quorum with the longest logs; repairs lagging members.
+        In the steady state — the first ``quorum`` contactable replicas in
+        index order all hold every acked op — the ``(-applied, index)``
+        sort would pick exactly those, with no repair and no error, so the
+        first one's state is returned without sorting.
         """
         with self._lock:
+            acked, needed = self.acked, self.quorum
+            first = None
+            for replica in self.replicas:
+                if replica.status is _ALIVE and replica.reachable:
+                    if len(replica.log) != acked:
+                        break
+                    if first is None:
+                        first = replica
+                    needed -= 1
+                    if not needed:
+                        return first.state
             candidates = sorted(
                 self._contactable(), key=lambda r: (-r.applied, r.index)
             )

@@ -208,11 +208,15 @@ class DocumentStore:
             return collection
 
     def collection(self, name: str) -> Collection:
-        with self._lock:
-            collection = self._collections.get(name)
+        collection = self.get_collection(name)
         if collection is None:
             raise StorageError(f"unknown collection: {name!r} in store {self.name!r}")
         return collection
+
+    def get_collection(self, name: str) -> Collection | None:
+        """The collection called *name*, or None if there is none."""
+        with self._lock:
+            return self._collections.get(name)
 
     def has_collection(self, name: str) -> bool:
         with self._lock:

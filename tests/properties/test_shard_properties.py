@@ -12,20 +12,31 @@ The two acceptance properties for the shard substrate:
    byte-identical cluster exports: replica logs, failover events and
    anti-entropy repairs all land identically.
 
-And the clustered key-value store answers as the single-node one does,
-through replica kills, restarts and catch-up.
+A quorum read's steady-state shortcut answers as the sorted rule does.
+And the clustered key-value store and a clustered collection's point ops
+answer as the single-node ones do, through replica kills, restarts,
+partitions, degraded replicas and catch-up.
 """
 
 import json
 from concurrent.futures import ThreadPoolExecutor
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.clock import SimClock
 from repro.core.resilience import ChaosController, ChaosSpec
 from repro.errors import ClusterUnavailableError
-from repro.storage.cluster import ClusteredKeyValueStore, ReplicaStatus, StoreCluster
+from repro.storage.cluster import (
+    ClusteredDocumentStore,
+    ClusteredKeyValueStore,
+    FailureDetector,
+    ReplicaStatus,
+    ShardGroup,
+    StoreCluster,
+)
+from repro.storage.document.store import Collection
 from repro.storage.keyvalue import KeyValueStore
 
 
@@ -221,6 +232,127 @@ class TestThreadBackend:
 
 
 # ----------------------------------------------------------------------
+# A quorum read == the sorted rule
+# ----------------------------------------------------------------------
+def sorted_rule(shard):
+    """The general quorum-read rule, kept here as the oracle: the ``quorum``
+    contactable replicas first by ``(-applied, index)`` read, the first
+    answers and the others catch up to it.  Returns ``(state, repairs)``
+    with ``repairs`` as ``(replica_id, caught_up_to, ops)`` — or the error
+    the read must raise — and touches nothing."""
+    contactable = [
+        r for r in shard.replicas if r.status is ReplicaStatus.ALIVE and r.reachable
+    ]
+    candidates = sorted(contactable, key=lambda r: (-r.applied, r.index))
+    if len(candidates) < shard.quorum:
+        return ClusterUnavailableError(
+            f"shard {shard.shard_index}: {len(candidates)} live replicas, "
+            f"read quorum is {shard.quorum}"
+        )
+    best, *others = candidates[: shard.quorum]
+    if best.applied < shard.acked:
+        return ClusterUnavailableError(
+            f"shard {shard.shard_index}: freshest live replica at seq "
+            f"{best.applied} < acked {shard.acked}"
+        )
+    repairs = [
+        (r.replica_id, best.applied, best.applied - r.applied)
+        for r in others
+        if r.applied < best.applied
+    ]
+    return best.state, repairs
+
+
+@st.composite
+def replica_sets(draw):
+    """``(acked, [(status, reachable, applied <= acked)] * R)``, R 3 or 5,
+    leaning towards the steady state so both read paths are drawn."""
+    n_replicas = draw(st.sampled_from([3, 5]))
+    acked = draw(st.integers(0, 4))
+    status = st.sampled_from([ReplicaStatus.ALIVE] * 3 + [ReplicaStatus.SYNCING, ReplicaStatus.DEAD])
+    reachable = st.sampled_from([True, True, True, False])
+    applied = st.one_of(st.just(acked), st.integers(0, acked))
+    replicas = st.tuples(status, reachable, applied)
+    return acked, draw(st.lists(replicas, min_size=n_replicas, max_size=n_replicas))
+
+
+def build_shard(acked, replicas):
+    """A shard whose replicas hold the drawn prefixes of ``acked`` ops."""
+    events = []
+    shard = ShardGroup(
+        0, len(replicas), dict, apply_kv, FailureDetector(3.0),
+        lambda kind, **detail: events.append((kind, detail)),
+    )
+    for seq in range(acked):
+        shard.append({"key": f"k{seq % 2}", "value": seq})
+    for replica, (status, reachable, applied) in zip(shard.replicas, replicas):
+        del replica.log[applied:]
+        replica._replay()
+        if status is ReplicaStatus.DEAD:
+            replica.kill()
+        replica.status, replica.reachable = status, reachable
+    return shard, events
+
+
+class TestQuorumReadIsTheSortedRule:
+    """Whichever path a read takes, it returns the state object the sorted
+    rule picks, raises its error, and repairs what it repairs."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(replica_sets())
+    def test_quorum_state_matches_the_sorted_rule(self, drawn):
+        shard, events = build_shard(*drawn)
+        expected = sorted_rule(shard)
+        if isinstance(expected, ClusterUnavailableError):
+            with pytest.raises(ClusterUnavailableError) as raised:
+                shard.quorum_state()
+            assert str(raised.value) == str(expected)
+            assert (events, shard.read_repairs) == ([], 0)
+            return
+        state, repairs = expected
+        logs = {r.replica_id: r.applied for r in shard.replicas}
+        assert shard.quorum_state() is state
+        assert events == [
+            ("read_repair", {"shard": 0, "replica": replica, "caught_up_to": to})
+            for replica, to, _ in repairs
+        ]
+        assert shard.read_repairs == sum(ops for *_, ops in repairs)
+        logs.update((replica, to) for replica, to, _ in repairs)
+        assert {r.replica_id: r.applied for r in shard.replicas} == logs
+
+
+def healthy(shard):
+    """Every replica up, reachable and caught up: one may be taken out and a
+    quorum still reads and writes."""
+    return all(
+        r.status is ReplicaStatus.ALIVE and r.reachable and r.applied == shard.acked
+        for r in shard.replicas
+    )
+
+
+def fault(cluster, kind, index, ticks):
+    """Apply one fault step to the replica ``index`` picks; a kill or a
+    partition only strikes a healthy shard, so a quorum always answers."""
+    replicas = cluster.all_replicas()
+    victim = replicas[index % len(replicas)]
+    shard = cluster.shards[victim.shard_index]
+    if kind == "degrade":
+        cluster.degrade_replica(victim.replica_id, 0.5, ticks)
+    elif healthy(shard):
+        if kind == "kill":
+            cluster.kill_replica(victim.replica_id)
+        else:
+            cluster.partition_shard(victim.shard_index, (victim.index,), ticks)
+
+
+fault_steps = st.one_of(
+    st.tuples(st.sampled_from(["kill", "partition", "degrade"]), st.integers(0, 11),
+              st.integers(1, 4)),
+    st.tuples(st.sampled_from(["tick", "settle"])),
+)
+
+
+# ----------------------------------------------------------------------
 # Clustered key-value store == the single-node one
 # ----------------------------------------------------------------------
 kv_namespaces = st.sampled_from(["n1", "n2"])
@@ -235,9 +367,7 @@ kv_steps = st.lists(
         st.tuples(st.sampled_from(["keys", "items", "clear"]), kv_namespaces),
         st.tuples(st.just("namespaces")),
         st.tuples(st.just("advance"), st.sampled_from([0.5, 1.0, 2.5])),
-        # the clustered side only
-        st.tuples(st.just("kill"), st.integers(0, 11)),
-        st.tuples(st.sampled_from(["tick", "settle"])),
+        fault_steps,  # the clustered side only
     ),
     max_size=30,
 )
@@ -254,9 +384,9 @@ def answer(call, *args):
 class TestClusteredKeyValueMatchesSingleNode:
     """One clock, one call sequence: every answer of a
     ``ClusteredKeyValueStore`` equals the single-node store's, or raises
-    the same exception type, while replicas die, restart and catch up.
-    (It found a refused TTL that still wrote, and an expired key that
-    deleted as present, both on the single node.)"""
+    the same exception type, while replicas die, restart, partition, slow
+    down and catch up.  (It found a refused TTL that still wrote, and an
+    expired key that deleted as present, both on the single node.)"""
 
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from([1, 2, 3]), kv_steps)
@@ -269,13 +399,8 @@ class TestClusteredKeyValueMatchesSingleNode:
         for kind, *args in script:
             if kind == "advance":
                 clock.advance(*args)
-            elif kind == "kill":
-                # one replica down per shard at most, so a quorum always answers
-                victim = cluster.all_replicas()[args[0] % len(cluster.all_replicas())]
-                shard = cluster.shards[victim.shard_index]
-                if all(r.status is ReplicaStatus.ALIVE and r.applied == shard.acked
-                       for r in shard.replicas):
-                    cluster.kill_replica(victim.replica_id)
+            elif kind in ("kill", "partition", "degrade"):
+                fault(cluster, kind, *args)
             elif kind in ("tick", "settle"):
                 getattr(cluster, kind)()  # advances the shared clock
             else:
@@ -289,5 +414,57 @@ class TestClusteredKeyValueMatchesSingleNode:
             for key in ("a", "b", "c"):
                 assert clustered.delete(namespace, key) == single.delete(namespace, key)
             assert clustered.keys(namespace) == single.keys(namespace)
+        for shard in cluster.shards:
+            assert len({replica.log_digest() for replica in shard.replicas}) == 1
+
+
+# ----------------------------------------------------------------------
+# A clustered collection's point ops == the single-node collection's
+# ----------------------------------------------------------------------
+DOC_IDS = ["d0", "d1", "d2", "d3", "doc-000001", "doc-000002", "doc-000003", "missing"]
+doc_steps = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("insert"),
+            st.fixed_dictionaries({
+                "city": st.one_of(st.none(), st.sampled_from(["SF", "Oakland"]), st.just(7)),
+                "n": st.integers(0, 9),
+            }),
+            st.one_of(st.none(), st.sampled_from(DOC_IDS[:4])),  # None: a generated id
+        ),
+        st.tuples(st.just("get"), st.sampled_from(DOC_IDS)),
+        fault_steps,  # the clustered side only
+    ),
+    max_size=30,
+)
+
+
+class TestClusteredCollectionPointOpsMatchSingleNode:
+    """``get`` and ``insert`` on a ``ClusteredCollection`` answer as a
+    single-node ``Collection`` fed the same calls — the same id, document
+    or exception type — while replicas die, restart, partition, slow down
+    and catch up: an acked insert is visible to every later ``get``."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([1, 2, 3]), st.sampled_from([None, "city"]), doc_steps)
+    def test_every_answer_matches(self, n_shards, partition_field, script):
+        single = Collection("people")
+        store = ClusteredDocumentStore("d", n_shards=n_shards, n_replicas=3,
+                                       clock=SimClock(), seed=1)
+        clustered = store.create_collection("people", partition_field=partition_field)
+        cluster = store.cluster
+        for kind, *args in script:
+            if kind in ("kill", "partition", "degrade"):
+                fault(cluster, kind, *args)
+            elif kind in ("tick", "settle"):
+                getattr(cluster, kind)()
+            else:
+                expected = answer(getattr(single, kind), *args)
+                assert answer(getattr(clustered, kind), *args) == expected, (kind, args)
+        cluster.settle()
+        for doc_id in DOC_IDS:
+            assert answer(clustered.get, doc_id) == answer(single.get, doc_id), doc_id
+        by_id = lambda doc: doc["_id"]  # noqa: E731
+        assert sorted(clustered.find(), key=by_id) == sorted(single.find(), key=by_id)
         for shard in cluster.shards:
             assert len({replica.log_digest() for replica in shard.replicas}) == 1

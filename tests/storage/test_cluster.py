@@ -16,6 +16,8 @@ from repro.storage.cluster import (
     ShardGroup,
     StoreCluster,
 )
+from repro.observability import Observability
+from repro.storage.cluster import ring
 from repro.storage.cluster.ring import routing_key, stable_hash
 from repro.storage.document.store import DocumentStore, StoredDocument
 
@@ -288,6 +290,25 @@ class TestStoreCluster:
             cluster.tick()
         assert not replica.is_degraded(cluster.tick_count)
 
+    def test_degraded_ops_are_charged_while_degraded(self):
+        cluster = make_cluster()
+        obs = cluster.observability = Observability(cluster.clock)
+        key = next(k for k in map(str, range(100)) if cluster.shard_for(k) == 0)
+        other = next(k for k in map(str, range(100)) if cluster.shard_for(k) == 1)
+        cluster.append(key, {"value": "a"})  # nothing degraded: nothing charged
+        cluster.degrade_replica("s0.r2", seconds=2.0, ticks=2)
+        cluster.degrade_replica("s0.r1", seconds=0.5, ticks=1)
+        cluster.quorum_state(key)  # two replicas of shard 0 degraded
+        cluster.quorum_state(other)  # shard 1 has none
+        cluster.tick()
+        cluster.append(key, {"value": "b"})  # s0.r2 only
+        cluster.tick()
+        cluster.quorum_state(key)  # both lapsed
+        snapshot = obs.metrics.snapshot()
+        assert snapshot["cluster.degraded_ops{cluster=test,shard=0}"] == 3.0
+        assert "cluster.degraded_ops{cluster=test,shard=1}" not in snapshot
+        assert snapshot["cluster.degraded_latency.sum"] == 4.5
+
     def test_events_are_recorded(self):
         cluster = make_cluster()
         cluster.kill_replica("s0.r0")
@@ -351,6 +372,24 @@ class TestClusteredKeyValueStore:
         kv.cluster.settle()
         assert len(kv.keys("ns")) == 50
         assert kv.get("ns", "k42") == 42
+
+    def test_a_written_key_routes_without_hashing(self, kv, monkeypatch):
+        calls = []
+
+        def counted(text):
+            calls.append(text)
+            return stable_hash(text)
+
+        monkeypatch.setattr(ring, "stable_hash", counted)
+        kv.put("ns", "k", 1)
+        assert len(calls) == 1  # a new key is placed by the ring
+        calls.clear()
+        for _ in range(100):
+            assert kv.get("ns", "k") == 1
+        assert kv.delete("ns", "k") is True
+        assert calls == []
+        assert kv.get("ns", "absent") is None  # an unwritten key still hashes
+        assert calls == ["ns\x00absent"]
 
 
 class TestClusteredDocumentStore:
