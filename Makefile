@@ -44,7 +44,7 @@ overload:
 
 shard:
 	PYTHONPATH=src python -m pytest benchmarks/bench_shard.py --benchmark-disable
-	PYTHONPATH=src python -m pytest tests/storage/test_cluster.py tests/storage/test_sharded_relational.py tests/storage/test_keyvalue.py tests/storage/test_failure_detector.py tests/streams/test_partitioned.py tests/core/test_shard_pruning.py tests/properties/test_shard_properties.py tests/properties/test_sharded_sql_properties.py tests/properties/test_clustered_find_properties.py tests/properties/test_compiled_predicate_properties.py tests/storage/test_value_order.py tests/storage/test_exact_index_answers.py tests/storage/test_document.py tests/storage/test_batch_insert.py tests/storage/test_tuple_rows.py tests/test_one_row_heap.py -q
+	PYTHONPATH=src python -m pytest tests/storage tests/streams/test_partitioned.py tests/core/test_shard_pruning.py tests/properties/test_shard_properties.py tests/properties/test_sharded_sql_properties.py tests/properties/test_clustered_find_properties.py tests/properties/test_compiled_predicate_properties.py tests/test_one_row_heap.py -q
 
 e2e-smoke:
 	PYTHONPATH=src python -m pytest benchmarks/e2e/test_e2e_smoke.py -q

@@ -30,7 +30,8 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
-from typing import Any, Sequence, TYPE_CHECKING
+from contextlib import ExitStack, contextmanager
+from typing import Any, Iterator, Sequence, TYPE_CHECKING
 
 from ...clock import SimClock
 from ...errors import StorageError
@@ -159,9 +160,14 @@ class StoreCluster:
         """Append *op* to every shard (DDL: create collection/table/index)."""
         return [self.append_to(index, op) for index in range(self.n_shards)]
 
-    def append_each(self, shard_indices: Sequence[int], op: dict[str, Any]) -> int:
-        """Append *op* to each listed shard; the summed counts (update/delete)."""
-        return sum(self.append_to(index, op) for index in shard_indices)
+    @contextmanager
+    def locked(self, shard_indices: Sequence[int]) -> Iterator[None]:
+        """Hold the listed shards' group locks, taken in shard order: a write
+        decided on their primaries is appended before any other op lands."""
+        with ExitStack() as stack:
+            for index in sorted(shard_indices):
+                stack.enter_context(self.shards[index]._lock)
+            yield
 
     def scan_stats(
         self, shard_indices: Sequence[int], pruned: bool, **labels: Any

@@ -16,13 +16,16 @@ every operation is overridden to route through the cluster:
   ``insert_many`` op per touched shard: each replica puts the logged
   document object itself into its collection's row heap, so the log, every
   replica and every read share one stored document;
-* ``get`` goes to the owning shard — a quorum read;
+* ``get`` goes to the owning shard — a quorum read; an unplaced id raises;
 * ``find`` prunes shards when it can and hands their primaries' slices to
   the one find path (``document.store.find_selection``), which reads them as one
   collection in shard order — so it returns what a single-node
   ``Collection`` holding the same documents returns; ``count`` and
   ``distinct`` read the same slices and leave ``last_find_stats`` alone;
-* ``update``/``delete`` fan out as quorum appends to the pruned shards.
+* ``update`` / ``delete`` are decided once on the pruned primaries'
+  slices, under their shards' locks, and logged as their effect — one
+  ``replace_rows`` / ``remove_rows`` op per touched shard, as SQL's are
+  (``cluster/relational.py``); a delete's ids leave the placement map.
 
 A document's placement is fixed at insert time, so the shard key is
 immutable (as in common sharded stores): an ``update`` naming the
@@ -33,11 +36,11 @@ filter pinning the field to ``None`` prunes nothing and fans out.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from ...clock import SimClock
 from ...errors import QueryError, StorageError
-from ..document.query import sargable
+from ..document.query import compile_where, sargable
 from ..document.store import Collection, DocumentStore, Selection, StoredDocument, find_selection
 from ..relational.index import partition_values
 from .cluster import StoreCluster
@@ -57,10 +60,10 @@ def _apply_docs(state: DocumentStore, op: dict[str, Any]) -> Any:
     collection = state.collection(op["collection"])
     if kind == "insert_many":  # the router's stored documents, shared with the log
         return len(collection._heap.insert_many(op["documents"]))
-    if kind == "update":
-        return collection.update(op["filter"], op["changes"])
-    if kind == "delete":
-        return collection.delete(op["filter"])
+    if kind == "replace_rows":  # the router's decided images, shared with the log
+        return collection._heap.put(op["rows"])
+    if kind == "remove_rows":  # the router's decided row ids
+        return collection._heap.drop(op["rows"])
     if kind == "create_index":
         collection.create_index(op["field"], kind=op["kind"])
         return None
@@ -80,7 +83,7 @@ class ClusteredCollection(Collection):
         super().__init__(name, description)
         self._cluster = store.cluster
         self.partition_field = partition_field
-        #: The shard each acked id was placed on (under the inherited lock).
+        #: The shard each stored id was placed on (under the inherited lock).
         self._doc_shard: dict[str, int] = {}
         #: Stats of the most recent :meth:`find`, for tests, benches and the
         #: ``repro shard`` demo to read.
@@ -126,10 +129,6 @@ class ClusteredCollection(Collection):
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
-    def _holds(self, doc_id: str) -> bool:
-        """Whether an id the router placed is still some document's."""
-        return doc_id in self._doc_shard and bool(self.count({"_id": doc_id}))
-
     def insert(self, document: Mapping[str, Any], doc_id: str | None = None) -> str:
         return self.insert_many([document], None if doc_id is None else [doc_id])[0]
 
@@ -149,7 +148,7 @@ class ClusteredCollection(Collection):
                 raise StorageError(f"{len(documents)} documents but {len(ids)} document ids")
             seen: set[str] = set()
             for doc_id in ids:
-                if doc_id in seen or self._holds(doc_id):
+                if doc_id in seen or doc_id in self._doc_shard:
                     raise StorageError(f"duplicate document id: {doc_id!r}")
                 seen.add(doc_id)
             routes = map(self._route, map(self._route_value, documents, ids))
@@ -170,27 +169,37 @@ class ClusteredCollection(Collection):
         return ids
 
     def update(self, filter_spec: Mapping[str, Any], changes: Mapping[str, Any]) -> int:
-        if "_id" in changes:
-            raise StorageError("cannot change _id")
+        conjuncts, residual, change = self._update(filter_spec, changes)
         if self.partition_field in changes:  # placement is fixed at insert
             raise StorageError(f"cannot change partition field {self.partition_field!r}")
-        shards, _ = self.shards_for_filter(filter_spec)
-        return self._cluster.append_each(
-            shards,
-            {
-                "op": "update",
-                "collection": self.name,
-                "filter": dict(filter_spec),
-                "changes": dict(changes),
-            },
+        return self._write(
+            filter_spec, "replace_rows", lambda heap: heap.images(conjuncts, residual, change)
         )
 
     def delete(self, filter_spec: Mapping[str, Any]) -> int:
-        shards, _ = self.shards_for_filter(filter_spec)
-        return self._cluster.append_each(
-            shards,
-            {"op": "delete", "collection": self.name, "filter": dict(filter_spec)},
+        conjuncts, residual = compile_where(filter_spec)
+        return self._write(
+            filter_spec, "remove_rows", lambda heap: heap.matching(conjuncts, residual)
         )
+
+    def _write(self, filter_spec: Mapping[str, Any], kind: str, decide: Callable) -> int:
+        """Decide a write on each pruned shard's primary slice, under the
+        shards' locks; once every slice decided, append each touched
+        shard's effect (a delete's ids leave the placement map)."""
+        shards, _ = self.shards_for_filter(filter_spec)
+        with self._cluster.locked(shards):
+            heaps = [collection._heap for collection in self._slices(shards)]
+            effects = list(map(decide, heaps))
+            for shard, heap, effect in zip(shards, heaps, effects, strict=True):
+                if not effect:
+                    continue
+                removed = kind == "remove_rows"
+                gone = [heap._rows[row_id]["_id"] for row_id in effect] if removed else ()
+                self._cluster.append_to(shard, {"op": kind, "collection": self.name, "rows": effect})
+                with self._lock:
+                    for doc_id in gone:
+                        del self._doc_shard[doc_id]
+        return sum(map(len, effects))
 
     # ------------------------------------------------------------------
     # Queries
@@ -238,16 +247,9 @@ class ClusteredCollection(Collection):
     def get(self, doc_id: str) -> dict[str, Any]:
         with self._lock:
             shard = self._doc_shard.get(doc_id)
-        if shard is not None:
-            collection = self._cluster.quorum_state_of(shard).get_collection(self.name)
-            if collection is not None:
-                return collection.get(doc_id)
-        for collection in self._slices():
-            try:
-                return collection.get(doc_id)
-            except QueryError:
-                continue
-        raise QueryError(f"no document with id {doc_id!r} in {self.name!r}")
+        if shard is None:
+            raise QueryError(f"no document with id {doc_id!r} in {self.name!r}")
+        return self._cluster.quorum_state_of(shard).collection(self.name).get(doc_id)
 
     def __len__(self) -> int:
         return sum(map(len, self._slices()))

@@ -6,33 +6,34 @@ shard's horizontal slice of every table.  A table routes rows by its
 whose ``sargable`` form pins that column (``=`` / ``IN`` constants, read
 by ``index.partition_values``) prunes the fan-out to the owning shards.
 
-A SELECT has one path: the router prunes, then runs the statement once
-on an ephemeral single-node scratch database whose tables are read-only
-views — each the concatenation, in shard order, of the pruned shard
-primaries' own tables and indexes
-(:class:`~repro.storage.relational.view.ConcatTable`).  No row is copied,
-re-validated, or re-indexed, and the one ``Executor`` gives full SQL
-semantics: a sharded SELECT returns what a single-node ``Database``
-holding the same rows returns.  A primary key present on two gathered
-slices (possible when the partition column is not the primary key) is a
+A SELECT, UPDATE or DELETE has one path: the router prunes, then runs
+the statement once on an ephemeral single-node scratch database whose
+tables are read-only views — each the concatenation, in shard order, of
+the pruned shard primaries' own tables and indexes
+(:class:`~repro.storage.relational.view.ConcatTable`) — so it answers as
+a single-node ``Database`` holding the same rows.  A statement with a
+subquery is not pruned.  A primary key present on two gathered slices
+(possible when the partition column is not the primary key) is a
 ``StorageError``.
 
-Writes never take a shortcut.  An INSERT's rows are evaluated and
-validated once, at the router — a key its shard or the batch holds twice
-refusing them all before any append — routed by partition value, and
-quorum-appended as one ``insert_many`` op per touched shard: each replica
-puts the logged row tuple itself into its table's row heap, so the log
-and every replica share one stored row and no replica re-validates it
-(as a CREATE TABLE op carries the router's immutable schema itself).
-UPDATE/DELETE replay the statement itself on each pruned shard (all
-replicas execute the same SQL in the same order, so their tables stay
-identical).
+Replicas log effects, not statements.  An INSERT's rows are validated
+once, at the router — a key its shard or the batch holds twice refusing
+them all — and appended as one ``insert_many`` op per touched shard,
+whose row tuples the log and every replica share.  An UPDATE / DELETE is
+decided on the views under the pruned shards' locks: each slice hands
+back its images (row id, new row) or removed row ids, and only once all
+decided is one ``replace_rows`` / ``remove_rows`` op appended per touched
+shard.  A replica swaps or drops rows by row id (the same on every replica
+that applied the same log): it never parses or filters, and a refused
+write touches no log.
 """
 
 from __future__ import annotations
 
+from dataclasses import is_dataclass
+from functools import lru_cache
 from operator import itemgetter
-from typing import Any, Iterable, Mapping, TYPE_CHECKING
+from typing import Any, Iterable, Iterator, Mapping, TYPE_CHECKING
 
 from ...clock import SimClock
 from ...errors import StorageError
@@ -62,14 +63,39 @@ def _apply_relational(state: Database, op: dict[str, Any]) -> Any:
         return None
     if kind == "insert_many":  # the router's stored rows, shared with the log
         return len(state.table(op["table"])._heap.insert_many(op["rows"]))
+    if kind == "replace_rows":  # the router's decided images, shared with the log
+        return state.table(op["table"])._heap.put(op["rows"])
+    if kind == "remove_rows":  # the router's decided row ids
+        return state.table(op["table"])._heap.drop(op["rows"])
     if kind == "create_index":
         table = state.table(op["table"])
         if op["column"] not in table.indexed_columns():
             table.create_index(op["column"], kind=op["kind"])
         return None
-    if kind == "sql":
-        return state.execute(op["sql"], op.get("parameters") or {}).rowcount
     raise StorageError(f"unknown relational op: {kind}")
+
+
+@lru_cache(maxsize=512)
+def _subquery_tables(sql: str) -> tuple[str, ...]:
+    """The tables the subqueries of *sql* name (none: it has no subquery)."""
+    return tuple(dict.fromkeys(_nested_tables(parse(sql))))
+
+
+def _nested_tables(node: Any) -> Iterator[str]:
+    for value in vars(node).values():
+        for item in value if isinstance(value, tuple) else (value,):
+            for child in item if isinstance(item, tuple) else (item,):
+                if isinstance(child, (ast.Subquery, ast.InSubquery, ast.Exists)):
+                    yield from (ref.name for ref in _refs(child.select))
+                if is_dataclass(child):
+                    yield from _nested_tables(child)
+
+
+def _refs(statement: ast.Select | ast.Update | ast.Delete) -> tuple[ast.TableRef, ...]:
+    """The tables a statement's FROM and JOINs bind (an UPDATE / DELETE: its own)."""
+    if not isinstance(statement, ast.Select):
+        return (ast.TableRef(statement.table),)
+    return (statement.table, *(join.table for join in statement.joins))
 
 
 class ShardedTable:
@@ -249,9 +275,9 @@ class ShardedDatabase(Database):
     def _run(self, sql: str, parameters: dict[str, Any], span: Span) -> SQLResult:
         statement = parse(sql)
         if isinstance(statement, ast.Select):
-            result = self._execute_select(statement, parameters)
+            result = self._execute_select(statement, sql, parameters)
         elif isinstance(statement, (ast.Update, ast.Delete)):
-            result = self._execute_update_or_delete(statement, sql, parameters)
+            result = self._execute_write(statement, sql, parameters)
         else:
             # INSERT and DDL: the executor calls ``table().insert``,
             # ``create_table`` and ``table().create_index`` on *this*
@@ -263,40 +289,56 @@ class ShardedDatabase(Database):
         return result
 
     # -- UPDATE / DELETE -----------------------------------------------
-    def _execute_update_or_delete(
+    def _execute_write(
         self, statement: ast.Update | ast.Delete, sql: str, parameters: dict[str, Any]
     ) -> SQLResult:
-        """Replay the statement itself on each pruned shard."""
+        """Decide the statement once, over views of the pruned slices, under
+        their shards' locks; then append each touched shard's effect."""
         front = self.table(statement.table)
-        shards = self._prune(statement.where, front, statement.table, parameters)
-        rowcount = self.cluster.append_each(
-            shards, {"op": "sql", "sql": sql, "parameters": parameters}
-        )
-        self.last_execute_stats = {**self._scan_stats(shards), "rows": rowcount}
-        kind = "update" if isinstance(statement, ast.Update) else "delete"
-        return SQLResult(rowcount=rowcount, statement_kind=kind)
+        where = None if _subquery_tables(sql) else statement.where
+        shards = self._prune(where, front, statement.table, parameters)
+        kind = "replace_rows" if isinstance(statement, ast.Update) else "remove_rows"
+        with self.cluster.locked(shards):
+            scratch, _ = self._views(statement, sql, parameters)
+            result = Executor(scratch, parameters).execute(statement)
+            for shard, effect in zip(shards, scratch.table(front.name).effects, strict=True):
+                if effect:
+                    self.cluster.append_to(shard, {"op": kind, "table": front.name, "rows": effect})
+        self.last_execute_stats = {**self._scan_stats(shards), "rows": result.rowcount}
+        return result
 
     # -- SELECT --------------------------------------------------------
     def _execute_select(
-        self, select: ast.Select, parameters: dict[str, Any]
+        self, select: ast.Select, sql: str, parameters: dict[str, Any]
     ) -> SQLResult:
         """Run the SQL once over in-place views of the pruned slices."""
-        scratch = Database(f"{self.name}:scratch")
-        shard_sets: list[list[int]] = []
-        for ref in (select.table, *(join.table for join in select.joins)):
-            if scratch.has_table(ref.name):
-                continue  # self-join: the first binding's pruning decides the slices
-            front = self.table(ref.name)
-            shards = self._prune(select.where, front, ref.binding(), parameters)
-            scratch.attach(ConcatTable(front.schema, list(front._shard_tables(shards))))
-            shard_sets.append(shards)
+        scratch, shards = self._views(select, sql, parameters)
         result = Executor(scratch, parameters).execute(select)
         self.last_execute_stats = {
-            **self._scan_stats(shard_sets[0]),  # the FROM table's fan-out
+            **self._scan_stats(shards),  # the FROM table's fan-out
             "rows_scanned": sum(len(view) for view in scratch.tables()),
             "rows": len(result.rows),
         }
         return result
+
+    def _views(
+        self, statement: ast.Select | ast.Update | ast.Delete, sql: str, parameters: dict[str, Any]
+    ) -> tuple[Database, list[int]]:
+        """A scratch database of views over the slices each table binding
+        reads, pruned by the WHERE, and the first binding's shards.  A
+        statement with a subquery is not pruned, and its scratch holds every
+        table a subquery names too."""
+        nested = _subquery_tables(sql)
+        where = None if nested else statement.where
+        scratch, shard_sets = Database(f"{self.name}:scratch"), []
+        for ref in (*_refs(statement), *map(ast.TableRef, nested)):
+            if scratch.has_table(ref.name):
+                continue  # self-join: the first binding's pruning decides the slices
+            front = self.table(ref.name)
+            shards = self._prune(where, front, ref.binding(), parameters)
+            scratch.attach(ConcatTable(front.schema, list(front._shard_tables(shards))))
+            shard_sets.append(shards)
+        return scratch, shard_sets[0]
 
     def _scan_stats(self, shards: list[int]) -> dict[str, Any]:
         return self.cluster.scan_stats(

@@ -9,9 +9,11 @@ membership of R replicas (quorum = ``R // 2 + 1``):
   :class:`~repro.errors.ClusterUnavailableError` *without touching any
   replica*, so logs never diverge and un-acked partial writes cannot
   masquerade as data.  An acked append therefore lives on >= quorum
-  replicas.  An op the state machine refuses raises at the first
-  acceptor, which applies before it logs (``Replica.append``): nothing is
-  logged or acked, and no other replica sees it.
+  replicas.  Ops are effects the router decided on the primary while it
+  held the group lock (an UPDATE's row images, a DELETE's row ids), so a
+  refused write never reaches ``append``; an op the state machine still
+  refuses raises at the first acceptor, which applies before it logs
+  (``Replica.append``): nothing is logged or acked.
 * **Quorum read** — reads the quorum of live replicas with the longest
   logs; since any two majorities of the same R-set intersect, the
   longest log in a read quorum always contains the latest acked append.

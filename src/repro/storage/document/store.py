@@ -86,12 +86,14 @@ class Collection:
 
     def update(self, filter_spec: Mapping[str, Any], changes: Mapping[str, Any]) -> int:
         """Shallow-merge *changes* into matching documents; returns count."""
+        return self._heap.replace(*self._update(filter_spec, changes))
+
+    def _update(self, filter_spec: Mapping[str, Any], changes: Mapping[str, Any]) -> tuple:
+        """What ``update`` matches, and its change of a match; refuses an ``_id`` change."""
         if "_id" in changes:
             raise StorageError("cannot change _id")
         (conjuncts, residual), changes = compile_where(filter_spec), dict(changes)
-        return self._heap.replace(
-            conjuncts, residual, lambda document: StoredDocument({**document, **changes})
-        )
+        return conjuncts, residual, lambda document: StoredDocument({**document, **changes})
 
     def delete(self, filter_spec: Mapping[str, Any]) -> int:
         return self._heap.remove(*compile_where(filter_spec))

@@ -18,6 +18,8 @@ _STAMPS = itertools.count(1)
 
 #: A stored row: a table's tuple in column order, a collection's document.
 Row = Any
+#: A decided change of one row: its row id and the row that replaces it.
+Image = tuple[int, Row]
 #: A predicate's test left once an index answered the conjuncts at the given
 #: positions exactly: a test of a stored row, or None when nothing is left.
 Residual = Callable[[set[int]], Callable[[Row], Any] | None]
@@ -83,8 +85,10 @@ class RowHeap:
     hands its read-only callers the stored rows themselves.  Reads and
     writes take a predicate as sargable *conjuncts* and a :data:`Residual`,
     so a candidate is tested only on what the indexes that chose it did not
-    answer exactly.  ``version`` is re-stamped by every write that changes
-    a row: equal versions mean equal rows (what a memo keys on).
+    answer exactly.  A write is decided on the rows as they were before it
+    (:meth:`images`, :meth:`matching`), then applied by (deterministic) row
+    id (:meth:`put`, :meth:`drop`).  ``version`` is re-stamped by every write
+    that changes a row: equal versions mean equal rows (what a memo keys on).
 
     *read* ``(row, at)`` is the value an index on a field keys a row under,
     or ``MISSING`` for a row it leaves out, *at* being the field's entry in
@@ -155,20 +159,47 @@ class RowHeap:
             return row_ids
 
     def replace(self, conjuncts: Sequence[Conjunct], residual: Residual, change: Callable) -> int:
-        """Swap every matching row for ``change(row)``, each matched and
-        changed as it was before the call; returns how many.  Only the index
-        entries whose value changed move, and a key another row holds is
-        refused there: the rows before it stay replaced, as an INSERT's do."""
+        """Swap every matching row for ``change(row)`` — :meth:`images`, then
+        :meth:`put` — returns how many.  A refused row raises once the rows
+        before it are replaced, as an INSERT's are stored."""
+        images: list[Image] = []
         with self._lock:
-            matched = self._matching(conjuncts, residual)
+            try:
+                self.images(conjuncts, residual, change, images)
+            finally:
+                self.put(images)
+            return len(images)
+
+    def images(
+        self, conjuncts: Sequence[Conjunct], residual: Residual, change: Callable,
+        images: list[Image] | None = None,
+    ) -> list[Image]:
+        """Decide a replace, changing nothing: each matching row's id and
+        ``change(row)``, every row read as it was before the call, appended
+        to *images* (a new list when None) until a row is refused — *change*
+        raises, or its key is another row's once the images before it are in
+        — which raises with the images before it left in *images*."""
+        images = [] if images is None else images
+        with self._lock:
+            rows, moved = self._rows, {}  # key -> its holder once the images so far are in
+            for row_id in self.matching(conjuncts, residual):
+                new = change(rows[row_id])
+                if self.key is not None:
+                    old, key = rows[row_id][self._key_at], new[self._key_at]
+                    if moved.get(key, self._key_index.get(key)) not in (None, row_id):
+                        raise StorageError(self._duplicate(key))
+                    if old != key:
+                        moved[old], moved[key] = None, row_id
+                images.append((row_id, new))
+            return images
+
+    def put(self, images: Sequence[Image]) -> int:
+        """Apply decided images (kept: pass rows no one changes), moving only
+        the index entries whose value changed."""
+        with self._lock:
             rows, read, at = self._rows, self._read, self._at
-            for row_id in matched:
+            for row_id, new in images:
                 old = rows[row_id]
-                new = change(old)
-                if self.key is not None and self._key_index.get(new[self._key_at]) not in (
-                    None, row_id
-                ):
-                    raise StorageError(self._duplicate(new[self._key_at]))
                 for field, index in self._indexes.items():
                     before = read(old, at.get(field, field))
                     after = read(new, at.get(field, field))
@@ -178,24 +209,29 @@ class RowHeap:
                         if after is not MISSING:
                             index.insert(after, row_id)
                 rows[row_id] = new
-                self.version = next(_STAMPS)  # per row: a later row may raise
-            return len(matched)
+            if images:
+                self.version = next(_STAMPS)
+            return len(images)
 
     def remove(self, conjuncts: Sequence[Conjunct], residual: Residual) -> int:
-        """Delete every matching row; returns how many."""
+        """Delete every matching row: :meth:`matching`, then :meth:`drop`."""
         with self._lock:
-            doomed = self._matching(conjuncts, residual)
-            if doomed:
+            return self.drop(self.matching(conjuncts, residual))
+
+    def drop(self, row_ids: Sequence[int]) -> int:
+        """Apply a decided remove: delete the rows at *row_ids*."""
+        with self._lock:
+            if row_ids:
                 self.version = next(_STAMPS)
             rows, read, at = self._rows, self._read, self._at
-            for row_id in doomed:
+            for row_id in row_ids:
                 row, rows[row_id] = rows[row_id], None
                 for field, index in self._indexes.items():
                     value = read(row, at.get(field, field))
                     if value is not MISSING:
                         index.remove(value, row_id)
-            self._size -= len(doomed)
-            return len(doomed)
+            self._size -= len(row_ids)
+            return len(row_ids)
 
     def select(
         self, conjuncts: Sequence[Conjunct], residual: Residual | None = None,
@@ -232,10 +268,12 @@ class RowHeap:
         test = None if residual is None else residual(exact)
         return fields, None if row_ids is None else sorted(row_ids), test
 
-    def _matching(self, conjuncts: Sequence[Conjunct], residual: Residual) -> list[int]:
-        _, row_ids, test = self._candidates(conjuncts, residual)
-        row_ids = self._stored_ids() if row_ids is None else row_ids
-        return row_ids if test is None else [rid for rid in row_ids if test(self._rows[rid])]
+    def matching(self, conjuncts: Sequence[Conjunct], residual: Residual) -> list[int]:
+        """The ids of the matching rows, in scan order: a decided remove."""
+        with self._lock:
+            _, row_ids, test = self._candidates(conjuncts, residual)
+            row_ids = self._stored_ids() if row_ids is None else row_ids
+            return row_ids if test is None else [rid for rid in row_ids if test(self._rows[rid])]
 
     def _stored_ids(self) -> list[int]:
         return list(compress(_row_ids(0, len(self._rows)), self._rows))  # None: removed

@@ -13,13 +13,15 @@ The two acceptance properties for the shard substrate:
    anti-entropy repairs all land identically.
 
 A quorum read's steady-state shortcut answers as the sorted rule does.
-And the clustered key-value store and a clustered collection's point ops
-answer as the single-node ones do, through replica kills, restarts,
-partitions, degraded replicas and catch-up.
+And the clustered key-value store, a clustered collection's point ops and
+filtered writes, and a sharded table's writes answer as the single-node
+ones do, through replica kills, restarts, partitions, degraded replicas
+and catch-up; a refused write reaches no log and rebuilds no replica.
 """
 
 import json
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -27,17 +29,22 @@ from hypothesis import strategies as st
 
 from repro.clock import SimClock
 from repro.core.resilience import ChaosController, ChaosSpec
-from repro.errors import ClusterUnavailableError
+from repro.errors import ClusterUnavailableError, StorageError
 from repro.storage.cluster import (
     ClusteredDocumentStore,
     ClusteredKeyValueStore,
     FailureDetector,
+    Replica,
     ReplicaStatus,
+    ShardedDatabase,
     ShardGroup,
     StoreCluster,
 )
 from repro.storage.document.store import Collection
 from repro.storage.keyvalue import KeyValueStore
+from repro.storage.relational import Database
+from repro.storage.schema import Column, ColumnType, TableSchema
+from row_heaps import replicas_decide_nothing
 
 
 def apply_kv(state, op):
@@ -419,9 +426,15 @@ class TestClusteredKeyValueMatchesSingleNode:
 
 
 # ----------------------------------------------------------------------
-# A clustered collection's point ops == the single-node collection's
+# A clustered collection's point ops and writes == the single-node collection's
 # ----------------------------------------------------------------------
 DOC_IDS = ["d0", "d1", "d2", "d3", "doc-000001", "doc-000002", "doc-000003", "missing"]
+doc_filters = st.one_of(
+    st.sampled_from(DOC_IDS).map(lambda doc_id: {"_id": doc_id}),
+    st.sampled_from([None, "SF", "Oakland", 7]).map(lambda city: {"city": city}),
+    st.integers(0, 9).map(lambda n: {"n": {"$gte": n}}),
+    st.just({}),
+)
 doc_steps = st.lists(
     st.one_of(
         st.tuples(
@@ -433,38 +446,129 @@ doc_steps = st.lists(
             st.one_of(st.none(), st.sampled_from(DOC_IDS[:4])),  # None: a generated id
         ),
         st.tuples(st.just("get"), st.sampled_from(DOC_IDS)),
+        st.tuples(
+            st.just("update"), doc_filters,
+            st.one_of(
+                st.integers(0, 9).map(lambda n: {"n": n}),
+                st.just({"tag": "x"}),
+                st.just({"_id": "d9"}),  # refused
+                st.just({"city": "SF"}),  # refused where city is the partition field
+            ),
+        ),
+        st.tuples(st.just("delete"), doc_filters),
         fault_steps,  # the clustered side only
     ),
     max_size=30,
 )
 
 
+def refusals(cluster, call, *args):
+    """*call*'s answer, and whether a refusal changed a log or rebuilt a replica."""
+    digests = [replica.log_digest() for replica in cluster.all_replicas()]
+    replays = []
+    replay = Replica._replay
+    with mock.patch.object(Replica, "_replay", lambda self: (replays.append(self), replay(self))):
+        result = answer(call, *args)
+    touched = [replica.log_digest() for replica in cluster.all_replicas()] != digests or replays
+    return result, isinstance(result, type) and bool(touched)
+
+
 class TestClusteredCollectionPointOpsMatchSingleNode:
-    """``get`` and ``insert`` on a ``ClusteredCollection`` answer as a
-    single-node ``Collection`` fed the same calls — the same id, document
-    or exception type — while replicas die, restart, partition, slow down
-    and catch up: an acked insert is visible to every later ``get``."""
+    """``get``, ``insert``, ``update`` and ``delete`` on a
+    ``ClusteredCollection`` answer as a single-node ``Collection`` fed the
+    same calls — the same id, document, count or exception type — while
+    replicas die, restart, partition, slow down and catch up: an acked write
+    is visible to every later ``get``, and a refused one reaches no log and
+    rebuilds no replica.  A change of the partition field is the cluster's
+    own refusal: the single node is not fed it."""
 
     @settings(max_examples=100, deadline=None)
     @given(st.sampled_from([1, 2, 3]), st.sampled_from([None, "city"]), doc_steps)
     def test_every_answer_matches(self, n_shards, partition_field, script):
         single = Collection("people")
-        store = ClusteredDocumentStore("d", n_shards=n_shards, n_replicas=3,
-                                       clock=SimClock(), seed=1)
-        clustered = store.create_collection("people", partition_field=partition_field)
-        cluster = store.cluster
-        for kind, *args in script:
-            if kind in ("kill", "partition", "degrade"):
-                fault(cluster, kind, *args)
-            elif kind in ("tick", "settle"):
-                getattr(cluster, kind)()
-            else:
-                expected = answer(getattr(single, kind), *args)
-                assert answer(getattr(clustered, kind), *args) == expected, (kind, args)
-        cluster.settle()
+        with replicas_decide_nothing():
+            store = ClusteredDocumentStore("d", n_shards=n_shards, n_replicas=3,
+                                           clock=SimClock(), seed=1)
+            clustered = store.create_collection("people", partition_field=partition_field)
+            cluster = store.cluster
+            for kind, *args in script:
+                if kind in ("kill", "partition", "degrade"):
+                    fault(cluster, kind, *args)
+                elif kind in ("tick", "settle"):
+                    getattr(cluster, kind)()
+                else:
+                    own = kind == "update" and partition_field in args[1] and "_id" not in args[1]
+                    expected = StorageError if own else answer(getattr(single, kind), *args)
+                    actual, touched = refusals(cluster, getattr(clustered, kind), *args)
+                    assert actual == expected, (kind, args)
+                    assert not touched, (kind, args)
+            cluster.settle()
         for doc_id in DOC_IDS:
             assert answer(clustered.get, doc_id) == answer(single.get, doc_id), doc_id
         by_id = lambda doc: doc["_id"]  # noqa: E731
         assert sorted(clustered.find(), key=by_id) == sorted(single.find(), key=by_id)
+        for shard in cluster.shards:
+            assert len({replica.log_digest() for replica in shard.replicas}) == 1
+
+
+# ----------------------------------------------------------------------
+# A sharded table's writes == the single-node table's
+# ----------------------------------------------------------------------
+sql_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("UPDATE t SET y = y + 1 WHERE city = :c"), st.sampled_from("ABCDE")),
+        st.tuples(st.just("UPDATE t SET y = 0 WHERE y > 2 AND x = 0"), st.just("A")),
+        st.tuples(st.just("DELETE FROM t WHERE city = :c AND y > 1 AND x = 0"),
+                  st.sampled_from("ABCDE")),
+        # refused: the key collides on the last shard the IN list prunes to
+        st.tuples(st.just("UPDATE t SET id = id + 1 WHERE city IN (:first, :last) AND x = 1"),
+                  st.just("")),
+        fault_steps,  # the clustered side only
+    ),
+    max_size=20,
+)
+
+
+class TestShardedWritesMatchSingleNode:
+    """A sharded UPDATE / DELETE leaves the rows a single-node table leaves,
+    through faults, and one the key index refuses — on the last shard its
+    WHERE prunes to — reaches no log, rebuilds no replica and leaves the
+    earlier shard's rows as they were."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(sql_steps)
+    def test_rows_and_refusals_match(self, script):
+        with replicas_decide_nothing():
+            sharded = ShardedDatabase("t", n_shards=3, n_replicas=3, clock=SimClock(), seed=1)
+            single = Database("t")
+            schema = TableSchema.build("t", [
+                Column("id", ColumnType.INT, primary_key=True), ("city", ColumnType.TEXT),
+                ("x", ColumnType.INT), ("y", ColumnType.INT),
+            ])
+            front = sharded.create_table(schema, partition_column="city")
+            single.create_table(schema)
+            shards = {front.shard_for_value(city): city for city in reversed("ABCDE")}
+            first, last = shards[min(shards)], shards[max(shards)]
+            rows = [(i, "ABCDE"[i % 5], 0, i % 4) for i in range(20)]
+            rows += [(100, last, 1, 0), (101, last, 1, 0), (200, first, 1, 0)]
+            for db in (sharded, single):
+                db.table("t").insert_many(dict(zip(("id", "city", "x", "y"), row)) for row in rows)
+            cluster = sharded.cluster
+            everything = "SELECT * FROM t ORDER BY id"
+            for kind, *args in script:
+                if kind in ("kill", "partition", "degrade"):
+                    fault(cluster, kind, *args)
+                elif kind in ("tick", "settle"):
+                    getattr(cluster, kind)()
+                else:
+                    parameters = {"c": args[0], "first": first, "last": last}
+                    actual, touched = refusals(cluster, sharded.execute, kind, parameters)
+                    if "id = id + 1" in kind:
+                        assert actual is StorageError and not touched
+                    else:
+                        assert single.execute(kind, parameters).rowcount == actual.rowcount
+                    assert sharded.query(everything) == single.query(everything), kind
+            cluster.settle()
+            assert sharded.query(everything) == single.query(everything)
         for shard in cluster.shards:
             assert len({replica.log_digest() for replica in shard.replicas}) == 1

@@ -8,13 +8,20 @@ shard order, into a fresh single-node ``Database``, rebuild its indexes,
 and run the same SQL there.  The two must agree on rows, on columns and on
 row *order*, for every statement of a small random grammar, interleaved
 with writes and one failover.
+
+A statement with a subquery has another oracle: a single-node ``Database``
+fed the same rows and statements, while replicas die and catch up — the
+views a pruned statement read used to hide rows from its subquery, a
+subquery over another table did not find it, and each shard decided an
+UPDATE / DELETE on its own slice.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from row_heaps import replicas_decide_nothing, stale_entries
 
 from repro.clock import SimClock
-from repro.storage.cluster import ShardedDatabase
+from repro.storage.cluster import ReplicaStatus, ShardedDatabase
 from repro.storage.relational import Database, Table
 from repro.storage.relational.sql import execute_sql, parse
 from repro.storage.schema import Column, ColumnType, TableSchema
@@ -229,6 +236,93 @@ def test_gather_select_builds_no_table(monkeypatch):
     )
     assert [row["dept"] for row in result.rows] == sorted(DEPTS)
     assert calls == []
+
+
+# ----------------------------------------------------------------------
+# Subqueries, against a single node
+# ----------------------------------------------------------------------
+SUBQUERY_SELECTS = [
+    "SELECT id FROM emp WHERE {atom} AND age < (SELECT MAX(age) FROM emp) - :low ORDER BY id",
+    "SELECT id, dept FROM emp WHERE {atom} AND age >= (SELECT MIN(floor) FROM office) * 10 "
+    "ORDER BY id",
+    "SELECT id FROM emp WHERE {atom} AND dept IN (SELECT dept FROM office WHERE city = :city) "
+    "ORDER BY id",
+    "SELECT id FROM emp WHERE {atom} AND NOT EXISTS (SELECT id FROM office WHERE floor > :low) "
+    "ORDER BY id",
+    "SELECT e.id, (SELECT COUNT(*) FROM office o WHERE o.city = :city) AS n FROM emp e "
+    "WHERE {atom} ORDER BY e.id",
+]
+SUBQUERY_WRITES = [
+    "UPDATE emp SET age = (SELECT MAX(age) FROM emp) WHERE {atom}",
+    "UPDATE emp SET age = (SELECT MIN(floor) FROM office) WHERE {atom}",
+    "UPDATE office SET floor = (SELECT COUNT(*) FROM emp WHERE city = :city) WHERE {atom}",
+    "DELETE FROM emp WHERE age = (SELECT MAX(age) FROM emp)",
+    "DELETE FROM emp WHERE {atom} AND age > (SELECT AVG(age) FROM emp)",
+    "DELETE FROM office WHERE {atom} AND floor = (SELECT MIN(floor) FROM office)",
+    # refused at the first row it changes, on one node as on the cluster
+    "UPDATE emp SET age = 'old' WHERE {atom}",
+    "UPDATE emp SET id = (SELECT MAX(id) FROM emp WHERE city = :city) "
+    "WHERE id = (SELECT MIN(id) FROM emp WHERE city = :city)",
+]
+
+
+@st.composite
+def subquery_steps(draw):
+    template = draw(st.sampled_from(SUBQUERY_SELECTS + SUBQUERY_WRITES + WRITES))
+    pool = atoms("e." if "emp e" in template else "", "floor" if "UPDATE office" in template
+                 or "FROM office WHERE {atom}" in template else "age")
+    parameters = {"city": draw(st.sampled_from(CITIES)), "low": draw(st.integers(0, 60))}
+    return template.format(atom=draw(st.sampled_from(pool))), parameters
+
+
+def answer(db, sql, parameters):
+    try:
+        result = db.execute(sql, parameters)
+    except Exception as error:  # the property is *which* error
+        return type(error)
+    return result.rows, result.rowcount
+
+
+class TestSubqueriesMatchSingleNode:
+    @settings(max_examples=100, deadline=None)
+    @given(emp_rows, office_rows, st.lists(st.one_of(
+        subquery_steps(),
+        st.tuples(st.just("kill"), st.integers(0, 8)),
+        st.tuples(st.just("settle")),
+    ), min_size=1, max_size=8))
+    def test_every_answer_and_every_row(self, emp, office, script):
+        with replicas_decide_nothing():
+            sharded = build(emp, office)
+        single = Database("single")
+        for schema in (EMP, OFFICE):
+            front = sharded.table(schema.name)
+            table = single.create_table(schema)
+            for column, kind in front.indexed_columns().items():
+                if column not in table.indexed_columns():
+                    table.create_index(column, kind=kind)
+            table.insert_many(sorted(front.rows(), key=lambda row: row["id"]))
+        cluster = sharded.cluster
+        with replicas_decide_nothing():
+            for step in script:
+                if step[0] == "kill":
+                    shard = cluster.shards[step[1] % cluster.n_shards]
+                    if all(r.status is ReplicaStatus.ALIVE and r.applied == shard.acked
+                           for r in shard.replicas):
+                        cluster.kill_replica(shard.replicas[step[1] % 3].replica_id)
+                        cluster.tick()
+                elif step[0] == "settle":
+                    cluster.settle()
+                else:
+                    assert answer(sharded, *step) == answer(single, *step), step
+                    for table in ("emp", "office"):
+                        everything = f"SELECT * FROM {table} ORDER BY id"
+                        assert sharded.query(everything) == single.query(everything), step
+            cluster.settle()
+        for shard in cluster.shards:
+            assert len({replica.log_digest() for replica in shard.replicas}) == 1
+            for replica in shard.replicas:
+                for table in replica.state.tables():
+                    assert stale_entries(table._heap) == []
 
 
 # ----------------------------------------------------------------------

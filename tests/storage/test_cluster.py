@@ -1,11 +1,13 @@
 """Tests for the sharded, replicated store cluster substrate."""
 
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.clock import SimClock
-from repro.errors import ClusterUnavailableError, StorageError
+from repro.errors import ClusterUnavailableError, QueryError, StorageError
 from repro.storage.cluster import (
     ClusteredDocumentStore,
     ClusteredKeyValueStore,
@@ -20,6 +22,12 @@ from repro.observability import Observability
 from repro.storage.cluster import ring
 from repro.storage.cluster.ring import routing_key, stable_hash
 from repro.storage.document.store import DocumentStore, StoredDocument
+
+try:
+    from row_heaps import replicas_decide_nothing
+except ImportError:  # collected before tests/properties: put it on the path
+    sys.path.insert(0, str(Path(__file__).parents[1] / "properties"))
+    from row_heaps import replicas_decide_nothing
 
 
 def apply_list(state, op):
@@ -771,3 +779,84 @@ class TestReadOnlyClusteredDocuments:
             assert people.count(spec) == len(people.find(spec))
         assert people.distinct("city") == list(dict.fromkeys(d["city"] for d in people.find()))
         assert people.distinct("tags") == [["a"]]
+
+
+class TestClusteredWritesAreDecidedOnce:
+    """A clustered ``update`` / ``delete`` is decided once, on the pruned
+    primaries, and logged as its effect: every replica applied the filter
+    and the change itself (and rebuilt its whole state on a refusal), and
+    ``get`` of an id no document holds read every shard's primary."""
+
+    @pytest.fixture
+    def people(self):
+        with replicas_decide_nothing():
+            store = ClusteredDocumentStore("once", n_shards=4, n_replicas=3,
+                                           clock=SimClock(), seed=5)
+            people = store.create_collection("people", partition_field="city")
+            cities = ["SF", "Oakland", "Austin", "Denver"]
+            people.insert_many([{"city": cities[n % 4], "n": n} for n in range(16)],
+                               doc_ids=[f"p{n}" for n in range(16)])
+            yield people
+
+    def test_replicas_apply_the_decided_effect(self, people):
+        cluster = people._cluster
+        assert people.update({"n": {"$gte": 8}}, {"big": True}) == 8
+        assert people.delete({"city": "SF"}) == 4
+        assert people.update({"_id": "p1"}, {"n": -1}) == 1
+        for shard in cluster.shards:
+            cluster.kill_replica(shard.replicas[0].replica_id)
+        cluster.settle()  # the killed replicas replay their logs
+        kinds = {op["op"] for r in cluster.all_replicas() for op in r.log}
+        assert kinds == {"create_collection", "insert_many", "replace_rows", "remove_rows"}
+        for shard in cluster.shards:
+            heaps = [replica.state.collection("people")._heap for replica in shard.replicas]
+            logged = {}
+            for op in shard.replicas[0].log:
+                if op["op"] == "replace_rows":
+                    logged.update((row["_id"], row) for _, row in op["rows"])
+            for doc_id, image in logged.items():
+                if heaps[0].get(doc_id) is not None:
+                    assert all(heap.get(doc_id) is image for heap in heaps)
+        big = sorted(d["_id"] for d in people.find({"big": True}))
+        assert big == sorted(f"p{n}" for n in range(8, 16) if n % 4)  # SF's n % 4 == 0
+        assert people.get("p1")["n"] == -1 and people.count() == 12
+
+    @pytest.mark.parametrize("changes, error", [
+        ({"_id": "x"}, "cannot change _id"),
+        ({"city": "Reno"}, "cannot change partition field 'city'"),
+    ])
+    def test_a_refused_update_reaches_no_log_and_replays_nothing(self, people, monkeypatch,
+                                                                 changes, error):
+        replays = []
+        replay = Replica._replay
+        monkeypatch.setattr(Replica, "_replay", lambda self: (replays.append(self), replay(self)))
+        digests = [replica.log_digest() for replica in people._cluster.all_replicas()]
+        with pytest.raises(StorageError, match=error):
+            people.update({}, changes)
+        assert [replica.log_digest() for replica in people._cluster.all_replicas()] == digests
+        assert replays == []
+
+    def test_an_unplaced_or_deleted_id_reads_no_shard(self, people, monkeypatch):
+        reads = []
+        cluster = people._cluster
+        for name in ("primary_state", "quorum_state_of"):
+            real = getattr(cluster, name)
+            monkeypatch.setattr(
+                cluster, name,
+                lambda *args, _real=real, _name=name: (reads.append(_name), _real(*args))[1],
+            )
+        assert people.get("p2")["n"] == 2 and reads == ["quorum_state_of"]
+        assert people.delete({"_id": "p2"}) == 1
+        reads.clear()
+        for absent in ("p2", "never"):
+            with pytest.raises(QueryError, match=f"no document with id '{absent}'"):
+                people.get(absent)
+        assert reads == []
+
+    def test_the_placement_map_holds_exactly_the_stored_ids(self, people):
+        people.delete({"n": {"$lt": 5}})
+        people.delete({"city": "Oakland"})
+        people.insert({"city": "SF", "n": 0}, doc_id="p0")
+        stored = {d["_id"]: shard for shard in range(4)
+                  for d in people._slices([shard])[0].find()}
+        assert people._doc_shard == stored

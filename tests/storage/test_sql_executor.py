@@ -472,6 +472,22 @@ class TestDML:
             {"id": 12}, {"id": 14}
         ]
 
+    def test_update_frees_and_claims_keys_in_row_order(self):
+        """Deciding every row before applying any keeps the row-by-row key
+        rule: a key an earlier row gave up is free, one it took is held."""
+        database = Database("keyed")
+        keyed = [Column("id", ColumnType.INT, primary_key=True)]
+        quick_table(database, "p", keyed, [{"id": 1}, {"id": 2}, {"id": 3}])
+        assert database.execute("UPDATE p SET id = id - 1").rowcount == 3
+        assert database.query("SELECT id FROM p WHERE id IN (0, 1, 2, 3)") == [
+            {"id": 0}, {"id": 1}, {"id": 2}
+        ]
+        with pytest.raises(StorageError, match="duplicate primary key 5"):
+            database.execute("UPDATE p SET id = 5 WHERE id <> 1")
+        assert database.query("SELECT id FROM p WHERE id IN (0, 1, 2, 5)") == [
+            {"id": 5}, {"id": 1}, {"id": 2}
+        ]
+
     def test_delete(self, db):
         assert db.execute("DELETE FROM jobs WHERE city = 'Oakland'").rowcount == 2
         assert len(db.query("SELECT * FROM jobs")) == 3

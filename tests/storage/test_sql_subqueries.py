@@ -129,3 +129,20 @@ class TestExists:
         # Plain NOT on a non-EXISTS expression still parses.
         rows = db.query("SELECT id FROM jobs WHERE NOT city = 'SF'")
         assert sorted(r["id"] for r in rows) == [2, 3]
+
+
+class TestStatementSnapshot:
+    """An UPDATE / DELETE decides every row on the table as it was before
+    the statement: a subquery in SET once read the rows already updated
+    (1, 2, 3 became 4, 5, 6)."""
+
+    def test_a_subquery_in_set_reads_the_rows_before_the_update(self):
+        database = Database("snapshot")
+        quick_table(database, "t", [("x", ColumnType.INT)], [{"x": 1}, {"x": 2}, {"x": 3}])
+        assert database.execute("UPDATE t SET x = (SELECT MAX(x) FROM t) + 1").rowcount == 3
+        assert database.query("SELECT x FROM t") == [{"x": 4}, {"x": 4}, {"x": 4}]
+
+    def test_a_subquery_in_where_reads_the_rows_before_the_delete(self, db):
+        sql = "DELETE FROM jobs WHERE salary >= (SELECT MAX(salary) FROM jobs)"
+        assert db.execute(sql).rowcount == 1
+        assert [r["id"] for r in db.query("SELECT id FROM jobs")] == [1, 3]
