@@ -249,7 +249,7 @@ class ClusteredCollection(Collection):
             shard = self._doc_shard.get(doc_id)
         if shard is None:
             raise QueryError(f"no document with id {doc_id!r} in {self.name!r}")
-        return self._cluster.quorum_state_of(shard).collection(self.name).get(doc_id)
+        return self._cluster.quorum_state_of(shard).get_collection(self.name).get(doc_id)
 
     def __len__(self) -> int:
         return sum(map(len, self._slices()))
