@@ -20,17 +20,17 @@ Replicas log effects, not statements.  An INSERT's rows are validated
 once, at the router — a key its shard or the batch holds twice refusing
 them all — and appended as one ``insert_many`` op per touched shard,
 whose row tuples the log and every replica share.  An UPDATE / DELETE is
-decided on the views under the pruned shards' locks: each slice hands
-back its images (row id, new row) or removed row ids, and only once all
-decided is one ``replace_rows`` / ``remove_rows`` op appended per touched
-shard.  A replica swaps or drops rows by row id (the same on every replica
-that applied the same log): it never parses or filters, and a refused
-write touches no log.
+decided on the views under the pruned shards' locks (its table fronts
+looked up first: the catalog lock is never taken under a shard's): each
+slice hands back its images (row id, new row) or removed row ids, and
+only once all decided is one ``replace_rows`` / ``remove_rows`` op
+appended per touched shard.  A replica swaps or drops rows by row id
+(the same on every replica that applied the same log): it never parses
+or filters, and a refused write touches no log.
 """
 
 from __future__ import annotations
 
-from dataclasses import is_dataclass
 from functools import lru_cache
 from operator import itemgetter
 from typing import Any, Iterable, Iterator, Mapping, TYPE_CHECKING
@@ -82,13 +82,10 @@ def _subquery_tables(sql: str) -> tuple[str, ...]:
 
 
 def _nested_tables(node: Any) -> Iterator[str]:
-    for value in vars(node).values():
-        for item in value if isinstance(value, tuple) else (value,):
-            for child in item if isinstance(item, tuple) else (item,):
-                if isinstance(child, (ast.Subquery, ast.InSubquery, ast.Exists)):
-                    yield from (ref.name for ref in _refs(child.select))
-                if is_dataclass(child):
-                    yield from _nested_tables(child)
+    for child in ast.children(node):
+        if isinstance(child, (ast.Subquery, ast.InSubquery, ast.Exists)):
+            yield from (ref.name for ref in _refs(child.select))
+        yield from _nested_tables(child)
 
 
 def _refs(statement: ast.Select | ast.Update | ast.Delete) -> tuple[ast.TableRef, ...]:
@@ -294,12 +291,11 @@ class ShardedDatabase(Database):
     ) -> SQLResult:
         """Decide the statement once, over views of the pruned slices, under
         their shards' locks; then append each touched shard's effect."""
-        front = self.table(statement.table)
-        where = None if _subquery_tables(sql) else statement.where
-        shards = self._prune(where, front, statement.table, parameters)
+        bindings = self._bindings(statement, sql, parameters)
+        front, shards = bindings[0]
         kind = "replace_rows" if isinstance(statement, ast.Update) else "remove_rows"
         with self.cluster.locked(shards):
-            scratch, _ = self._views(statement, sql, parameters)
+            scratch = self._scratch(bindings)
             result = Executor(scratch, parameters).execute(statement)
             for shard, effect in zip(shards, scratch.table(front.name).effects, strict=True):
                 if effect:
@@ -312,33 +308,40 @@ class ShardedDatabase(Database):
         self, select: ast.Select, sql: str, parameters: dict[str, Any]
     ) -> SQLResult:
         """Run the SQL once over in-place views of the pruned slices."""
-        scratch, shards = self._views(select, sql, parameters)
+        bindings = self._bindings(select, sql, parameters)
+        scratch = self._scratch(bindings)
         result = Executor(scratch, parameters).execute(select)
         self.last_execute_stats = {
-            **self._scan_stats(shards),  # the FROM table's fan-out
+            **self._scan_stats(bindings[0][1]),  # the FROM table's fan-out
             "rows_scanned": sum(len(view) for view in scratch.tables()),
             "rows": len(result.rows),
         }
         return result
 
-    def _views(
+    def _bindings(
         self, statement: ast.Select | ast.Update | ast.Delete, sql: str, parameters: dict[str, Any]
-    ) -> tuple[Database, list[int]]:
-        """A scratch database of views over the slices each table binding
-        reads, pruned by the WHERE, and the first binding's shards.  A
-        statement with a subquery is not pruned, and its scratch holds every
-        table a subquery names too."""
+    ) -> list[tuple[ShardedTable, list[int]]]:
+        """The front of each table the statement reads, with the shards its
+        slices are read from, pruned by the WHERE; the FROM table first.  A
+        statement with a subquery is not pruned, and reads every table a
+        subquery names too.  A self-join's later bindings read the first's
+        slices.  Resolved before any shard lock is taken: the catalog lock
+        is taken before a shard's (``create_table``), never after."""
         nested = _subquery_tables(sql)
         where = None if nested else statement.where
-        scratch, shard_sets = Database(f"{self.name}:scratch"), []
+        bound: dict[str, tuple[ShardedTable, list[int]]] = {}
         for ref in (*_refs(statement), *map(ast.TableRef, nested)):
-            if scratch.has_table(ref.name):
-                continue  # self-join: the first binding's pruning decides the slices
-            front = self.table(ref.name)
-            shards = self._prune(where, front, ref.binding(), parameters)
+            if ref.name.lower() not in bound:
+                front = self.table(ref.name)
+                bound[ref.name.lower()] = front, self._prune(where, front, ref.binding(), parameters)
+        return list(bound.values())
+
+    def _scratch(self, bindings: list[tuple[ShardedTable, list[int]]]) -> Database:
+        """A scratch database of views over each binding's slices."""
+        scratch = Database(f"{self.name}:scratch")
+        for front, shards in bindings:
             scratch.attach(ConcatTable(front.schema, list(front._shard_tables(shards))))
-            shard_sets.append(shards)
-        return scratch, shard_sets[0]
+        return scratch
 
     def _scan_stats(self, shards: list[int]) -> dict[str, Any]:
         return self.cluster.scan_stats(

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from dataclasses import dataclass, is_dataclass
+from typing import Any, Iterator
 
 
 # ----------------------------------------------------------------------
@@ -127,6 +127,16 @@ class Exists(Expr):
 
     select: "Select"
     negated: bool = False
+
+
+def children(node: Any) -> Iterator[Any]:
+    """The nodes among *node*'s fields, in field order (tuples, and the
+    pairs of a CASE or an UPDATE's SET, flattened; a subquery's SELECT
+    included)."""
+    for value in vars(node).values():
+        for item in value if isinstance(value, tuple) else (value,):
+            yield from (child for child in (item if isinstance(item, tuple) else (item,))
+                        if is_dataclass(child))
 
 
 # ----------------------------------------------------------------------

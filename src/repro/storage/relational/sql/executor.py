@@ -787,15 +787,7 @@ def _find_aggregates(expr: ast.Expr) -> tuple[ast.FunctionCall, ...]:
         return (expr,)
     if isinstance(expr, (ast.Subquery, ast.InSubquery, ast.Exists)):
         return ()
-    return tuple(call for child in _children(expr) for call in _find_aggregates(child))
-
-
-def _children(expr: ast.Expr) -> Iterable[ast.Expr]:
-    """The sub-expressions of *expr* in field order (a CASE's pairs flattened)."""
-    for value in vars(expr).values():
-        for item in value if isinstance(value, tuple) else (value,):
-            yield from (node for node in (item if isinstance(item, tuple) else (item,))
-                        if isinstance(node, ast.Expr))
+    return tuple(call for child in ast.children(expr) for call in _find_aggregates(child))
 
 
 def _output_name(expr: ast.Expr) -> str:

@@ -2,6 +2,7 @@
 
 import sys
 import threading
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -614,6 +615,49 @@ class TestWritesAreDecidedOnce:
         ]
         for shard in emp.cluster.shards:
             assert len({replica.log_digest() for replica in shard.replicas}) == 1
+
+    def test_a_write_under_its_shard_locks_never_waits_for_the_catalog(self, emp, monkeypatch):
+        """CREATE TABLE holds the catalog lock while it takes each shard's
+        lock; a fan-out UPDATE holding every shard's lock must not then ask
+        for the catalog lock.  The UPDATE is held inside its shard locks
+        until the CREATE TABLE holds the catalog lock."""
+        cluster = emp.cluster
+        decided, creating = threading.Event(), threading.Event()
+        locked, broadcast = cluster.locked, cluster.broadcast
+
+        @contextmanager
+        def locked_then_wait(shards):
+            with locked(shards):
+                decided.set()
+                creating.wait(timeout=5)
+                yield
+
+        def signal_then_broadcast(op):
+            creating.set()
+            return broadcast(op)
+
+        monkeypatch.setattr(cluster, "locked", locked_then_wait)
+        monkeypatch.setattr(cluster, "broadcast", signal_then_broadcast)
+        errors = []
+
+        def run(sql):
+            try:
+                emp.execute(sql)
+            except Exception as error:  # reported below: a thread's raise is lost
+                errors.append(error)
+
+        update = threading.Thread(target=run, args=("UPDATE emp SET salary = salary + 1",),
+                                  daemon=True)  # a deadlocked thread must not hang the run
+        create = threading.Thread(target=run, args=("CREATE TABLE site (id INT PRIMARY KEY)",),
+                                  daemon=True)
+        update.start()
+        assert decided.wait(timeout=5)
+        create.start()
+        update.join(timeout=10)
+        create.join(timeout=10)
+        assert not update.is_alive() and not create.is_alive() and errors == []
+        assert emp.has_table("site")
+        assert emp.query("SELECT COUNT(*) AS n FROM emp WHERE salary > 1000")[0]["n"] == 40
 
     @pytest.mark.parametrize("sql", [
         "SELECT id FROM emp WHERE id = 3 AND salary < (SELECT MAX(salary) FROM emp) - 300",
