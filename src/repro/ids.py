@@ -110,8 +110,3 @@ _GLOBAL = IdGenerator()
 def new_id(kind: str) -> str:
     """Return a fresh identifier from the process-global generator."""
     return _GLOBAL.next(kind)
-
-
-def reset_global_ids() -> None:
-    """Reset the process-global generator (used by tests for determinism)."""
-    _GLOBAL.reset()

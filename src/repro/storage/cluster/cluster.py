@@ -30,8 +30,8 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
-from contextlib import ExitStack, contextmanager
-from typing import Any, Iterator, Sequence, TYPE_CHECKING
+from contextlib import ExitStack
+from typing import Any, Callable, Sequence, TYPE_CHECKING
 
 from ...clock import SimClock
 from ...errors import StorageError
@@ -160,14 +160,24 @@ class StoreCluster:
         """Append *op* to every shard (DDL: create collection/table/index)."""
         return [self.append_to(index, op) for index in range(self.n_shards)]
 
-    @contextmanager
-    def locked(self, shard_indices: Sequence[int]) -> Iterator[None]:
-        """Hold the listed shards' group locks, taken in shard order: a write
-        decided on their primaries is appended before any other op lands."""
+    def write(
+        self,
+        shard_indices: Sequence[int],
+        decide: Callable[[], Sequence[Any]],
+        op_of: Callable[[Any], dict[str, Any]],
+    ) -> list[Any]:
+        """Under the listed shards' locks, taken in shard order: ``decide()``
+        returns one effect per shard (or raises), every shard with a
+        non-empty effect must have a quorum of acceptors, and only then is
+        ``op_of(effect)`` appended to each.  Returns those appends' results."""
         with ExitStack() as stack:
             for index in sorted(shard_indices):
                 stack.enter_context(self.shards[index]._lock)
-            yield
+            decided = zip(shard_indices, decide(), strict=True)
+            touched = [(index, effect) for index, effect in decided if effect]
+            for index, _ in touched:
+                self.shards[index].acceptors()
+            return [self.append_to(index, op_of(effect)) for index, effect in touched]
 
     def scan_stats(
         self, shard_indices: Sequence[int], pruned: bool, **labels: Any

@@ -11,21 +11,18 @@ the mechanism behind the bench's sub-linear query latency.
 interface compatibility (``isinstance`` checks in the data executor);
 every operation is overridden to route through the cluster:
 
-* ``insert`` / ``insert_many`` build each document's read-only stored
-  form (a ``StoredDocument``) once, at the router, and quorum-append one
-  ``insert_many`` op per touched shard: each replica puts the logged
-  document object itself into its collection's row heap, so the log, every
-  replica and every read share one stored document;
 * ``get`` goes to the owning shard — a quorum read; an unplaced id raises;
 * ``find`` prunes shards when it can and hands their primaries' slices to
   the one find path (``document.store.find_selection``), which reads them as one
   collection in shard order — so it returns what a single-node
   ``Collection`` holding the same documents returns; ``count`` and
   ``distinct`` read the same slices and leave ``last_find_stats`` alone;
-* ``update`` / ``delete`` are decided once on the pruned primaries'
-  slices, under their shards' locks, and logged as their effect — one
-  ``replace_rows`` / ``remove_rows`` op per touched shard, as SQL's are
-  (``cluster/relational.py``); a delete's ids leave the placement map.
+* every write is one ``StoreCluster.write``: ``insert_many`` logs each
+  document's read-only stored form, built once at the router; ``update`` /
+  ``delete`` log the effect decided on the pruned primaries' slices.
+
+The placement map (``_doc_shard``) is under the collection's own lock, a
+leaf lock: no shard lock is taken while it is held.
 
 A document's placement is fixed at insert time, so the shard key is
 immutable (as in common sharded stores): an ``update`` naming the
@@ -83,7 +80,8 @@ class ClusteredCollection(Collection):
         super().__init__(name, description)
         self._cluster = store.cluster
         self.partition_field = partition_field
-        #: The shard each stored id was placed on (under the inherited lock).
+        #: The shard each stored id, or one being inserted, is placed on
+        #: (under the inherited lock).
         self._doc_shard: dict[str, int] = {}
         #: Stats of the most recent :meth:`find`, for tests, benches and the
         #: ``repro shard`` demo to read.
@@ -138,9 +136,8 @@ class ClusteredCollection(Collection):
         doc_ids: Iterable[str] | None = None,
     ) -> list[str]:
         """Build each document's stored form once, here — the log and every
-        replica of its shard share it; one quorum append per touched shard.
-        Every id is checked before the first append, so a duplicate (or
-        *doc_ids* not one per document) appends nothing."""
+        replica of its shard share it.  Every id is checked and reserved in
+        one critical section, and freed again if the write is refused."""
         documents = list(documents)
         with self._lock:
             ids = [self._ids.next("doc") for _ in documents] if doc_ids is None else list(doc_ids)
@@ -153,19 +150,24 @@ class ClusteredCollection(Collection):
                 seen.add(doc_id)
             routes = map(self._route, map(self._route_value, documents, ids))
             batches = self._cluster.ring.positions_by_shard(routes)
-        # A shard's documents are built together, so they lie together in
-        # memory: built in input order, the shards' documents interleave and
-        # scans slow.
-        stored = {
-            shard: [StoredDocument(documents[i], _id=ids[i]) for i in batch]
-            for shard, batch in batches
-        }
-        for shard, batch in stored.items():
-            self._cluster.append_to(
-                shard, {"op": "insert_many", "collection": self.name, "documents": batch}
+            self._doc_shard.update((ids[i], shard) for shard, batch in batches for i in batch)
+        try:
+            # A shard's documents are built together, so they lie together in
+            # memory: built in input order, the shards' documents interleave
+            # and scans slow.
+            stored = {
+                shard: [StoredDocument(documents[i], _id=ids[i]) for i in batch]
+                for shard, batch in batches
+            }
+            self._cluster.write(
+                list(stored), lambda: list(stored.values()),
+                lambda batch: {"op": "insert_many", "collection": self.name, "documents": batch},
             )
+        except BaseException:
             with self._lock:
-                self._doc_shard.update((document["_id"], shard) for document in batch)
+                for doc_id in ids:
+                    del self._doc_shard[doc_id]
+            raise
         return ids
 
     def update(self, filter_spec: Mapping[str, Any], changes: Mapping[str, Any]) -> int:
@@ -183,23 +185,26 @@ class ClusteredCollection(Collection):
         )
 
     def _write(self, filter_spec: Mapping[str, Any], kind: str, decide: Callable) -> int:
-        """Decide a write on each pruned shard's primary slice, under the
-        shards' locks; once every slice decided, append each touched
-        shard's effect (a delete's ids leave the placement map)."""
+        """Decide a write on each pruned shard's primary slice; a delete's
+        ids then leave the placement map."""
         shards, _ = self.shards_for_filter(filter_spec)
-        with self._cluster.locked(shards):
+        gone: list[str] = []
+
+        def effects() -> list[Any]:
             heaps = [collection._heap for collection in self._slices(shards)]
-            effects = list(map(decide, heaps))
-            for shard, heap, effect in zip(shards, heaps, effects, strict=True):
-                if not effect:
-                    continue
-                removed = kind == "remove_rows"
-                gone = [heap._rows[row_id]["_id"] for row_id in effect] if removed else ()
-                self._cluster.append_to(shard, {"op": kind, "collection": self.name, "rows": effect})
-                with self._lock:
-                    for doc_id in gone:
-                        del self._doc_shard[doc_id]
-        return sum(map(len, effects))
+            decided = list(map(decide, heaps))
+            if kind == "remove_rows":
+                gone.extend(heap._rows[row_id]["_id"] for heap, row_ids in zip(heaps, decided)
+                            for row_id in row_ids)
+            return decided
+
+        written = self._cluster.write(
+            shards, effects, lambda effect: {"op": kind, "collection": self.name, "rows": effect}
+        )
+        with self._lock:
+            for doc_id in gone:
+                del self._doc_shard[doc_id]
+        return sum(written)
 
     # ------------------------------------------------------------------
     # Queries

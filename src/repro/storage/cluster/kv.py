@@ -2,16 +2,18 @@
 
 Routing key is ``namespace + "\\x00" + key`` so a namespace's entries
 spread across shards; namespace-wide operations (``keys``, ``clear``)
-fan out.  Point reads are quorum reads; writes are quorum appends.  The
-router remembers the shard of each key it wrote (a cache of the ring's
-pure placement, so it is never stale), and a point op on such a key
-does not hash.
+fan out.  Point reads are quorum reads; a ``put`` is a quorum append,
+and a ``delete`` / ``clear`` one ``StoreCluster.write``: appended to
+every shard it touches or to none.  The router remembers the shard of
+each key it wrote (a cache of the ring's pure placement, so it is never
+stale), and a point op on such a key does not hash.
 
 TTL handling differs from the single-node store on purpose: replicas
 never *evict* expired records (eviction timing would depend on read
 order, breaking replay determinism) — expiry is a read-time filter at
-the router, which owns the clock.  A ``delete``/``clear`` is only
-appended for keys that are currently live, so replica logs stay a pure
+the router, which owns the clock.  A ``delete`` / ``clear`` is only
+appended where it is decided, under the shard's lock, that the key is
+live or the shard holds the namespace, so replica logs stay a pure
 function of the acked write sequence.
 """
 
@@ -45,8 +47,9 @@ class ClusteredKeyValueStore(KeyValueStore):
     """Drop-in ``KeyValueStore`` facade over a :class:`StoreCluster`.
 
     Subclasses the single-node store purely for interface compatibility
-    (``isinstance`` checks in the data executor); every operation is
-    overridden to route through the cluster.
+    (``isinstance`` checks in the data executor); every operation routes
+    through the cluster (``contains`` and ``describe`` through ``get`` and
+    ``keys``).
     """
 
     def __init__(
@@ -114,27 +117,19 @@ class ClusteredKeyValueStore(KeyValueStore):
             return default
         return record["value"]
 
-    def contains(self, namespace: str, key: str) -> bool:
-        sentinel = object()
-        return self.get(namespace, key, sentinel) is not sentinel
-
     def delete(self, namespace: str, key: str) -> bool:
         shard = self._shard(namespace, key)
-        state = self.cluster.quorum_state_of(shard)
-        if not self._live(state.get(namespace, {}).get(key)):
-            return False
-        return bool(
-            self.cluster.append_to(
-                shard, {"op": "delete", "ns": namespace, "key": key}
-            )
-        )
+
+        def live() -> list[bool]:
+            state = self.cluster.quorum_state_of(shard)
+            return [self._live(state.get(namespace, {}).get(key))]
+
+        return any(self.cluster.write(
+            [shard], live, lambda _: {"op": "delete", "ns": namespace, "key": key}
+        ))
 
     def keys(self, namespace: str) -> list[str]:
-        found: list[str] = []
-        for state in self.cluster.primary_states():
-            bucket = state.get(namespace, {})
-            found.extend(k for k, rec in bucket.items() if self._live(rec))
-        return sorted(found)
+        return [key for key, _ in self.items(namespace)]
 
     def items(self, namespace: str) -> Iterator[tuple[str, Any]]:
         pairs: list[tuple[str, Any]] = []
@@ -156,21 +151,16 @@ class ClusteredKeyValueStore(KeyValueStore):
     def clear(self, namespace: str) -> int:
         live = len(self.keys(namespace))
         self._placed.pop(namespace, None)
-        for index in self.cluster.ring.all_shards():
-            state = self.cluster.primary_state(index)
-            if namespace in state:
-                self.cluster.append_to(
-                    index, {"op": "clear", "ns": namespace}
-                )
+        shards = self.cluster.ring.all_shards()
+        self.cluster.write(
+            shards,
+            lambda: [namespace in self.cluster.primary_state(index) for index in shards],
+            lambda _: {"op": "clear", "ns": namespace},
+        )
         return live
 
     def describe(self) -> dict[str, Any]:
-        return {
-            "store": self.name,
-            "description": self.description,
-            "namespaces": {ns: len(self.keys(ns)) for ns in self.namespaces()},
-            "cluster": self.cluster.describe(),
-        }
+        return {**super().describe(), "cluster": self.cluster.describe()}
 
     # ------------------------------------------------------------------
     # Cluster plumbing

@@ -16,17 +16,11 @@ subquery is not pruned.  A primary key present on two gathered slices
 (possible when the partition column is not the primary key) is a
 ``StorageError``.
 
-Replicas log effects, not statements.  An INSERT's rows are validated
-once, at the router — a key its shard or the batch holds twice refusing
-them all — and appended as one ``insert_many`` op per touched shard,
-whose row tuples the log and every replica share.  An UPDATE / DELETE is
-decided on the views under the pruned shards' locks (its table fronts
-looked up first: the catalog lock is never taken under a shard's): each
-slice hands back its images (row id, new row) or removed row ids, and
-only once all decided is one ``replace_rows`` / ``remove_rows`` op
-appended per touched shard.  A replica swaps or drops rows by row id
-(the same on every replica that applied the same log): it never parses
-or filters, and a refused write touches no log.
+Replicas log effects, not statements: every write is one
+``StoreCluster.write``.  An INSERT logs the rows validated once at the
+router; an UPDATE / DELETE logs the images or row ids decided on the views
+(its table fronts looked up first: the catalog lock is never taken under a
+shard's).  A replica never parses or filters.
 """
 
 from __future__ import annotations
@@ -127,9 +121,8 @@ class ShardedTable:
 
     def insert_many(self, rows: Iterable[Mapping[str, Any]]) -> int:
         """Validate each row once, here, into the stored row the log and
-        every replica of its shard share; one quorum append per touched
-        shard.  Every row is validated, and its key checked, before the
-        first append, so a bad row or a held key appends nothing."""
+        every replica of its shard share, before the shards are locked; its
+        key is checked under their locks."""
         rows = list(rows)
         values = [row.get(self.partition_column) for row in rows]
         if self.schema.column(self.partition_column).type is ColumnType.FLOAT:
@@ -140,28 +133,26 @@ class ShardedTable:
         # built in input order, the shards' rows interleave and scans slow.
         validate = self.schema.validate_row
         stored = {shard: [validate(rows[i]) for i in batch] for shard, batch in batches}
-        self._refuse_held_keys(stored)
-        return sum(
-            self._cluster.append_to(
-                shard, {"op": "insert_many", "table": self.schema.name, "rows": batch}
-            )
-            for shard, batch in stored.items()
-        )
-
-    def _refuse_held_keys(self, stored: dict[int, list[tuple[Any, ...]]]) -> None:
-        """A primary key its shard holds, or the batch holds twice, refuses
-        the batch (a key held on another shard is not looked for)."""
         primary = self.schema.primary_key()
-        if primary is None:
-            return
-        at, seen = self.schema.column_names().index(primary.name), set()
-        for shard, batch in stored.items():
-            state = self._cluster.shards[shard].primary().state  # a read no metric counts
-            held = state.table(self.name).index_on(primary.name).keys()
-            for key in map(itemgetter(at), batch):
-                if key in seen or key in held:
-                    raise StorageError(f"duplicate primary key {key!r} in table {self.name!r}")
-                seen.add(key)
+
+        def refuse_held_keys() -> list[list[tuple[Any, ...]]]:
+            """A primary key its shard holds, or the batch holds twice, refuses
+            the batch (a key held on another shard is not looked for)."""
+            if primary is not None:
+                at, seen = self.schema.column_names().index(primary.name), set()
+                for shard, batch in stored.items():
+                    state = self._cluster.shards[shard].primary().state  # a read no metric counts
+                    held = state.table(self.name).index_on(primary.name).keys()
+                    for key in map(itemgetter(at), batch):
+                        if key in seen or key in held:
+                            raise StorageError(f"duplicate primary key {key!r} in table {self.name!r}")
+                        seen.add(key)
+            return list(stored.values())
+
+        return sum(self._cluster.write(
+            list(stored), refuse_held_keys,
+            lambda batch: {"op": "insert_many", "table": self.schema.name, "rows": batch},
+        ))
 
     def create_index(self, column: str, kind: str = "hash") -> None:
         self._cluster.broadcast(
@@ -222,7 +213,8 @@ class ShardedDatabase(Database):
             seed=seed,
             **cluster_options,
         )
-        #: Stats of the most recent SELECT — span attributes + bench gate.
+        #: Stats of the most recent statement (``{}`` for INSERT / DDL) —
+        #: its span attributes + bench gate.
         self.last_execute_stats: dict[str, Any] = {}
 
     # ------------------------------------------------------------------
@@ -271,6 +263,7 @@ class ShardedDatabase(Database):
 
     def _run(self, sql: str, parameters: dict[str, Any], span: Span) -> SQLResult:
         statement = parse(sql)
+        self.last_execute_stats = {}  # INSERT and DDL scan nothing; a refused write reports nothing
         if isinstance(statement, ast.Select):
             result = self._execute_select(statement, sql, parameters)
         elif isinstance(statement, (ast.Update, ast.Delete)):
@@ -294,12 +287,17 @@ class ShardedDatabase(Database):
         bindings = self._bindings(statement, sql, parameters)
         front, shards = bindings[0]
         kind = "replace_rows" if isinstance(statement, ast.Update) else "remove_rows"
-        with self.cluster.locked(shards):
+        results = []
+
+        def decide() -> list[Any]:
             scratch = self._scratch(bindings)
-            result = Executor(scratch, parameters).execute(statement)
-            for shard, effect in zip(shards, scratch.table(front.name).effects, strict=True):
-                if effect:
-                    self.cluster.append_to(shard, {"op": kind, "table": front.name, "rows": effect})
+            results.append(Executor(scratch, parameters).execute(statement))
+            return scratch.table(front.name).effects
+
+        self.cluster.write(
+            shards, decide, lambda effect: {"op": kind, "table": front.name, "rows": effect}
+        )
+        result = results[0]
         self.last_execute_stats = {**self._scan_stats(shards), "rows": result.rowcount}
         return result
 

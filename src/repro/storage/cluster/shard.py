@@ -4,16 +4,14 @@ The protocol is primary-backup with majority quorums over a *fixed*
 membership of R replicas (quorum = ``R // 2 + 1``):
 
 * **Append** — the router (the sole sequencer) offers the op to every
-  replica whose log is at the canonical next sequence; if fewer than a
-  quorum can accept, the append raises
+  replica whose log is at the canonical next sequence (:meth:`acceptors`);
+  if fewer than a quorum can accept, the append raises
   :class:`~repro.errors.ClusterUnavailableError` *without touching any
   replica*, so logs never diverge and un-acked partial writes cannot
   masquerade as data.  An acked append therefore lives on >= quorum
-  replicas.  Ops are effects the router decided on the primary while it
-  held the group lock (an UPDATE's row images, a DELETE's row ids), so a
-  refused write never reaches ``append``; an op the state machine still
-  refuses raises at the first acceptor, which applies before it logs
-  (``Replica.append``): nothing is logged or acked.
+  replicas.  The router decides a write's effect before it appends
+  (``StoreCluster.write``); an op the state machine still refuses raises
+  at the first acceptor, which applies before it logs: nothing is logged.
 * **Quorum read** — reads the quorum of live replicas with the longest
   logs; since any two majorities of the same R-set intersect, the
   longest log in a read quorum always contains the latest acked append.
@@ -91,26 +89,26 @@ class ShardGroup:
     # Writes
     # ------------------------------------------------------------------
     def append(self, op: dict[str, Any]) -> Any:
-        """Quorum-append *op*; returns the (first) acceptor's apply result.
-
-        Raises:
-            ClusterUnavailableError: when fewer than a quorum of replicas
-                can accept — nothing is applied and the write is NOT acked.
-            Exception: whatever the first acceptor's state machine raised
-                refusing *op*; no replica logged it.
-        """
+        """Quorum-append *op* to the :meth:`acceptors`; returns the first
+        one's apply result.  An op its state machine refuses raises there,
+        and no replica logs it."""
         with self._lock:
-            seq = self.acked
-            acceptors = [r for r in self.replicas if r.can_accept(seq)]
-            if len(acceptors) < self.quorum:
-                raise ClusterUnavailableError(
-                    f"shard {self.shard_index}: {len(acceptors)} of "
-                    f"{len(self.replicas)} replicas accepting, quorum is "
-                    f"{self.quorum}"
-                )
-            results = [replica.append(op) for replica in acceptors]
-            self.acked = seq + 1
+            results = [replica.append(op) for replica in self.acceptors()]
+            self.acked += 1
             return results[0]
+
+    def acceptors(self) -> list[Replica]:
+        """The replicas the next append reaches: those whose log is at the
+        acked sequence.  Raises ``ClusterUnavailableError`` when fewer than
+        a quorum are; call it under the group lock."""
+        acceptors = [r for r in self.replicas if r.can_accept(self.acked)]
+        if len(acceptors) < self.quorum:
+            raise ClusterUnavailableError(
+                f"shard {self.shard_index}: {len(acceptors)} of "
+                f"{len(self.replicas)} replicas accepting, quorum is "
+                f"{self.quorum}"
+            )
+        return acceptors
 
     # ------------------------------------------------------------------
     # Reads

@@ -78,9 +78,6 @@ class PartitionedStreamStore(StreamStore):
     def tick(self, advance: float | None = None) -> None:
         self.cluster.tick(advance=advance)
 
-    def describe_cluster(self) -> dict[str, Any]:
-        return self.cluster.describe()
-
 
 def _message_seq(record: dict[str, Any]) -> int:
     """Global publish order from the id (``msg-000042`` -> 42)."""

@@ -2,7 +2,6 @@
 
 import sys
 import threading
-from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -479,6 +478,18 @@ class TestSqlSpan:
         assert snapshot["storage.queries{database=hr}"] == 3
         assert snapshot["storage.rows{database=hr}"] == 20
 
+    def test_an_insert_or_ddl_span_carries_no_shard_attributes(self, db):
+        """They carried the previous SELECT's (``shards_scanned: 1``)."""
+        obs = Observability(SimClock())
+        db.observability = obs
+        db.execute("SELECT name FROM people WHERE city = 'Austin'")
+        db.execute("INSERT INTO people (id, name, city, age) VALUES (500, 'n', 'Austin', 30)")
+        assert db.last_execute_stats == {}
+        db.execute("CREATE INDEX by_age ON people (age)")
+        spans = [span.to_dict()["attributes"] for span in obs.tracer.spans()]
+        assert [span.get("shards_scanned") for span in spans] == [1, None, None]
+        assert [span.get("pruned") for span in spans] == [True, None, None]
+
 
 class TestWritesAreDecidedOnce:
     """A sharded UPDATE / DELETE is decided once, at the router, over the
@@ -623,20 +634,21 @@ class TestWritesAreDecidedOnce:
         until the CREATE TABLE holds the catalog lock."""
         cluster = emp.cluster
         decided, creating = threading.Event(), threading.Event()
-        locked, broadcast = cluster.locked, cluster.broadcast
+        write, broadcast = cluster.write, cluster.broadcast
 
-        @contextmanager
-        def locked_then_wait(shards):
-            with locked(shards):
+        def locked_then_wait(shards, decide, op_of):
+            def wait_then_decide():  # called under the shard locks
                 decided.set()
                 creating.wait(timeout=5)
-                yield
+                return decide()
+
+            return write(shards, wait_then_decide, op_of)
 
         def signal_then_broadcast(op):
             creating.set()
             return broadcast(op)
 
-        monkeypatch.setattr(cluster, "locked", locked_then_wait)
+        monkeypatch.setattr(cluster, "write", locked_then_wait)
         monkeypatch.setattr(cluster, "broadcast", signal_then_broadcast)
         errors = []
 
