@@ -273,17 +273,6 @@ class Budget:
                 dimension=dimension,
             )
 
-    def projected_overrun(self) -> str | None:
-        """The dimension the *projection* (or spend, if already higher)
-        would violate, or None when the plan looks affordable."""
-        if max(self.spent_cost(), self.projection.cost) > self.qos.max_cost:
-            return "cost"
-        if max(self.elapsed_latency(), self.projection.latency) > self.qos.max_latency:
-            return "latency"
-        if self.projection.quality < self.qos.min_quality:
-            return "quality"
-        return None
-
     def summary(self) -> dict[str, float]:
         return {
             "cost": self.spent_cost(),

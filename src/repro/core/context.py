@@ -70,10 +70,5 @@ class AgentContext:
         if metrics is not None:
             metrics.inc(name, value, **labels)
 
-    def metric_observe(self, name: str, value: float) -> None:
-        metrics = self.metrics
-        if metrics is not None:
-            metrics.observe(name, value)
-
     def extra(self, key: str, default: Any = None) -> Any:
         return self.extras.get(key, default)

@@ -33,10 +33,6 @@ class AgentFactory:
                 raise DeploymentError(f"agent type already registered: {type_name!r}")
             self._constructors[type_name] = constructor
 
-    def register_class(self, agent_class: type[Agent]) -> None:
-        """Register a class under its agent name."""
-        self.register(agent_class.name, agent_class)
-
     def types(self) -> list[str]:
         with self._lock:
             return sorted(self._constructors)

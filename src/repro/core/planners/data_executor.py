@@ -297,18 +297,13 @@ class DataPlanExecutor:
 
     def _op_doc_find(self, operator: DataOperator, inputs: list[Any]):
         collection = self._require_handle(operator, Collection)
-        kwargs: dict[str, Any] = {
-            "fields": operator.params.get("fields"),
-            "sort": operator.params.get("sort"),
-            "descending": operator.params.get("descending", False),
-            "limit": operator.params.get("limit"),
-        }
-        # The planner's shard-pruning annotation only means something to a
-        # clustered collection; a plain one fans out over nothing.
-        shards = operator.params.get("shards")
-        if shards is not None and hasattr(collection, "shards_for_filter"):
-            kwargs["shards"] = shards
-        documents = collection.find(operator.params.get("filter", {}), **kwargs)
+        documents = collection.find(
+            operator.params.get("filter", {}),
+            fields=operator.params.get("fields"),
+            sort=operator.params.get("sort"),
+            descending=operator.params.get("descending", False),
+            limit=operator.params.get("limit"),
+        )
         cost, latency, quality = self._storage_metrics(operator, len(documents))
         return documents, cost, latency, quality
 

@@ -302,13 +302,9 @@ class DataPlanner:
                 )
                 for field, value in filters.items()
             }
-            params: dict[str, Any] = {"filter": doc_filter, "limit": limit}
-            shards = self._pruned_shards(entry.name, doc_filter)
-            if shards is not None:
-                params["shards"] = shards
             plan.add_op(
                 "fetch", Op.DOC_FIND,
-                params=params,
+                params={"filter": doc_filter, "limit": limit},
                 choices=(OperatorChoice(source=entry.name),),
             )
         elif entry.kind == "graph":
@@ -442,33 +438,13 @@ class DataPlanner:
         self._known_cities.remember(key, (version, known))
         return known
 
-    def _collection_handle(self, source_name: str) -> Any | None:
-        """The registered collection behind *source_name*, if reachable."""
-        try:
-            return self.registry.handle(source_name, principal=SYSTEM_PRINCIPAL)
-        except Exception:
-            return None
-
     def _partition_field(self, source_name: str) -> str | None:
         """The collection's shard key, when it is a clustered collection."""
-        handle = self._collection_handle(source_name)
-        return getattr(handle, "partition_field", None)
-
-    def _pruned_shards(
-        self, source_name: str, doc_filter: dict[str, Any]
-    ) -> list[int] | None:
-        """Shard annotation for a DOC_FIND, or None when no pruning applies.
-
-        Only clustered collections expose ``shards_for_filter``; for a
-        plain collection (or an unpruned filter) the op carries no shard
-        list and the executor lets the store fan out as usual.
-        """
-        handle = self._collection_handle(source_name)
-        prune = getattr(handle, "shards_for_filter", None)
-        if prune is None:
+        try:
+            handle = self.registry.handle(source_name, principal=SYSTEM_PRINCIPAL)
+        except Exception:
             return None
-        shards, pruned = prune(doc_filter)
-        return shards if pruned else None
+        return getattr(handle, "partition_field", None)
 
     @staticmethod
     def _pick_column(entry: RegistryEntry, candidates: tuple[str, ...]) -> str | None:

@@ -360,26 +360,6 @@ class AgentRegistry(SearchableRegistry):
     def output_names(self, name: str) -> list[str]:
         return [p["name"] for p in self.get(name).metadata.get("outputs", [])]
 
-    def find_producing(self, param_type: str) -> list[RegistryEntry]:
-        """Agents with an output parameter of *param_type*."""
-        found = []
-        for entry in self.entries():
-            for output in entry.metadata.get("outputs", []):
-                if output.get("type") == param_type:
-                    found.append(entry)
-                    break
-        return found
-
-    def find_consuming(self, param_type: str) -> list[RegistryEntry]:
-        """Agents with an input parameter of *param_type*."""
-        found = []
-        for entry in self.entries():
-            for input_param in entry.metadata.get("inputs", []):
-                if input_param.get("type") == param_type:
-                    found.append(entry)
-                    break
-        return found
-
 
 # ======================================================================
 # Data registry
@@ -610,16 +590,6 @@ class DataRegistry(SearchableRegistry):
     # -- planner support -------------------------------------------------
     def by_modality(self, modality: str) -> list[RegistryEntry]:
         return [e for e in self.entries() if e.metadata.get("modality") == modality]
-
-    def tables_with_column(self, column: str) -> list[RegistryEntry]:
-        """Relational entries whose schema includes *column*."""
-        found = []
-        lowered = column.lower()
-        for entry in self.by_modality("relational"):
-            columns = entry.metadata.get("schema", {}).get("columns", [])
-            if any(c["name"].lower() == lowered for c in columns):
-                found.append(entry)
-        return found
 
     def discover(self, concept: str, k: int = 3) -> list[SearchHit]:
         """Hybrid search used by the data planner's DISCOVER operator."""

@@ -168,11 +168,6 @@ class RendererRegistry:
                 return renderer.render(payload)
         return repr(payload)
 
-    def render_message(self, message: Message) -> str:
-        """Render a stream message with a small provenance header."""
-        body = self.render(message.payload)
-        return f"[{message.producer or 'system'}]\n{body}"
-
 
 def submit_form(
     store: StreamStore,

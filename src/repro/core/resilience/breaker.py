@@ -235,5 +235,3 @@ class BreakerBoard:
     def states(self) -> dict[str, str]:
         return {b.name: b.state() for b in self}
 
-    def open_targets(self) -> list[str]:
-        return sorted(name for name, state in self.states().items() if state == OPEN)

@@ -50,10 +50,6 @@ class Scope:
             return self.parent.get(key, default)
         return default
 
-    def local_keys(self) -> list[str]:
-        with self._lock:
-            return sorted(self._values)
-
     def children(self) -> list[str]:
         with self._lock:
             return sorted(self._children)

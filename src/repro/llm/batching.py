@@ -98,11 +98,6 @@ class BatchStats:
     peak_batch: int = 1
 
     @property
-    def join_rate(self) -> float:
-        total = self.batches + self.joins
-        return self.joins / total if total else 0.0
-
-    @property
     def mean_batch(self) -> float:
         return (self.batches + self.joins) / self.batches if self.batches else 0.0
 

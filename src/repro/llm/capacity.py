@@ -44,10 +44,6 @@ class CapacityStats:
     #: Reservations refused because their wait exceeded ``max_queue_wait``.
     rejected: int = 0
 
-    @property
-    def queue_rate(self) -> float:
-        return self.queued / self.reservations if self.reservations else 0.0
-
 
 def _max_overlap(
     intervals: Iterable[tuple[float, float]], lo: float, hi: float

@@ -22,7 +22,9 @@ fronts (KV, document, relational, stream) delegate to.  It owns:
 Chaos faults arrive through the hooks :meth:`kill_replica`,
 :meth:`partition_shard`, and :meth:`degrade_replica`, driven by the
 :class:`~repro.core.resilience.ChaosController`'s seeded rolls — same
-seed and schedule, byte-identical :meth:`export`.
+seed and schedule, byte-identical :meth:`export`.  A kill or a partition
+takes the cluster lock, then its shard's lock (the order :meth:`tick`
+uses), so it lands before or after a :meth:`write`, never inside one.
 """
 
 from __future__ import annotations
@@ -241,11 +243,12 @@ class StoreCluster:
     def kill_replica(self, replica_id: str) -> None:
         """Crash a replica; it restarts ``restart_delay_ticks`` later."""
         replica = self.replica_by_id(replica_id)
-        if replica.status is ReplicaStatus.DEAD:
-            return
-        replica.kill(restart_at_tick=self.tick_count + self.restart_delay_ticks)
-        self.detector.forget(replica_id)
-        self._event("replica_kill", replica=replica_id, shard=replica.shard_index)
+        with self._lock, self.shards[replica.shard_index]._lock:
+            if replica.status is ReplicaStatus.DEAD:
+                return
+            replica.kill(restart_at_tick=self.tick_count + self.restart_delay_ticks)
+            self.detector.forget(replica_id)
+            self._event("replica_kill", replica=replica_id, shard=replica.shard_index)
 
     def partition_shard(
         self, shard_index: int, replica_indices: tuple[int, ...], ticks: int
@@ -257,22 +260,23 @@ class StoreCluster:
         )
         if not members or ticks <= 0:
             return
-        # A re-partition replaces the active one: heal the old members
-        # first, or those not in the new set would stay unreachable
-        # forever (their heal entry is about to be overwritten).
-        previous = self._partitions.get(shard_index)
-        if previous is not None:
-            for index in previous[0]:
-                shard.replica(index).reachable = True
-        for index in members:
-            shard.replica(index).reachable = False
-        self._partitions[shard_index] = (members, self.tick_count + ticks)
-        self._event(
-            "shard_partition",
-            shard=shard_index,
-            replicas=[shard.replica(i).replica_id for i in members],
-            heals_at_tick=self.tick_count + ticks,
-        )
+        with self._lock, shard._lock:
+            # A re-partition replaces the active one: heal the old members
+            # first, or those not in the new set would stay unreachable
+            # forever (their heal entry is about to be overwritten).
+            previous = self._partitions.get(shard_index)
+            if previous is not None:
+                for index in previous[0]:
+                    shard.replica(index).reachable = True
+            for index in members:
+                shard.replica(index).reachable = False
+            self._partitions[shard_index] = (members, self.tick_count + ticks)
+            self._event(
+                "shard_partition",
+                shard=shard_index,
+                replicas=[shard.replica(i).replica_id for i in members],
+                heals_at_tick=self.tick_count + ticks,
+            )
 
     def degrade_replica(self, replica_id: str, seconds: float, ticks: int) -> None:
         """Inject extra latency on a replica's shard for *ticks* ticks."""

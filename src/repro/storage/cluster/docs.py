@@ -216,17 +216,9 @@ class ClusteredCollection(Collection):
         sort: str | None = None,
         descending: bool = False,
         limit: int | None = None,
-        shards: Sequence[int] | None = None,
     ) -> list[dict[str, Any]]:
-        """One ``find`` over the pruned shard primaries' slices, in shard order.
-
-        *shards* lets the planner pass a pre-computed pruning decision
-        (``params["shards"]``); otherwise the filter is pruned here.
-        """
-        if shards is not None:
-            indices, pruned = sorted(set(shards)), True
-        else:
-            indices, pruned = self.shards_for_filter(filter_spec)
+        """One ``find`` over the pruned shard primaries' slices, in shard order."""
+        indices, pruned = self.shards_for_filter(filter_spec)
         slices = self._slices(indices)
         results, examined, tested, indexed = find_selection(
             slices, filter_spec, fields, sort, descending, limit

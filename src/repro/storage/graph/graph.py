@@ -169,34 +169,6 @@ class GraphStore:
                 frontier.append((neighbor.node_id, depth + 1))
         return result
 
-    def shortest_path(self, source: str, target: str) -> list[str] | None:
-        """Node ids along a shortest directed path, or None when unreachable."""
-        self.node(source)
-        self.node(target)
-        if source == target:
-            return [source]
-        parents: dict[str, str] = {}
-        visited = {source}
-        frontier = deque([source])
-        while frontier:
-            current = frontier.popleft()
-            for edge in self.out_edges(current):
-                if edge.target in visited:
-                    continue
-                visited.add(edge.target)
-                parents[edge.target] = current
-                if edge.target == target:
-                    path = [target]
-                    while path[-1] != source:
-                        path.append(parents[path[-1]])
-                    return list(reversed(path))
-                frontier.append(edge.target)
-        return None
-
-    def subgraph_ids(self, start: str, edge_label: str | None = None) -> set[str]:
-        """Ids reachable from *start* (including it) along matching edges."""
-        return {start} | {n.node_id for n in self.traverse(start, edge_label)}
-
     def describe(self) -> dict[str, Any]:
         with self._lock:
             labels = {label: len(ids) for label, ids in sorted(self._by_label.items())}

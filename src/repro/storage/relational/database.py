@@ -70,9 +70,6 @@ class Database:
         with self._lock:
             return list(self._tables.values())
 
-    def table_names(self) -> list[str]:
-        return sorted(table.name for table in self.tables())
-
     def data_version(self, table_name: str) -> Hashable:
         """Equal values mean *table_name* holds the same rows: what a memo
         over a statement on that table is keyed on (here, its write stamp)."""

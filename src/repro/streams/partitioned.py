@@ -10,6 +10,9 @@ the publish raises :class:`~repro.errors.ClusterUnavailableError` and the
 store is left exactly as it was: un-acked messages never reach a
 subscriber, the trace, or the stream.
 
+A replica log holds each message in :mod:`.persistence`'s record form
+(``message_record`` / ``message_from``), the same record
+:func:`~.persistence.export_store` writes; that module owns the format.
 :func:`export_partitioned` rebuilds the global message log purely from
 replica logs — the proof artifact for the zero-acked-loss property: after
 any kill/partition schedule, the rebuilt log must equal the in-memory
@@ -22,26 +25,14 @@ from typing import Any
 
 from ..clock import SimClock
 from ..storage.cluster import StoreCluster
-from .message import Message, MessageKind
+from .message import Message
+from .persistence import message_from, message_record
 from .store import StreamStore
 
 
 def _apply_stream(state: list[dict[str, Any]], op: dict[str, Any]) -> Any:
     state.append(op["message"])
     return len(state)
-
-
-def _message_record(message: Message) -> dict[str, Any]:
-    return {
-        "message_id": message.message_id,
-        "stream_id": message.stream_id,
-        "kind": message.kind.value,
-        "payload": message.payload,
-        "tags": sorted(message.tags),
-        "producer": message.producer,
-        "timestamp": message.timestamp,
-        "metadata": dict(message.metadata),
-    }
 
 
 class PartitionedStreamStore(StreamStore):
@@ -67,12 +58,9 @@ class PartitionedStreamStore(StreamStore):
             **cluster_options,
         )
 
-    def partition_for(self, stream_id: str) -> int:
-        return self.cluster.shard_for(stream_id)
-
     def _persist(self, message: Message) -> None:
         self.cluster.append(
-            message.stream_id, {"op": "publish", "message": _message_record(message)}
+            message.stream_id, {"op": "publish", "message": message_record(message)}
         )
 
     def tick(self, advance: float | None = None) -> None:
@@ -103,16 +91,4 @@ def export_partitioned(store: PartitionedStreamStore) -> dict[str, Any]:
 
 def replayed_messages(snapshot: dict[str, Any]) -> list[Message]:
     """Materialize exported records back into :class:`Message` objects."""
-    return [
-        Message(
-            message_id=record["message_id"],
-            stream_id=record["stream_id"],
-            kind=MessageKind(record["kind"]),
-            payload=record["payload"],
-            tags=frozenset(record["tags"]),
-            producer=record["producer"],
-            timestamp=record["timestamp"],
-            metadata=dict(record["metadata"]),
-        )
-        for record in snapshot["messages"]
-    ]
+    return [message_from(record) for record in snapshot["messages"]]

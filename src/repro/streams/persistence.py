@@ -17,6 +17,34 @@ from .message import Message, MessageKind
 from .store import StreamStore
 
 
+def message_record(message: Message) -> dict[str, Any]:
+    """One message as a JSON-able record: the export's and a replica log's form."""
+    return {
+        "message_id": message.message_id,
+        "stream_id": message.stream_id,
+        "kind": message.kind.value,
+        "payload": message.payload,
+        "tags": sorted(message.tags),
+        "producer": message.producer,
+        "timestamp": message.timestamp,
+        "metadata": dict(message.metadata),
+    }
+
+
+def message_from(record: Mapping[str, Any]) -> Message:
+    """The :class:`Message` a :func:`message_record` holds."""
+    return Message(
+        message_id=record["message_id"],
+        stream_id=record["stream_id"],
+        kind=MessageKind(record["kind"]),
+        payload=record["payload"],
+        tags=frozenset(record.get("tags", ())),
+        producer=record.get("producer", ""),
+        timestamp=record.get("timestamp", 0.0),
+        metadata=dict(record.get("metadata", {})),
+    )
+
+
 def export_store(store: StreamStore) -> dict[str, Any]:
     """All streams and messages as one JSON-able mapping."""
     streams = []
@@ -30,19 +58,7 @@ def export_store(store: StreamStore) -> dict[str, Any]:
                 "created_at": stream.created_at,
             }
         )
-    messages = [
-        {
-            "message_id": message.message_id,
-            "stream_id": message.stream_id,
-            "kind": message.kind.value,
-            "payload": message.payload,
-            "tags": sorted(message.tags),
-            "producer": message.producer,
-            "timestamp": message.timestamp,
-            "metadata": dict(message.metadata),
-        }
-        for message in store.trace()
-    ]
+    messages = [message_record(message) for message in store.trace()]
     return {"clock": store.clock.now(), "streams": streams, "messages": messages}
 
 
@@ -65,16 +81,7 @@ def replay_store(snapshot: Mapping[str, Any]) -> StreamStore:
         )
         stream.created_at = spec.get("created_at", 0.0)
     for record in snapshot.get("messages", []):
-        message = Message(
-            message_id=record["message_id"],
-            stream_id=record["stream_id"],
-            kind=MessageKind(record["kind"]),
-            payload=record["payload"],
-            tags=frozenset(record.get("tags", ())),
-            producer=record.get("producer", ""),
-            timestamp=record.get("timestamp", 0.0),
-            metadata=dict(record.get("metadata", {})),
-        )
+        message = message_from(record)
         store.ensure_stream(message.stream_id).append(message)
         store._record(message)  # archive path: bypass live dispatch
     return store

@@ -114,11 +114,6 @@ class StreamReader:
         self._offset += len(batch)
         return batch
 
-    def seek(self, offset: int) -> None:
-        if offset < 0:
-            raise ValueError(f"offset must be non-negative: {offset}")
-        self._offset = offset
-
     def exhausted(self) -> bool:
         """True when the stream is closed and fully consumed."""
         return self._stream.closed and self._offset >= len(self._stream)

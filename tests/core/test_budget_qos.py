@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.clock import SimClock
-from repro.core.budget import Budget, Projection
+from repro.core.budget import Budget
 from repro.core.qos import QoSSpec
 from repro.errors import BudgetExceededError
 
@@ -101,18 +101,6 @@ class TestBudget:
         with pytest.raises(BudgetExceededError) as excinfo:
             budget.check()
         assert excinfo.value.dimension == "cost"
-
-    def test_projected_overrun(self):
-        budget = Budget(
-            QoSSpec(max_cost=0.1), projection=Projection(cost=0.5, latency=0, quality=1.0)
-        )
-        assert budget.projected_overrun() == "cost"
-
-    def test_projection_within_budget(self):
-        budget = Budget(
-            QoSSpec(max_cost=1.0), projection=Projection(cost=0.5, latency=0, quality=1.0)
-        )
-        assert budget.projected_overrun() is None
 
     def test_summary(self):
         budget = Budget()

@@ -486,7 +486,6 @@ class TestContextSeam:
         with context.span("agent:X", kind="agent") as span:
             span.set_attribute("node", "n1")  # must not explode
         context.metric_inc("agent.activations", agent="X")
-        context.metric_observe("node.attempts", 1.0)
         assert context.metrics is None
 
     def test_span_with_observability_records(self):

@@ -111,13 +111,6 @@ class TestAgentRegistry:
         assert derived.description == "Match senior candidates"
         assert registry.constructor("SENIOR_MATCHER") is FunctionAgent
 
-    def test_find_producing_and_consuming(self):
-        registry = AgentRegistry()
-        registry.register_agent(make_agent())
-        assert [e.name for e in registry.find_producing("matches")] == ["JOB_MATCHER"]
-        assert [e.name for e in registry.find_consuming("profile")] == ["JOB_MATCHER"]
-        assert registry.find_producing("nonexistent") == []
-
 
 class TestDataRegistry:
     @pytest.fixture
@@ -176,11 +169,6 @@ class TestDataRegistry:
         registry.register_llm("mega-s")
         assert len(registry.by_modality("relational")) == 1
         assert len(registry.by_modality("parametric")) == 1
-
-    def test_tables_with_column(self, registry, db):
-        registry.register_table(db, "jobs")
-        assert [e.name for e in registry.tables_with_column("TITLE")] == ["JOBS"]
-        assert registry.tables_with_column("salary") == []
 
     def test_discover_finds_relevant_source(self, registry, db):
         registry.register_table(

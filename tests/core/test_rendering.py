@@ -114,13 +114,6 @@ class TestRegistry:
         registry.register(Stars())
         assert registry.render("x") == "*x*"
 
-    def test_render_message(self, registry, store):
-        store.create_stream("s")
-        message = store.publish_data("s", "hello", producer="AGENT_X")
-        rendered = registry.render_message(message)
-        assert rendered.startswith("[AGENT_X]")
-        assert "hello" in rendered
-
 
 class TestFormSubmission:
     def test_submission_event_carries_tag_and_values(self, store):

@@ -177,7 +177,6 @@ class TestCircuitBreaker:
         board.for_agent("A").record_failure()
         assert board.states() == {"A": "open"}
         assert board.for_agent("B").state() == "closed"
-        assert board.open_targets() == ["A"]
         assert board.for_agent("A") is board.for_agent("A")
 
 

@@ -111,7 +111,6 @@ class TestScope:
         root.set("b", 1)
         root.set("a", 2)
         root.child("Z")
-        assert root.local_keys() == ["a", "b"]
         assert root.children() == ["Z"]
 
 

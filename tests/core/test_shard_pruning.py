@@ -3,7 +3,6 @@
 import pytest
 
 from repro.clock import SimClock
-from repro.core.plan import Op
 from repro.core.planners.data_planner import DataPlanner
 from repro.hr.data import build_sharded_enterprise
 from repro.llm import ModelCatalog
@@ -24,16 +23,6 @@ def planner(enterprise):
 
 
 class TestDocShardAnnotation:
-    def test_partition_filter_annotates_shards(self, planner, enterprise):
-        plan = planner.plan_retrieval(
-            "seeker profile documents", {"city": "Austin"}, limit=5
-        )
-        fetch = plan.operator("fetch")
-        assert fetch.op is Op.DOC_FIND
-        shards = fetch.params.get("shards")
-        assert shards is not None
-        assert len(shards) < enterprise.documents.cluster.n_shards
-
     def test_partition_filter_stays_exact_match(self, planner):
         plan = planner.plan_retrieval(
             "seeker profile documents", {"city": "Austin"}, limit=5
@@ -42,12 +31,6 @@ class TestDocShardAnnotation:
         # partition keys must stay exact-match — a $contains filter
         # could not be routed to a shard
         assert doc_filter["city"] == "Austin"
-
-    def test_non_partition_filter_has_no_annotation(self, planner):
-        plan = planner.plan_retrieval(
-            "seeker profile documents skills", {"skills": "python"}, limit=5
-        )
-        assert "shards" not in plan.operator("fetch").params
 
     def test_executed_plan_results_respect_filter(self, planner):
         plan = planner.plan_retrieval(

@@ -36,7 +36,7 @@ class TestTaxonomy:
     def test_families_are_disconnected(self, graph):
         ds = node_id_for("Data Scientist")
         pm = node_id_for("Product Manager")
-        assert graph.shortest_path(ds, pm) is None
+        assert pm not in {node.node_id for node in graph.traverse(ds)}
 
     def test_all_titles_count(self):
         # every base title plus two seniority variants each

@@ -101,7 +101,6 @@ class TestBatchWindow:
         assert stats.batches == 1
         assert stats.joins == 1
         assert stats.peak_batch == 2
-        assert stats.join_rate == 0.5
         assert stats.mean_batch == 2.0
         assert stats.saved_latency == pytest.approx(1.5)
         assert stats.attributed_cost == pytest.approx(0.03)

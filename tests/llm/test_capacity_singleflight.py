@@ -81,7 +81,6 @@ class TestModelCapacity:
         assert stats.reservations == 2
         assert stats.queued == 1
         assert stats.total_wait == stats.max_wait == 1.0
-        assert stats.queue_rate == 0.5
 
 
 def leader_response(latency=2.0, cost=0.05):

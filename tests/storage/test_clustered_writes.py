@@ -183,3 +183,38 @@ class TestConcurrentWriters:
         else:
             assert outcomes["single"] == 1
             assert rows == [(y_key, 2)], outcomes  # the batch stored nothing
+
+    def test_a_fault_waits_for_the_write_in_flight(self, monkeypatch):
+        """A kill of two of shard 3's replicas, started inside an UPDATE's
+        first ``append_to``, waits for the UPDATE: it lands after the write's
+        quorum check and appends, never between them."""
+        db, cluster = sql_store()
+        assert [shard.acked for shard in cluster.shards] == [2, 2, 2, 2]
+
+        def kill_two_of_shard_3():
+            for replica in cluster.shards[3].replicas[:2]:
+                cluster.kill_replica(replica.replica_id)
+
+        killer = threading.Thread(target=kill_two_of_shard_3, daemon=True)
+        blocked = []
+        append_to = cluster.append_to
+
+        def kill_during_the_write(shard, op):
+            if not blocked:
+                killer.start()
+                killer.join(timeout=0.1)
+                blocked.append(killer.is_alive())
+            return append_to(shard, op)
+
+        monkeypatch.setattr(cluster, "append_to", kill_during_the_write)
+        db.execute("UPDATE t SET v = 1")
+        assert blocked == [True]
+        assert [shard.acked for shard in cluster.shards] == [3, 3, 3, 3]
+        killer.join(timeout=10)
+        assert not killer.is_alive()
+        key = next(key for key in range(40) if db.table("t").shard_for_value(key) == 3)
+        with pytest.raises(ClusterUnavailableError):
+            db.execute(f"UPDATE t SET v = 2 WHERE id = {key}")
+        cluster.settle()
+        db.execute(f"UPDATE t SET v = 2 WHERE id = {key}")
+        assert cluster.shards[3].acked == 4

@@ -90,14 +90,6 @@ class TestTraversal:
         reached = [n.node_id for n in graph.traverse("a", edge_label="related")]
         assert reached == ["b", "c"]
 
-    def test_shortest_path(self, graph):
-        assert graph.shortest_path("a", "d") == ["a", "b", "c", "d"]
-        assert graph.shortest_path("a", "a") == ["a"]
-        assert graph.shortest_path("d", "a") is None
-
-    def test_subgraph_ids(self, graph):
-        assert graph.subgraph_ids("b") == {"b", "c", "d"}
-
     def test_describe(self, graph):
         described = graph.describe()
         assert described["nodes"] == 4

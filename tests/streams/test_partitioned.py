@@ -34,7 +34,7 @@ class TestPartitionedPublish:
                         stream_pattern="s")
         message = store.publish_data("s", {"x": 1})
         assert seen == [{"x": 1}]
-        partition = store.partition_for("s")
+        partition = store.cluster.shard_for("s")
         state = store.cluster.quorum_state_of(partition)
         assert [r["message_id"] for r in state] == [message.message_id]
 
@@ -42,14 +42,14 @@ class TestPartitionedPublish:
         for i in range(40):
             store.create_stream(f"s{i}")
             store.publish_data(f"s{i}", i)
-        used = {store.partition_for(f"s{i}") for i in range(40)}
+        used = {store.cluster.shard_for(f"s{i}") for i in range(40)}
         assert used == set(range(4))
 
     def test_same_stream_same_partition(self, store):
         store.create_stream("s")
         for i in range(10):
             store.publish_data("s", i)
-        partition = store.partition_for("s")
+        partition = store.cluster.shard_for("s")
         state = store.cluster.quorum_state_of(partition)
         assert len(state) == 10
         assert all(r["stream_id"] == "s" for r in state)
@@ -57,7 +57,7 @@ class TestPartitionedPublish:
     def test_majority_kill_rejects_and_leaves_store_untouched(self, store):
         store.create_stream("s")
         store.publish_data("s", "before")
-        partition = store.partition_for("s")
+        partition = store.cluster.shard_for("s")
         store.cluster.kill_replica(f"s{partition}.r0")
         store.cluster.kill_replica(f"s{partition}.r1")
         before = export_store(store)
@@ -70,7 +70,7 @@ class TestPartitionedPublish:
 
     def test_rejected_publish_not_dispatched(self, store):
         store.create_stream("s")
-        partition = store.partition_for("s")
+        partition = store.cluster.shard_for("s")
         store.cluster.kill_replica(f"s{partition}.r0")
         store.cluster.kill_replica(f"s{partition}.r1")
         seen = []
@@ -136,7 +136,7 @@ class TestFailoverDurability:
         acked = []
         for i in range(30):
             if i == 10:
-                store.cluster.kill_replica(f"s{store.partition_for('s')}.r0")
+                store.cluster.kill_replica(f"s{store.cluster.shard_for('s')}.r0")
             acked.append(store.publish_data("s", i).message_id)
         store.cluster.settle()
         snapshot = export_partitioned(store)
@@ -179,7 +179,7 @@ class TestPartitionedDeterminism:
             stream = f"s{i % 6}"
             if i == 20:
                 store.cluster.kill_replica(
-                    f"s{store.partition_for(stream)}.r1"
+                    f"s{store.cluster.shard_for(stream)}.r1"
                 )
                 killed = True
             store.publish_data(stream, {"seq": i})

@@ -104,20 +104,6 @@ class TestStreamReader:
         assert len(reader.poll(limit=2)) == 2
         assert reader.offset == 2
 
-    def test_seek(self):
-        stream = Stream("s")
-        for i in range(3):
-            stream.append(message(i))
-        reader = StreamReader(stream)
-        reader.poll()
-        reader.seek(0)
-        assert len(reader.poll()) == 3
-
-    def test_seek_negative_rejected(self):
-        reader = StreamReader(Stream("s"))
-        with pytest.raises(ValueError):
-            reader.seek(-1)
-
     def test_exhausted(self):
         stream = Stream("s")
         stream.append(message(1))

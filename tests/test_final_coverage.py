@@ -2,27 +2,11 @@
 
 import pytest
 
-from repro.core.agent import FunctionAgent
 from repro.core.budget import Budget
 from repro.core.context import AgentContext
 from repro.core.deployment import ResourceProfile
-from repro.core.factory import AgentFactory
 from repro.core.params import Parameter
 from repro.core.qos import QoSSpec
-
-
-class TestFactoryRegisterClass:
-    def test_register_class_uses_agent_name(self):
-        class Echo(FunctionAgent):
-            name = "ECHO_CLASS"
-
-            def __init__(self, **kwargs):
-                super().__init__("ECHO_CLASS", lambda i: None, **kwargs)
-
-        factory = AgentFactory()
-        factory.register_class(Echo)
-        agent = factory.spawn("ECHO_CLASS")
-        assert agent.name == "ECHO_CLASS"
 
 
 class TestContextExtras:

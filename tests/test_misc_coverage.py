@@ -22,12 +22,6 @@ class TestDatabaseCatalog:
         assert db.has_table("JOBS")
         assert db.table("jobs").name == "Jobs"
 
-    def test_table_names_sorted(self):
-        db = Database("d")
-        quick_table(db, "zeta", [("a", ColumnType.INT)])
-        quick_table(db, "alpha", [("a", ColumnType.INT)])
-        assert db.table_names() == ["alpha", "zeta"]
-
     def test_describe(self):
         db = Database("d", description="test db")
         quick_table(db, "t", [("a", ColumnType.INT)], description="things")
