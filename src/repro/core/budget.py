@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Iterator, TYPE_CHECKING
 
 from ..clock import SimClock
-from ..errors import BudgetExceededError
 from .qos import QoSSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -260,18 +259,6 @@ class Budget:
         if self.quality_estimate() < self.qos.min_quality:
             return "quality"
         return None
-
-    def check(self) -> None:
-        """Raise :class:`BudgetExceededError` when any bound is violated."""
-        dimension = self.violation()
-        if dimension is not None:
-            raise BudgetExceededError(
-                f"budget violated on {dimension}: "
-                f"cost={self.spent_cost():.4f}/{self.qos.max_cost} "
-                f"latency={self.elapsed_latency():.2f}/{self.qos.max_latency} "
-                f"quality={self.quality_estimate():.3f}>={self.qos.min_quality}",
-                dimension=dimension,
-            )
 
     def summary(self) -> dict[str, float]:
         return {

@@ -146,15 +146,6 @@ class TaskCoordinator(Agent):
     # Resilience wiring
     # ------------------------------------------------------------------
     @property
-    def retry_policy(self) -> RetryPolicy:
-        """The effective per-node retry policy."""
-        return self._retry_policy
-
-    @property
-    def breakers(self) -> BreakerBoard | None:
-        return self._breakers
-
-    @property
     def journal(self) -> WriteAheadJournal | None:
         """The write-ahead journal, when crash recovery is enabled."""
         return self._journal

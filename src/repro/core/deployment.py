@@ -289,6 +289,9 @@ class Supervisor:
       coordinators left incomplete, instead of dropping them.
     """
 
+    #: Cap on one restart backoff, in simulated seconds.
+    BACKOFF_MAX = 60.0
+
     def __init__(
         self,
         cluster: Cluster,
@@ -296,7 +299,6 @@ class Supervisor:
         max_restarts: int = 5,
         backoff_base: float = 1.0,
         backoff_multiplier: float = 2.0,
-        backoff_max: float = 60.0,
         crash_loop_window: float | None = None,
         recovery: "RecoveryManager | None" = None,
     ) -> None:
@@ -307,7 +309,6 @@ class Supervisor:
         self.max_restarts = max_restarts
         self.backoff_base = backoff_base
         self.backoff_multiplier = backoff_multiplier
-        self.backoff_max = backoff_max
         self.crash_loop_window = crash_loop_window
         self.recovery = recovery
         self.recoveries = 0
@@ -329,9 +330,7 @@ class Supervisor:
         return False
 
     def _backoff(self, attempts: int) -> float:
-        return min(
-            self.backoff_base * self.backoff_multiplier**attempts, self.backoff_max
-        )
+        return min(self.backoff_base * self.backoff_multiplier**attempts, self.BACKOFF_MAX)
 
     def release(self, container_id: str) -> None:
         """Lift a quarantine: restore the container's restart eligibility.

@@ -116,7 +116,7 @@ class CostModel:
             quality=spec.quality_for(domain),
         )
 
-    def estimates_for(self, operator: DataOperator, rows_in: int = 100) -> list[tuple[OperatorChoice, OpEstimate]]:
+    def estimates_for(self, operator: DataOperator) -> list[tuple[OperatorChoice, OpEstimate]]:
         """All (choice, estimate) pairs for an operator."""
         choices = operator.choices or (operator.choice(),)
-        return [(choice, self.estimate(operator, choice, rows_in)) for choice in choices]
+        return [(choice, self.estimate(operator, choice)) for choice in choices]

@@ -70,10 +70,11 @@ class Assignment:
 class PlanOptimizer:
     """Chooses operator configurations under QoS constraints."""
 
-    def __init__(self, cost_model: CostModel, rows_in: int = 100, max_states: int = 256) -> None:
+    #: Bound on the frontier kept after each operator.
+    MAX_STATES = 256
+
+    def __init__(self, cost_model: CostModel) -> None:
         self._cost_model = cost_model
-        self._rows_in = rows_in
-        self._max_states = max_states
 
     # ------------------------------------------------------------------
     # Frontier construction
@@ -82,7 +83,7 @@ class PlanOptimizer:
         """Pareto-optimal assignments over the whole plan."""
         states: list[Assignment] = [Assignment(choices=(), profile=PlanProfile())]
         for operator in plan.order():
-            options = self._cost_model.estimates_for(operator, rows_in=self._rows_in)
+            options = self._cost_model.estimates_for(operator)
             extended: list[Assignment] = []
             for state in states:
                 for choice, estimate in options:
@@ -96,7 +97,7 @@ class PlanOptimizer:
         return sorted(states, key=lambda a: (a.profile.cost, a.profile.latency))
 
     def _prune(self, states: list[Assignment]) -> list[Assignment]:
-        """Keep the Pareto frontier (bounded by max_states for safety)."""
+        """Keep the Pareto frontier (bounded by ``MAX_STATES`` for safety)."""
         frontier: list[Assignment] = []
         for candidate in sorted(
             states, key=lambda a: (a.profile.cost, a.profile.latency, -a.profile.quality)
@@ -107,11 +108,11 @@ class PlanOptimizer:
                 kept for kept in frontier if not candidate.profile.dominates(kept.profile)
             ]
             frontier.append(candidate)
-        if len(frontier) > self._max_states:
+        if len(frontier) > self.MAX_STATES:
             # Keep a spread across the cost axis rather than truncating one end.
             frontier.sort(key=lambda a: a.profile.cost)
-            step = len(frontier) / self._max_states
-            frontier = [frontier[int(i * step)] for i in range(self._max_states)]
+            step = len(frontier) / self.MAX_STATES
+            frontier = [frontier[int(i * step)] for i in range(self.MAX_STATES)]
         return frontier
 
     # ------------------------------------------------------------------
@@ -170,9 +171,7 @@ class PlanOptimizer:
         profile = PlanProfile()
         latencies: dict[str, float] = {}
         for operator in plan.order():
-            estimate = self._cost_model.estimate(
-                operator, operator.choice(), rows_in=self._rows_in
-            )
+            estimate = self._cost_model.estimate(operator, operator.choice())
             latencies[operator.op_id] = estimate.latency
             profile = profile.extend(estimate)
         if parallel:

@@ -127,17 +127,17 @@ class AdmissionController:
     QUEUED = "queued"
     RATE_LIMITED = "rate_limited"
     BACKLOG_FULL = "backlog_full"
+    #: The policy of a tier that ``tiers`` does not name.
+    DEFAULT_POLICY = TierPolicy()
 
     def __init__(
         self,
         tiers: Mapping[int, TierPolicy] | None = None,
-        default_policy: TierPolicy | None = None,
         max_backlog: int | None = None,
     ) -> None:
         if max_backlog is not None and max_backlog < 0:
             raise ValueError(f"max_backlog must be >= 0: {max_backlog}")
         self._tiers = dict(tiers or {})
-        self._default_policy = default_policy or TierPolicy()
         self._max_backlog = max_backlog
         self._heap: list[tuple[tuple[float, int, int], _Queued]] = []
         self._expired_marks: set[int] = set()
@@ -148,7 +148,7 @@ class AdmissionController:
         self._depth = 0
 
     def policy_for(self, tier: int) -> TierPolicy:
-        return self._tiers.get(tier, self._default_policy)
+        return self._tiers.get(tier, self.DEFAULT_POLICY)
 
     def sheddable(self, tier: int) -> bool:
         return self.policy_for(tier).sheddable

@@ -49,14 +49,13 @@ class DataPlanner:
         registry: DataRegistry,
         catalog: ModelCatalog,
         planner_model: str = "hr-ft",
-        rows_estimate: int = 100,
     ) -> None:
         self.registry = registry
         self.catalog = catalog
         self.planner_model = planner_model
         self._ids = IdGenerator()
         self._cost_model = CostModel(catalog)
-        self.optimizer = PlanOptimizer(self._cost_model, rows_in=rows_estimate)
+        self.optimizer = PlanOptimizer(self._cost_model)
         self.executor = DataPlanExecutor(registry, catalog)
         #: (source, table, column, location) -> (data version, known city?).
         self._known_cities = LiveLRU(self.MEMO_ENTRIES)

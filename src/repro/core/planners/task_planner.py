@@ -62,15 +62,12 @@ class TaskTemplate:
 class TaskPlanner:
     """Builds task plans from utterances, agents, and templates."""
 
-    def __init__(
-        self,
-        registry: AgentRegistry,
-        catalog: ModelCatalog | None = None,
-        classifier_model: str = "mega-s",
-    ) -> None:
+    #: The model that classifies an utterance's intent.
+    CLASSIFIER_MODEL = "mega-s"
+
+    def __init__(self, registry: AgentRegistry, catalog: ModelCatalog | None = None) -> None:
         self.registry = registry
         self.catalog = catalog
-        self.classifier_model = classifier_model
         self._templates: dict[str, TaskTemplate] = {}
         self._ids = IdGenerator()
 
@@ -109,7 +106,7 @@ class TaskPlanner:
         if budget is not None and budget.remaining_cost() < self.CLASSIFY_COST_ESTIMATE:
             return keyword_best.intent
         if self.catalog is not None and len(intents) > 1:
-            response = self.catalog.client(self.classifier_model).complete(
+            response = self.catalog.client(self.CLASSIFIER_MODEL).complete(
                 prompts.classify(utterance, intents)
             )
             chosen = str(response.structured)
@@ -221,11 +218,6 @@ class TaskPlanner:
     def iter_steps(self, utterance: str, user_stream: str) -> Iterator[TaskNode]:
         """Incremental planning: yield plan nodes one at a time."""
         yield from self.plan(utterance, user_stream).order()
-
-    def propose(self, utterance: str, user_stream: str) -> tuple[TaskPlan, str]:
-        """Interactive planning: plan plus a human-readable rendering."""
-        plan = self.plan(utterance, user_stream)
-        return plan, plan.render()
 
     def revise(
         self,

@@ -52,11 +52,3 @@ class QoSSpec:
     @classmethod
     def cheap(cls, max_cost: float) -> "QoSSpec":
         return cls(max_cost=max_cost, objective="quality")
-
-    @classmethod
-    def fast(cls, max_latency: float) -> "QoSSpec":
-        return cls(max_latency=max_latency, objective="quality")
-
-    @classmethod
-    def accurate(cls, min_quality: float) -> "QoSSpec":
-        return cls(min_quality=min_quality, objective="cost")

@@ -55,7 +55,6 @@ class WriteAheadJournal:
         self,
         store: "StreamStore",
         session: "Session | None" = None,
-        stream_name: str = "journal",
         stream_id: str | None = None,
         producer: str = "RECOVERY_JOURNAL",
         barrier_hook: BarrierHook | None = None,
@@ -73,7 +72,7 @@ class WriteAheadJournal:
         if metrics is not None:
             metrics.register_collector(self._collect_metrics)
         if session is not None:
-            self.stream = session.ensure_stream(stream_name, creator=producer)
+            self.stream = session.ensure_stream("journal", creator=producer)
         elif stream_id is not None:
             self.stream = store.get_stream(stream_id)
         else:

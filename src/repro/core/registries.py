@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Iterable, Mapping
 
 import numpy as np
 
@@ -262,7 +262,6 @@ class AgentRegistry(SearchableRegistry):
 
     def __init__(self, embedding_dim: int = 256, approximate: bool = False) -> None:
         super().__init__("agent-registry", embedding_dim, approximate)
-        self._constructors: dict[str, Callable[..., Agent]] = {}
 
     def register_agent(
         self,
@@ -273,7 +272,6 @@ class AgentRegistry(SearchableRegistry):
         """Register an agent instance or class from its own metadata."""
         if isinstance(agent_or_class, Agent):
             described = agent_or_class.describe()
-            constructor: Callable[..., Agent] | None = type(agent_or_class)
         else:
             instance_free = agent_or_class
             described = {
@@ -285,7 +283,6 @@ class AgentRegistry(SearchableRegistry):
                 "exclude_tags": list(instance_free.exclude_tags),
                 "properties": {},
             }
-            constructor = agent_or_class
         metadata = {
             "inputs": described["inputs"],
             "outputs": described["outputs"],
@@ -294,7 +291,7 @@ class AgentRegistry(SearchableRegistry):
             "deployment": dict(deployment or {"image": f"{described['name'].lower()}:latest"}),
             "keywords": list(keywords),
         }
-        entry = self._add(
+        return self._add(
             RegistryEntry(
                 name=described["name"],
                 kind="agent",
@@ -302,9 +299,6 @@ class AgentRegistry(SearchableRegistry):
                 metadata=metadata,
             )
         )
-        if constructor is not None:
-            self._constructors[described["name"]] = constructor
-        return entry
 
     def register_metadata(
         self,
@@ -328,12 +322,6 @@ class AgentRegistry(SearchableRegistry):
             RegistryEntry(name=name, kind="agent", description=description, metadata=metadata)
         )
 
-    def constructor(self, name: str) -> Callable[..., Agent]:
-        constructor = self._constructors.get(name)
-        if constructor is None:
-            raise RegistryError(f"no constructor registered for agent {name!r}")
-        return constructor
-
     def derive(
         self, base_name: str, new_name: str, description: str | None = None, **metadata_overrides: Any
     ) -> RegistryEntry:
@@ -341,7 +329,7 @@ class AgentRegistry(SearchableRegistry):
         base = self.get(base_name)
         metadata = dict(base.metadata)
         metadata.update(metadata_overrides)
-        entry = self._add(
+        return self._add(
             RegistryEntry(
                 name=new_name,
                 kind="agent",
@@ -349,16 +337,6 @@ class AgentRegistry(SearchableRegistry):
                 metadata=metadata,
             )
         )
-        if base_name in self._constructors:
-            self._constructors[new_name] = self._constructors[base_name]
-        return entry
-
-    # -- planner support -------------------------------------------------
-    def input_names(self, name: str) -> list[str]:
-        return [p["name"] for p in self.get(name).metadata.get("inputs", [])]
-
-    def output_names(self, name: str) -> list[str]:
-        return [p["name"] for p in self.get(name).metadata.get("outputs", [])]
 
 
 # ======================================================================

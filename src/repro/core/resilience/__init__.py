@@ -12,7 +12,7 @@ primitives.  This package provides them:
 * :class:`DeadLetterQueue` — per-session quarantine stream for failed work
   items, replayable after recovery.
 * :class:`ChaosController` / :class:`ChaosSpec` — seeded fault injection
-  (container kills, LLM brownouts, latency spikes) for benchmarks/tests.
+  (container kills, LLM brownouts, store replica faults) for benchmarks/tests.
 """
 
 from .breaker import CLOSED, HALF_OPEN, OPEN, BreakerBoard, CircuitBreaker

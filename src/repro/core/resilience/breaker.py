@@ -231,7 +231,3 @@ class BreakerBoard:
     def __iter__(self) -> Iterator[CircuitBreaker]:
         with self._lock:
             return iter(list(self._breakers.values()))
-
-    def states(self) -> dict[str, str]:
-        return {b.name: b.state() for b in self}
-

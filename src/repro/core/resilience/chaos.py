@@ -1,7 +1,7 @@
 """Chaos injection: seeded, replayable fault scenarios.
 
 The resilience benchmarks and tests need failures that are *realistic*
-(container kills, LLM transient-error bursts, latency spikes) yet
+(container kills, LLM transient-error bursts, store replica crashes) yet
 *deterministic* — two runs with the same seed must produce byte-identical
 traces.  :class:`ChaosController` provides that: every fault decision is a
 hash of ``(seed, key, per-key counter)``, never global randomness, so the
@@ -26,7 +26,6 @@ from ...errors import TransientError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...llm import ModelCatalog
-    from ..budget import Budget
     from ..deployment import Cluster
 
 
@@ -45,9 +44,6 @@ class ChaosSpec:
         llm_burst_transient_rate: LLM transient rate during a brownout.
         agent_transient_rate: probability a guarded agent work item raises
             :class:`~repro.errors.TransientError` (via :meth:`agent_fault`).
-        latency_spike_rate: probability per :meth:`maybe_spike` call of a
-            latency spike.
-        latency_spike_seconds: size of each spike in simulated seconds.
         plan_kill_rate: probability per journal checkpoint barrier of
             hard-killing the coordinator mid-plan (via
             :meth:`kill_during_plan`, installed as the journal's barrier
@@ -80,8 +76,6 @@ class ChaosSpec:
     llm_burst_length: int = 5
     llm_burst_transient_rate: float = 0.9
     agent_transient_rate: float = 0.0
-    latency_spike_rate: float = 0.0
-    latency_spike_seconds: float = 2.0
     plan_kill_rate: float = 0.0
     surge_rate: float = 0.0
     surge_length: int = 5
@@ -100,7 +94,6 @@ class ChaosSpec:
             "llm_burst_rate",
             "llm_burst_transient_rate",
             "agent_transient_rate",
-            "latency_spike_rate",
             "plan_kill_rate",
             "surge_rate",
             "replica_kill_rate",
@@ -317,21 +310,6 @@ class ChaosController:
         ):
             self._record("plan_kill", site=site)
             raise CoordinatorKilledError(f"chaos kill at barrier {site}")
-
-    def maybe_spike(self, key: str, budget: "Budget | None" = None) -> float:
-        """Inject a latency spike (charged to the budget when given)."""
-        if (
-            self.spec.latency_spike_rate > 0
-            and self.roll(f"spike|{key}") < self.spec.latency_spike_rate
-        ):
-            spike = self.spec.latency_spike_seconds
-            if budget is not None:
-                budget.charge(f"chaos:{key}", latency=spike, note="latency spike")
-            else:
-                self.clock.advance(spike)
-            self._record("latency_spike", key=key, seconds=spike)
-            return spike
-        return 0.0
 
     def describe(self) -> dict[str, Any]:
         kinds: dict[str, int] = {}

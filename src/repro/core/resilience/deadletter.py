@@ -41,7 +41,6 @@ class DeadLetterQueue:
         self,
         store: "StreamStore",
         session: "Session",
-        stream_name: str = "deadletter",
         producer: str = "DEAD_LETTER_QUEUE",
         metrics: "MetricsRegistry | None" = None,
     ) -> None:
@@ -49,7 +48,7 @@ class DeadLetterQueue:
         self.session = session
         self.producer = producer
         self.metrics = metrics
-        self.stream = session.ensure_stream(stream_name, creator=producer)
+        self.stream = session.ensure_stream("deadletter", creator=producer)
         self._replay_lock = threading.Lock()
         self._in_flight: set[str] = set()
 

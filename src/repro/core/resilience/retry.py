@@ -112,10 +112,6 @@ class RetryPolicy:
         fraction = int.from_bytes(digest[:8], "little") / 2**64
         return raw * (1.0 - self.jitter * fraction)
 
-    def schedule(self, key: str = "") -> list[float]:
-        """All backoff delays this policy would apply, in order."""
-        return [self.delay(attempt, key) for attempt in range(1, self.max_attempts)]
-
     def charge_backoff(
         self,
         attempt: int,

@@ -158,10 +158,6 @@ class ModelCapacity:
     # ------------------------------------------------------------------
     # Inspection (benchmarks verify limits were honored)
     # ------------------------------------------------------------------
-    def intervals(self, model: str) -> list[tuple[float, float]]:
-        with self._lock:
-            return list(self._intervals.get(model, ()))
-
     def models(self) -> list[str]:
         with self._lock:
             return sorted(self._intervals)

@@ -168,17 +168,6 @@ class ModelCatalog:
             client.wall_latency_scale = self.wall_latency_scale
             return client
 
-    def cheapest(self, domain: str = "general", min_quality: float = 0.0) -> ModelSpec:
-        """Cheapest model whose effective quality meets *min_quality*."""
-        eligible = [
-            spec for spec in self.specs() if spec.quality_for(domain) >= min_quality
-        ]
-        if not eligible:
-            raise ModelNotFoundError(
-                f"no model with quality >= {min_quality} for domain {domain!r}"
-            )
-        return min(eligible, key=lambda spec: spec.cost_per_1k_output)
-
     def best(self, domain: str = "general") -> ModelSpec:
         """Highest effective quality model for *domain*."""
         return max(self.specs(), key=lambda spec: spec.quality_for(domain))

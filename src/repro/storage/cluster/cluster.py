@@ -32,7 +32,6 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
-from contextlib import ExitStack
 from typing import Any, Callable, Sequence, TYPE_CHECKING
 
 from ...clock import SimClock
@@ -61,7 +60,6 @@ class StoreCluster:
         heartbeat_interval: float = 1.0,
         suspicion_timeout: float = 3.0,
         restart_delay_ticks: int = 5,
-        anti_entropy_interval: int = 1,
         virtual_nodes: int = 64,
     ) -> None:
         self.name = name
@@ -70,11 +68,10 @@ class StoreCluster:
         self.ring = HashRing(n_shards, virtual_nodes=virtual_nodes)
         self.heartbeat_interval = heartbeat_interval
         self.restart_delay_ticks = restart_delay_ticks
-        self.anti_entropy_interval = max(1, anti_entropy_interval)
         self.detector = FailureDetector(suspicion_timeout)
         self.events: list[dict[str, Any]] = []
         self.tick_count = 0
-        self._observability: "Observability | None" = None
+        self.observability: "Observability | None" = None
         self._lock = threading.RLock()
         self.shards = [
             ShardGroup(
@@ -104,16 +101,8 @@ class StoreCluster:
     def n_replicas(self) -> int:
         return len(self.shards[0].replicas)
 
-    @property
-    def observability(self) -> "Observability | None":
-        return self._observability
-
-    @observability.setter
-    def observability(self, value: "Observability | None") -> None:
-        self._observability = value
-
     def _metric(self, name: str, value: float = 1.0, **labels: Any) -> None:
-        obs = self._observability
+        obs = self.observability
         if obs is not None:
             obs.metrics.inc(name, value, cluster=self.name, **labels)
 
@@ -154,13 +143,13 @@ class StoreCluster:
         shard = self.shards[shard_index]
         self._charge_degraded(shard)
         result = shard.append(op)
-        if self._observability is not None:
+        if self.observability is not None:
             self._metric("cluster.writes", shard=str(shard_index))
         return result
 
     def broadcast(self, op: dict[str, Any]) -> list[Any]:
-        """Append *op* to every shard (DDL: create collection/table/index)."""
-        return [self.append_to(index, op) for index in range(self.n_shards)]
+        """Append *op* to every shard or to none (DDL: create collection / table / index)."""
+        return self.write(range(self.n_shards), lambda: [op] * self.n_shards, lambda effect: effect)
 
     def write(
         self,
@@ -172,14 +161,19 @@ class StoreCluster:
         returns one effect per shard (or raises), every shard with a
         non-empty effect must have a quorum of acceptors, and only then is
         ``op_of(effect)`` appended to each.  Returns those appends' results."""
-        with ExitStack() as stack:
-            for index in sorted(shard_indices):
-                stack.enter_context(self.shards[index]._lock)
+        locks = [self.shards[index]._lock for index in sorted(shard_indices)]
+        for lock in locks:
+            lock.acquire()
+        try:
             decided = zip(shard_indices, decide(), strict=True)
             touched = [(index, effect) for index, effect in decided if effect]
-            for index, _ in touched:
-                self.shards[index].acceptors()
+            if len(touched) > 1:  # one shard's append checks its own quorum
+                for index, _ in touched:
+                    self.shards[index].acceptors()
             return [self.append_to(index, op_of(effect)) for index, effect in touched]
+        finally:
+            for lock in locks:
+                lock.release()
 
     def scan_stats(
         self, shard_indices: Sequence[int], pruned: bool, **labels: Any
@@ -200,7 +194,7 @@ class StoreCluster:
         shard = self.shards[shard_index]
         self._charge_degraded(shard)
         state = shard.quorum_state()
-        if self._observability is not None:
+        if self.observability is not None:
             self._metric("cluster.quorum_reads", shard=str(shard_index))
         return state
 
@@ -209,7 +203,7 @@ class StoreCluster:
         shard = self.shards[shard_index]
         self._charge_degraded(shard)
         state = shard.primary().state
-        if self._observability is not None:
+        if self.observability is not None:
             self._metric("cluster.scan_reads", shard=str(shard_index))
         return state
 
@@ -231,7 +225,7 @@ class StoreCluster:
                 self._metric(
                     "cluster.degraded_ops", shard=str(shard.shard_index)
                 )
-                obs = self._observability
+                obs = self.observability
                 if obs is not None:
                     obs.metrics.observe(
                         "cluster.degraded_latency", replica.degraded_seconds
@@ -359,10 +353,8 @@ class StoreCluster:
                             shard=str(shard.shard_index),
                         )
 
-    def _sweep_target(self) -> int | None:
+    def _sweep_target(self) -> int:
         """Which shard this tick's seeded anti-entropy sweep visits."""
-        if self.tick_count % self.anti_entropy_interval != 0:
-            return None
         digest = hashlib.md5(
             f"{self.seed}|sweep|{self.tick_count}".encode("utf-8")
         ).digest()

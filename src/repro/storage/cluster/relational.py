@@ -240,9 +240,6 @@ class ShardedDatabase(Database):
             self.attach(front)  # the inherited catalog holds the router fronts
             return front
 
-    def drop_table(self, name: str) -> None:
-        raise StorageError("sharded databases do not support DROP TABLE")
-
     def data_version(self, table_name: str) -> tuple[int, ...]:
         """Every shard's acked sequence: a primary holds exactly its
         shard's acked ops, so an equal tuple means equal committed data

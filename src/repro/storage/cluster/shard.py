@@ -162,15 +162,7 @@ class ShardGroup:
 
     def primary(self) -> Replica:
         """The healthy, caught-up primary — promoting one if necessary."""
-        with self._lock:
-            current = self.replicas[self.primary_index]
-            if (
-                current.status is ReplicaStatus.ALIVE
-                and current.reachable
-                and current.applied >= self.acked
-            ):
-                return current
-            return self.promote()
+        return self.promote()
 
     def promote(self, now: float | None = None) -> Replica:
         """Elect the most caught-up live replica as primary.

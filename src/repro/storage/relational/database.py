@@ -50,11 +50,6 @@ class Database:
                 raise StorageError(f"table already exists: {table.name!r}")
             self._tables[key] = table
 
-    def drop_table(self, name: str) -> None:
-        with self._lock:
-            if self._tables.pop(name.lower(), None) is None:
-                raise StorageError(f"unknown table: {name!r}")
-
     def table(self, name: str) -> Table:
         with self._lock:
             table = self._tables.get(name.lower())

@@ -100,9 +100,9 @@ class StreamReader:
         >>> # new_messages = reader.poll()
     """
 
-    def __init__(self, stream: Stream, start_offset: int = 0) -> None:
+    def __init__(self, stream: Stream) -> None:
         self._stream = stream
-        self._offset = start_offset
+        self._offset = 0
 
     @property
     def offset(self) -> int:
@@ -113,7 +113,3 @@ class StreamReader:
         batch = self._stream.read(self._offset, limit)
         self._offset += len(batch)
         return batch
-
-    def exhausted(self) -> bool:
-        """True when the stream is closed and fully consumed."""
-        return self._stream.closed and self._offset >= len(self._stream)

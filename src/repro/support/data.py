@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.registries import DataRegistry
-from ..storage import Collection, ColumnType, Database, DocumentStore, GraphStore
+from ..storage import ColumnType, Database, DocumentStore, GraphStore
 from ..storage.schema import Column, TableSchema
 
 PRODUCTS = ("SearchCloud", "MatchEngine", "ProfileStore", "InsightBoard")
@@ -76,10 +76,6 @@ class SupportEnterprise:
     documents: DocumentStore
     products: GraphStore
     registry: DataRegistry
-
-    @property
-    def kb(self) -> Collection:
-        return self.documents.collection("kb_articles")
 
 
 def generate_tickets(n: int, rng: np.random.Generator) -> list[dict]:

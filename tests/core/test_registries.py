@@ -25,8 +25,9 @@ class TestAgentRegistry:
         entry = registry.register_agent(make_agent())
         assert entry.kind == "agent"
         assert registry.has("JOB_MATCHER")
-        assert registry.input_names("JOB_MATCHER") == ["PROFILE", "JOBS"]
-        assert registry.output_names("JOB_MATCHER") == ["MATCHES"]
+        metadata = registry.get("JOB_MATCHER").metadata
+        assert [p["name"] for p in metadata["inputs"]] == ["PROFILE", "JOBS"]
+        assert [p["name"] for p in metadata["outputs"]] == ["MATCHES"]
 
     def test_duplicate_rejected(self):
         registry = AgentRegistry()
@@ -44,18 +45,6 @@ class TestAgentRegistry:
         )
         entry = registry.get("LEGACY_API")
         assert entry.metadata["deployment"]["image"] == "legacy:v2"
-
-    def test_constructor_resolution(self):
-        registry = AgentRegistry()
-        registry.register_agent(make_agent())
-        constructor = registry.constructor("JOB_MATCHER")
-        assert constructor is FunctionAgent
-
-    def test_constructor_missing(self):
-        registry = AgentRegistry()
-        registry.register_metadata("X", "no constructor")
-        with pytest.raises(RegistryError):
-            registry.constructor("X")
 
     def test_search_vector(self):
         registry = AgentRegistry()
@@ -109,7 +98,6 @@ class TestAgentRegistry:
             "JOB_MATCHER", "SENIOR_MATCHER", description="Match senior candidates"
         )
         assert derived.description == "Match senior candidates"
-        assert registry.constructor("SENIOR_MATCHER") is FunctionAgent
 
 
 class TestDataRegistry:

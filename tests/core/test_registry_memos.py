@@ -166,14 +166,6 @@ class TestDataVersions:
         table.create_index("city")
         assert database.data_version("t") == versions[-1]
 
-    def test_a_recreated_table_never_repeats_a_version(self):
-        database = Database("db")
-        quick_table(database, "t", [("city", ColumnType.TEXT)], [{"city": "A"}])
-        old = database.data_version("t")
-        database.drop_table("t")
-        quick_table(database, "t", [("city", ColumnType.TEXT)], [{"city": "B"}])
-        assert database.data_version("t") != old
-
     def test_sharded_version_is_the_acked_sequences(self):
         database = ShardedDatabase("db", n_shards=2, n_replicas=3, clock=SimClock())
         database.create_table(

@@ -155,11 +155,6 @@ class TestModes:
         steps = list(planner.iter_steps("I am looking for a position", "user"))
         assert [s.agent for s in steps] == ["PROFILER", "JOB_MATCHER", "PRESENTER"]
 
-    def test_propose_renders(self, planner):
-        plan, rendering = planner.propose("I am looking for a position", "user")
-        assert "EXECUTE PROFILER" in rendering
-        assert len(plan) == 3
-
     def test_revise_remove_node(self, planner):
         plan = planner.plan("I am looking for a position", "user")
         revised = planner.revise(plan, remove=("step3",))

@@ -43,18 +43,6 @@ class TestCatalog:
         assert catalog.tracker.calls == 1
         assert catalog.clock.now() > 0
 
-    def test_cheapest_with_quality_floor(self, catalog):
-        cheap = catalog.cheapest(min_quality=0.9)
-        assert cheap.name == "mega-m"
-
-    def test_cheapest_domain_aware(self, catalog):
-        cheap_hr = catalog.cheapest(domain="hr", min_quality=0.9)
-        assert cheap_hr.name == "hr-ft"  # fine-tuned model wins on its domain
-
-    def test_cheapest_infeasible(self, catalog):
-        with pytest.raises(ModelNotFoundError):
-            catalog.cheapest(min_quality=0.999)
-
     def test_best_general(self, catalog):
         assert catalog.best().name == "mega-xl"
 

@@ -154,8 +154,8 @@ class TestRetryPolicyProperties:
             max_attempts=attempts, base_delay=base, multiplier=multiplier,
             max_delay=max_delay, jitter=jitter, seed=seed,
         )
-        schedule = policy.schedule(key)
-        assert schedule == policy.schedule(key)
+        schedule = [policy.delay(attempt, key) for attempt in range(1, attempts)]
+        assert schedule == [policy.delay(attempt, key) for attempt in range(1, attempts)]
         assert len(schedule) == attempts - 1
         for attempt, delay in enumerate(schedule, start=1):
             raw = min(base * multiplier ** (attempt - 1), max_delay)

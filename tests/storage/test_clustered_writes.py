@@ -42,6 +42,11 @@ def doc_store():
     return people, store.cluster
 
 
+def doc_catalog():
+    store = ClusteredDocumentStore("d", n_shards=4, n_replicas=3, clock=SimClock(), seed=5)
+    return store, store.cluster
+
+
 def kv_store():
     kv = ClusteredKeyValueStore("kv", n_shards=4, n_replicas=3, clock=SimClock(), seed=5)
     for i in range(40):
@@ -62,6 +67,10 @@ WRITERS = {
     "doc update": (doc_store, lambda people: people.update({}, {"v": 1})),
     "doc delete": (doc_store, lambda people: people.delete({"v": 0})),
     "kv clear": (kv_store, lambda kv: kv.clear("ns")),
+    "sql create_table": (sql_store, lambda db: db.execute("CREATE TABLE u (id INT PRIMARY KEY)")),
+    "sql create_index": (sql_store, lambda db: db.table("t").create_index("v")),
+    "doc create_collection": (doc_catalog, lambda store: store.create_collection("staff")),
+    "doc create_index": (doc_store, lambda people: people.create_index("v")),
 }
 
 

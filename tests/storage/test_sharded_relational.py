@@ -78,10 +78,6 @@ class TestShardedTable:
         with pytest.raises(StorageError):
             db.create_table(schema, partition_column="nope")
 
-    def test_drop_table_unsupported(self, db):
-        with pytest.raises(StorageError):
-            db.drop_table("people")
-
     def test_an_int_routes_as_the_float_it_is_stored_as(self):
         """A FLOAT column stores ``float(v)``, which past 2**53 is another
         number: routing the int as given would place the row off the shard

@@ -103,12 +103,3 @@ class TestStreamReader:
         reader = StreamReader(stream)
         assert len(reader.poll(limit=2)) == 2
         assert reader.offset == 2
-
-    def test_exhausted(self):
-        stream = Stream("s")
-        stream.append(message(1))
-        stream.append(message(2, MessageKind.EOS))
-        reader = StreamReader(stream)
-        assert not reader.exhausted()
-        reader.poll()
-        assert reader.exhausted()

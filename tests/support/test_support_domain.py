@@ -20,7 +20,7 @@ class TestSupportEnterprise:
         assert enterprise.database.execute(
             "SELECT COUNT(*) AS n FROM tickets"
         ).scalar() == 40
-        assert len(enterprise.kb) == 9
+        assert len(enterprise.documents.collection("kb_articles")) == 9
         assert enterprise.products.node_count() > 4
 
     def test_registry_spans_modalities(self):

@@ -6,7 +6,6 @@ from repro.core.budget import Budget
 from repro.core.context import AgentContext
 from repro.core.deployment import ResourceProfile
 from repro.core.params import Parameter
-from repro.core.qos import QoSSpec
 
 
 class TestContextExtras:
@@ -28,13 +27,6 @@ class TestContextExtras:
         )
         context.charge("x", cost=0.5)
         assert budget.spent_cost() == 0.5
-
-
-class TestBudgetCheckHappyPath:
-    def test_check_passes_within_bounds(self):
-        budget = Budget(QoSSpec(max_cost=1.0))
-        budget.charge("x", cost=0.1)
-        budget.check()  # no exception
 
 
 class TestResourceProfileEdges:

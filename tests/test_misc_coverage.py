@@ -2,20 +2,10 @@
 
 import pytest
 
-from repro.errors import StorageError
 from repro.storage import ColumnType, Database, quick_table
 
 
 class TestDatabaseCatalog:
-    def test_drop_table(self):
-        db = Database("d")
-        quick_table(db, "t", [("a", ColumnType.INT)])
-        assert db.has_table("t")
-        db.drop_table("t")
-        assert not db.has_table("t")
-        with pytest.raises(StorageError):
-            db.drop_table("t")
-
     def test_table_name_case_insensitive(self):
         db = Database("d")
         quick_table(db, "Jobs", [("a", ColumnType.INT)])
