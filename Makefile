@@ -1,4 +1,4 @@
-.PHONY: test bench reliability observability recovery parallel streams fleet engine batch overload shard e2e-smoke examples artifacts all
+.PHONY: test bench reliability observability recovery parallel streams fleet overload shard e2e-smoke examples artifacts all
 
 test:
 	pytest tests/
@@ -29,14 +29,6 @@ streams:
 fleet:
 	PYTHONPATH=src python -m pytest benchmarks/bench_fleet.py --benchmark-disable
 	PYTHONPATH=src python -m pytest tests/core/test_fleet.py tests/llm/test_capacity_singleflight.py tests/properties/test_fleet_properties.py tests/properties/test_llm_ladder_properties.py -q
-
-engine:
-	PYTHONPATH=src python -m pytest benchmarks/bench_fleet.py -k a12_fleet_throughput --benchmark-disable
-	PYTHONPATH=src python -m pytest tests/core/test_engine.py tests/core/test_coordinator.py tests/core/test_plan_lifecycle.py tests/core/test_fleet.py tests/properties/test_hotpath_goldens.py tests/properties/test_parallel_properties.py tests/properties/test_fleet_properties.py -q
-
-# The batching gate is a section of benchmarks/bench_fleet.py, which `make fleet` runs.
-batch:
-	PYTHONPATH=src python -m pytest tests/llm tests/properties/test_llm_ladder_properties.py -q
 
 overload:
 	PYTHONPATH=src python -m pytest benchmarks/bench_overload.py --benchmark-disable

@@ -33,7 +33,6 @@ from repro.core import (
     TaskPlan,
 )
 from repro.core.planners.data_planner import DataPlanner
-from repro.llm import LLMCache
 from repro.streams.persistence import export_json
 
 SEED = 7
@@ -195,13 +194,13 @@ def test_a11_fig7_data_plan_critical_path(benchmark, enterprise):
 
 def test_a11_llm_cache_savings(benchmark, enterprise):
     """Artifact: repeated llm_call ops are free; no_cache opts out."""
-    blueprint = Blueprint(llm_cache=LLMCache())
+    blueprint = Blueprint(llm_cache=True)
     planner = DataPlanner(enterprise.registry, blueprint.catalog)
     plan = planner.plan_job_query(QUERY, qos=QoSSpec(objective="quality"))
 
     cold = planner.execute(plan, budget=blueprint.budget())
     warm = planner.execute(plan, budget=blueprint.budget())
-    stats = blueprint.llm_cache.stats()
+    stats = blueprint.catalog.cache.stats()
 
     plan.no_cache = True
     bypass = planner.execute(plan, budget=blueprint.budget())
@@ -231,6 +230,6 @@ def test_a11_llm_cache_savings(benchmark, enterprise):
     assert stats.saved_cost > 0.0
     # The per-plan override bypasses the cache: full price again.
     assert bypass.cost == cold.cost
-    assert blueprint.llm_cache.stats().hits == stats.hits
+    assert blueprint.catalog.cache.stats().hits == stats.hits
 
     benchmark(lambda: planner.execute(plan, budget=blueprint.budget()).cost)

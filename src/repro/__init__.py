@@ -15,21 +15,19 @@ Subpackages:
 
 __version__ = "1.0.0"
 
-from .clock import SimClock, Stopwatch
+from .clock import SimClock
 from .core.qos import QoSSpec
 from .core.runtime import Blueprint
 from .errors import ReproError
-from .ids import IdGenerator, new_id
+from .ids import IdGenerator
 from .observability import Observability
 
 __all__ = [
     "SimClock",
-    "Stopwatch",
     "QoSSpec",
     "Blueprint",
     "Observability",
     "ReproError",
     "IdGenerator",
-    "new_id",
     "__version__",
 ]

@@ -174,26 +174,3 @@ class SimClock:
             self._threaded and getattr(self._branches, "now", None) is not None
         )
 
-
-class Stopwatch:
-    """Measures elapsed simulated time between two points.
-
-    Example:
-        >>> clock = SimClock()
-        >>> watch = Stopwatch(clock)
-        >>> _ = clock.advance(1.5)
-        >>> watch.elapsed()
-        1.5
-    """
-
-    def __init__(self, clock: SimClock) -> None:
-        self._clock = clock
-        self._start = clock.now()
-
-    def elapsed(self) -> float:
-        """Simulated seconds since the stopwatch was created or restarted."""
-        return self._clock.now() - self._start
-
-    def restart(self) -> None:
-        """Reset the start point to the clock's current time."""
-        self._start = self._clock.now()

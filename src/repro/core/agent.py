@@ -11,8 +11,9 @@ class provides everything around it:
   joins tokens across input streams before firing,
 * **emission** — outputs are published to session-scoped streams, tagged so
   downstream agents and the coordinator can consume them selectively,
-* **workers** — an optional thread pool so a triggered agent keeps
-  listening while work runs,
+* **inline execution** — an activation runs on the thread that delivered
+  it; concurrency across agents comes from the engine's backend
+  (:mod:`repro.core.engine`), which drives a wave's nodes in parallel,
 * **metering** — LLM calls through :meth:`Agent.complete` charge the active
   budget with cost, latency, and a quality estimate.
 """
@@ -20,7 +21,6 @@ class provides everything around it:
 from __future__ import annotations
 
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any, Iterable, Mapping
 
 from ..errors import AgentError
@@ -61,20 +61,14 @@ class Agent:
     #: Default model used by :meth:`complete` when none is named.
     default_model: str = "mega-m"
 
-    def __init__(self, workers: int = 0, **properties: Any) -> None:
-        if workers < 0:
-            raise AgentError(f"workers must be >= 0: {workers}")
+    def __init__(self, **properties: Any) -> None:
         self.properties = properties
         self.context: AgentContext | None = None
         self.activations = 0
         self.failures = 0
         self.last_error: str | None = None
-        self._workers = workers
-        self._pool: ThreadPoolExecutor | None = None
-        self._futures: list[Future] = []
         self._gate: InputGate | None = None
         self._subscription_ids: list[str] = []
-        self._lock = threading.RLock()
         self._activation = _Activation()
         # _execute is the runtime's hottest path: the span name is
         # precomputed, and activation/failure metrics are pulled from the
@@ -92,10 +86,6 @@ class Agent:
             raise AgentError(f"agent {self.name} is already attached")
         self.context = context
         context.session.enter(self.name)
-        if self._workers:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self._workers, thread_name_prefix=f"{self.name}-worker"
-            )
         if self.inputs:
             self._gate = InputGate([p.name for p in self.inputs], mode=self.gate_mode)
         metrics = context.metrics
@@ -139,14 +129,10 @@ class Agent:
     def detach(self) -> None:
         """Leave the session and stop listening."""
         context = self._require_context()
-        self.drain()
         for subscription_id in self._subscription_ids:
             context.store.unsubscribe(subscription_id)
         self._subscription_ids.clear()
         context.session.exit(self.name)
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
         self.context = None
 
     def crash(self) -> None:
@@ -162,19 +148,7 @@ class Agent:
         for subscription_id in self._subscription_ids:
             context.store.unsubscribe(subscription_id)
         self._subscription_ids.clear()
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
-        with self._lock:
-            self._futures.clear()
         self.context = None
-
-    def drain(self) -> None:
-        """Wait for outstanding worker executions to finish."""
-        with self._lock:
-            futures, self._futures = self._futures, []
-        for future in futures:
-            future.result()
 
     # ------------------------------------------------------------------
     # Activation paths
@@ -189,19 +163,19 @@ class Agent:
             for key in ("node", "plan", "output_stream", "model", "no_cache")
             if key in payload
         }
-        self._spawn(inputs, metadata)
+        self._execute(inputs, metadata)
 
     def _on_data(self, message: Message) -> None:
         if message.producer == self.name:
             return  # never react to our own output
         if self._gate is None:
             # No declared inputs: fire with the raw payload under "INPUT".
-            self._spawn({"INPUT": message.payload}, {"trigger": message.message_id})
+            self._execute({"INPUT": message.payload}, {"trigger": message.message_id})
             return
         place = self._place_for(message)
         for fired in self._gate.offer(place, message.payload):
             merged = self._fill_defaults(fired)
-            self._spawn(merged, {"trigger": message.message_id})
+            self._execute(merged, {"trigger": message.message_id})
 
     def _latest_payload(self, stream_id: str) -> Any:
         """Most recent data payload on *stream_id* (input_refs resolution)."""
@@ -229,14 +203,6 @@ class Agent:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _spawn(self, inputs: dict[str, Any], metadata: dict[str, Any]) -> None:
-        if self._pool is not None:
-            future = self._pool.submit(self._execute, inputs, metadata)
-            with self._lock:
-                self._futures.append(future)
-        else:
-            self._execute(inputs, metadata)
-
     def _execute(self, inputs: dict[str, Any], metadata: dict[str, Any]) -> None:
         context = self._require_context()
         self.activations += 1
@@ -419,10 +385,9 @@ class FunctionAgent(Agent):
         exclude_tags: tuple[str, ...] = (),
         tag_to_place: Mapping[str, str] | None = None,
         gate_mode: str | None = None,
-        workers: int = 0,
         **properties: Any,
     ) -> None:
-        super().__init__(workers=workers, **properties)
+        super().__init__(**properties)
         self.name = name
         self.description = description or (fn.__doc__ or "").strip()
         self.inputs = inputs

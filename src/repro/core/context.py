@@ -8,7 +8,7 @@ and lets the runtime swap substrates in tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from ..clock import SimClock
@@ -34,7 +34,6 @@ class AgentContext:
     agent_registry: "AgentRegistry | None" = None
     data_registry: "DataRegistry | None" = None
     observability: "Observability | None" = None
-    extras: dict[str, Any] = field(default_factory=dict)
 
     def charge(
         self, source: str, cost: float = 0.0, latency: float = 0.0, quality: float | None = None
@@ -69,6 +68,3 @@ class AgentContext:
         metrics = self.metrics
         if metrics is not None:
             metrics.inc(name, value, **labels)
-
-    def extra(self, key: str, default: Any = None) -> Any:
-        return self.extras.get(key, default)

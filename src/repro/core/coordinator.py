@@ -14,9 +14,8 @@ becomes an extract data plan), budget escalation on a replan, and the
 
 Because the stream store delivers messages depth-first, the agent executes
 synchronously inside the coordinator's control publish, so outputs are
-visible immediately afterwards.  (Consequently, agents the coordinator
-drives should run inline — ``workers=0``, the default; worker-pool agents
-are for decentralized tag-triggered fan-out, where no one waits on them.)
+visible immediately afterwards.  Agents always run inline; parallelism
+across a wave's nodes comes from the execution backend alone.
 """
 
 from __future__ import annotations

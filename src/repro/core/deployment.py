@@ -240,13 +240,6 @@ class Cluster:
         container.start()
         return container
 
-    def container(self, container_id: str) -> Container:
-        with self._lock:
-            container = self._containers.get(container_id)
-        if container is None:
-            raise DeploymentError(f"unknown container: {container_id!r}")
-        return container
-
     def containers(self, state: str | None = None) -> list[Container]:
         with self._lock:
             found = list(self._containers.values())

@@ -48,7 +48,3 @@ class QoSSpec:
     @classmethod
     def unconstrained(cls) -> "QoSSpec":
         return cls()
-
-    @classmethod
-    def cheap(cls, max_cost: float) -> "QoSSpec":
-        return cls(max_cost=max_cost, objective="quality")

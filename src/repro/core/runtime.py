@@ -58,7 +58,7 @@ class Blueprint:
         data_registry: DataRegistry | None = None,
         planner_model: str = "hr-ft",
         observability: Observability | None = None,
-        llm_cache: LLMCache | bool = False,
+        llm_cache: bool = False,
     ) -> None:
         self.clock = clock or SimClock()
         #: Tracing + metrics over the whole runtime; on by default because
@@ -72,16 +72,11 @@ class Blueprint:
         if self.catalog.clock is None:
             self.catalog.clock = self.clock
         self.catalog.observability = self.observability
-        #: LLM result cache: opt-in (``llm_cache=True`` or a configured
-        #: :class:`~repro.llm.LLMCache`) so default runs keep byte-identical
-        #: traces and call-for-call chaos determinism.
-        if isinstance(llm_cache, LLMCache):
-            # isinstance, not truthiness: a configured-but-empty cache has
-            # len() == 0 and would be dropped by a bare ``if llm_cache``.
-            self.catalog.cache = llm_cache
-        elif llm_cache:
+        # The LLM result cache is opt-in so default runs keep byte-identical
+        # traces and call-for-call chaos determinism; a configured cache is
+        # assigned to ``catalog.cache``.
+        if llm_cache:
             self.catalog.cache = LLMCache()
-        self.llm_cache = self.catalog.cache
         self.agent_registry = agent_registry or AgentRegistry()
         self.data_registry = data_registry or DataRegistry()
         self.sessions = SessionManager(self.store)

@@ -1,14 +1,12 @@
 """Deterministic text embeddings (feature hashing) and similarity measures."""
 
 from .hashing import HashingEmbedder, char_ngrams, tokenize_words
-from .similarity import cosine, euclidean, jaccard, keyword_overlap
+from .similarity import cosine, keyword_overlap
 
 __all__ = [
     "HashingEmbedder",
     "char_ngrams",
     "tokenize_words",
     "cosine",
-    "euclidean",
-    "jaccard",
     "keyword_overlap",
 ]

@@ -15,21 +15,6 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a, b) / norm)
 
 
-def euclidean(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(a) - np.asarray(b)))
-
-
-def jaccard(text_a: str, text_b: str) -> float:
-    """Jaccard similarity of the word sets of two texts."""
-    set_a = set(tokenize_words(text_a))
-    set_b = set(tokenize_words(text_b))
-    if not set_a and not set_b:
-        return 1.0
-    if not set_a or not set_b:
-        return 0.0
-    return len(set_a & set_b) / len(set_a | set_b)
-
-
 def keyword_overlap(query: str, text: str) -> float:
     """Fraction of query words present in *text* (keyword-search score)."""
     query_words = set(tokenize_words(query))

@@ -118,19 +118,6 @@ class PlanningError(ReproError):
     """A planner could not produce a plan for the given request."""
 
 
-class BudgetExceededError(ReproError):
-    """Execution exceeded the QoS budget and was aborted.
-
-    Attributes:
-        dimension: which QoS dimension was violated (``cost``, ``latency``,
-            or ``quality``).
-    """
-
-    def __init__(self, message: str, dimension: str = "cost") -> None:
-        super().__init__(message)
-        self.dimension = dimension
-
-
 class CoordinationError(ReproError):
     """The task coordinator could not make progress on a plan."""
 

@@ -11,7 +11,7 @@ from .data import (
 from .matching import JobMatcher, MatchResult
 from .nlq import NLQTranslator, Translation
 from .skills import SkillExtractor, SkillMention
-from .taxonomy import all_titles, base_titles, build_title_taxonomy
+from .taxonomy import base_titles, build_title_taxonomy
 
 __all__ = [
     "Cluster",
@@ -27,7 +27,6 @@ __all__ = [
     "Translation",
     "SkillExtractor",
     "SkillMention",
-    "all_titles",
     "base_titles",
     "build_title_taxonomy",
 ]

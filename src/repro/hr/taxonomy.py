@@ -74,16 +74,6 @@ def build_title_taxonomy(name: str = "title_taxonomy") -> GraphStore:
     return graph
 
 
-def all_titles() -> list[str]:
-    """Every title in the taxonomy (base + seniority variants)."""
-    titles: list[str] = []
-    for family_titles in TITLE_FAMILIES.values():
-        for title in family_titles:
-            titles.append(title)
-            titles.extend(f"{level} {title}" for level in SENIORITY_LEVELS)
-    return titles
-
-
 def base_titles() -> list[str]:
     return [title for titles in TITLE_FAMILIES.values() for title in titles]
 

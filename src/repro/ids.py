@@ -103,10 +103,3 @@ class IdGenerator:
         with self._lock:
             self._counters.clear()
 
-
-_GLOBAL = IdGenerator()
-
-
-def new_id(kind: str) -> str:
-    """Return a fresh identifier from the process-global generator."""
-    return _GLOBAL.next(kind)

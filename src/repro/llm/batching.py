@@ -34,7 +34,9 @@ seed (``jitter``) so co-located fleets do not flush in lockstep.
 
 Batching is opt-in like the cache (``Blueprint.run_fleet(batching=...)``
 / ``--batch``; single-flight is the one rung ``run_fleet`` turns on by
-default), and plans that need call-for-call determinism bypass it via
+default).  The batcher is ``catalog.batcher``, read by every client on
+each call, so assigning or clearing it reaches clients already handed
+out.  Plans that need call-for-call determinism bypass it via
 ``no_cache`` exactly as they bypass the other two rungs.  Windows sit in
 a :class:`~repro.llm.windows.LiveLRU`, live until their ``exec_end``:
 the bound never evicts a batch that may still admit members.  Under the

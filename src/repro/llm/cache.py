@@ -11,8 +11,10 @@ hit would have cost so benchmarks can report the savings.
 
 Caching is strictly opt-in:
 
-* a catalog has no cache unless one is passed in (or the Blueprint is
-  built with ``llm_cache=True``), so existing traces stay byte-identical;
+* a catalog has no cache unless one is assigned to ``catalog.cache``
+  (or the Blueprint is built with ``llm_cache=True``), so existing
+  traces stay byte-identical; every client of the catalog reads the
+  assignment on its next call;
 * a plan may set ``no_cache`` to bypass an enabled cache — chaos and
   determinism suites need every call to exercise the real model path
   (a hit skips failure injection along with everything else).
@@ -59,7 +61,8 @@ class LLMCache(LiveLRU):
 
     Example:
         >>> from repro.llm import ModelCatalog
-        >>> catalog = ModelCatalog(cache=LLMCache())
+        >>> catalog = ModelCatalog()
+        >>> catalog.cache = LLMCache()
         >>> client = catalog.client("mega-s")
         >>> first = client.complete("TASK: GENERATE\\nhello")
         >>> again = client.complete("TASK: GENERATE\\nhello")

@@ -76,42 +76,43 @@ DEFAULT_SPECS: tuple[ModelSpec, ...] = (
 
 
 class ModelCatalog:
-    """Registry of model specs; hands out instrumented clients."""
+    """Registry of model specs; hands out clients that read its plumbing.
+
+    The catalog is the one owner of what every LLM call shares: the clock,
+    the usage tracker, the observability sink, the reuse ladder (result
+    cache, capacity, single-flight, batcher) and the wall scale.  Each is a
+    plain attribute, set by assignment; a client reads them from here on
+    every call, so a swap reaches clients already handed out.
+    """
 
     def __init__(
         self,
         specs: tuple[ModelSpec, ...] = DEFAULT_SPECS,
         clock: SimClock | None = None,
         tracker: UsageTracker | None = None,
-        default_failure_rate: float = 0.0,
-        cache: LLMCache | None = None,
-        capacity: ModelCapacity | None = None,
-        single_flight: SingleFlight | None = None,
-        batcher: LLMBatcher | None = None,
     ) -> None:
         self.clock = clock
         self.tracker = tracker or UsageTracker()
-        #: Transient-failure rate applied to clients when the caller does
-        #: not name one — the chaos controller's LLM fault-injection knob.
-        self.default_failure_rate = default_failure_rate
-        #: Optional tracing/metrics sink, propagated to every client
-        #: (settable after construction; the Blueprint wires its own).
+        #: Transient-failure rate of every client — the chaos controller's
+        #: LLM fault-injection knob (normally zero).
+        self.default_failure_rate = 0.0
+        #: Optional tracing/metrics sink (the Blueprint wires its own).
         self.observability = None
         #: Optional shared result cache (opt-in; see :class:`LLMCache`).
-        self.cache = cache
-        #: Optional per-model concurrency limits shared by every client
-        #: (opt-in; the fleet runtime wires one — see :class:`ModelCapacity`).
-        self.capacity = capacity
-        #: Optional cross-plan single-flight coalescing shared by every
-        #: client (``run_fleet`` wires one by default; see :class:`SingleFlight`).
-        self.single_flight = single_flight
-        #: Optional cross-plan micro-batch coalescing shared by every
-        #: client (opt-in; see :class:`LLMBatcher`).
-        self.batcher = batcher
-        #: Real seconds slept per simulated latency second, propagated to
-        #: every client (0.0 = fully simulated; the thread backend's
-        #: wall-clock benchmark sets a small scale so LLM calls actually
-        #: block and the pool has something to overlap).
+        self.cache: LLMCache | None = None
+        #: Optional per-model concurrency limits (opt-in; the fleet runtime
+        #: wires one — see :class:`ModelCapacity`).
+        self.capacity: ModelCapacity | None = None
+        #: Optional cross-plan single-flight coalescing (``run_fleet``
+        #: wires one by default; see :class:`SingleFlight`).
+        self.single_flight: SingleFlight | None = None
+        #: Optional cross-plan micro-batch coalescing (opt-in; see
+        #: :class:`LLMBatcher`).
+        self.batcher: LLMBatcher | None = None
+        #: Real seconds slept per simulated latency second (0.0 = fully
+        #: simulated; the thread backend's wall-clock benchmark sets a
+        #: small scale so LLM calls actually block and the pool has
+        #: something to overlap — ``time.sleep`` releases the GIL).
         self.wall_latency_scale = 0.0
         self._specs: dict[str, ModelSpec] = {}
         self._clients: dict[str, SimulatedLLM] = {}
@@ -139,35 +140,18 @@ class ModelCatalog:
         with self._lock:
             return [self._specs[name] for name in sorted(self._specs)]
 
-    def client(self, name: str, failure_rate: float | None = None) -> SimulatedLLM:
-        """A (cached) client for *name*, wired to this catalog's clock/tracker.
+    def client(self, name: str) -> SimulatedLLM:
+        """The client for *name*, built on first use.
 
-        *failure_rate* defaults to :attr:`default_failure_rate` (normally
-        zero; raised by chaos injection to simulate provider brownouts).
+        A client fails at :attr:`default_failure_rate`; when the rate has
+        changed since the client was built, a fresh one replaces it, so a
+        chaos infection starts its call index (and its failure rolls) over.
         """
         spec = self.spec(name)
-        if failure_rate is None:
-            failure_rate = self.default_failure_rate
+        failure_rate = self.default_failure_rate
         with self._lock:
             client = self._clients.get(name)
             if client is None or client.failure_rate != failure_rate:
-                client = SimulatedLLM(spec, failure_rate=failure_rate)
+                client = SimulatedLLM(spec, self, failure_rate=failure_rate)
                 self._clients[name] = client
-            # Wire shared plumbing on EVERY fetch, not just at construction:
-            # the catalog's tracker, clock, result cache, or observability
-            # sink may have been swapped since this client was built, and a
-            # stale reference would silently record usage into the
-            # abandoned sink.
-            client.clock = self.clock
-            client.tracker = self.tracker
-            client.cache = self.cache
-            client.capacity = self.capacity
-            client.single_flight = self.single_flight
-            client.batcher = self.batcher
-            client.observability = self.observability
-            client.wall_latency_scale = self.wall_latency_scale
             return client
-
-    def best(self, domain: str = "general") -> ModelSpec:
-        """Highest effective quality model for *domain*."""
-        return max(self.specs(), key=lambda spec: spec.quality_for(domain))

@@ -26,7 +26,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, TYPE_CHECKING
 
-from ..clock import SimClock
 from ..errors import ContextWindowExceededError, LLMError
 from ..observability.span import NOOP_SPAN
 from .answer import answer, seeded_rng
@@ -35,9 +34,7 @@ from .tokenizer import count_tokens
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..observability import Observability
     from .batching import LLMBatcher
-    from .cache import LLMCache
-    from .capacity import ModelCapacity
-    from .singleflight import SingleFlight
+    from .catalog import ModelCatalog
 
 
 @dataclass(frozen=True)
@@ -205,59 +202,45 @@ class _BoundTallies:
 
 
 class SimulatedLLM:
-    """A deterministic stand-in for a hosted LLM endpoint."""
+    """A deterministic stand-in for a hosted LLM endpoint.
+
+    The client owns only what is its own: the spec, the failure rate, the
+    seed and the call index.  Everything a call shares with other clients
+    — clock, tracker, observability, cache, capacity, single-flight,
+    batcher and wall scale — is read from :attr:`catalog` when the call
+    runs, so assigning one of them on the catalog reaches every client
+    already handed out.
+    """
 
     def __init__(
         self,
         spec: ModelSpec,
-        clock: SimClock | None = None,
-        tracker: UsageTracker | None = None,
+        catalog: "ModelCatalog",
         failure_rate: float = 0.0,
         seed: int = 0,
-        observability: "Observability | None" = None,
-        cache: "LLMCache | None" = None,
-        capacity: "ModelCapacity | None" = None,
-        single_flight: "SingleFlight | None" = None,
-        batcher: "LLMBatcher | None" = None,
     ) -> None:
         if not 0.0 <= failure_rate <= 1.0:
             raise LLMError(f"failure_rate must be in [0, 1]: {failure_rate}")
         self.spec = spec
-        self.clock = clock
-        self.tracker = tracker
+        self.catalog = catalog
         self.failure_rate = failure_rate
-        #: Optional tracing/metrics sink; each call opens an ``llm`` span
-        #: and records ``llm.calls``/``llm.tokens``/``llm.cost`` metrics.
-        self.observability = observability
-        #: Optional result cache (normally the catalog's, shared by every
-        #: client).  Hits bypass the model entirely: no clock advance, no
-        #: tracker record, no failure roll, zero cost/latency.
-        self.cache = cache
-        #: Optional per-model slot limits (normally the catalog's, shared
-        #: by every client).  Needs a clock: queue waits are simulated time.
-        self.capacity = capacity
-        #: Optional cross-plan coalescing of timeline-overlapping identical
-        #: calls (normally the catalog's).  Needs a clock too.
-        self.single_flight = single_flight
-        #: Optional cross-plan micro-batching of *distinct-but-batchable*
-        #: calls — same model + params, different prompts — into shared
-        #: windows (normally the catalog's).  Needs a clock too.
-        self.batcher = batcher
         self._seed = seed
         self._call_index = 0
         self._call_lock = threading.Lock()
-        #: Real seconds slept per simulated latency second (default 0:
-        #: fully simulated time).  The thread backend's benchmarks set a
-        #: small scale so calls genuinely block — an I/O-bound stand-in
-        #: the pool can overlap (``time.sleep`` releases the GIL).
-        self.wall_latency_scale = 0.0
         # Instrument handles, bound lazily per observability instance so
         # each call pays dict increments instead of registry lookups
-        # (``observability`` is often assigned after construction).
+        # (the catalog's ``observability`` may be swapped at any time).
         self._span_name = f"llm:{spec.name}"
         self._bound_obs: "Observability | None" = None
         self._t: _BoundTallies | None = None
         self._h_latency = self._h_queue_wait = None
+
+    # A read-through kept only because benchmarks/e2e/layers.py:60 reads
+    # the scale off the client; it goes once that harness reads
+    # ``catalog.wall_latency_scale``, as the next benchmark change does.
+    @property
+    def wall_latency_scale(self) -> float:
+        return self.catalog.wall_latency_scale
 
     def _bind_instruments(self, obs: "Observability") -> None:
         metrics = obs.metrics
@@ -283,26 +266,28 @@ class SimulatedLLM:
         The reuse ladder, cheapest rung first — each rung runs only while
         no earlier one produced the response:
 
-        * :attr:`cache` — a repeated ``(model, prompt, max_output_tokens)``
-          call returns the memoized response at zero cost and latency;
-        * :attr:`single_flight` — an identical call still in flight on the
+        * the catalog's ``cache`` — a repeated ``(model, prompt,
+          max_output_tokens)`` call returns the memoized response at zero
+          cost and latency;
+        * its ``single_flight`` — an identical call still in flight on the
           simulated timeline is shared: zero cost, the residual wait;
-        * :meth:`_invoke` — the call happens, riding an open
-          :attr:`batcher` window when one covers its start.
+        * :meth:`_invoke` — the call happens, riding an open window of
+          its ``batcher`` when one covers its start.
 
         Reuse is a pure short-circuit: it skips the failure roll and does
         not consume a call index, so enabling a rung changes which physical
         calls happen — runs that must be call-for-call deterministic pass
         *no_cache*, which bypasses all three (plans do this via
         ``plan.no_cache``).  Coalescing and batching are timeline concepts
-        and additionally need a :attr:`clock`.
+        and additionally need the catalog's ``clock``.
         """
-        model, clock = self.spec.name, self.clock
-        cache = None if no_cache else self.cache
+        catalog, model = self.catalog, self.spec.name
+        clock = catalog.clock
+        cache = None if no_cache else catalog.cache
         timed = not no_cache and clock is not None
-        flight = self.single_flight if timed else None
-        batcher = self.batcher if timed else None
-        obs = self.observability
+        flight = catalog.single_flight if timed else None
+        batcher = catalog.batcher if timed else None
+        obs = catalog.observability
         if obs is None:
             # No sink: the same walk, over the do-nothing span, no tallies.
             tallies, span = None, NOOP_SPAN
@@ -353,8 +338,8 @@ class SimulatedLLM:
         the model cannot answer (or that overflows the context window)
         raises without taking a batch member slot or a call index.
         """
-        spec, clock = self.spec, self.clock
-        model = spec.name
+        catalog, spec = self.catalog, self.spec
+        model, clock = spec.name, catalog.clock
         input_tokens = count_tokens(prompt)
         if input_tokens > spec.context_window:
             raise ContextWindowExceededError(
@@ -385,17 +370,18 @@ class SimulatedLLM:
             latency = max(0.0, exec_end - start)
         else:
             latency = solo_latency
-            if self.capacity is not None and clock is not None:
+            capacity = catalog.capacity
+            if capacity is not None and clock is not None:
                 # Queueing is simulated time only: it moves the clock, not
                 # ``usage.latency`` (model time) and not the wall.
-                queued_start = self.capacity.reserve(model, start, latency)
+                queued_start = capacity.reserve(model, start, latency)
                 queue_wait = queued_start - start
                 clock.advance(queue_wait)
                 start = queued_start
         self._wait(latency)
         usage = LLMUsage(input_tokens, output_tokens, cost=cost, latency=latency)
-        if self.tracker is not None:
-            self.tracker.record(model, usage)
+        if catalog.tracker is not None:
+            catalog.tracker.record(model, usage)
         response = LLMResponse(
             text, usage, model, structured=structured, domain=domain, batched=riding
         )
@@ -406,24 +392,26 @@ class SimulatedLLM:
             # identical calls may join and anchors the window that later
             # batchable calls ride instead of reserving their own slot.
             end = start + latency
-            if self.single_flight is not None:
-                self.single_flight.record(
+            if catalog.single_flight is not None:
+                catalog.single_flight.record(
                     model, prompt, max_output_tokens, start, end, response,
                     now=clock.now(),
                 )
-            if self.batcher is not None:
-                self.batcher.open(model, max_output_tokens, start, end)
+            if catalog.batcher is not None:
+                catalog.batcher.open(model, max_output_tokens, start, end)
         return response, queue_wait
 
     def _wait(self, latency: float) -> None:
         """Spend *latency* simulated seconds — the only way a call does."""
-        if self.clock is not None:
-            self.clock.advance(latency)
-        if self.wall_latency_scale > 0:
+        catalog = self.catalog
+        if catalog.clock is not None:
+            catalog.clock.advance(latency)
+        scale = catalog.wall_latency_scale
+        if scale > 0:
             # Block for real: the simulated latency becomes actual wall
             # time, which is what makes the thread backend's overlap
             # measurable (and the serial backend's lack of it).
-            time.sleep(latency * self.wall_latency_scale)
+            time.sleep(latency * scale)
 
     def _account(
         self, span: Any, tallies: _BoundTallies | None, response: LLMResponse,
@@ -465,7 +453,8 @@ class SimulatedLLM:
                 tallies.batch_joins += 1
             else:
                 tallies.calls += 1
-                if self.batcher is not None and self.clock is not None:
+                catalog = self.catalog
+                if catalog.batcher is not None and catalog.clock is not None:
                     tallies.batch_windows += 1  # the one ``_invoke`` opened
             if charged:
                 tallies.tokens += usage.input_tokens + usage.output_tokens

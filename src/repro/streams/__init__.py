@@ -10,7 +10,7 @@ Public API:
 """
 
 from .flowgraph import build_flow_graph, component_graph, render_component_graph
-from .partitioned import PartitionedStreamStore, export_partitioned, replayed_messages
+from .partitioned import PartitionedStreamStore, export_partitioned
 from .persistence import export_json, export_store, replay_json, replay_store
 from .textstream import UtteranceAssembler, collect_text, stream_words
 from .message import Instruction, Message, MessageKind, control_payload
@@ -22,7 +22,6 @@ from .subscription import Subscription, TagRule
 __all__ = [
     "PartitionedStreamStore",
     "export_partitioned",
-    "replayed_messages",
     "build_flow_graph",
     "component_graph",
     "render_component_graph",

@@ -26,7 +26,7 @@ from typing import Any
 from ..clock import SimClock
 from ..storage.cluster import StoreCluster
 from .message import Message
-from .persistence import message_from, message_record
+from .persistence import message_record
 from .store import StreamStore
 
 
@@ -87,8 +87,3 @@ def export_partitioned(store: PartitionedStreamStore) -> dict[str, Any]:
         "partitions": store.cluster.n_shards,
         "messages": records,
     }
-
-
-def replayed_messages(snapshot: dict[str, Any]) -> list[Message]:
-    """Materialize exported records back into :class:`Message` objects."""
-    return [message_from(record) for record in snapshot["messages"]]

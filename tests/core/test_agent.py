@@ -254,29 +254,6 @@ class TestErrorHandling:
         assert doubler.failures == 1
 
 
-class TestWorkerPool:
-    def test_threaded_execution_with_drain(self, context, session, store):
-        agent = FunctionAgent(
-            "WORKER",
-            lambda i: {"OUT": i["IN"] + 1},
-            inputs=(Parameter("IN", "number"),),
-            outputs=(Parameter("OUT", "number"),),
-            listen_tags=("GO",),
-            workers=2,
-        )
-        agent.attach(context)
-        user = session.create_stream("user", creator="user")
-        for i in range(5):
-            store.publish_data(user.stream_id, i, tags=("GO",))
-        agent.drain()
-        out = store.get_stream(session.stream_id("worker:out"))
-        assert sorted(out.data_payloads()) == [1, 2, 3, 4, 5]
-
-    def test_negative_workers_rejected(self):
-        with pytest.raises(AgentError):
-            FunctionAgent("X", lambda i: None, workers=-1)
-
-
 class TestLLMAccess:
     def test_complete_charges_budget(self, store, session, clock, catalog):
         from repro.core.budget import Budget

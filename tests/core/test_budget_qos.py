@@ -31,7 +31,8 @@ class TestQoSSpec:
             QoSSpec(objective="vibes")
 
     def test_factory_methods(self):
-        assert QoSSpec.cheap(0.01).max_cost == 0.01
+        assert QoSSpec.unconstrained() == QoSSpec()
+        assert QoSSpec.unconstrained().admits(cost=1e9, latency=1e9, quality=0.0)
 
 
 class TestBudget:

@@ -119,13 +119,6 @@ class TestClusterPlacement:
         with pytest.raises(DeploymentError):
             cluster.deploy("x", factory, context_factory, (("ECHO", {}),), profile=profile)
 
-    def test_container_lookup(self, rig):
-        cluster, factory, context_factory = rig
-        container = cluster.deploy("x", factory, context_factory, (("ECHO", {}),))
-        assert cluster.container(container.container_id) is container
-        with pytest.raises(DeploymentError):
-            cluster.container("ghost")
-
 
 class TestFailureAndRestart:
     def test_deployed_agent_serves_traffic(self, rig, store, session):

@@ -72,7 +72,6 @@ class TestStoreConcurrency:
             inputs=(Parameter("IN", "number"),),
             outputs=(Parameter("OUT", "number"),),
             listen_tags=("GO",),
-            workers=4,
         )
         agent.attach(
             AgentContext(store=store, session=session, clock=store.clock)
@@ -83,8 +82,9 @@ class TestStoreConcurrency:
             for i in range(50):
                 store.publish_data(user.stream_id, thread_id * 100 + i, tags=("GO",))
 
+        # The agent runs inline on each publisher's thread, so every
+        # output is published before run_threads returns.
         run_threads(4, publisher)
-        agent.drain()
         out = store.get_stream(session.stream_id("square:out"))
         assert len(out) == 200
         assert agent.failures == 0

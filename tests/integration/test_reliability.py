@@ -71,7 +71,8 @@ class TestContainerRecovery:
 class TestLLMFailures:
     def test_flaky_model_raises_transiently(self, clock):
         catalog = ModelCatalog(clock=clock)
-        flaky = catalog.client("mega-s", failure_rate=0.4)
+        catalog.default_failure_rate = 0.4
+        flaky = catalog.client("mega-s")
         outcomes = []
         for i in range(30):
             try:

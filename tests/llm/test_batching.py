@@ -14,7 +14,6 @@ from repro.llm import (
     ModelCapacity,
     ModelCatalog,
     ModelSpec,
-    SimulatedLLM,
 )
 from repro.streams.persistence import export_json
 
@@ -38,6 +37,14 @@ def spec(**overrides):
     )
     defaults.update(overrides)
     return ModelSpec(**defaults)
+
+
+def client(clock, **plumbing):
+    """The batch-model client of a one-spec catalog with *plumbing* assigned."""
+    catalog = ModelCatalog(specs=(spec(),), clock=clock)
+    for attribute, value in plumbing.items():
+        setattr(catalog, attribute, value)
+    return catalog.client("batch-model")
 
 
 class TestBatchWindow:
@@ -158,7 +165,7 @@ class TestSimulatedLLMBatching:
     def test_distinct_prompts_batch_and_pay_residual(self):
         clock = SimClock()
         batcher = LLMBatcher(max_batch_wait=0.5)
-        llm = SimulatedLLM(spec(), clock=clock, batcher=batcher)
+        llm = client(clock, batcher=batcher)
         leader = llm.complete("TASK: GENERATE\nfirst prompt")
         assert not leader.batched
         end = clock.now()
@@ -175,11 +182,8 @@ class TestSimulatedLLMBatching:
         from repro.llm import SingleFlight
 
         clock = SimClock()
-        llm = SimulatedLLM(
-            spec(),
-            clock=clock,
-            single_flight=SingleFlight(),
-            batcher=LLMBatcher(max_batch_wait=5.0),
+        llm = client(
+            clock, single_flight=SingleFlight(), batcher=LLMBatcher(max_batch_wait=5.0)
         )
         llm.complete("TASK: GENERATE\nsame")
         clock.rebase(0.25)
@@ -190,7 +194,7 @@ class TestSimulatedLLMBatching:
     def test_no_cache_bypasses_batching(self):
         clock = SimClock()
         batcher = LLMBatcher(max_batch_wait=5.0)
-        llm = SimulatedLLM(spec(), clock=clock, batcher=batcher)
+        llm = client(clock, batcher=batcher)
         llm.complete("TASK: GENERATE\nfirst")
         clock.rebase(0.25)
         again = llm.complete("TASK: GENERATE\nsecond", no_cache=True)
@@ -201,7 +205,7 @@ class TestSimulatedLLMBatching:
         clock = SimClock()
         capacity = ModelCapacity({"batch-model": 1})
         batcher = LLMBatcher(max_batch_wait=0.5, max_batch_size=8)
-        llm = SimulatedLLM(spec(), clock=clock, capacity=capacity, batcher=batcher)
+        llm = client(clock, capacity=capacity, batcher=batcher)
         leader = llm.complete("TASK: GENERATE\nalpha")
         end = clock.now()
         clock.rebase(0.1)
@@ -217,7 +221,7 @@ class TestSimulatedLLMBatching:
     def test_missed_window_runs_physically(self):
         clock = SimClock()
         batcher = LLMBatcher(max_batch_wait=0.1)
-        llm = SimulatedLLM(spec(), clock=clock, batcher=batcher)
+        llm = client(clock, batcher=batcher)
         llm.complete("TASK: GENERATE\nfirst")
         clock.rebase(0.5)  # past the 0.1s window
         late = llm.complete("TASK: GENERATE\nsecond")
@@ -231,7 +235,7 @@ class TestSimulatedLLMBatching:
         clock = SimClock()
         tracker = UsageTracker()
         batcher = LLMBatcher(max_batch_wait=0.5)
-        llm = SimulatedLLM(spec(), clock=clock, tracker=tracker, batcher=batcher)
+        llm = client(clock, tracker=tracker, batcher=batcher)
         llm.complete("TASK: GENERATE\nfirst")
         clock.rebase(0.1)
         joiner = llm.complete("TASK: GENERATE\nsecond")
@@ -253,9 +257,7 @@ class TestSimulatedLLMBatching:
         clock = SimClock()
         observability = Observability(clock)
         batcher = LLMBatcher(max_batch_size=2, max_batch_wait=0.5)
-        llm = SimulatedLLM(
-            spec(), clock=clock, batcher=batcher, observability=observability
-        )
+        llm = client(clock, batcher=batcher, observability=observability)
         llm.complete("TASK: GENERATE\nleader")
         clock.rebase(0.1)
         with pytest.raises(LLMError):
@@ -270,11 +272,14 @@ class TestSimulatedLLMBatching:
 
     def test_catalog_rewires_batcher(self):
         catalog = ModelCatalog(clock=SimClock())
-        client = catalog.client("mega-s")
-        assert client.batcher is None
+        held = catalog.client("mega-s")
+        held.complete("TASK: GENERATE\nbefore")
         batcher = LLMBatcher()
         catalog.batcher = batcher
-        assert catalog.client("mega-s").batcher is batcher
+        # The client fetched before the swap opens its window in the new
+        # batcher, with no re-fetch.
+        held.complete("TASK: GENERATE\nafter")
+        assert batcher.stats().batches == 1
 
 
 class TestFlushOrderingDeterminism:
@@ -283,7 +288,7 @@ class TestFlushOrderingDeterminism:
     def _run(self):
         clock = SimClock()
         batcher = LLMBatcher(max_batch_wait=0.5)
-        llm = SimulatedLLM(spec(), clock=clock, batcher=batcher)
+        llm = client(clock, batcher=batcher)
         trace = []
         starts = [0.0, 0.05, 0.1, 2.5, 2.6, 9.0]
         for i, start in enumerate(starts):

@@ -11,7 +11,9 @@ from repro.llm import LLMCache, ModelCatalog, UsageTracker
 @pytest.fixture
 def cached_catalog():
     clock = SimClock()
-    return clock, ModelCatalog(clock=clock, cache=LLMCache())
+    catalog = ModelCatalog(clock=clock)
+    catalog.cache = LLMCache()
+    return clock, catalog
 
 
 PROMPT = "TASK: GENERATE\nwrite me a haiku about streams"
@@ -100,7 +102,8 @@ class TestCacheHits:
 
     def test_lru_eviction(self):
         cache = LLMCache(max_entries=2)
-        catalog = ModelCatalog(cache=cache)
+        catalog = ModelCatalog()
+        catalog.cache = cache
         client = catalog.client("mega-nano")
         client.complete("TASK: GENERATE\na")
         client.complete("TASK: GENERATE\nb")
@@ -138,10 +141,8 @@ class TestNoCacheOverride:
     def test_hit_skips_failure_injection(self):
         # A cached success short-circuits the failure roll entirely: the
         # call index does not advance and no LLMError can surface.
-        clock = SimClock()
-        catalog = ModelCatalog(
-            clock=clock, cache=LLMCache(), default_failure_rate=0.0
-        )
+        catalog = ModelCatalog(clock=SimClock())
+        catalog.cache = LLMCache()
         client = catalog.client("mega-s")
         client.complete(PROMPT)
         client.failure_rate = 1.0
@@ -152,7 +153,7 @@ class TestNoCacheOverride:
 
 class TestCatalogRewiring:
     def test_swapped_tracker_receives_usage(self):
-        """client() must rewire the tracker on every fetch — a client
+        """A client reads the catalog's tracker on every call — a client
         cached before the swap used to meter into the abandoned one."""
         catalog = ModelCatalog()
         client_before = catalog.client("mega-s")
@@ -169,30 +170,47 @@ class TestCatalogRewiring:
 
     def test_swapped_cache_and_clock_rewired(self):
         catalog = ModelCatalog()
-        client = catalog.client("mega-s")
-        assert client.cache is None
+        catalog.client("mega-s").complete(PROMPT)
         catalog.cache = LLMCache()
         catalog.clock = SimClock(start=7.0)
-        client = catalog.client("mega-s")
-        assert client.cache is catalog.cache
-        assert client.clock is catalog.clock
+        response = catalog.client("mega-s").complete(PROMPT)
+        assert len(catalog.cache) == 1
+        assert catalog.clock.now() == pytest.approx(7.0 + response.usage.latency)
+
+    def test_swaps_reach_a_held_client(self):
+        """A client fetched before the catalog's cache and batcher are
+        assigned uses both on its next call, with no re-fetch."""
+        from repro.llm import LLMBatcher
+
+        catalog = ModelCatalog(clock=SimClock())
+        held = catalog.client("mega-s")
+        held.complete(PROMPT + " warm-up")
+        catalog.cache = LLMCache()
+        catalog.batcher = LLMBatcher()
+        first = held.complete(PROMPT)
+        assert held.complete(PROMPT).cached
+        assert not first.cached
+        assert catalog.cache.stats().hits == 1
+        assert catalog.batcher.stats().batches == 1
 
 
 class TestBlueprintWiring:
     def test_cache_off_by_default(self):
         bp = Blueprint()
-        assert bp.llm_cache is None
         assert bp.catalog.cache is None
 
     def test_llm_cache_true_builds_one(self):
         bp = Blueprint(llm_cache=True)
-        assert isinstance(bp.llm_cache, LLMCache)
-        assert bp.catalog.cache is bp.llm_cache
+        assert isinstance(bp.catalog.cache, LLMCache)
 
-    def test_llm_cache_accepts_configured_instance(self):
+    def test_configured_cache_is_assigned_on_the_catalog(self):
         cache = LLMCache(max_entries=3)
-        bp = Blueprint(llm_cache=cache)
-        assert bp.llm_cache is cache
+        bp = Blueprint()
+        bp.catalog.cache = cache
+        client = bp.catalog.client("mega-s")
+        client.complete(PROMPT)
+        assert client.complete(PROMPT).cached
+        assert cache.stats().hits == 1
 
     def test_cache_metrics_recorded(self):
         bp = Blueprint(llm_cache=True)

@@ -7,8 +7,8 @@ from repro.llm import (
     LLMResponse,
     LLMUsage,
     ModelCapacity,
+    ModelCatalog,
     ModelSpec,
-    SimulatedLLM,
     SingleFlight,
 )
 
@@ -26,6 +26,14 @@ def spec(**overrides):
     )
     defaults.update(overrides)
     return ModelSpec(**defaults)
+
+
+def client(clock, **plumbing):
+    """The cap-model client of a one-spec catalog with *plumbing* assigned."""
+    catalog = ModelCatalog(specs=(spec(),), clock=clock)
+    for attribute, value in plumbing.items():
+        setattr(catalog, attribute, value)
+    return catalog.client("cap-model")
 
 
 class TestModelCapacity:
@@ -216,7 +224,7 @@ class TestSimulatedLLMIntegration:
     def test_capacity_queues_and_charges_wait_on_clock(self):
         clock = SimClock()
         capacity = ModelCapacity({"cap-model": 1})
-        llm = SimulatedLLM(spec(), clock=clock, capacity=capacity)
+        llm = client(clock, capacity=capacity)
         first = llm.complete("TASK: ECHO one")
         assert clock.now() == pytest.approx(first.usage.latency)
         # Rewind to simulate a concurrent branch starting at t=0.
@@ -232,7 +240,7 @@ class TestSimulatedLLMIntegration:
     def test_single_flight_joins_concurrent_identical_call(self):
         clock = SimClock()
         flight = SingleFlight()
-        llm = SimulatedLLM(spec(), clock=clock, single_flight=flight)
+        llm = client(clock, single_flight=flight)
         leader = llm.complete("TASK: ECHO hello")
         end = clock.now()
         clock.rebase(end / 2)
@@ -246,7 +254,7 @@ class TestSimulatedLLMIntegration:
     def test_no_cache_bypasses_single_flight(self):
         clock = SimClock()
         flight = SingleFlight()
-        llm = SimulatedLLM(spec(), clock=clock, single_flight=flight)
+        llm = client(clock, single_flight=flight)
         llm.complete("TASK: ECHO hello")
         clock.rebase(0.1)
         again = llm.complete("TASK: ECHO hello", no_cache=True)
@@ -263,8 +271,8 @@ class TestSimulatedLLMIntegration:
         slept = []
         monkeypatch.setattr(model.time, "sleep", slept.append)
         clock = SimClock()
-        llm = SimulatedLLM(spec(), clock=clock, single_flight=SingleFlight())
-        llm.wall_latency_scale = 0.05
+        llm = client(clock, single_flight=SingleFlight())
+        llm.catalog.wall_latency_scale = 0.05
         leader = llm.complete("TASK: ECHO hello")
         clock.rebase(0.25)
         joiner = llm.complete("TASK: ECHO hello")
@@ -275,7 +283,7 @@ class TestSimulatedLLMIntegration:
             pytest.approx(joiner.usage.latency * 0.05),
         ]
         # A cache hit spends no latency, so it sleeps nothing.
-        llm.cache = LLMCache()
+        llm.catalog.cache = LLMCache()
         clock.rebase(5.0)
         llm.complete("TASK: ECHO hello")
         del slept[:]

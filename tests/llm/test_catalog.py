@@ -34,21 +34,17 @@ class TestCatalog:
 
     def test_client_failure_rate_variant(self, catalog):
         reliable = catalog.client("mega-m")
-        flaky = catalog.client("mega-m", failure_rate=0.5)
+        catalog.default_failure_rate = 0.5
+        flaky = catalog.client("mega-m")
         assert reliable is not flaky
+        assert flaky.failure_rate == 0.5
+        assert catalog.client("mega-m") is flaky
 
     def test_client_shares_clock_and_tracker(self, catalog):
         client = catalog.client("mega-s")
         client.complete("hi")
         assert catalog.tracker.calls == 1
         assert catalog.clock.now() > 0
-
-    def test_best_general(self, catalog):
-        assert catalog.best().name == "mega-xl"
-
-    def test_best_hr_domain(self, catalog):
-        # quality_for("hr"): mega-xl 0.98 vs hr-ft 0.96 — xl still best.
-        assert catalog.best("hr").name == "mega-xl"
 
     def test_default_specs_are_priced_sanely(self):
         for spec in DEFAULT_SPECS:

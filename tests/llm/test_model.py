@@ -4,7 +4,7 @@ import pytest
 
 from repro.clock import SimClock
 from repro.errors import ContextWindowExceededError, LLMError
-from repro.llm import ModelSpec, SimulatedLLM, UsageTracker, prompts
+from repro.llm import ModelCatalog, ModelSpec, UsageTracker, prompts
 from repro.llm.knowledge import REGION_CITIES
 
 
@@ -23,8 +23,13 @@ def spec(quality=1.0, **overrides):
     return ModelSpec(**defaults)
 
 
-def model(quality=1.0, **kwargs):
-    return SimulatedLLM(spec(quality=quality), **kwargs)
+def model(quality=1.0, clock=None, tracker=None, failure_rate=0.0, **overrides):
+    """The client of a one-spec catalog built around *spec(quality, ...)*."""
+    catalog = ModelCatalog(
+        specs=(spec(quality=quality, **overrides),), clock=clock, tracker=tracker
+    )
+    catalog.default_failure_rate = failure_rate
+    return catalog.client("test-model")
 
 
 class TestModelSpec:
@@ -157,7 +162,7 @@ class TestAccounting:
         assert tracker.per_model["test-model"]["calls"] == 2
 
     def test_context_window_enforced(self):
-        m = SimulatedLLM(spec(context_window=5))
+        m = model(context_window=5)
         with pytest.raises(ContextWindowExceededError):
             m.complete("this prompt is definitely longer than five tokens")
 
@@ -165,20 +170,20 @@ class TestAccounting:
 class TestFailureInjection:
     def test_failure_rate_validation(self):
         with pytest.raises(LLMError):
-            SimulatedLLM(spec(), failure_rate=1.5)
+            model(failure_rate=1.5)
 
     def test_failures_happen_at_high_rate(self):
-        m = SimulatedLLM(spec(), failure_rate=1.0)
+        m = model(failure_rate=1.0)
         with pytest.raises(LLMError, match="transient"):
             m.complete("anything")
 
     def test_no_failures_at_zero_rate(self):
-        m = SimulatedLLM(spec(), failure_rate=0.0)
+        m = model(failure_rate=0.0)
         for _ in range(5):
             m.complete("anything")
 
     def test_failures_intermittent(self):
-        m = SimulatedLLM(spec(), failure_rate=0.5)
+        m = model(failure_rate=0.5)
         outcomes = []
         for i in range(20):
             try:

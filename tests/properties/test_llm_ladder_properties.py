@@ -23,6 +23,7 @@ from repro.llm import (
     LLMResponse,
     LLMUsage,
     ModelCapacity,
+    ModelCatalog,
     ModelSpec,
     SimulatedLLM,
     SingleFlight,
@@ -45,6 +46,15 @@ SPEC = ModelSpec(
 )
 SEED = 3
 MAX_OUT = 512
+
+
+def seeded_client(clock=None, tracker=None, **plumbing) -> SimulatedLLM:
+    """A SEED-seeded SPEC client of a catalog with *plumbing* assigned
+    (a catalog's own clients are seed 0, so this one is built beside it)."""
+    catalog = ModelCatalog(specs=(SPEC,), clock=clock, tracker=tracker)
+    for attribute, value in plumbing.items():
+        setattr(catalog, attribute, value)
+    return SimulatedLLM(SPEC, catalog, seed=SEED)
 
 PROMPTS = (
     "TASK: GENERATE\nwrite a short note about onboarding",
@@ -92,10 +102,9 @@ class TestLadderContract:
             if with_batcher else None
         )
         capacity = ModelCapacity({SPEC.name: slots}) if slots else None
-        llm = SimulatedLLM(
-            SPEC, clock=clock, tracker=tracker, seed=SEED,
-            observability=observability, cache=cache, capacity=capacity,
-            single_flight=flight, batcher=batcher,
+        llm = seeded_client(
+            clock, tracker, observability=observability, cache=cache,
+            capacity=capacity, single_flight=flight, batcher=batcher,
         )
         answered, raised, physical, joins, cost = 0, 0, 0, 0, 0.0
         for start, prompt, no_cache in steps:
@@ -262,10 +271,9 @@ class TestAnswerIsPure:
     @given(prompt=st.sampled_from(PROMPTS))
     @settings(max_examples=8, deadline=None)
     def test_clock_and_rungs_do_not_change_the_text(self, prompt):
-        bare = SimulatedLLM(SPEC, seed=SEED)
-        wired = SimulatedLLM(
-            SPEC, clock=SimClock(), seed=SEED, cache=LLMCache(),
-            capacity=ModelCapacity({SPEC.name: 1}),
+        bare = seeded_client()
+        wired = seeded_client(
+            SimClock(), cache=LLMCache(), capacity=ModelCapacity({SPEC.name: 1}),
             single_flight=SingleFlight(), batcher=LLMBatcher(),
         )
         expected = bare.complete(prompt).text

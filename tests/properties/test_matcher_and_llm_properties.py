@@ -4,15 +4,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hr.matching import JobMatcher
-from repro.hr.taxonomy import all_titles, build_title_taxonomy
-from repro.llm import ModelSpec, SimulatedLLM, prompts
+from repro.hr.taxonomy import SENIORITY_LEVELS, TITLE_FAMILIES, build_title_taxonomy
+from repro.llm import ModelCatalog, ModelSpec, SimulatedLLM, prompts
 from repro.llm.knowledge import NOISE_CITIES, REGION_CITIES
 
 MATCHER = JobMatcher(build_title_taxonomy())
+#: Every title in the taxonomy: each base title, then its seniority variants.
+TITLES = [
+    name
+    for titles in TITLE_FAMILIES.values()
+    for title in titles
+    for name in (title, *(f"{level} {title}" for level in SENIORITY_LEVELS))
+]
 
 PROFILE = st.fixed_dictionaries(
     {
-        "title": st.one_of(st.none(), st.sampled_from(all_titles())),
+        "title": st.one_of(st.none(), st.sampled_from(TITLES)),
         "city": st.one_of(st.none(), st.sampled_from(["Oakland", "Austin", "SF"])),
         "skills": st.lists(
             st.sampled_from(["python", "sql", "spark", "git", "mlops"]), max_size=4
@@ -23,7 +30,7 @@ PROFILE = st.fixed_dictionaries(
 JOB = st.fixed_dictionaries(
     {
         "id": st.integers(min_value=1, max_value=999),
-        "title": st.sampled_from(all_titles()),
+        "title": st.sampled_from(TITLES),
         "company": st.just("Acme"),
         "city": st.sampled_from(["Oakland", "Austin", "SF"]),
         "remote": st.booleans(),
@@ -60,17 +67,16 @@ class TestMatcherProperties:
 
 
 def make_model(quality: float) -> SimulatedLLM:
-    return SimulatedLLM(
-        ModelSpec(
-            name=f"prop-{quality:.2f}",
-            tier="t",
-            quality=quality,
-            cost_per_1k_input=0.001,
-            cost_per_1k_output=0.002,
-            latency_base=0.1,
-            latency_per_token=0.001,
-        )
+    spec = ModelSpec(
+        name=f"prop-{quality:.2f}",
+        tier="t",
+        quality=quality,
+        cost_per_1k_input=0.001,
+        cost_per_1k_output=0.002,
+        latency_base=0.1,
+        latency_per_token=0.001,
     )
+    return ModelCatalog(specs=(spec,)).client(spec.name)
 
 
 class TestDegradationProperties:

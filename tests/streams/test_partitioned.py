@@ -11,9 +11,8 @@ from repro.streams import (
     PartitionedStreamStore,
     StreamStore,
     export_partitioned,
-    replayed_messages,
 )
-from repro.streams.persistence import export_store
+from repro.streams.persistence import export_store, message_from
 
 
 @pytest.fixture
@@ -160,7 +159,8 @@ class TestFailoverDurability:
         store.create_stream("s")
         store.publish_data("s", {"k": "v"}, tags={"T"})
         store.publish_control("s", "halt")
-        messages = replayed_messages(export_partitioned(store))
+        records = export_partitioned(store)["messages"]
+        messages = [message_from(record) for record in records]
         assert len(messages) == 2
         assert messages[0].payload == {"k": "v"}
         assert messages[0].tags == frozenset({"T"})

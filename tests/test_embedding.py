@@ -7,8 +7,6 @@ from repro.embedding import (
     HashingEmbedder,
     char_ngrams,
     cosine,
-    euclidean,
-    jaccard,
     keyword_overlap,
     tokenize_words,
 )
@@ -79,13 +77,6 @@ class TestSimilarity:
     def test_cosine_zero_vector(self):
         assert cosine(np.zeros(2), np.array([1.0, 0.0])) == 0.0
 
-    def test_euclidean(self):
-        assert euclidean(np.array([0.0, 0.0]), np.array([3.0, 4.0])) == 5.0
-
-    def test_jaccard(self):
-        assert jaccard("a b c", "b c d") == pytest.approx(2 / 4)
-        assert jaccard("", "") == 1.0
-        assert jaccard("a", "") == 0.0
 
     def test_keyword_overlap(self):
         assert keyword_overlap("data scientist", "senior data scientist role") == 1.0

@@ -9,13 +9,6 @@ from repro.core.params import Parameter
 
 
 class TestContextExtras:
-    def test_extras_lookup(self, store, session, clock):
-        context = AgentContext(
-            store=store, session=session, clock=clock, extras={"flag": 7}
-        )
-        assert context.extra("flag") == 7
-        assert context.extra("missing", "d") == "d"
-
     def test_charge_noop_without_budget(self, store, session, clock):
         context = AgentContext(store=store, session=session, clock=clock)
         context.charge("x", cost=1.0)  # silently ignored, no budget attached

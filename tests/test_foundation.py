@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.clock import SimClock, Stopwatch
-from repro.errors import BudgetExceededError, ReproError, StreamError
-from repro.ids import IdGenerator, new_id
+from repro.clock import SimClock
+from repro.errors import ReproError, StreamError
+from repro.ids import IdGenerator
 
 
 class TestSimClock:
@@ -42,23 +42,6 @@ class TestSimClock:
         assert clock.now() == 10.0
 
 
-class TestStopwatch:
-    def test_elapsed_tracks_clock(self):
-        clock = SimClock()
-        watch = Stopwatch(clock)
-        clock.advance(2.5)
-        assert watch.elapsed() == 2.5
-
-    def test_restart_resets(self):
-        clock = SimClock()
-        watch = Stopwatch(clock)
-        clock.advance(2.5)
-        watch.restart()
-        assert watch.elapsed() == 0.0
-        clock.advance(1.0)
-        assert watch.elapsed() == 1.0
-
-
 class TestIdGenerator:
     def test_sequential_per_kind(self):
         ids = IdGenerator()
@@ -81,21 +64,7 @@ class TestIdGenerator:
         ids.reset()
         assert ids.next("x") == "x-000001"
 
-    def test_global_generator(self):
-        first = new_id("testkind")
-        second = new_id("testkind")
-        assert first != second
-        assert first.startswith("testkind-")
-
 
 class TestErrors:
     def test_all_derive_from_repro_error(self):
         assert issubclass(StreamError, ReproError)
-        assert issubclass(BudgetExceededError, ReproError)
-
-    def test_budget_error_carries_dimension(self):
-        error = BudgetExceededError("over", dimension="latency")
-        assert error.dimension == "latency"
-
-    def test_budget_error_default_dimension(self):
-        assert BudgetExceededError("over").dimension == "cost"
